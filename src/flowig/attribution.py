@@ -15,7 +15,6 @@ import numpy as np
 from . import encoder
 from .encoder import EncoderConfig, Params
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import predict_labels
 from .flow_data import COARSE_LABELS, CoarseLabel, FeatureSchema
 from .textualize import format_value
 from .tokenizer import TokenizedExample
@@ -41,18 +40,22 @@ class IGConfig:
 
 @dataclass(frozen=True)
 class AttributionResult:
-    token_attr: np.ndarray         # (max_seq_len,), signed
+    token_attr: np.ndarray         # (max_seq_len,), signed, 0 past the active length
     feature_attr: np.ndarray       # (d,), signed, span sums
     structural_residue: float      # attribution on CLS/SEP/PAD positions
     target_class: CoarseLabel
     completeness_gap: float        # sum(token_attr) - (F(x) - F(x'))
     output_delta: float            # F(x) - F(x')
-    tolerance_exceeded: bool
+    completeness_tolerance: float  # relative
 
     @property
     def relative_gap(self) -> float:
         denom = abs(self.output_delta)
         return abs(self.completeness_gap) / denom if denom > 0 else 0.0
+
+    @property
+    def tolerance_exceeded(self) -> bool:
+        return self.relative_gap > self.completeness_tolerance
 
 
 @dataclass(frozen=True)
@@ -89,42 +92,53 @@ def integrated_gradients(
     cfg: IGConfig = IGConfig(),
     pad_id: int = 0,
 ) -> AttributionResult:
+    """Midpoint-rule IG toward one class logit, in a single encoder batch.
+
+    The batch holds the `steps` path points, then the input (alpha = 1) and
+    the baseline (alpha = 0), whose logits give F(x) - F(x'). It runs at the
+    example's active length (last attended position + 1): keys past it are
+    masked for every query and nothing reads their outputs, so trimming them
+    changes no result beyond rounding, and their attribution is 0.
+    """
     emb = encoder.embed(params, config, example)
     base = baseline_embeddings(params, config, example, cfg.baseline_kind, pad_id)
     mask = np.array(example.attention_mask, dtype=np.float64)
+    # argmax finds the last attended position; with none, the full length
+    n = len(mask) - int(np.argmax(mask[::-1] > 0))
 
-    delta = emb - base
-    alphas = (np.arange(cfg.steps) + 0.5) / cfg.steps
-    points = base[None] + alphas[:, None, None] * delta[None]
+    steps = cfg.steps
+    delta = emb[:n] - base[:n]
+    alphas = (np.arange(steps) + 0.5) / steps
+    points = np.empty((steps + 2, n, config.d_model))
+    points[:steps] = base[None, :n] + alphas[:, None, None] * delta[None]
+    points[steps] = emb[:n]
+    points[steps + 1] = base[:n]
     logits, trace = encoder.forward_from_embeddings(
-        params, config, points, np.tile(mask, (cfg.steps, 1))
+        params, config, points, np.tile(mask[:n], (steps + 2, 1))
     )
+    t = target_class.value
     dlogits = np.zeros_like(logits)
-    dlogits[:, target_class.value] = 1.0
-    _, demb = encoder.backward(params, trace, dlogits)
-    if not np.all(np.isfinite(demb)):
-        bad = int(np.where(~np.isfinite(demb).all(axis=(1, 2)))[0][0])
+    dlogits[:steps, t] = 1.0
+    _, demb = encoder.backward(params, trace, dlogits, param_grads=False)
+    path_grads = demb[:steps]
+    if not np.all(np.isfinite(path_grads)):
+        bad = int(np.where(~np.isfinite(path_grads).all(axis=(1, 2)))[0][0])
         raise NumericError(f"non-finite gradient at integration step {bad}")
-    avg_grad = demb.mean(axis=0)
-    token_attr = (delta * avg_grad).sum(axis=-1)
+    token_attr = np.zeros(len(mask))
+    token_attr[:n] = (delta * path_grads.mean(axis=0)).sum(axis=-1)
 
-    f_x, _ = encoder.forward_from_embeddings(params, config, emb, mask)
-    f_b, _ = encoder.forward_from_embeddings(params, config, base, mask)
-    output_delta = float(f_x[target_class.value] - f_b[target_class.value])
-    gap = float(token_attr.sum() - output_delta)
-
+    output_delta = float(logits[steps, t] - logits[steps + 1, t])
     feature_attr, residue = aggregate_to_features(
         token_attr, example.feature_token_spans
     )
-    rel = abs(gap) / abs(output_delta) if output_delta != 0 else 0.0
     return AttributionResult(
         token_attr=token_attr,
         feature_attr=feature_attr,
         structural_residue=residue,
         target_class=target_class,
-        completeness_gap=gap,
+        completeness_gap=float(token_attr.sum() - output_delta),
         output_delta=output_delta,
-        tolerance_exceeded=rel > cfg.completeness_tolerance,
+        completeness_tolerance=cfg.completeness_tolerance,
     )
 
 
@@ -156,30 +170,23 @@ def class_attribution_matrix(
     cfg: IGConfig = IGConfig(),
     top_k: int = 15,
     pad_id: int = 0,
-    use_predicted_class: bool = False,
 ) -> tuple[ClassAttributionMatrix, list[AttributionResult]]:
-    """Per-class mean |attribution| over the top-K globally ranked features."""
+    """Per-class mean |attribution| over the top-K globally ranked features.
+
+    Each example is attributed toward its true label.
+    """
     counts = {c: 0 for c in COARSE_LABELS}
     for e in examples:
         if e.label is not None:
             counts[e.label] += 1
-    if not use_predicted_class:
-        empty = [c.name for c in COARSE_LABELS if counts[c] == 0]
-        if empty:
-            raise DataError(f"no examples for class: {', '.join(empty)}")
+    empty = [c.name for c in COARSE_LABELS if counts[c] == 0]
+    if empty:
+        raise DataError(f"no examples for class: {', '.join(empty)}")
 
-    results: list[AttributionResult] = []
-    targets: list[CoarseLabel] = []
-    for e in examples:
-        if use_predicted_class:
-            logits, _ = encoder.forward(params, config, e)
-            target = predict_labels(logits[None])[0]
-        else:
-            target = e.label
-        results.append(
-            integrated_gradients(params, config, e, target, cfg, pad_id)
-        )
-        targets.append(target)
+    results = [
+        integrated_gradients(params, config, e, e.label, cfg, pad_id)
+        for e in examples
+    ]
 
     abs_attr = np.abs(np.stack([r.feature_attr for r in results]))  # (N, d)
     global_score = abs_attr.mean(axis=0)
@@ -190,7 +197,7 @@ def class_attribution_matrix(
     values = np.zeros((3, top_k))
     sample_counts = [0, 0, 0]
     for c in COARSE_LABELS:
-        sel = [i for i, t in enumerate(targets) if t == c]
+        sel = [i for i, e in enumerate(examples) if e.label == c]
         sample_counts[c.value] = len(sel)
         if sel:
             values[c.value] = abs_attr[sel][:, order].mean(axis=0)

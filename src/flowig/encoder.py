@@ -123,13 +123,18 @@ def _ln_forward(x, g, b):
 def _ln_backward(dy, cache):
     xhat, ivar, g = cache
     dxhat = dy * g
-    dx = ivar * (
+    return ivar * (
         dxhat
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
+
+
+def _ln_param_grads(grads: Params, prefix: str, dy, cache) -> None:
+    xhat = cache[0]
     axes = tuple(range(dy.ndim - 1))
-    return dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
+    grads[prefix + "g"] += (dy * xhat).sum(axis=axes)
+    grads[prefix + "b"] += dy.sum(axis=axes)
 
 
 def _gelu_forward(a):
@@ -197,14 +202,19 @@ def attention_scores_disentangled(q, k_content, qr, kr, rel_idx):
     return (c2c + c2p + p2c) / math.sqrt(3.0 * dh)
 
 
-def _masked_softmax(scores, mask):
-    # mask: (B, L) over keys, 1 = attend
-    neg = np.where(mask[:, None, None, :] > 0, 0.0, -np.inf)
-    s = scores + neg
-    m = s.max(axis=-1, keepdims=True)
-    e = np.exp(s - m)
-    e = np.where(np.isfinite(s), e, 0.0)
-    return e / e.sum(axis=-1, keepdims=True)
+def _key_mask_bias(mask):
+    """Additive score bias (B, 1, 1, L) from a (B, L) key mask: 0 = attend, -inf = not."""
+    return np.where(mask[:, None, None, :] > 0, 0.0, -np.inf)
+
+
+def _masked_softmax(scores, bias):
+    # a row with an attended key (CLS always is) has a finite max, so the
+    # -inf entries of masked keys exponentiate to exactly 0
+    s = scores + bias
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 @dataclass
@@ -234,7 +244,9 @@ def forward_from_embeddings(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Pre-norm encoder stack from raw embeddings to class logits.
 
-    Accepts (L, D) or batched (B, L, D); logits are (3,) or (B, 3) to match.
+    Accepts (L, D) or batched (B, L, D) with L <= max_seq_len; logits are
+    (3,) or (B, 3) to match. A sequence shorter than max_seq_len runs as
+    the first L positions, so trailing padding can be trimmed off.
     """
     squeeze = embeddings.ndim == 2
     x = np.asarray(embeddings, dtype=np.float64)
@@ -243,14 +255,18 @@ def forward_from_embeddings(
         x = x[None]
         mask = mask[None]
     B, L, D = x.shape
-    if L != config.max_seq_len or D != config.d_model:
-        raise ConfigError(f"embedding shape {x.shape} does not match config")
+    if L > config.max_seq_len or D != config.d_model:
+        raise ConfigError(
+            f"embedding shape {x.shape} does not fit max_seq_len={config.max_seq_len},"
+            f" d_model={config.d_model}"
+        )
     if training and config.dropout_rate > 0 and dropout_rng is None:
         raise ConfigError("training-mode forward with dropout requires dropout_rng")
 
     trace = ForwardTrace(config, training, mask, x, squeeze=squeeze)
     H, dh = config.heads, config.d_head
     keep = 1.0 - config.dropout_rate
+    bias = _key_mask_bias(mask)
 
     for li in range(config.layers):
         pre = f"layers.{li}."
@@ -271,7 +287,7 @@ def forward_from_embeddings(
         else:
             scores = (q @ k.swapaxes(-1, -2)) / math.sqrt(dh)
         cache["scores"] = scores
-        attn = _masked_softmax(scores, mask)
+        attn = _masked_softmax(scores, bias)
         cache["attn"] = attn
         o = _merge_heads(attn @ v)
         cache["o"] = o
@@ -351,8 +367,14 @@ def backward(
     params: Params,
     trace: ForwardTrace,
     dlogits: np.ndarray,
-) -> tuple[Params, np.ndarray]:
-    """Exact reverse-mode gradients for all parameters and the input embeddings."""
+    param_grads: bool = True,
+) -> tuple[Params | None, np.ndarray]:
+    """Exact reverse-mode gradients for all parameters and the input embeddings.
+
+    With param_grads=False only the embedding gradient is built and the
+    parameter gradients come back as None; the embedding gradient is
+    bit-identical either way.
+    """
     config = trace.config
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if trace.squeeze and dlogits.ndim == 1:
@@ -361,46 +383,45 @@ def backward(
         raise ConfigError(
             f"dlogits shape {dlogits.shape} does not match logits {trace.logits.shape}"
         )
-    grads = zero_grads_like(params)
-    H, dh, L = config.heads, config.d_head, config.max_seq_len
+    grads = zero_grads_like(params) if param_grads else None
+    H, dh, L = config.heads, config.d_head, trace.mask.shape[1]
 
-    cls = trace.final["cls"]
-    grads["head.w"] += cls.T @ dlogits
-    grads["head.b"] += dlogits.sum(axis=0)
+    if grads is not None:
+        grads["head.w"] += trace.final["cls"].T @ dlogits
+        grads["head.b"] += dlogits.sum(axis=0)
     dcls = dlogits @ params["head.w"].T
     dhf = np.zeros_like(trace.x0)
     dhf[:, 0, :] = dcls
     if config.use_final_norm:
-        dx, dg, db = _ln_backward(dhf, trace.final["ln_f"])
-        grads["ln_f.g"] += dg
-        grads["ln_f.b"] += db
+        dx = _ln_backward(dhf, trace.final["ln_f"])
+        if grads is not None:
+            _ln_param_grads(grads, "ln_f.", dhf, trace.final["ln_f"])
     else:
         dx = dhf
 
     for cache in reversed(trace.layer_caches):
         pre = cache["pre"]
         # FFN block
-        dy = dx.copy()
-        if "ffn_drop" in cache:
-            dy = dy * cache["ffn_drop"]
-        grads[pre + "ffn.w2"] += _sum_outer(cache["g"], dy)
-        grads[pre + "ffn.b2"] += dy.sum(axis=(0, 1))
+        dy = dx * cache["ffn_drop"] if "ffn_drop" in cache else dx
+        if grads is not None:
+            grads[pre + "ffn.w2"] += _sum_outer(cache["g"], dy)
+            grads[pre + "ffn.b2"] += dy.sum(axis=(0, 1))
         dg_act = dy @ params[pre + "ffn.w2"].T
         da = _gelu_backward(dg_act, cache["a"], cache["phi"])
-        grads[pre + "ffn.w1"] += _sum_outer(cache["h2"], da)
-        grads[pre + "ffn.b1"] += da.sum(axis=(0, 1))
+        if grads is not None:
+            grads[pre + "ffn.w1"] += _sum_outer(cache["h2"], da)
+            grads[pre + "ffn.b1"] += da.sum(axis=(0, 1))
         dh2 = da @ params[pre + "ffn.w1"].T
-        dx2, dgn, dbn = _ln_backward(dh2, cache["ln2"])
-        grads[pre + "ln2.g"] += dgn
-        grads[pre + "ln2.b"] += dbn
+        dx2 = _ln_backward(dh2, cache["ln2"])
+        if grads is not None:
+            _ln_param_grads(grads, pre + "ln2.", dh2, cache["ln2"])
         dx = dx + dx2  # residual
 
         # attention block
-        dout = dx.copy()
-        if "attn_drop" in cache:
-            dout = dout * cache["attn_drop"]
-        grads[pre + "attn.wo"] += _sum_outer(cache["o"], dout)
-        grads[pre + "attn.bo"] += dout.sum(axis=(0, 1))
+        dout = dx * cache["attn_drop"] if "attn_drop" in cache else dx
+        if grads is not None:
+            grads[pre + "attn.wo"] += _sum_outer(cache["o"], dout)
+            grads[pre + "attn.bo"] += dout.sum(axis=(0, 1))
         do = dout @ params[pre + "attn.wo"].T
         do_h = _split_heads(do, H)
         attn, v = cache["attn"], cache["v"]
@@ -422,45 +443,46 @@ def backward(
             dqkr = (ds.transpose(2, 0, 1, 3).reshape(L, B * H, L) @ onehot)
             dqkr = dqkr.reshape(L, B, H, -1).transpose(1, 2, 0, 3)  # (B,H,L,R)
             dq += dqkr @ kr
-            dkr = (dqkr.transpose(1, 3, 0, 2).reshape(H, config.rel_size, B * L)
-                   @ q.transpose(1, 0, 2, 3).reshape(H, B * L, dh))
             # position-to-content: score += k[j] . qr[rel(j,i)]
             dkqr = (ds.transpose(3, 0, 1, 2).reshape(L, B * H, L) @ onehot)
             dkqr = dkqr.reshape(L, B, H, -1).transpose(1, 2, 0, 3)  # (B,H,L,R)
             dk += dkqr @ qr
-            dqr = (dkqr.transpose(1, 3, 0, 2).reshape(H, config.rel_size, B * L)
-                   @ k.transpose(1, 0, 2, 3).reshape(H, B * L, dh))
-            dkr_flat = dkr.transpose(1, 0, 2).reshape(config.rel_size, config.d_model)
-            dqr_flat = dqr.transpose(1, 0, 2).reshape(config.rel_size, config.d_model)
-            grads[pre + "attn.wk"] += params["rel_emb"].T @ dkr_flat
-            grads[pre + "attn.wq"] += params["rel_emb"].T @ dqr_flat
-            grads["rel_emb"] += dkr_flat @ params[pre + "attn.wk"].T
-            grads["rel_emb"] += dqr_flat @ params[pre + "attn.wq"].T
+            if grads is not None:
+                dkr = (dqkr.transpose(1, 3, 0, 2).reshape(H, config.rel_size, B * L)
+                       @ q.transpose(1, 0, 2, 3).reshape(H, B * L, dh))
+                dqr = (dkqr.transpose(1, 3, 0, 2).reshape(H, config.rel_size, B * L)
+                       @ k.transpose(1, 0, 2, 3).reshape(H, B * L, dh))
+                dkr_flat = dkr.transpose(1, 0, 2).reshape(config.rel_size, config.d_model)
+                dqr_flat = dqr.transpose(1, 0, 2).reshape(config.rel_size, config.d_model)
+                grads[pre + "attn.wk"] += params["rel_emb"].T @ dkr_flat
+                grads[pre + "attn.wq"] += params["rel_emb"].T @ dqr_flat
+                grads["rel_emb"] += dkr_flat @ params[pre + "attn.wk"].T
+                grads["rel_emb"] += dqr_flat @ params[pre + "attn.wq"].T
         else:
             ds = dscores / math.sqrt(dh)
             dq = ds @ k
             dk = ds.swapaxes(-1, -2) @ q
 
         dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-        h1 = cache["h1"]
-        grads[pre + "attn.wq"] += _sum_outer(h1, dq_m)
-        grads[pre + "attn.bq"] += dq_m.sum(axis=(0, 1))
-        grads[pre + "attn.wk"] += _sum_outer(h1, dk_m)
-        grads[pre + "attn.bk"] += dk_m.sum(axis=(0, 1))
-        grads[pre + "attn.wv"] += _sum_outer(h1, dv_m)
-        grads[pre + "attn.bv"] += dv_m.sum(axis=(0, 1))
+        if grads is not None:
+            h1 = cache["h1"]
+            grads[pre + "attn.wq"] += _sum_outer(h1, dq_m)
+            grads[pre + "attn.bq"] += dq_m.sum(axis=(0, 1))
+            grads[pre + "attn.wk"] += _sum_outer(h1, dk_m)
+            grads[pre + "attn.bk"] += dk_m.sum(axis=(0, 1))
+            grads[pre + "attn.wv"] += _sum_outer(h1, dv_m)
+            grads[pre + "attn.bv"] += dv_m.sum(axis=(0, 1))
         dh1 = (
             dq_m @ params[pre + "attn.wq"].T
             + dk_m @ params[pre + "attn.wk"].T
             + dv_m @ params[pre + "attn.wv"].T
         )
-        dx1, dgn, dbn = _ln_backward(dh1, cache["ln1"])
-        grads[pre + "ln1.g"] += dgn
-        grads[pre + "ln1.b"] += dbn
+        dx1 = _ln_backward(dh1, cache["ln1"])
+        if grads is not None:
+            _ln_param_grads(grads, pre + "ln1.", dh1, cache["ln1"])
         dx = dx + dx1  # residual
 
-    demb = dx
-    return grads, (demb[0] if trace.squeeze else demb)
+    return grads, (dx[0] if trace.squeeze else dx)
 
 
 def accumulate_embedding_grads(

@@ -121,6 +121,64 @@ class TestIntegratedGradients:
         assert res.relative_gap < 0.05
 
 
+def _reference_ig(params, cfg, ex, target, ig_cfg, pad_id):
+    """IG without the fast path: the path batch at full max_seq_len with a
+    full backward, and F(x), F(x') as two separate single-row forwards."""
+    emb = encoder.embed(params, cfg, ex)
+    base = baseline_embeddings(params, cfg, ex, ig_cfg.baseline_kind, pad_id)
+    mask = np.array(ex.attention_mask, dtype=np.float64)
+    delta = emb - base
+    alphas = (np.arange(ig_cfg.steps) + 0.5) / ig_cfg.steps
+    points = base[None] + alphas[:, None, None] * delta[None]
+    logits, trace = encoder.forward_from_embeddings(
+        params, cfg, points, np.tile(mask, (ig_cfg.steps, 1))
+    )
+    dlogits = np.zeros_like(logits)
+    dlogits[:, target.value] = 1.0
+    _, demb = encoder.backward(params, trace, dlogits)
+    token_attr = (delta * demb.mean(axis=0)).sum(axis=-1)
+    f_x, _ = encoder.forward_from_embeddings(params, cfg, emb, mask)
+    f_b, _ = encoder.forward_from_embeddings(params, cfg, base, mask)
+    output_delta = float(f_x[target.value] - f_b[target.value])
+    feature_attr, _ = aggregate_to_features(token_attr, ex.feature_token_spans)
+    return {
+        "token_attr": token_attr,
+        "feature_attr": feature_attr,
+        "output_delta": output_delta,
+        "completeness_gap": float(token_attr.sum() - output_delta),
+    }
+
+
+class TestFastPathMatchesReference:
+    @pytest.mark.parametrize("padded", [True, False], ids=["padded", "unpadded"])
+    @pytest.mark.parametrize("kind", [ALL_PAD_EMBEDDINGS, ZERO_EMBEDDINGS])
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_matches_reference(self, vocab, schema, variant, kind, padded):
+        values = [float(100 + 37 * i) for i in range(schema.d)]
+        active = sum(make_example(vocab, schema, values).attention_mask)
+        max_len = 64 if padded else active
+        assert (active < max_len) == padded
+        cfg = small_config(
+            vocab.size, variant, max_seq_len=max_len, layers=2, d_model=16, d_ff=24
+        )
+        p = randomize_params(init_params(cfg), np.random.default_rng(21))
+        ex = make_example(vocab, schema, values, max_seq_len=max_len)
+        ig_cfg = IGConfig(steps=16, baseline_kind=kind)
+        pad_id = vocab.pad_id
+
+        res = integrated_gradients(p, cfg, ex, CoarseLabel.DDOS, ig_cfg, pad_id)
+        ref = _reference_ig(p, cfg, ex, CoarseLabel.DDOS, ig_cfg, pad_id)
+        # relative 1e-12, with a floor at the scale of the attributions so
+        # entries that cancel to near zero are held to the same absolute error
+        floor = 1e-12 * max(1.0, np.abs(ref["token_attr"]).max(), abs(ref["output_delta"]))
+        for name in ("token_attr", "feature_attr", "output_delta", "completeness_gap"):
+            np.testing.assert_allclose(
+                getattr(res, name), ref[name], rtol=1e-12, atol=floor, err_msg=name
+            )
+        assert res.token_attr.shape == (max_len,)
+        assert np.all(res.token_attr[active:] == 0.0)
+
+
 class TestAggregate:
     def test_one_hot_spans(self):
         token_attr = np.array([0.5, 1.0, 2.0, 3.0, -1.0, 0.25])

@@ -6,6 +6,8 @@ from flowig.encoder import (
     ABSOLUTE,
     DISENTANGLED,
     EncoderConfig,
+    _key_mask_bias,
+    _masked_softmax,
     _rel_index,
     backward,
     embed_ids,
@@ -137,6 +139,55 @@ class TestForward:
                 single, _ = forward_from_embeddings(p, cfg, emb[b], mask[b])
                 np.testing.assert_allclose(single, batched[b], atol=1e-12)
 
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_trimmed_length_matches_padded(self, variant):
+        # dropping trailing positions that every row masks out changes the
+        # logits and the kept embedding gradients only by rounding
+        rng = np.random.default_rng(8)
+        cfg = small_config(20, variant, layers=2)
+        p = randomize_params(init_params(cfg), rng)
+        emb = rng.normal(size=(3, 16, 8))
+        mask = np.ones((3, 16))
+        mask[0, 7:] = 0
+        mask[1, 10:] = 0
+        mask[2, 9:] = 0
+        dlog = rng.normal(size=(3, 3))
+        full, t_full = forward_from_embeddings(p, cfg, emb, mask)
+        trim, t_trim = forward_from_embeddings(p, cfg, emb[:, :10], mask[:, :10])
+        np.testing.assert_allclose(trim, full, rtol=1e-12, atol=1e-12)
+        _, d_full = backward(p, t_full, dlog, param_grads=False)
+        _, d_trim = backward(p, t_trim, dlog, param_grads=False)
+        np.testing.assert_allclose(d_trim, d_full[:, :10], rtol=1e-12, atol=1e-12)
+
+    def test_longer_than_max_seq_len_rejected(self):
+        cfg = small_config(20)
+        p = init_params(cfg)
+        with pytest.raises(ConfigError, match="shape"):
+            forward_from_embeddings(p, cfg, np.zeros((17, 8)), np.ones(17))
+
+
+def _softmax_oracle(scores, mask):
+    """The masked softmax as first written: -inf fill, then an isfinite pass."""
+    neg = np.where(mask[:, None, None, :] > 0, 0.0, -np.inf)
+    s = scores + neg
+    m = s.max(axis=-1, keepdims=True)
+    e = np.exp(s - m)
+    e = np.where(np.isfinite(s), e, 0.0)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestMaskedSoftmax:
+    def test_bit_identical_to_oracle(self):
+        rng = np.random.default_rng(12)
+        scores = rng.normal(scale=20.0, size=(5, 3, 11, 11))
+        mask = (rng.random((5, 11)) > 0.4).astype(float)
+        mask[:, 0] = 1  # CLS is always attended
+        mask[4] = 1
+        before = scores.copy()
+        got = _masked_softmax(scores, _key_mask_bias(mask))
+        assert np.array_equal(got, _softmax_oracle(scores, mask))
+        assert np.array_equal(scores, before)  # the input is not overwritten
+
 
 class TestRelativePositions:
     def test_index_values(self):
@@ -193,6 +244,23 @@ class TestBackward:
         mask[12:] = 0
         worst = finite_diff_check(p, cfg, emb, mask, rng, coords_per_tensor=4)
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_param_grads_off_same_embedding_grad(self, variant):
+        rng = np.random.default_rng(9)
+        cfg = small_config(20, variant, layers=2, dropout_rate=0.2)
+        p = randomize_params(init_params(cfg), rng)
+        emb = rng.normal(size=(3, 16, 8))
+        mask = np.ones((3, 16))
+        mask[1, 11:] = 0
+        dlog = rng.normal(size=(3, 3))
+        _, trace = forward_from_embeddings(
+            p, cfg, emb, mask, training=True, dropout_rng=np.random.default_rng(1)
+        )
+        grads, demb = backward(p, trace, dlog)
+        no_grads, demb_only = backward(p, trace, dlog, param_grads=False)
+        assert no_grads is None
+        assert np.array_equal(demb_only, demb)
 
     def test_batched_grad_is_sum_of_singles(self):
         rng = np.random.default_rng(7)
