@@ -103,8 +103,7 @@ def integrated_gradients(
     emb = encoder.embed(params, config, example)
     base = baseline_embeddings(params, config, example, cfg.baseline_kind, pad_id)
     mask = np.array(example.attention_mask, dtype=np.float64)
-    # argmax finds the last attended position; with none, the full length
-    n = len(mask) - int(np.argmax(mask[::-1] > 0))
+    n = encoder.active_length(mask)
 
     steps = cfg.steps
     delta = emb[:n] - base[:n]

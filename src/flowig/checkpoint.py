@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .encoder import EncoderConfig, Params
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 _MAGIC = b"FLOWIG-CKPT-1\n"
 
@@ -36,21 +37,33 @@ def save_checkpoint(path, config: EncoderConfig, params: Params) -> None:
 
 
 def load_checkpoint(path) -> tuple[EncoderConfig, Params]:
+    """Read a checkpoint; a truncated or corrupt file raises DataError."""
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
         raise DataError(f"{path}: not a flowig checkpoint")
     off = len(_MAGIC)
+    if len(data) < off + 8:
+        raise DataError(f"{path}: checkpoint truncated in the header length")
     (hlen,) = struct.unpack_from("<Q", data, off)
     off += 8
-    header = json.loads(data[off : off + hlen].decode("utf-8"))
+    if len(data) < off + hlen:
+        raise DataError(f"{path}: checkpoint truncated in the header")
+    try:
+        header = json.loads(data[off : off + hlen].decode("utf-8"))
+        config = EncoderConfig(**header["config"])
+        specs = [(str(t["name"]), tuple(int(d) for d in t["shape"])) for t in header["tensors"]]
+    except (ValueError, TypeError, KeyError, ConfigError) as e:
+        raise DataError(f"{path}: corrupt checkpoint header: {e}") from None
     off += hlen
-    config = EncoderConfig(**header["config"])
     params: Params = {}
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
-        size = int(np.prod(shape)) if shape else 1
+    for name, shape in specs:
+        if min(shape, default=0) < 0:
+            raise DataError(f"{path}: tensor {name} has a negative dimension")
+        size = math.prod(shape)
+        if len(data) < off + size * 8:
+            raise DataError(f"{path}: checkpoint truncated in tensor {name}")
         arr = np.frombuffer(data, dtype="<f8", count=size, offset=off).reshape(shape)
-        params[spec["name"]] = arr.astype(np.float64)
+        params[name] = arr.astype(np.float64)
         off += size * 8
     if off != len(data):
         raise DataError(f"{path}: trailing bytes in checkpoint")

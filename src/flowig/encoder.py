@@ -11,6 +11,7 @@ is also how integration-path gradient evaluations are vectorized.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -162,25 +163,23 @@ def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(B * L, D).T @ b.reshape(B * L, -1)
 
 
-_rel_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+@functools.lru_cache(maxsize=4)
+def _rel_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rel_idx (n, n) and its one-hot (n, n, 2k+1); rel_idx depends
+    only on i - j, so the tables for any L <= n are their [:L, :L] slices."""
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    idx = np.clip(i - j, -k, k) + k
+    onehot = np.zeros((n, n, 2 * k + 1))
+    onehot[i, j, idx] = 1.0
+    idx.setflags(write=False)
+    onehot.setflags(write=False)
+    return idx, onehot
 
 
 def _rel_index(L: int, k: int) -> np.ndarray:
     """rel_idx[i, j] = clip(i - j, -k, k) + k, shape (L, L)."""
-    key = (L, k)
-    if key not in _rel_cache:
-        i = np.arange(L)[:, None]
-        j = np.arange(L)[None, :]
-        idx = np.clip(i - j, -k, k) + k
-        onehot = np.zeros((L, L, 2 * k + 1))
-        onehot[i, j, idx] = 1.0
-        _rel_cache[key] = (idx, onehot)
-    return _rel_cache[key][0]
-
-
-def _rel_onehot(L: int, k: int) -> np.ndarray:
-    _rel_index(L, k)
-    return _rel_cache[(L, k)][1]
+    return _rel_tables(L, k)[0]
 
 
 def attention_scores_disentangled(q, k_content, qr, kr, rel_idx):
@@ -190,16 +189,30 @@ def attention_scores_disentangled(q, k_content, qr, kr, rel_idx):
     embeddings; rel_idx[i, j] indexes the clipped relative distance from query
     i to key j. Scale is 1/sqrt(3*dh) because three score terms are summed.
     """
-    dh = q.shape[-1]
-    c2c = q @ k_content.swapaxes(-1, -2)
-    qkr = q @ kr.swapaxes(-1, -2)        # broadcasts (H, dh, R) over the batch
-    kqr = k_content @ qr.swapaxes(-1, -2)
-    L = q.shape[2]
-    ii = np.arange(L)[:, None]
-    jj = np.arange(L)[None, :]
-    c2p = qkr[:, :, ii, rel_idx]          # [b,h,i,rel_idx[i,j]]
-    p2c = kqr[:, :, jj, rel_idx.T]        # [b,h,j,rel_idx[j,i]]
-    return (c2c + c2p + p2c) / math.sqrt(3.0 * dh)
+    B, H, L, dh = q.shape
+    R = kr.shape[1]
+    scores = q @ k_content.swapaxes(-1, -2)
+    qkr = (q @ kr.swapaxes(-1, -2)).reshape(B * H, L * R)  # broadcasts over the batch
+    kqr = (k_content @ qr.swapaxes(-1, -2)).reshape(B * H, L * R)
+    # flat[i, j] = i*R + rel_idx[i, j] picks qkr[b, h, i, rel_idx[i, j]] (c2p);
+    # its transpose picks kqr[b, h, j, rel_idx[j, i]] (p2c)
+    flat = np.arange(L)[:, None] * R + rel_idx
+    scores += np.take(qkr, flat, axis=1).reshape(B, H, L, L)
+    scores += np.take(kqr, flat.T, axis=1).reshape(B, H, L, L)
+    scores /= math.sqrt(3.0 * dh)
+    return scores
+
+
+def active_length(mask: np.ndarray) -> int:
+    """Last position attended in any row of an (L,) or (B, L) mask, plus 1.
+
+    Later positions are keys every query masks out, so dropping them changes
+    logits only by rounding. A mask with nothing attended keeps its length.
+    """
+    attended = np.asarray(mask) > 0
+    if attended.ndim == 2:
+        attended = attended.any(axis=0)
+    return len(attended) - int(np.argmax(attended[::-1]))
 
 
 def _key_mask_bias(mask):
@@ -267,6 +280,11 @@ def forward_from_embeddings(
     H, dh = config.heads, config.d_head
     keep = 1.0 - config.dropout_rate
     bias = _key_mask_bias(mask)
+    if config.attention_variant == DISENTANGLED:
+        rel_idx = _rel_tables(config.max_seq_len, config.rel_window)[0][:L, :L]
+    # dropout masks are drawn at full length and sliced, so a trimmed batch
+    # consumes the same random stream as its padded form
+    drop_shape = (B, config.max_seq_len, D)
 
     for li in range(config.layers):
         pre = f"layers.{li}."
@@ -283,7 +301,7 @@ def forward_from_embeddings(
             kr = (rel @ params[pre + "attn.wk"]).reshape(config.rel_size, H, dh).transpose(1, 0, 2)
             qr = (rel @ params[pre + "attn.wq"]).reshape(config.rel_size, H, dh).transpose(1, 0, 2)
             cache["kr"], cache["qr"] = kr, qr
-            scores = attention_scores_disentangled(q, k, qr, kr, _rel_index(L, config.rel_window))
+            scores = attention_scores_disentangled(q, k, qr, kr, rel_idx)
         else:
             scores = (q @ k.swapaxes(-1, -2)) / math.sqrt(dh)
         cache["scores"] = scores
@@ -293,7 +311,7 @@ def forward_from_embeddings(
         cache["o"] = o
         out = o @ params[pre + "attn.wo"] + params[pre + "attn.bo"]
         if training and config.dropout_rate > 0:
-            dm = (dropout_rng.random(out.shape) >= config.dropout_rate) / keep
+            dm = (dropout_rng.random(drop_shape)[:, :L] >= config.dropout_rate) / keep
             cache["attn_drop"] = dm
             out = out * dm
         x = x + out
@@ -304,7 +322,7 @@ def forward_from_embeddings(
         cache["a"], cache["phi"], cache["g"] = a, phi, g
         y = g @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"]
         if training and config.dropout_rate > 0:
-            dm = (dropout_rng.random(y.shape) >= config.dropout_rate) / keep
+            dm = (dropout_rng.random(drop_shape)[:, :L] >= config.dropout_rate) / keep
             cache["ffn_drop"] = dm
             y = y * dm
         cache["x_mid"] = x
@@ -435,7 +453,7 @@ def backward(
             scale = 1.0 / math.sqrt(3.0 * dh)
             ds = dscores * scale
             kr, qr = cache["kr"], cache["qr"]
-            onehot = _rel_onehot(L, config.rel_window)
+            onehot = _rel_tables(config.max_seq_len, config.rel_window)[1][:L, :L]
             B = ds.shape[0]
             dq = ds @ k
             dk = ds.swapaxes(-1, -2) @ q

@@ -58,12 +58,6 @@ class LabeledDataset:
             counts[label] += 1
         return counts
 
-    def raw_label_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rec, _ in self.records:
-            counts[rec.raw_label] = counts.get(rec.raw_label, 0) + 1
-        return counts
-
 
 @dataclass
 class ParseReport:

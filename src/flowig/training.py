@@ -19,11 +19,6 @@ from .tokenizer import TokenizedExample
 class ClassWeights:
     w: tuple[float, float, float]            # after clipping
     unclipped: tuple[float, float, float]    # mean-normalized 1/sqrt(n_c)
-    clip_lo: float
-    clip_hi: float
-
-    def weight_of(self, label: CoarseLabel) -> float:
-        return self.w[label.value]
 
 
 @dataclass(frozen=True)
@@ -76,24 +71,7 @@ def class_weights(
     return ClassWeights(
         w=tuple(float(v) for v in clipped),
         unclipped=tuple(float(v) for v in w),
-        clip_lo=lo,
-        clip_hi=hi,
     )
-
-
-def weighted_cross_entropy(
-    logits: np.ndarray, label: CoarseLabel, weights: ClassWeights
-) -> tuple[float, np.ndarray]:
-    """Stabilized -w * log softmax(logits)[label] and its logit gradient."""
-    z = np.asarray(logits, dtype=np.float64)
-    w = weights.weight_of(label)
-    m = z.max()
-    lse = m + math.log(np.exp(z - m).sum())
-    loss = w * (lse - z[label.value])
-    p = np.exp(z - lse)
-    grad = w * p
-    grad[label.value] -= w
-    return float(loss), grad
 
 
 def _batch_loss(
@@ -124,13 +102,16 @@ def evaluate_examples(
     examples: list[TokenizedExample],
     chunk: int = 256,
 ) -> tuple[np.ndarray, list[CoarseLabel]]:
-    """Eval-mode logits and argmax predictions for a list of examples."""
+    """Eval-mode logits and argmax predictions for a list of examples.
+
+    Each chunk runs at its active length (see `encoder.active_length`).
+    """
     ids, mask, _ = _stack(examples)
     out = []
     for start in range(0, len(examples), chunk):
-        logits, _ = encoder.forward_batch(
-            params, config, ids[start : start + chunk], mask[start : start + chunk]
-        )
+        ids_c, mask_c = ids[start : start + chunk], mask[start : start + chunk]
+        n = encoder.active_length(mask_c)
+        logits, _ = encoder.forward_batch(params, config, ids_c[:, :n], mask_c[:, :n])
         out.append(logits)
     logits = np.concatenate(out, axis=0)
     return logits, predict_labels(logits)
@@ -147,6 +128,7 @@ def train(
     """Adam training; returns the checkpoint with best validation macro-F1.
 
     Class weights enter the loss only; validation metrics are unweighted.
+    Each batch runs at its active length (see `encoder.active_length`).
     """
     if not train_examples:
         raise DataError("training split is empty")
@@ -175,6 +157,8 @@ def train(
         for start in range(0, n, train_config.batch_size):
             sel = order[start : start + train_config.batch_size]
             ids, mask, labels = ids_all[sel], mask_all[sel], labels_all[sel]
+            n_active = encoder.active_length(mask)
+            ids, mask = ids[:, :n_active], mask[:, :n_active]
             logits, trace = encoder.forward_batch(
                 params, config, ids, mask, training=True, dropout_rng=dropout_rng
             )

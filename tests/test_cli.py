@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,17 @@ class TestFailureModes:
     def test_lock_released_after_run(self, pipeline):
         tmp, _ = pipeline
         assert not (tmp / "work" / ".lock").exists()
+
+    def test_truncated_checkpoint(self, pipeline, tmp_path):
+        tmp, cfg = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        ckpt = work / "model_absolute.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-5])
+        r = run("evaluate", "--config", cfg, "--work-dir", work)
+        assert r.exit_code == EXIT_DATA
+        assert "truncated" in r.output
+        assert "Traceback" not in r.output
 
     def test_unknown_variant_flag(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,14 @@ from flowig.encoder import (
     _key_mask_bias,
     _masked_softmax,
     _rel_index,
+    _rel_tables,
+    accumulate_embedding_grads,
+    active_length,
+    attention_scores_disentangled,
     backward,
     embed_ids,
     forward,
+    forward_batch,
     forward_from_embeddings,
     init_params,
     zero_grads_like,
@@ -221,6 +228,22 @@ class TestRelativePositions:
         sd = td.layer_caches[0]["scores"]
         np.testing.assert_allclose(sd * np.sqrt(3.0), sa, atol=1e-12)
 
+    def test_tables_built_once_per_config_and_sliced(self):
+        _rel_tables.cache_clear()
+        rng = np.random.default_rng(13)
+        cfg = small_config(20, DISENTANGLED)
+        p = randomize_params(init_params(cfg), rng)
+        for L in (5, 10, 16, 12):
+            forward_from_embeddings(p, cfg, rng.normal(size=(2, L, 8)), np.ones((2, L)))
+        assert _rel_tables.cache_info().currsize == 1
+        full = _rel_index(16, 4)
+        for L in range(1, 17):
+            assert np.array_equal(_rel_index(L, 4), full[:L, :L])
+        idx, onehot = _rel_tables(16, 4)
+        assert not idx.flags.writeable and not onehot.flags.writeable
+        assert np.array_equal(onehot.argmax(axis=-1), idx)
+        assert np.array_equal(onehot.sum(axis=-1), np.ones((16, 16)))
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
@@ -279,3 +302,124 @@ class TestBackward:
                 acc[k] += g1[k]
         for k in acc:
             np.testing.assert_allclose(gb[k], acc[k], atol=1e-10, err_msg=k)
+
+
+def _scores_oracle(q, k_content, qr, kr, rel_idx):
+    """The disentangled scores as first written: 4-D fancy-index gathers."""
+    dh = q.shape[-1]
+    c2c = q @ k_content.swapaxes(-1, -2)
+    qkr = q @ kr.swapaxes(-1, -2)
+    kqr = k_content @ qr.swapaxes(-1, -2)
+    L = q.shape[2]
+    ii = np.arange(L)[:, None]
+    jj = np.arange(L)[None, :]
+    c2p = qkr[:, :, ii, rel_idx]
+    p2c = kqr[:, :, jj, rel_idx.T]
+    return (c2c + c2p + p2c) / math.sqrt(3.0 * dh)
+
+
+class TestDisentangledScores:
+    @pytest.mark.parametrize("L", [16, 11])
+    def test_bit_identical_to_oracle(self, L):
+        rng = np.random.default_rng(14)
+        cfg = small_config(20, DISENTANGLED, layers=1)
+        p = randomize_params(init_params(cfg), rng)
+        mask = np.ones((3, L))
+        mask[0, 6:] = 0
+        mask[2, 9:] = 0
+        _, trace = forward_from_embeddings(p, cfg, rng.normal(size=(3, L, 8)), mask)
+        c = trace.layer_caches[0]
+        rel_idx = _rel_index(16, cfg.rel_window)[:L, :L]
+        got = attention_scores_disentangled(c["q"], c["k"], c["qr"], c["kr"], rel_idx)
+        want = _scores_oracle(c["q"], c["k"], c["qr"], c["kr"], rel_idx)
+        assert np.array_equal(got, want)
+        assert np.array_equal(c["scores"], want)
+
+
+class TestActiveLength:
+    def test_full_rows(self):
+        assert active_length(np.ones((3, 7))) == 7
+        assert active_length(np.ones(7)) == 7
+
+    def test_mixed_rows(self):
+        mask = np.zeros((3, 8))
+        mask[0, :3] = 1
+        mask[1, :5] = 1
+        mask[2, :1] = 1
+        assert active_length(mask) == 5
+        assert active_length(mask[0]) == 3
+
+    def test_interior_gap_kept(self):
+        assert active_length(np.array([1, 0, 1, 0, 0])) == 3
+
+    def test_all_pad_rows(self):
+        mask = np.zeros((2, 6))
+        mask[0, :4] = 1
+        assert active_length(mask) == 4  # an all-pad row does not widen the batch
+        assert active_length(np.zeros((2, 6))) == 6  # nothing attended: untrimmed
+        assert active_length(np.zeros(6)) == 6
+
+
+class TestTrimmedTrainingStep:
+    """A training step at the active length against the same step padded."""
+
+    @staticmethod
+    def _batch(rng):
+        ids = rng.integers(1, 20, size=(3, 16))
+        mask = np.ones((3, 16))
+        for row, n in enumerate((7, 10, 9)):
+            mask[row, n:] = 0
+            ids[row, n:] = 0
+        return ids, mask
+
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_matches_padded_step(self, variant):
+        rng = np.random.default_rng(15)
+        cfg = small_config(20, variant, layers=2, dropout_rate=0.2)
+        p = randomize_params(init_params(cfg), rng)
+        ids, mask = self._batch(rng)
+        n = active_length(mask)
+        assert n == 10
+        dlog = rng.normal(size=(3, 3))
+
+        def step(ids, mask):
+            logits, trace = forward_batch(
+                p, cfg, ids, mask, training=True, dropout_rng=np.random.default_rng(3)
+            )
+            grads, demb = backward(p, trace, dlog)
+            accumulate_embedding_grads(grads, cfg, ids, demb)
+            return logits, grads, demb
+
+        logits_pad, g_pad, d_pad = step(ids, mask)
+        logits_trim, g_trim, d_trim = step(ids[:, :n], mask[:, :n])
+        np.testing.assert_allclose(logits_trim, logits_pad, rtol=1e-12, atol=0)
+        scale = max(np.abs(g).max() for g in g_pad.values())
+        for k in g_pad:
+            np.testing.assert_allclose(
+                g_trim[k], g_pad[k], rtol=1e-12, atol=1e-12 * scale, err_msg=k
+            )
+        np.testing.assert_allclose(
+            d_trim, d_pad[:, :n], rtol=1e-12, atol=1e-12 * np.abs(d_pad).max()
+        )
+        assert not d_pad[:, n:].any()
+
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_dropout_stream_unchanged(self, variant):
+        # masks are drawn at (B, max_seq_len, D) in layer order, attention then
+        # FFN, and a trimmed batch keeps the first L positions of each
+        rng = np.random.default_rng(16)
+        cfg = small_config(20, variant, layers=2, dropout_rate=0.3)
+        p = randomize_params(init_params(cfg), rng)
+        ids, mask = self._batch(rng)
+        _, full = forward_batch(
+            p, cfg, ids, mask, training=True, dropout_rng=np.random.default_rng(4)
+        )
+        _, trim = forward_batch(
+            p, cfg, ids[:, :10], mask[:, :10], training=True, dropout_rng=np.random.default_rng(4)
+        )
+        replay = np.random.default_rng(4)
+        for c_full, c_trim in zip(full.layer_caches, trim.layer_caches):
+            for name in ("attn_drop", "ffn_drop"):
+                want = (replay.random((3, 16, 8)) >= cfg.dropout_rate) / (1.0 - cfg.dropout_rate)
+                assert np.array_equal(c_full[name], want)
+                assert np.array_equal(c_trim[name], want[:, :10])

@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 
 from flowig import encoder, training
 from flowig.errors import DataError
+from flowig.evaluation import predict_labels
 from flowig.flow_data import CoarseLabel
-from flowig.training import (
-    TrainConfig,
-    class_weights,
-    train,
-    weighted_cross_entropy,
-)
+from flowig.training import TrainConfig, _batch_loss, class_weights, train
 
 from conftest import make_example, randomize_params, small_config
 
@@ -55,40 +51,41 @@ class TestClassWeights:
 
 
 class TestWeightedCrossEntropy:
+    """The batched loss `_batch_loss`: mean class-weighted cross-entropy."""
+
     def test_uniform_logits(self):
         cw = class_weights((5, 5, 5))
-        loss, _ = weighted_cross_entropy(np.zeros(3), CoarseLabel.BENIGN, cw)
+        loss, _ = _batch_loss(np.zeros((1, 3)), np.array([0]), np.asarray(cw.w))
         assert abs(loss - math.log(3)) < 1e-12
 
     def test_weight_doubles_loss(self):
-        cw1 = training.ClassWeights((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.0, 10.0)
-        cw2 = training.ClassWeights((2.0, 1.0, 1.0), (2.0, 1.0, 1.0), 0.0, 10.0)
-        z = np.array([0.3, -1.2, 0.9])
-        l1, g1 = weighted_cross_entropy(z, CoarseLabel.BENIGN, cw1)
-        l2, g2 = weighted_cross_entropy(z, CoarseLabel.BENIGN, cw2)
+        z = np.array([[0.3, -1.2, 0.9]])
+        label = np.array([CoarseLabel.BENIGN.value])
+        l1, g1 = _batch_loss(z, label, np.array([1.0, 1.0, 1.0]))
+        l2, g2 = _batch_loss(z, label, np.array([2.0, 1.0, 1.0]))
         assert abs(l2 - 2 * l1) < 1e-12
         np.testing.assert_allclose(g2, 2 * g1, atol=1e-12)
 
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(0)
-        cw = class_weights((4, 1, 1))
-        z = rng.normal(size=3)
-        _, grad = weighted_cross_entropy(z, CoarseLabel.DDOS, cw)
+        w = np.asarray(class_weights((4, 1, 1)).w)
+        z = rng.normal(size=(2, 3))
+        labels = np.array([CoarseLabel.DDOS.value, CoarseLabel.BENIGN.value])
+        _, grad = _batch_loss(z, labels, w)
         eps = 1e-6
-        for i in range(3):
+        for idx in np.ndindex(z.shape):
             zp, zm = z.copy(), z.copy()
-            zp[i] += eps
-            zm[i] -= eps
-            fd = (
-                weighted_cross_entropy(zp, CoarseLabel.DDOS, cw)[0]
-                - weighted_cross_entropy(zm, CoarseLabel.DDOS, cw)[0]
-            ) / (2 * eps)
-            assert abs(fd - grad[i]) < 1e-8
+            zp[idx] += eps
+            zm[idx] -= eps
+            fd = (_batch_loss(zp, labels, w)[0] - _batch_loss(zm, labels, w)[0]) / (2 * eps)
+            assert abs(fd - grad[idx]) < 1e-8
 
     def test_grad_sums_to_zero(self):
-        cw = class_weights((3, 3, 3))
-        _, grad = weighted_cross_entropy(np.array([5.0, -2.0, 0.1]), CoarseLabel.WEB_ATTACK, cw)
-        assert abs(grad.sum()) < 1e-12
+        w = np.asarray(class_weights((3, 3, 3)).w)
+        z = np.array([[5.0, -2.0, 0.1], [0.0, 1.0, -1.0]])
+        labels = np.array([CoarseLabel.WEB_ATTACK.value, CoarseLabel.DDOS.value])
+        _, grad = _batch_loss(z, labels, w)
+        np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
 
 
 def tiny_corpus(vocab, schema, n_per_class=8):
@@ -155,3 +152,27 @@ class TestTrain:
 
         cm = confusion(preds, [e.label for e in val_ex])
         assert abs(metrics(cm).macro_f1 - log.best_val_macro_f1) < 1e-12
+
+
+class TestEvaluateExamples:
+    @pytest.mark.parametrize("variant", [encoder.ABSOLUTE, encoder.DISENTANGLED])
+    def test_trimmed_chunks_match_untrimmed(self, vocab, schema, variant):
+        rng = np.random.default_rng(1)
+        examples = [
+            make_example(
+                vocab,
+                schema,
+                [float(rng.integers(1, 10 ** int(rng.integers(1, 5)))) for _ in range(schema.d)],
+                label=CoarseLabel.BENIGN,
+            )
+            for _ in range(10)
+        ]
+        lengths = {sum(e.attention_mask) for e in examples}
+        assert len(lengths) > 1 and max(lengths) < 64
+        cfg = small_config(vocab.size, variant, max_seq_len=64, d_model=16, d_ff=24)
+        params = randomize_params(encoder.init_params(cfg), rng)
+        logits, preds = training.evaluate_examples(params, cfg, examples, chunk=4)
+        ids, mask, _ = training._stack(examples)
+        want, _ = encoder.forward_batch(params, cfg, ids, mask)
+        np.testing.assert_allclose(logits, want, rtol=1e-12, atol=0)
+        assert preds == predict_labels(want)
