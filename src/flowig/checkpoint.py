@@ -1,4 +1,4 @@
-"""Byte-deterministic parameter checkpoints.
+"""Byte-deterministic parameter checkpoints, and the atomic artifact write.
 
 A zip-free container (JSON header + raw little-endian tensor bytes) so
 identical training runs produce identical files, with no timestamps.
@@ -8,15 +8,28 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .encoder import EncoderConfig, Params
+from .encoder import EncoderConfig, Params, init_params
 from .errors import ConfigError, DataError
 
 _MAGIC = b"FLOWIG-CKPT-1\n"
+
+
+def write_artifact(path, data: bytes | str) -> None:
+    """Write `data` (str as UTF-8) to a temp sibling, then rename it over `path`,
+    so a crash or a failed write never leaves a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(path, config: EncoderConfig, params: Params) -> None:
@@ -28,16 +41,12 @@ def save_checkpoint(path, config: EncoderConfig, params: Params) -> None:
         ],
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<Q", len(head)))
-        f.write(head)
-        for n in names:
-            f.write(np.ascontiguousarray(params[n], dtype="<f8").tobytes())
+    tensors = [np.ascontiguousarray(params[n], dtype="<f8").tobytes() for n in names]
+    write_artifact(path, b"".join([_MAGIC, struct.pack("<Q", len(head)), head, *tensors]))
 
 
 def load_checkpoint(path) -> tuple[EncoderConfig, Params]:
-    """Read a checkpoint; a truncated or corrupt file raises DataError."""
+    """Read a checkpoint; a truncated, corrupt or mismatched file raises DataError."""
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
         raise DataError(f"{path}: not a flowig checkpoint")
@@ -67,4 +76,9 @@ def load_checkpoint(path) -> tuple[EncoderConfig, Params]:
         off += size * 8
     if off != len(data):
         raise DataError(f"{path}: trailing bytes in checkpoint")
+    expected = {n: a.shape for n, a in init_params(config).items()}
+    found = {n: a.shape for n, a in params.items()}
+    bad = sorted(n for n in expected.keys() | found.keys() if expected.get(n) != found.get(n))
+    if bad:
+        raise DataError(f"{path}: tensors do not match the checkpoint's config: {', '.join(bad)}")
     return config, params

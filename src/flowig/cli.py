@@ -8,6 +8,7 @@ same inputs and seeds.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 import click
 
 from . import attribution, checkpoint, encoder, evaluation, flow_data, synthetic, textualize, tokenizer, training
+from .checkpoint import write_artifact
 from .errors import (
     AuditError,
     ConfigError,
@@ -25,7 +27,7 @@ from .errors import (
     FlowigError,
     NumericError,
 )
-from .flow_data import COARSE_LABELS, CoarseLabel, FeatureSchema, LabeledDataset
+from .flow_data import COARSE_LABELS, FeatureSchema, LabeledDataset
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -133,11 +135,6 @@ def _fail(exc: FlowigError) -> None:
     sys.exit(1)
 
 
-def _write_split_csv(path: Path, ds: LabeledDataset, label_column: str) -> None:
-    data = synthetic.dataset_to_csv_bytes(ds, label_column)
-    path.write_bytes(data)
-
-
 def _load_split(work: Path, name: str, cfg: RunConfig) -> LabeledDataset:
     path = work / f"split_{name}.csv"
     if not path.exists():
@@ -161,59 +158,50 @@ def _ckpt_path(work: Path, variant: str) -> Path:
     return work / f"model_{variant}.ckpt"
 
 
+def _load_model_and_test(cfg: RunConfig, work: Path):
+    """The variant's checkpoint, the vocab and the tokenized test split.
+
+    Metrics and heatmaps need every class, so a test split that lacks one
+    is a data error.
+    """
+    ckpt = _ckpt_path(work, cfg.variant)
+    if not ckpt.exists():
+        raise DataError(f"missing checkpoint {ckpt}; run `flowig train` first")
+    enc_cfg, params = checkpoint.load_checkpoint(ckpt)
+    vocab = tokenizer.build_vocab(cfg.feature_schema())
+    test_ds = _load_split(work, "test", cfg)
+    counts = test_ds.class_counts()
+    missing = [c.name for c in COARSE_LABELS if counts[c] == 0]
+    if missing:
+        raise DataError(f"class absent from test split: {', '.join(missing)}")
+    test_ex = _tokenize_dataset(test_ds, vocab, cfg, enc_cfg.max_seq_len)
+    return enc_cfg, params, vocab, test_ds, test_ex
+
+
+def _select_examples(pairs, limit):
+    """pairs: list of (hash, TokenizedExample).
+
+    Under a cap, examples are taken round-robin across classes (the first
+    of each class, then the second of each, ...) so a cap never starves
+    the minority class.
+    """
+    if limit is None or limit >= len(pairs):
+        return pairs
+    ranks = {c: itertools.count() for c in COARSE_LABELS}
+    keys = [(next(ranks[ex.label]), ex.label.value) for _, ex in pairs]
+    order = sorted(range(len(pairs)), key=keys.__getitem__)
+    return [pairs[i] for i in order[: max(limit, 0)]]
+
+
 # ---------------------------------------------------------------------------
 
 
-@click.group()
-def main():
-    """Explainable flow-level intrusion detection pipeline."""
-
-
-def _common_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None)(fn)
-    fn = click.option("--work-dir", default=None, help="override work dir")(fn)
-    fn = click.option("--seed", type=int, default=None, help="override seed")(fn)
-    return fn
-
-
-def _resolve(config_path, work_dir, seed, variant=None, steps=None, top_k=None) -> RunConfig:
-    cfg = RunConfig.from_file(config_path)
-    if work_dir is not None:
-        cfg.work_dir = work_dir
-    if seed is not None:
-        cfg.seed = seed
-    if variant is not None:
-        cfg.variant = variant
-    if steps is not None:
-        cfg.ig = dict(cfg.ig, steps=steps)
-    if top_k is not None:
-        cfg.top_k = top_k
-    if cfg.variant not in VARIANTS:
-        raise ConfigError(f"unknown attention variant {cfg.variant!r}")
-    return cfg
-
-
-@main.command("prepare")
-@_common_options
-@click.option("--input-csv", default=None, help="override input CSV path")
-def cmd_prepare(config_path, work_dir, seed, input_csv):
-    """Parse, dedup, and split the input CSV; write manifests and audit reports."""
-    try:
-        cfg = _resolve(config_path, work_dir, seed)
-        if input_csv is not None:
-            cfg.input_csv = input_csv
-        if cfg.input_csv is None:
-            raise ConfigError("no input_csv configured")
-        if not Path(cfg.input_csv).exists():
-            raise DataError(f"input CSV not found: {cfg.input_csv}")
-        work = Path(cfg.work_dir)
-        with _work_dir_lock(work):
-            _run_prepare(cfg, work)
-    except FlowigError as e:
-        _fail(e)
-
-
 def _run_prepare(cfg: RunConfig, work: Path) -> None:
+    """Parse, dedup, and split the input CSV; write manifests and audit reports."""
+    if cfg.input_csv is None:
+        raise ConfigError("no input_csv configured")
+    if not Path(cfg.input_csv).exists():
+        raise DataError(f"input CSV not found: {cfg.input_csv}")
     schema = cfg.feature_schema()
     policy = cfg.format_policy()
     dataset, parse_report = flow_data.parse_flow_csv(
@@ -225,11 +213,12 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
 
     manifest_lines = []
     for name, ds in split.splits().items():
-        _write_split_csv(work / f"split_{name}.csv", ds, cfg.label_column)
+        data = synthetic.dataset_to_csv_bytes(ds, cfg.label_column)
+        write_artifact(work / f"split_{name}.csv", data)
         for rec, label in ds.records:
             h = flow_data.record_hash(rec, schema, policy)
             manifest_lines.append(f"{h}\t{name}\t{label.name}\n")
-    (work / "manifest.tsv").write_text("".join(manifest_lines), encoding="utf-8")
+    write_artifact(work / "manifest.tsv", "".join(manifest_lines))
 
     report_text = (
         dedup_report.format()
@@ -237,11 +226,11 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
         f" (non-finite {parse_report.rows_dropped_nonfinite},"
         f" unparseable {parse_report.rows_dropped_unparseable})\n"
     )
-    (work / "dedup_report.txt").write_text(report_text, encoding="utf-8")
+    write_artifact(work / "dedup_report.txt", report_text)
     audit_text = "".join(
         f"{a} x {b}\t{n}\n" for (a, b), n in overlap.items()
     )
-    (work / "overlap_audit.txt").write_text(audit_text, encoding="utf-8")
+    write_artifact(work / "overlap_audit.txt", audit_text)
 
     _echo(f"{dedup_report.before} -> {dedup_report.after}")
     counts = deduped.class_counts()
@@ -251,24 +240,10 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
         raise AuditError(f"split overlap detected: {overlap}")
 
 
-@main.command("train")
-@_common_options
-@click.option("--variant", type=click.Choice(VARIANTS), default=None)
-def cmd_train(config_path, work_dir, seed, variant):
-    """Train the selected attention variant on the prepared splits."""
-    try:
-        cfg = _resolve(config_path, work_dir, seed, variant=variant)
-        work = Path(cfg.work_dir)
-        with _work_dir_lock(work):
-            _run_train(cfg, work)
-    except FlowigError as e:
-        _fail(e)
-
-
 def _run_train(cfg: RunConfig, work: Path) -> None:
-    schema = cfg.feature_schema()
-    vocab = tokenizer.build_vocab(schema)
-    (work / "vocab.tsv").write_text(vocab.to_lines(), encoding="utf-8")
+    """Train the selected attention variant on the prepared splits."""
+    vocab = tokenizer.build_vocab(cfg.feature_schema())
+    write_artifact(work / "vocab.tsv", vocab.to_lines())
     enc_cfg = cfg.encoder_config(vocab.size, cfg.variant)
 
     train_ds = _load_split(work, "train", cfg)
@@ -286,111 +261,37 @@ def _run_train(cfg: RunConfig, work: Path) -> None:
     log_lines = [
         json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n" for rec in log.epochs
     ]
-    (work / f"train_log_{cfg.variant}.jsonl").write_text(
-        "".join(log_lines), encoding="utf-8"
-    )
+    write_artifact(work / f"train_log_{cfg.variant}.jsonl", "".join(log_lines))
     _echo(
         f"trained {cfg.variant}: best epoch {log.best_epoch},"
         f" val macro-F1 {log.best_val_macro_f1:.4f}"
     )
 
 
-@main.command("evaluate")
-@_common_options
-@click.option("--variant", type=click.Choice(VARIANTS), default=None)
-def cmd_evaluate(config_path, work_dir, seed, variant):
-    """Compute the metrics report on the test split."""
-    try:
-        cfg = _resolve(config_path, work_dir, seed, variant=variant)
-        work = Path(cfg.work_dir)
-        with _work_dir_lock(work):
-            _run_evaluate(cfg, work)
-    except FlowigError as e:
-        _fail(e)
-
-
 def _run_evaluate(cfg: RunConfig, work: Path) -> None:
-    ckpt = _ckpt_path(work, cfg.variant)
-    if not ckpt.exists():
-        raise DataError(f"missing checkpoint {ckpt}; run `flowig train` first")
-    enc_cfg, params = checkpoint.load_checkpoint(ckpt)
-    schema = cfg.feature_schema()
-    vocab = tokenizer.build_vocab(schema)
-    test_ds = _load_split(work, "test", cfg)
-    counts = test_ds.class_counts()
-    missing = [c.name for c in COARSE_LABELS if counts[c] == 0]
-    if missing:
-        raise DataError(f"class absent from test split: {', '.join(missing)}")
-    test_ex = _tokenize_dataset(test_ds, vocab, cfg, enc_cfg.max_seq_len)
+    """Compute the metrics report on the test split."""
+    enc_cfg, params, _, _, test_ex = _load_model_and_test(cfg, work)
     _, preds = training.evaluate_examples(params, enc_cfg, test_ex)
     cm = evaluation.confusion(preds, [e.label for e in test_ex])
     report = evaluation.metrics(cm)
     text = report.format() + "confusion_matrix\n" + "".join(
         "\t".join(str(v) for v in row) + "\n" for row in cm.counts
     )
-    (work / f"metrics_{cfg.variant}.txt").write_text(text, encoding="utf-8")
+    write_artifact(work / f"metrics_{cfg.variant}.txt", text)
     _echo(text.rstrip("\n"))
 
 
-@main.command("explain")
-@_common_options
-@click.option("--variant", type=click.Choice(VARIANTS), default=None)
-@click.option("--steps", type=int, default=None, help="override IG steps")
-@click.option("--top-k", type=int, default=None, help="override heatmap top-K")
-def cmd_explain(config_path, work_dir, seed, variant, steps, top_k):
-    """Build the class x feature attribution heatmap and per-example dump."""
-    try:
-        cfg = _resolve(config_path, work_dir, seed, variant=variant, steps=steps, top_k=top_k)
-        work = Path(cfg.work_dir)
-        with _work_dir_lock(work):
-            _run_explain(cfg, work)
-    except FlowigError as e:
-        _fail(e)
-
-
-def _select_examples(pairs, limit):
-    """pairs: list of (hash, TokenizedExample)."""
-    if limit is None or limit >= len(pairs):
-        return pairs
-    # round-robin across classes so a cap never starves the minority class
-    by_class = {c: [] for c in COARSE_LABELS}
-    for pair in pairs:
-        by_class[pair[1].label].append(pair)
-    out = []
-    i = 0
-    while len(out) < limit:
-        added = False
-        for c in COARSE_LABELS:
-            if i < len(by_class[c]) and len(out) < limit:
-                out.append(by_class[c][i])
-                added = True
-        if not added:
-            break
-        i += 1
-    return out
-
-
 def _run_explain(cfg: RunConfig, work: Path) -> None:
-    ckpt = _ckpt_path(work, cfg.variant)
-    if not ckpt.exists():
-        raise DataError(f"missing checkpoint {ckpt}; run `flowig train` first")
-    enc_cfg, params = checkpoint.load_checkpoint(ckpt)
+    """Build the class x feature attribution heatmap and per-example dump."""
+    enc_cfg, params, vocab, test_ds, all_ex = _load_model_and_test(cfg, work)
     schema = cfg.feature_schema()
-    vocab = tokenizer.build_vocab(schema)
     policy = cfg.format_policy()
-    test_ds = _load_split(work, "test", cfg)
-    counts = test_ds.class_counts()
-    missing = [c.name for c in COARSE_LABELS if counts[c] == 0]
-    if missing:
-        raise DataError(f"class absent from test split: {', '.join(missing)}")
-    all_ex = _tokenize_dataset(test_ds, vocab, cfg, enc_cfg.max_seq_len)
     pairs = [
         (flow_data.record_hash(rec, schema, policy), ex)
         for (rec, _), ex in zip(test_ds.records, all_ex)
     ]
     pairs = _select_examples(pairs, cfg.ig_max_examples)
-    hashes = [h for h, _ in pairs]
-    test_ex = [e for _, e in pairs]
+    test_ex = [ex for _, ex in pairs]
 
     ig_cfg = cfg.ig_config()
     matrix, results = attribution.class_attribution_matrix(
@@ -398,26 +299,23 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
     )
     for fmt in cfg.heatmap_formats:
         data = attribution.export_heatmap(matrix, fmt)
-        (work / f"heatmap_{cfg.variant}.{fmt}").write_bytes(data)
+        write_artifact(work / f"heatmap_{cfg.variant}.{fmt}", data)
 
-    dump_lines = []
-    for h, ex, res in zip(hashes, test_ex, results):
-        dump_lines.append(
-            json.dumps(
-                {
-                    "hash": h,
-                    "class": res.target_class.name,
-                    "feature_attr": [float(v) for v in res.feature_attr],
-                    "completeness_gap": res.completeness_gap,
-                    "relative_gap": res.relative_gap,
-                },
-                sort_keys=True,
-            )
-            + "\n"
+    dump = "".join(
+        json.dumps(
+            {
+                "hash": h,
+                "class": res.target_class.name,
+                "feature_attr": [float(v) for v in res.feature_attr],
+                "completeness_gap": res.completeness_gap,
+                "relative_gap": res.relative_gap,
+            },
+            sort_keys=True,
         )
-    (work / f"attributions_{cfg.variant}.jsonl").write_text(
-        "".join(dump_lines), encoding="utf-8"
+        + "\n"
+        for (h, _), res in zip(pairs, results)
     )
+    write_artifact(work / f"attributions_{cfg.variant}.jsonl", dump)
     frac = sum(r.tolerance_exceeded for r in results) / len(results)
     summary = (
         f"examples: {len(results)}\n"
@@ -425,24 +323,12 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
         f"completeness_tolerance: {ig_cfg.completeness_tolerance}\n"
         f"fraction_exceeding_tolerance: {frac:.6f}\n"
     )
-    (work / f"completeness_{cfg.variant}.txt").write_text(summary, encoding="utf-8")
+    write_artifact(work / f"completeness_{cfg.variant}.txt", summary)
     _echo(f"fraction of examples exceeding completeness tolerance: {frac:.4f}")
 
 
-@main.command("report")
-@_common_options
-def cmd_report(config_path, work_dir, seed):
-    """Aggregate all stage artifacts into one run report."""
-    try:
-        cfg = _resolve(config_path, work_dir, seed)
-        work = Path(cfg.work_dir)
-        with _work_dir_lock(work):
-            _run_report(cfg, work)
-    except FlowigError as e:
-        _fail(e)
-
-
 def _run_report(cfg: RunConfig, work: Path) -> None:
+    """Aggregate all stage artifacts into one run report."""
     required = {
         "dedup_report.txt": "flowig prepare",
         "overlap_audit.txt": "flowig prepare",
@@ -495,8 +381,65 @@ def _run_report(cfg: RunConfig, work: Path) -> None:
             sections.append(f"- `{c.name}`")
     sections.append("")
 
-    (work / "report.md").write_text("\n".join(sections), encoding="utf-8")
+    write_artifact(work / "report.md", "\n".join(sections))
     _echo(f"wrote {work / 'report.md'}")
+
+
+_COMMON = (
+    click.Option(["--seed"], type=int, default=None, help="override seed"),
+    click.Option(["--work-dir"], default=None, help="override work dir"),
+    click.Option(["--config", "config_path"], type=click.Path(), default=None),
+)
+_VARIANT = click.Option(["--variant"], type=click.Choice(VARIANTS), default=None)
+
+
+@click.group()
+def main():
+    """Explainable flow-level intrusion detection pipeline."""
+
+
+def _stage(run, *options) -> None:
+    """Register `_run_<name>` as the `flowig <name>` command.
+
+    The command applies the flag overrides to the config, checks the
+    variant, holds the work-dir lock while `run` works, and turns every
+    FlowigError into its one-line message and exit code.
+    """
+
+    def command(config_path, steps=None, **overrides):
+        try:
+            cfg = RunConfig.from_file(config_path)
+            for key, value in overrides.items():
+                if value is not None:
+                    setattr(cfg, key, value)
+            if steps is not None:
+                cfg.ig = dict(cfg.ig, steps=steps)
+            if cfg.variant not in VARIANTS:
+                raise ConfigError(f"unknown attention variant {cfg.variant!r}")
+            work = Path(cfg.work_dir)
+            with _work_dir_lock(work):
+                run(cfg, work)
+        except FlowigError as e:
+            _fail(e)
+
+    name = run.__name__.removeprefix("_run_")
+    params = [*_COMMON, *options]
+    main.add_command(click.Command(name, callback=command, params=params, help=run.__doc__))
+
+
+_stage(
+    _run_prepare,
+    click.Option(["--input-csv"], default=None, help="override input CSV path"),
+)
+_stage(_run_train, _VARIANT)
+_stage(_run_evaluate, _VARIANT)
+_stage(
+    _run_explain,
+    _VARIANT,
+    click.Option(["--steps"], type=int, default=None, help="override IG steps"),
+    click.Option(["--top-k"], type=int, default=None, help="override heatmap top-K"),
+)
+_stage(_run_report)
 
 
 @main.command("synthetic")
@@ -506,7 +449,7 @@ def _run_report(cfg: RunConfig, work: Path) -> None:
 def cmd_synthetic(out, n, seed):
     """Write the bundled synthetic 3-class fixture as a flow CSV."""
     ds = synthetic.generate_synthetic_dataset(n=n, seed=seed)
-    Path(out).write_bytes(synthetic.dataset_to_csv_bytes(ds))
+    write_artifact(Path(out), synthetic.dataset_to_csv_bytes(ds))
     _echo(f"wrote {n} synthetic flows to {out}")
 
 

@@ -110,12 +110,13 @@ _LABEL_MAP = {
     "web attack - sql injection": CoarseLabel.WEB_ATTACK,
 }
 
-_DASHES = re.compile(r"[‐‑‒–—―]")
+_DASHES = re.compile(r"[‐‑‒–—―\ufffd]")
 _WS = re.compile(r"\s+")
 
 
 def _normalize_label(raw: str) -> str:
-    # CICIDS2017 distributions vary in dash character and spacing
+    # CICIDS2017 distributions vary in dash character and spacing; some carry
+    # U+FFFD where a cp1252 en dash (0x96) was decoded as UTF-8
     s = _DASHES.sub("-", raw).strip().lower()
     return _WS.sub(" ", s)
 
@@ -135,7 +136,7 @@ def parse_flow_csv(
     """Parse a header-bearing CSV into records in schema column order.
 
     `source` is a binary file-like object or a path. Rows with non-finite or
-    unparseable numeric cells are dropped and tallied, never fatal.
+    unparseable numeric cells are dropped and tallied; non-UTF-8 bytes raise DataError.
     """
     close = False
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -180,6 +181,9 @@ def parse_flow_csv(
             records.append((FlowRecord(values, raw_label), coarse))
             report.rows_kept += 1
         return LabeledDataset(schema, records), report
+    except UnicodeDecodeError as e:
+        name = getattr(source, "name", source)
+        raise DataError(f"{name} is not UTF-8 text: {e.reason}") from None
     finally:
         text.detach()
         if close:

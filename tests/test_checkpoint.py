@@ -1,10 +1,12 @@
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowig.checkpoint import _MAGIC, load_checkpoint, save_checkpoint
+from flowig.checkpoint import _MAGIC, load_checkpoint, save_checkpoint, write_artifact
 from flowig.encoder import DISENTANGLED, init_params
 from flowig.errors import DataError
 
@@ -119,3 +121,54 @@ def test_corrupt_header_raises_data_error(tmp_path, model, corrupt):
     _rewrite_header(path, corrupt(_header(path)))
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: {k: v for k, v in p.items() if k != "head.w"},
+        lambda p: {**p, "layers.9.attn.wq": p["layers.0.attn.wq"]},
+        lambda p: {**p, "head.w": p["head.w"][:-1]},
+    ],
+    ids=["missing", "extra", "misshapen"],
+)
+def test_tensors_must_match_config(tmp_path, model, edit):
+    cfg, params = model
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, cfg, edit(params))
+    with pytest.raises(DataError, match="do not match"):
+        load_checkpoint(path)
+
+
+def _write_half_then_fail(self, data):
+    with open(self, "wb") as f:
+        f.write(data[: len(data) // 2])
+    raise OSError("disk full")
+
+
+def _fail_replace(src, dst):
+    raise OSError("crashed before the rename")
+
+
+@pytest.mark.parametrize(
+    "target, name, fail",
+    [(Path, "write_bytes", _write_half_then_fail), (os, "replace", _fail_replace)],
+    ids=["write", "rename"],
+)
+def test_failed_write_keeps_the_old_file(tmp_path, model, monkeypatch, target, name, fail):
+    cfg, params = model
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, cfg, params)
+    report = tmp_path / "report.md"
+    write_artifact(report, "old report\n")
+    before = path.read_bytes()
+    newer = randomize_params(params, np.random.default_rng(1))
+    monkeypatch.setattr(target, name, fail)
+    with pytest.raises(OSError):
+        save_checkpoint(path, cfg, newer)
+    with pytest.raises(OSError):
+        write_artifact(report, "new report\n")
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert report.read_text() == "old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "report.md"]

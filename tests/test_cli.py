@@ -1,13 +1,18 @@
 import json
+import re
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from flowig import cli
+from flowig.checkpoint import load_checkpoint, save_checkpoint
 from flowig.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from flowig.errors import AuditError, ConfigError, DataError, NumericError
+from flowig.flow_data import COARSE_LABELS
 
 SMALL_CONFIG = {
     "schema": "synthetic",
@@ -148,6 +153,46 @@ class TestFailureModes:
         r = run("train", "--config", cfg)
         assert r.exit_code == EXIT_DATA
         assert "flowig prepare" in r.output
+        assert not (tmp_path / "work" / ".lock").exists()
+
+    @pytest.mark.parametrize("stage", ["evaluate", "explain"])
+    def test_class_absent_from_test_split(self, pipeline, tmp_path, stage):
+        tmp, cfg = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        split = work / "split_test.csv"
+        lines = split.read_text(encoding="utf-8").splitlines(keepends=True)
+        split.write_text("".join(ln for ln in lines if "Web Attack" not in ln), encoding="utf-8")
+        r = run(stage, "--config", cfg, "--work-dir", work)
+        assert r.exit_code == EXIT_DATA
+        assert "class absent from test split: WEB_ATTACK" in r.output
+        assert not (work / ".lock").exists()
+
+    @pytest.mark.parametrize("drop", ["head.w", "pos_emb"])
+    def test_checkpoint_tensors_not_matching_config(self, pipeline, tmp_path, drop):
+        tmp, cfg = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        ckpt = work / "model_absolute.ckpt"
+        enc_cfg, params = load_checkpoint(ckpt)
+        del params[drop]
+        save_checkpoint(ckpt, enc_cfg, params)
+        r = run("evaluate", "--config", cfg, "--work-dir", work)
+        assert r.exit_code == EXIT_DATA
+        assert drop in r.output
+        assert "Traceback" not in r.output
+
+    def test_non_utf8_csv(self, tmp_path):
+        cfg = write_config(tmp_path)
+        flows = tmp_path / "flows.csv"
+        run("synthetic", "--out", flows, "--n", 30)
+        flows.write_bytes(flows.read_text(encoding="utf-8").encode("cp1252"))
+        assert b"Web Attack \x96 Brute Force" in flows.read_bytes()
+        r = run("prepare", "--config", cfg)
+        assert r.exit_code == EXIT_DATA
+        assert "flows.csv is not UTF-8 text" in r.output
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "work" / ".lock").exists()
 
     def test_report_before_train(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -200,6 +245,76 @@ class TestFailureModes:
             with pytest.raises(SystemExit) as info:
                 cli._fail(exc)
             assert info.value.code == code
+
+
+# Every command with its summary and options, in help order; the stage
+# runner registers the stages and must keep all of them as they are.
+CLI_HELP = {
+    "evaluate": ("Compute the metrics report on the test split.",
+                 ["--seed", "--work-dir", "--config", "--variant"]),
+    "explain": ("Build the class x feature attribution heatmap and per-example dump.",
+                ["--seed", "--work-dir", "--config", "--variant", "--steps", "--top-k"]),
+    "prepare": ("Parse, dedup, and split the input CSV; write manifests and audit reports.",
+                ["--seed", "--work-dir", "--config", "--input-csv"]),
+    "report": ("Aggregate all stage artifacts into one run report.",
+               ["--seed", "--work-dir", "--config"]),
+    "synthetic": ("Write the bundled synthetic 3-class fixture as a flow CSV.",
+                  ["--out", "--n", "--seed"]),
+    "train": ("Train the selected attention variant on the prepared splits.",
+              ["--seed", "--work-dir", "--config", "--variant"]),
+}
+
+
+class TestHelp:
+    def test_commands(self):
+        r = run("--help")
+        assert r.exit_code == 0
+        listed = re.findall(r"^  (\w+) ", r.output.split("Commands:\n")[1], re.M)
+        assert listed == sorted(CLI_HELP)
+
+    @pytest.mark.parametrize("command", sorted(CLI_HELP))
+    def test_command_options(self, command):
+        summary, options = CLI_HELP[command]
+        r = run(command, "--help")
+        assert r.exit_code == 0
+        assert summary in " ".join(r.output.split())
+        assert re.findall(r"^  (--[\w-]+)", r.output, re.M) == [*options, "--help"]
+
+    def test_variant_choices(self):
+        for command in ("train", "evaluate", "explain"):
+            assert "[absolute|disentangled]" in run(command, "--help").output
+
+
+def _round_robin(pairs, limit):
+    """The original round-robin loop, kept as the oracle for _select_examples."""
+    if limit is None or limit >= len(pairs):
+        return pairs
+    by_class = {c: [] for c in COARSE_LABELS}
+    for pair in pairs:
+        by_class[pair[1].label].append(pair)
+    out = []
+    i = 0
+    while len(out) < limit:
+        added = False
+        for c in COARSE_LABELS:
+            if i < len(by_class[c]) and len(out) < limit:
+                out.append(by_class[c][i])
+                added = True
+        if not added:
+            break
+        i += 1
+    return out
+
+
+def test_select_examples_matches_round_robin():
+    rng = np.random.default_rng(0)
+    for trial in range(200):
+        n = int(rng.integers(0, 25))
+        weights = rng.dirichlet(np.ones(3))
+        labels = rng.choice(3, size=n, p=weights)
+        pairs = [(f"h{i}", SimpleNamespace(label=COARSE_LABELS[c])) for i, c in enumerate(labels)]
+        for limit in (None, -1, 0, 1, 2, 3, n, n + 1, int(rng.integers(0, n + 1))):
+            assert cli._select_examples(pairs, limit) == _round_robin(pairs, limit), (trial, limit)
 
 
 class TestSynthetic:

@@ -39,6 +39,8 @@ class TestMergeLabels:
         assert merge_labels("Web Attack – Brute Force") is CoarseLabel.WEB_ATTACK
         assert merge_labels("Web Attack - XSS") is CoarseLabel.WEB_ATTACK
         assert merge_labels("web attack – sql injection") is CoarseLabel.WEB_ATTACK
+        # a cp1252 en dash decoded as UTF-8, as in the public CICIDS2017 CSVs
+        assert merge_labels("Web Attack \ufffd Brute Force") is CoarseLabel.WEB_ATTACK
 
     def test_benign_identity(self):
         assert merge_labels("BENIGN") is CoarseLabel.BENIGN
