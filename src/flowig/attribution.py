@@ -102,7 +102,7 @@ def integrated_gradients(
     """
     emb = encoder.embed(params, config, example)
     base = baseline_embeddings(params, config, example, cfg.baseline_kind, pad_id)
-    mask = np.array(example.attention_mask, dtype=np.float64)
+    mask = np.array([example.attention_mask], dtype=np.float64)
     n = encoder.active_length(mask)
 
     steps = cfg.steps
@@ -113,7 +113,7 @@ def integrated_gradients(
     points[steps] = emb[:n]
     points[steps + 1] = base[:n]
     logits, trace = encoder.forward_from_embeddings(
-        params, config, points, np.tile(mask[:n], (steps + 2, 1))
+        params, config, points, np.tile(mask[:, :n], (steps + 2, 1))
     )
     t = target_class.value
     dlogits = np.zeros_like(logits)
@@ -123,7 +123,7 @@ def integrated_gradients(
     if not np.all(np.isfinite(path_grads)):
         bad = int(np.where(~np.isfinite(path_grads).all(axis=(1, 2)))[0][0])
         raise NumericError(f"non-finite gradient at integration step {bad}")
-    token_attr = np.zeros(len(mask))
+    token_attr = np.zeros(mask.shape[1])
     token_attr[:n] = (delta * path_grads.mean(axis=0)).sum(axis=-1)
 
     output_delta = float(logits[steps, t] - logits[steps + 1, t])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import EncoderConfig, Params, init_params
+from .encoder import EncoderConfig, Params, param_shapes
 from .errors import ConfigError, DataError
 
 _MAGIC = b"FLOWIG-CKPT-1\n"
@@ -46,7 +46,11 @@ def save_checkpoint(path, config: EncoderConfig, params: Params) -> None:
 
 
 def load_checkpoint(path) -> tuple[EncoderConfig, Params]:
-    """Read a checkpoint; a truncated, corrupt or mismatched file raises DataError."""
+    """Read a checkpoint; a truncated, corrupt or mismatched file raises DataError.
+
+    The header's tensor list must be the config's parameter layout and the
+    file exactly as long as that layout needs before any tensor is read.
+    """
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
         raise DataError(f"{path}: not a flowig checkpoint")
@@ -64,21 +68,17 @@ def load_checkpoint(path) -> tuple[EncoderConfig, Params]:
     except (ValueError, TypeError, KeyError, ConfigError) as e:
         raise DataError(f"{path}: corrupt checkpoint header: {e}") from None
     off += hlen
-    params: Params = {}
-    for name, shape in specs:
-        if min(shape, default=0) < 0:
-            raise DataError(f"{path}: tensor {name} has a negative dimension")
-        size = math.prod(shape)
-        if len(data) < off + size * 8:
-            raise DataError(f"{path}: checkpoint truncated in tensor {name}")
-        arr = np.frombuffer(data, dtype="<f8", count=size, offset=off).reshape(shape)
-        params[name] = arr.astype(np.float64)
-        off += size * 8
-    if off != len(data):
-        raise DataError(f"{path}: trailing bytes in checkpoint")
-    expected = {n: a.shape for n, a in init_params(config).items()}
-    found = {n: a.shape for n, a in params.items()}
-    bad = sorted(n for n in expected.keys() | found.keys() if expected.get(n) != found.get(n))
-    if bad:
-        raise DataError(f"{path}: tensors do not match the checkpoint's config: {', '.join(bad)}")
+    layout = sorted(param_shapes(config).items())
+    if specs != layout:
+        expected, found = dict(layout), dict(specs)
+        bad = sorted(n for n in expected.keys() | found.keys() if expected.get(n) != found.get(n))
+        raise DataError(f"{path}: tensors do not match the checkpoint's config: "
+                        f"{', '.join(bad) or 'listed out of order or twice'}")
+    counts = [math.prod(shape) for _, shape in layout]
+    size = off + 8 * sum(counts)
+    if len(data) != size:
+        what = "truncated" if len(data) < size else "has trailing bytes"
+        raise DataError(f"{path}: checkpoint {what} ({len(data)} bytes, expected {size})")
+    values = np.split(np.frombuffer(data, dtype="<f8", offset=off), np.cumsum(counts)[:-1])
+    params = {name: v.reshape(shape).astype(np.float64) for (name, shape), v in zip(layout, values)}
     return config, params

@@ -34,8 +34,25 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_AUDIT = 5
 
-SPLIT_NAMES = ("train", "validation", "test")
 VARIANTS = (encoder.ABSOLUTE, encoder.DISENTANGLED)
+
+# the JSON types a config field of each annotation accepts
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict,
+               "object": object, "int | None": (int, type(None)), "str | None": (str, type(None)),
+               "tuple[float, float, float]": list, "tuple[str, ...]": list}
+
+
+def _check_fields(where: str, data, kind, set_by_run=()) -> None:
+    """Refuse a non-object, keys that `kind` lacks and wrongly typed values."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    types = {f.name: f.type for f in dataclasses.fields(kind) if f.name not in set_by_run}
+    unknown = set(data) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
+    for key, value in data.items():
+        if not isinstance(value, _JSON_TYPES[types[key]]):
+            raise ConfigError(f"{where} key {key} must be {types[key]}, got {value!r}")
 
 
 @dataclass
@@ -63,10 +80,12 @@ class RunConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        _check_fields("config", data, cls)
+        # the run itself sets the vocabulary size, the variant and the seed
+        _check_fields("encoder config", data.get("encoder", {}), encoder.EncoderConfig,
+                      ("vocab_size", "attention_variant", "seed"))
+        _check_fields("train config", data.get("train", {}), training.TrainConfig, ("seed",))
+        _check_fields("ig config", data.get("ig", {}), attribution.IGConfig)
         cfg = cls(**data)
         cfg.ratios = tuple(cfg.ratios)
         cfg.heatmap_formats = tuple(cfg.heatmap_formats)
@@ -449,7 +468,10 @@ _stage(_run_report)
 def cmd_synthetic(out, n, seed):
     """Write the bundled synthetic 3-class fixture as a flow CSV."""
     ds = synthetic.generate_synthetic_dataset(n=n, seed=seed)
-    write_artifact(Path(out), synthetic.dataset_to_csv_bytes(ds))
+    try:
+        write_artifact(Path(out), synthetic.dataset_to_csv_bytes(ds))
+    except OSError as e:
+        _fail(ConfigError(f"cannot write {out}: {e.strerror}"))
     _echo(f"wrote {n} synthetic flows to {out}")
 
 

@@ -6,8 +6,8 @@ standard scaled dot-product with absolute position embeddings, and a
 disentangled variant that scores content-content, content-position and
 position-content terms over clipped relative distances.
 
-Public single-example functions wrap a batched core; the batch dimension
-is also how integration-path gradient evaluations are vectorized.
+Every function takes and returns batched (B, ...) arrays; the batch
+dimension is also how integration-path gradient evaluations are vectorized.
 """
 from __future__ import annotations
 
@@ -70,38 +70,43 @@ class EncoderConfig:
 Params = dict[str, np.ndarray]
 
 
-def init_params(config: EncoderConfig, seed: int | None = None) -> Params:
-    """Seeded init: matrices ~ N(0, 1/fan_in), classifier zeroed for uniform logits."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    D, F = config.d_model, config.d_ff
-
-    def mat(fan_in, shape):
-        return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
-
-    p: Params = {}
-    p["tok_emb"] = mat(D, (config.vocab_size, D))
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in initialization order."""
+    D, F, C = config.d_model, config.d_ff, config.n_classes
+    shapes = {"tok_emb": (config.vocab_size, D)}
     if config.attention_variant == ABSOLUTE:
-        p["pos_emb"] = mat(D, (config.max_seq_len, D))
+        shapes["pos_emb"] = (config.max_seq_len, D)
     else:
-        p["rel_emb"] = mat(D, (config.rel_size, D))
+        shapes["rel_emb"] = (config.rel_size, D)
     for i in range(config.layers):
         pre = f"layers.{i}."
-        p[pre + "ln1.g"] = np.ones(D)
-        p[pre + "ln1.b"] = np.zeros(D)
-        for name in ("wq", "wk", "wv", "wo"):
-            p[pre + "attn." + name] = mat(D, (D, D))
-        for name in ("bq", "bk", "bv", "bo"):
-            p[pre + "attn." + name] = np.zeros(D)
-        p[pre + "ln2.g"] = np.ones(D)
-        p[pre + "ln2.b"] = np.zeros(D)
-        p[pre + "ffn.w1"] = mat(D, (D, F))
-        p[pre + "ffn.b1"] = np.zeros(F)
-        p[pre + "ffn.w2"] = mat(F, (F, D))
-        p[pre + "ffn.b2"] = np.zeros(D)
-    p["ln_f.g"] = np.ones(D)
-    p["ln_f.b"] = np.zeros(D)
-    p["head.w"] = np.zeros((D, config.n_classes))
-    p["head.b"] = np.zeros(config.n_classes)
+        shapes[pre + "ln1.g"] = shapes[pre + "ln1.b"] = (D,)
+        shapes.update({pre + "attn." + name: (D, D) for name in ("wq", "wk", "wv", "wo")})
+        shapes.update({pre + "attn." + name: (D,) for name in ("bq", "bk", "bv", "bo")})
+        shapes[pre + "ln2.g"] = shapes[pre + "ln2.b"] = (D,)
+        shapes[pre + "ffn.w1"], shapes[pre + "ffn.b1"] = (D, F), (F,)
+        shapes[pre + "ffn.w2"], shapes[pre + "ffn.b2"] = (F, D), (D,)
+    shapes["ln_f.g"] = shapes["ln_f.b"] = (D,)
+    shapes["head.w"], shapes["head.b"] = (D, C), (C,)
+    return shapes
+
+
+def init_params(config: EncoderConfig, seed: int | None = None) -> Params:
+    """Seeded init: matrices ~ N(0, 1/fan_in), classifier zeroed for uniform logits.
+
+    The fan-in of an embedding table is d_model, of a weight matrix its row
+    count; layer-norm gains start at 1 and every bias at 0.
+    """
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    p: Params = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".g"):
+            p[name] = np.ones(shape)
+        elif len(shape) == 1 or name == "head.w":
+            p[name] = np.zeros(shape)
+        else:
+            fan_in = shape[1] if name.endswith("_emb") else shape[0]
+            p[name] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
     return p
 
 
@@ -177,11 +182,6 @@ def _rel_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, onehot
 
 
-def _rel_index(L: int, k: int) -> np.ndarray:
-    """rel_idx[i, j] = clip(i - j, -k, k) + k, shape (L, L)."""
-    return _rel_tables(L, k)[0]
-
-
 def attention_scores_disentangled(q, k_content, qr, kr, rel_idx):
     """Disentangled attention logits for one batch of heads.
 
@@ -204,14 +204,12 @@ def attention_scores_disentangled(q, k_content, qr, kr, rel_idx):
 
 
 def active_length(mask: np.ndarray) -> int:
-    """Last position attended in any row of an (L,) or (B, L) mask, plus 1.
+    """Last position attended in any row of a (B, L) mask, plus 1.
 
     Later positions are keys every query masks out, so dropping them changes
     logits only by rounding. A mask with nothing attended keeps its length.
     """
-    attended = np.asarray(mask) > 0
-    if attended.ndim == 2:
-        attended = attended.any(axis=0)
+    attended = (np.asarray(mask) > 0).any(axis=0)
     return len(attended) - int(np.argmax(attended[::-1]))
 
 
@@ -233,13 +231,10 @@ def _masked_softmax(scores, bias):
 @dataclass
 class ForwardTrace:
     config: EncoderConfig
-    training: bool
     mask: np.ndarray                 # (B, L)
-    x0: np.ndarray                   # input embeddings (B, L, D)
     layer_caches: list[dict] = field(default_factory=list)
     final: dict = field(default_factory=dict)
     logits: np.ndarray | None = None
-    squeeze: bool = False            # True when the caller passed a single example
 
 
 def _check_finite(x, where: str):
@@ -257,26 +252,23 @@ def forward_from_embeddings(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Pre-norm encoder stack from raw embeddings to class logits.
 
-    Accepts (L, D) or batched (B, L, D) with L <= max_seq_len; logits are
-    (3,) or (B, 3) to match. A sequence shorter than max_seq_len runs as
-    the first L positions, so trailing padding can be trimmed off.
+    Takes (B, L, D) embeddings and a (B, L) mask with L <= max_seq_len and
+    returns (B, 3) logits. A sequence shorter than max_seq_len runs as the
+    first L positions, so trailing padding can be trimmed off.
     """
-    squeeze = embeddings.ndim == 2
     x = np.asarray(embeddings, dtype=np.float64)
     mask = np.asarray(attention_mask, dtype=np.float64)
-    if squeeze:
-        x = x[None]
-        mask = mask[None]
-    B, L, D = x.shape
-    if L > config.max_seq_len or D != config.d_model:
+    if (x.ndim != 3 or mask.shape != x.shape[:2]
+            or x.shape[1] > config.max_seq_len or x.shape[2] != config.d_model):
         raise ConfigError(
-            f"embedding shape {x.shape} does not fit max_seq_len={config.max_seq_len},"
-            f" d_model={config.d_model}"
+            f"embedding shape {x.shape} with mask shape {mask.shape} does not fit"
+            f" max_seq_len={config.max_seq_len}, d_model={config.d_model}"
         )
+    B, L, D = x.shape
     if training and config.dropout_rate > 0 and dropout_rng is None:
         raise ConfigError("training-mode forward with dropout requires dropout_rng")
 
-    trace = ForwardTrace(config, training, mask, x, squeeze=squeeze)
+    trace = ForwardTrace(config, mask)
     H, dh = config.heads, config.d_head
     keep = 1.0 - config.dropout_rate
     bias = _key_mask_bias(mask)
@@ -288,7 +280,7 @@ def forward_from_embeddings(
 
     for li in range(config.layers):
         pre = f"layers.{li}."
-        cache: dict = {"pre": pre, "x_in": x}
+        cache: dict = {"pre": pre}
         h1, cache["ln1"] = _ln_forward(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
         cache["h1"] = h1
         q = _split_heads(h1 @ params[pre + "attn.wq"] + params[pre + "attn.bq"], H)
@@ -304,7 +296,6 @@ def forward_from_embeddings(
             scores = attention_scores_disentangled(q, k, qr, kr, rel_idx)
         else:
             scores = (q @ k.swapaxes(-1, -2)) / math.sqrt(dh)
-        cache["scores"] = scores
         attn = _masked_softmax(scores, bias)
         cache["attn"] = attn
         o = _merge_heads(attn @ v)
@@ -325,7 +316,6 @@ def forward_from_embeddings(
             dm = (dropout_rng.random(drop_shape)[:, :L] >= config.dropout_rate) / keep
             cache["ffn_drop"] = dm
             y = y * dm
-        cache["x_mid"] = x
         x = x + y
         _check_finite(x, f"encoder layer {li}")
         trace.layer_caches.append(cache)
@@ -334,15 +324,15 @@ def forward_from_embeddings(
         hf, trace.final["ln_f"] = _ln_forward(x, params["ln_f.g"], params["ln_f.b"])
     else:
         hf = x
-    trace.final["x_last"] = x
     trace.final["cls"] = hf[:, 0, :]
     logits = trace.final["cls"] @ params["head.w"] + params["head.b"]
     _check_finite(logits, "classification head")
     trace.logits = logits
-    return (logits[0] if squeeze else logits), trace
+    return logits, trace
 
 
 def embed(params: Params, config: EncoderConfig, example: TokenizedExample) -> np.ndarray:
+    """One example's (L, D) embeddings."""
     return embed_ids(params, config, np.array([example.ids], dtype=np.int64))[0]
 
 
@@ -364,9 +354,10 @@ def forward(
     training: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    emb = embed(params, config, example)
-    mask = np.array(example.attention_mask, dtype=np.float64)
-    return forward_from_embeddings(params, config, emb, mask, training, dropout_rng)
+    """One example as a batch of one: logits (1, 3)."""
+    ids = np.array([example.ids], dtype=np.int64)
+    mask = np.array([example.attention_mask], dtype=np.float64)
+    return forward_batch(params, config, ids, mask, training, dropout_rng)
 
 
 def forward_batch(
@@ -395,8 +386,6 @@ def backward(
     """
     config = trace.config
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if trace.squeeze and dlogits.ndim == 1:
-        dlogits = dlogits[None]
     if dlogits.shape != trace.logits.shape:
         raise ConfigError(
             f"dlogits shape {dlogits.shape} does not match logits {trace.logits.shape}"
@@ -408,7 +397,7 @@ def backward(
         grads["head.w"] += trace.final["cls"].T @ dlogits
         grads["head.b"] += dlogits.sum(axis=0)
     dcls = dlogits @ params["head.w"].T
-    dhf = np.zeros_like(trace.x0)
+    dhf = np.zeros((*trace.mask.shape, config.d_model))
     dhf[:, 0, :] = dcls
     if config.use_final_norm:
         dx = _ln_backward(dhf, trace.final["ln_f"])
@@ -500,16 +489,13 @@ def backward(
             _ln_param_grads(grads, pre + "ln1.", dh1, cache["ln1"])
         dx = dx + dx1  # residual
 
-    return grads, (dx[0] if trace.squeeze else dx)
+    return grads, dx
 
 
 def accumulate_embedding_grads(
     grads: Params, config: EncoderConfig, ids: np.ndarray, demb: np.ndarray
 ) -> None:
-    """Scatter embedding-matrix gradients back to the lookup tables."""
-    if demb.ndim == 2:
-        demb = demb[None]
-        ids = np.asarray(ids).reshape(1, -1)
+    """Scatter (B, L, D) embedding gradients back to the lookup tables."""
     np.add.at(grads["tok_emb"], np.asarray(ids, dtype=np.int64), demb)
     if config.attention_variant == ABSOLUTE:
         grads["pos_emb"][: demb.shape[1]] += demb.sum(axis=0)

@@ -19,13 +19,6 @@ class ConfusionMatrix:
         if arr.shape != (3, 3) or (arr < 0).any():
             raise DataError("confusion matrix must be 3x3 with non-negative counts")
 
-    @property
-    def total(self) -> int:
-        return int(np.sum(self.counts))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.counts, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -68,7 +61,7 @@ def confusion(
 
 
 def metrics(cm: ConfusionMatrix) -> MetricsReport:
-    arr = cm.as_array()
+    arr = np.array(cm.counts, dtype=np.int64)
     total = arr.sum()
     if total == 0:
         raise DataError("cannot compute metrics on an all-zero confusion matrix")

@@ -62,7 +62,6 @@ class LabeledDataset:
 @dataclass
 class ParseReport:
     rows_total: int = 0
-    rows_kept: int = 0
     rows_dropped_nonfinite: int = 0
     rows_dropped_unparseable: int = 0
 
@@ -94,8 +93,6 @@ class SplitDataset:
     train: LabeledDataset
     validation: LabeledDataset
     test: LabeledDataset
-    seed: int
-    ratios: tuple[float, float, float]
 
     def splits(self) -> dict[str, LabeledDataset]:
         return {"train": self.train, "validation": self.validation, "test": self.test}
@@ -179,7 +176,6 @@ def parse_flow_csv(
                 continue
             coarse = merge_labels(raw_label)
             records.append((FlowRecord(values, raw_label), coarse))
-            report.rows_kept += 1
         return LabeledDataset(schema, records), report
     except UnicodeDecodeError as e:
         name = getattr(source, "name", source)
@@ -236,8 +232,9 @@ def stratified_split(
     seed: int = 0,
 ) -> SplitDataset:
     """Seeded per-class shuffle then largest-remainder partition into train/val/test."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"split ratios must sum to 1.0, got {ratios}")
+    if (len(ratios) != 3 or not all(isinstance(r, (int, float)) and r >= 0 for r in ratios)
+            or abs(sum(ratios) - 1.0) > 1e-9):
+        raise DataError(f"split ratios must be three numbers >= 0 summing to 1, got {ratios}")
     by_class: dict[CoarseLabel, list[int]] = {c: [] for c in COARSE_LABELS}
     for i, (_, label) in enumerate(dataset.records):
         by_class[label].append(i)
@@ -260,7 +257,7 @@ def stratified_split(
         LabeledDataset(dataset.schema, [dataset.records[i] for i in part])
         for part in parts
     ]
-    return SplitDataset(datasets[0], datasets[1], datasets[2], seed=seed, ratios=ratios)
+    return SplitDataset(*datasets)
 
 
 def audit_overlap(

@@ -10,7 +10,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 CLAUSE_SEPARATOR = " ; "
 
@@ -22,7 +22,7 @@ class ValueFormatPolicy:
 
     def __post_init__(self):
         if self.significant_digits < 1:
-            raise ValueError("significant_digits must be >= 1")
+            raise ConfigError("significant_digits must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -58,12 +58,15 @@ def randomize_params(params, rng, scale=0.3):
 
 
 def finite_diff_check(params, cfg, emb, mask, rng, eps=1e-4, coords_per_tensor=8):
-    """Max relative error between analytical and central-difference gradients."""
-    w = rng.normal(size=3)
+    """Max relative error between analytical and central-difference gradients.
+
+    emb is (B, L, D) and mask (B, L); the objective weights each row's logits.
+    """
+    w = rng.normal(size=(len(emb), 3))
 
     def objective():
         logits, _ = encoder.forward_from_embeddings(params, cfg, emb, mask)
-        return float(w @ logits)
+        return float((w * logits).sum())
 
     _, trace = encoder.forward_from_embeddings(params, cfg, emb, mask)
     grads, demb = encoder.backward(params, trace, w)

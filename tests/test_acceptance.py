@@ -106,9 +106,9 @@ def test_criterion_1_gradient_correctness():
                 d_ff=d_model + 8, heads=2,
             )
             params = randomize_params(init_params(cfg), rng)
-            emb = rng.normal(size=(16, d_model))
-            mask = np.ones(16)
-            mask[int(rng.integers(10, 17)):] = 0
+            emb = rng.normal(size=(1, 16, d_model))
+            mask = np.ones((1, 16))
+            mask[:, int(rng.integers(10, 17)):] = 0
             worst = max(worst, finite_diff_check(params, cfg, emb, mask, rng,
                                                  coords_per_tensor=4))
             pairs += 1

@@ -123,7 +123,7 @@ class TestIntegratedGradients:
 
 def _reference_ig(params, cfg, ex, target, ig_cfg, pad_id):
     """IG without the fast path: the path batch at full max_seq_len with a
-    full backward, and F(x), F(x') as two separate single-row forwards."""
+    full backward, and F(x), F(x') as two separate batch-of-one forwards."""
     emb = encoder.embed(params, cfg, ex)
     base = baseline_embeddings(params, cfg, ex, ig_cfg.baseline_kind, pad_id)
     mask = np.array(ex.attention_mask, dtype=np.float64)
@@ -137,9 +137,9 @@ def _reference_ig(params, cfg, ex, target, ig_cfg, pad_id):
     dlogits[:, target.value] = 1.0
     _, demb = encoder.backward(params, trace, dlogits)
     token_attr = (delta * demb.mean(axis=0)).sum(axis=-1)
-    f_x, _ = encoder.forward_from_embeddings(params, cfg, emb, mask)
-    f_b, _ = encoder.forward_from_embeddings(params, cfg, base, mask)
-    output_delta = float(f_x[target.value] - f_b[target.value])
+    f_x, _ = encoder.forward_from_embeddings(params, cfg, emb[None], mask[None])
+    f_b, _ = encoder.forward_from_embeddings(params, cfg, base[None], mask[None])
+    output_delta = float(f_x[0, target.value] - f_b[0, target.value])
     feature_attr, _ = aggregate_to_features(token_attr, ex.feature_token_spans)
     return {
         "token_attr": token_attr,

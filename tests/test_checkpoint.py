@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,8 +112,10 @@ def _header(path) -> dict:
         lambda h: {**h, "config": {**h["config"], "heads": 3}},
         lambda h: {"config": h["config"]},
         lambda h: {**h, "tensors": [{"name": "x", "shape": [-2, -4]}]},
+        lambda h: {**h, "tensors": h["tensors"][::-1]},
     ],
-    ids=["not-json", "not-object", "unknown-key", "bad-value", "no-tensors", "negative-shape"],
+    ids=["not-json", "not-object", "unknown-key", "bad-value", "no-tensors", "negative-shape",
+         "reordered"],
 )
 def test_corrupt_header_raises_data_error(tmp_path, model, corrupt):
     cfg, params = model
@@ -138,6 +141,24 @@ def test_tensors_must_match_config(tmp_path, model, edit):
     save_checkpoint(path, cfg, edit(params))
     with pytest.raises(DataError, match="do not match"):
         load_checkpoint(path)
+
+
+def test_oversized_header_config_refused_before_allocating(tmp_path, model):
+    # the header claims a huge vocabulary over a small model's tensors; the
+    # layout check must refuse it without building that vocabulary's table
+    cfg, params = model
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, cfg, params)
+    header = _header(path)
+    _rewrite_header(path, {**header, "config": {**header["config"], "vocab_size": 800000}})
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="tok_emb"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def _write_half_then_fail(self, data):

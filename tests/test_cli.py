@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shutil
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from flowig import cli
+from flowig import cli, encoder
+from flowig.attribution import IGConfig
 from flowig.checkpoint import load_checkpoint, save_checkpoint
 from flowig.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from flowig.errors import AuditError, ConfigError, DataError, NumericError
 from flowig.flow_data import COARSE_LABELS
+from flowig.training import TrainConfig
 
 SMALL_CONFIG = {
     "schema": "synthetic",
@@ -136,6 +139,59 @@ class TestFailureModes:
         r = run("prepare", "--config", cfg)
         assert r.exit_code == EXIT_CONFIG
         assert "botnet" in r.output
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"train": {"bogus": 1}}, "unknown train config keys: bogus"),
+            ({"encoder": {"bogus": 1}}, "unknown encoder config keys: bogus"),
+            ({"train": {"seed": 3}}, "unknown train config keys: seed"),
+            ({"encoder": {"vocab_size": 9}}, "unknown encoder config keys: vocab_size"),
+            ({"ig": {"bogus": 1}}, "unknown ig config keys: bogus"),
+            ({"ig": [8]}, "config key ig must be dict, got [8]"),
+            ({"ratios": 5}, "config key ratios must be tuple[float, float, float], got 5"),
+            ({"train": {"epochs": "2"}}, "train config key epochs must be int, got '2'"),
+            ({"encoder": {"layers": 1.5}}, "encoder config key layers must be int, got 1.5"),
+            ({"significant_digits": 0}, "significant_digits must be >= 1"),
+        ],
+        ids=["train-key", "encoder-key", "train-seed", "encoder-vocab", "ig-key", "ig-list",
+             "ratios-number", "train-type", "encoder-type", "significant-digits"],
+    )
+    def test_bad_config_value(self, tmp_path, overrides, message):
+        # refused by prepare with one line, before any artifact is written
+        cfg = write_config(tmp_path, **overrides)
+        run("synthetic", "--out", tmp_path / "flows.csv", "--n", 30)
+        r = run("prepare", "--config", cfg)
+        assert r.exit_code == EXIT_CONFIG
+        assert r.output.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "work" / "split_train.csv").exists()
+
+    def test_every_config_field_has_a_json_type(self):
+        for kind in (cli.RunConfig, encoder.EncoderConfig, TrainConfig, IGConfig):
+            for f in dataclasses.fields(kind):
+                assert f.type in cli._JSON_TYPES, (kind.__name__, f.name, f.type)
+
+    def test_config_not_an_object(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps([SMALL_CONFIG]))
+        r = run("prepare", "--config", cfg)
+        assert r.exit_code == EXIT_CONFIG
+        assert r.output.splitlines() == ["error: config must be a JSON object"]
+
+    @pytest.mark.parametrize(
+        "ratios", [[0.5, 0.5], [1.2, -0.1, -0.1], [0.7, 0.1, 0.1, 0.1], ["0.7", "0.1", "0.2"]],
+        ids=["two", "negative", "four", "strings"],
+    )
+    def test_bad_split_ratios(self, tmp_path, ratios):
+        cfg = write_config(tmp_path, ratios=ratios)
+        run("synthetic", "--out", tmp_path / "flows.csv", "--n", 30)
+        r = run("prepare", "--config", cfg)
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [
+            f"error: split ratios must be three numbers >= 0 summing to 1, got {tuple(ratios)}"
+        ]
+        assert not (tmp_path / "work" / "split_test.csv").exists()
+        assert not (tmp_path / "work" / ".lock").exists()
 
     def test_missing_input_csv(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -325,6 +381,13 @@ class TestSynthetic:
         a = (tmp_path / "a.csv").read_bytes()
         assert a == (tmp_path / "b.csv").read_bytes()
         assert a != (tmp_path / "c.csv").read_bytes()
+
+    def test_missing_output_directory(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        r = run("synthetic", "--out", out, "--n", 30)
+        assert r.exit_code == EXIT_CONFIG
+        assert r.output.splitlines() == [f"error: cannot write {out}: No such file or directory"]
+        assert not (tmp_path / "missing").exists()
 
     def test_has_all_labels(self, tmp_path):
         run("synthetic", "--out", tmp_path / "a.csv", "--n", 30)

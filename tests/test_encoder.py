@@ -10,7 +10,6 @@ from flowig.encoder import (
     EncoderConfig,
     _key_mask_bias,
     _masked_softmax,
-    _rel_index,
     _rel_tables,
     accumulate_embedding_grads,
     active_length,
@@ -21,6 +20,7 @@ from flowig.encoder import (
     forward_batch,
     forward_from_embeddings,
     init_params,
+    param_shapes,
     zero_grads_like,
 )
 from flowig.errors import ConfigError
@@ -47,7 +47,53 @@ class TestConfig:
             EncoderConfig(vocab_size=10, max_seq_len=8, n_classes=5)
 
 
+def _init_oracle(config):
+    """init_params as first written, one explicit draw per tensor."""
+    rng = np.random.default_rng(config.seed)
+    D, F = config.d_model, config.d_ff
+
+    def mat(fan_in, shape):
+        return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
+
+    p = {"tok_emb": mat(D, (config.vocab_size, D))}
+    if config.attention_variant == ABSOLUTE:
+        p["pos_emb"] = mat(D, (config.max_seq_len, D))
+    else:
+        p["rel_emb"] = mat(D, (config.rel_size, D))
+    for i in range(config.layers):
+        pre = f"layers.{i}."
+        p[pre + "ln1.g"] = np.ones(D)
+        p[pre + "ln1.b"] = np.zeros(D)
+        for name in ("wq", "wk", "wv", "wo"):
+            p[pre + "attn." + name] = mat(D, (D, D))
+        for name in ("bq", "bk", "bv", "bo"):
+            p[pre + "attn." + name] = np.zeros(D)
+        p[pre + "ln2.g"] = np.ones(D)
+        p[pre + "ln2.b"] = np.zeros(D)
+        p[pre + "ffn.w1"] = mat(D, (D, F))
+        p[pre + "ffn.b1"] = np.zeros(F)
+        p[pre + "ffn.w2"] = mat(F, (F, D))
+        p[pre + "ffn.b2"] = np.zeros(D)
+    p["ln_f.g"] = np.ones(D)
+    p["ln_f.b"] = np.zeros(D)
+    p["head.w"] = np.zeros((D, config.n_classes))
+    p["head.b"] = np.zeros(config.n_classes)
+    return p
+
+
 class TestInit:
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_layout_table_matches_oracle(self, variant, layers):
+        # d_ff != d_model so a wrong fan-in or a swapped FFN shape shows
+        cfg = small_config(20, variant, layers=layers, d_ff=12, seed=5)
+        want = _init_oracle(cfg)
+        got = init_params(cfg)
+        assert list(got) == list(want) == list(param_shapes(cfg))
+        for k in want:
+            assert param_shapes(cfg)[k] == want[k].shape, k
+            assert np.array_equal(got[k], want[k]), k
+
     def test_deterministic(self):
         cfg = small_config(20)
         a, b = init_params(cfg), init_params(cfg)
@@ -107,12 +153,12 @@ class TestForward:
         rng = np.random.default_rng(1)
         cfg = small_config(20)
         p = randomize_params(init_params(cfg), rng)
-        emb = rng.normal(size=(16, 8))
-        mask = np.ones(16)
-        mask[9:] = 0
+        emb = rng.normal(size=(1, 16, 8))
+        mask = np.ones((1, 16))
+        mask[:, 9:] = 0
         base, _ = forward_from_embeddings(p, cfg, emb, mask)
         emb2 = emb.copy()
-        emb2[9:] = rng.normal(size=(7, 8)) * 10
+        emb2[:, 9:] = rng.normal(size=(7, 8)) * 10
         alt, _ = forward_from_embeddings(p, cfg, emb2, mask)
         np.testing.assert_allclose(base, alt, atol=1e-12)
 
@@ -121,6 +167,7 @@ class TestForward:
         p = init_params(cfg)
         ex = make_example(vocab, schema, [100.0 + i for i in range(schema.d)])
         logits, _ = forward(p, cfg, ex)
+        assert logits.shape == (1, 3)
         probs = np.exp(logits) / np.exp(logits).sum()
         np.testing.assert_allclose(probs, 1 / 3, atol=1e-12)
 
@@ -129,9 +176,9 @@ class TestForward:
         cfg = small_config(20, layers=0, use_final_norm=False)
         rng = np.random.default_rng(2)
         p = randomize_params(init_params(cfg), rng)
-        emb = rng.normal(size=(16, 8))
-        logits, _ = forward_from_embeddings(p, cfg, emb, np.ones(16))
-        np.testing.assert_allclose(logits, emb[0] @ p["head.w"] + p["head.b"])
+        emb = rng.normal(size=(1, 16, 8))
+        logits, _ = forward_from_embeddings(p, cfg, emb, np.ones((1, 16)))
+        np.testing.assert_allclose(logits, emb[:, 0] @ p["head.w"] + p["head.b"])
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
@@ -143,8 +190,9 @@ class TestForward:
             mask[:, 0] = 1
             batched, _ = forward_from_embeddings(p, cfg, emb, mask)
             for b in range(4):
-                single, _ = forward_from_embeddings(p, cfg, emb[b], mask[b])
-                np.testing.assert_allclose(single, batched[b], atol=1e-12)
+                single, _ = forward_from_embeddings(p, cfg, emb[b : b + 1], mask[b : b + 1])
+                assert single.shape == (1, 3)
+                np.testing.assert_allclose(single[0], batched[b], atol=1e-12)
 
     @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
     def test_trimmed_length_matches_padded(self, variant):
@@ -170,7 +218,17 @@ class TestForward:
         cfg = small_config(20)
         p = init_params(cfg)
         with pytest.raises(ConfigError, match="shape"):
-            forward_from_embeddings(p, cfg, np.zeros((17, 8)), np.ones(17))
+            forward_from_embeddings(p, cfg, np.zeros((1, 17, 8)), np.ones((1, 17)))
+
+    @pytest.mark.parametrize(
+        "emb_shape, mask_shape",
+        [((16, 8), (16,)), ((1, 16, 8), (16,)), ((2, 16, 8), (1, 16)), ((1, 16, 4), (1, 16))],
+        ids=["unbatched", "unbatched-mask", "mask-rows", "d_model"],
+    )
+    def test_only_batched_shapes_accepted(self, emb_shape, mask_shape):
+        cfg = small_config(20)
+        with pytest.raises(ConfigError, match="shape"):
+            forward_from_embeddings(init_params(cfg), cfg, np.zeros(emb_shape), np.ones(mask_shape))
 
 
 def _softmax_oracle(scores, mask):
@@ -198,14 +256,14 @@ class TestMaskedSoftmax:
 
 class TestRelativePositions:
     def test_index_values(self):
-        idx = _rel_index(5, 2)
+        idx = _rel_tables(5, 2)[0]
         assert idx[0, 0] == 2
         assert idx[4, 0] == 4
         assert idx[0, 4] == 0
         assert idx[3, 1] == 4
 
     def test_clipping_saturates(self):
-        idx = _rel_index(64, 16)
+        idx = _rel_tables(64, 16)[0]
         assert idx[57, 40] == idx[33, 16] == 32  # 17 and 24 apart clip alike
         assert idx[40, 0] == 32
         assert idx[0, 40] == 0
@@ -220,12 +278,15 @@ class TestRelativePositions:
         pd = dict(shared)
         pd.pop("pos_emb")
         pd["rel_emb"] = np.zeros((cfg_d.rel_size, cfg_d.d_model))
-        emb = rng.normal(size=(16, 8))
-        mask = np.ones(16)
+        emb = rng.normal(size=(1, 16, 8))
+        mask = np.ones((1, 16))
         _, ta = forward_from_embeddings(shared, cfg_a, emb, mask)
         _, td = forward_from_embeddings(pd, cfg_d, emb, mask)
-        sa = ta.layer_caches[0]["scores"]
-        sd = td.layer_caches[0]["scores"]
+        ca, cd = ta.layer_caches[0], td.layer_caches[0]
+        sa = ca["q"] @ ca["k"].swapaxes(-1, -2) / np.sqrt(cfg_a.d_head)
+        sd = attention_scores_disentangled(
+            cd["q"], cd["k"], cd["qr"], cd["kr"], _rel_tables(16, cfg_d.rel_window)[0]
+        )
         np.testing.assert_allclose(sd * np.sqrt(3.0), sa, atol=1e-12)
 
     def test_tables_built_once_per_config_and_sliced(self):
@@ -236,9 +297,9 @@ class TestRelativePositions:
         for L in (5, 10, 16, 12):
             forward_from_embeddings(p, cfg, rng.normal(size=(2, L, 8)), np.ones((2, L)))
         assert _rel_tables.cache_info().currsize == 1
-        full = _rel_index(16, 4)
+        full = _rel_tables(16, 4)[0]
         for L in range(1, 17):
-            assert np.array_equal(_rel_index(L, 4), full[:L, :L])
+            assert np.array_equal(_rel_tables(L, 4)[0], full[:L, :L])
         idx, onehot = _rel_tables(16, 4)
         assert not idx.flags.writeable and not onehot.flags.writeable
         assert np.array_equal(onehot.argmax(axis=-1), idx)
@@ -250,9 +311,9 @@ class TestBackward:
         rng = np.random.default_rng(5)
         cfg = small_config(20, DISENTANGLED)
         p = randomize_params(init_params(cfg), rng)
-        emb = rng.normal(size=(16, 8))
-        _, trace = forward_from_embeddings(p, cfg, emb, np.ones(16))
-        grads, demb = backward(p, trace, np.zeros(3))
+        emb = rng.normal(size=(1, 16, 8))
+        _, trace = forward_from_embeddings(p, cfg, emb, np.ones((1, 16)))
+        grads, demb = backward(p, trace, np.zeros((1, 3)))
         assert not demb.any()
         for k, g in grads.items():
             assert not g.any(), k
@@ -262,9 +323,9 @@ class TestBackward:
         rng = np.random.default_rng(6)
         cfg = small_config(20, variant)
         p = randomize_params(init_params(cfg), rng)
-        emb = rng.normal(size=(16, 8))
-        mask = np.ones(16)
-        mask[12:] = 0
+        emb = rng.normal(size=(1, 16, 8))
+        mask = np.ones((1, 16))
+        mask[:, 12:] = 0
         worst = finite_diff_check(p, cfg, emb, mask, rng, coords_per_tensor=4)
         assert worst < 1e-4
 
@@ -296,8 +357,8 @@ class TestBackward:
         gb, _ = backward(p, trace, dlog)
         acc = zero_grads_like(p)
         for b in range(3):
-            _, t1 = forward_from_embeddings(p, cfg, emb[b], mask[b])
-            g1, _ = backward(p, t1, dlog[b])
+            _, t1 = forward_from_embeddings(p, cfg, emb[b : b + 1], mask[b : b + 1])
+            g1, _ = backward(p, t1, dlog[b : b + 1])
             for k in acc:
                 acc[k] += g1[k]
         for k in acc:
@@ -329,17 +390,16 @@ class TestDisentangledScores:
         mask[2, 9:] = 0
         _, trace = forward_from_embeddings(p, cfg, rng.normal(size=(3, L, 8)), mask)
         c = trace.layer_caches[0]
-        rel_idx = _rel_index(16, cfg.rel_window)[:L, :L]
+        rel_idx = _rel_tables(16, cfg.rel_window)[0][:L, :L]
         got = attention_scores_disentangled(c["q"], c["k"], c["qr"], c["kr"], rel_idx)
         want = _scores_oracle(c["q"], c["k"], c["qr"], c["kr"], rel_idx)
         assert np.array_equal(got, want)
-        assert np.array_equal(c["scores"], want)
 
 
 class TestActiveLength:
     def test_full_rows(self):
         assert active_length(np.ones((3, 7))) == 7
-        assert active_length(np.ones(7)) == 7
+        assert active_length(np.ones((1, 7))) == 7
 
     def test_mixed_rows(self):
         mask = np.zeros((3, 8))
@@ -347,17 +407,17 @@ class TestActiveLength:
         mask[1, :5] = 1
         mask[2, :1] = 1
         assert active_length(mask) == 5
-        assert active_length(mask[0]) == 3
+        assert active_length(mask[:1]) == 3
 
     def test_interior_gap_kept(self):
-        assert active_length(np.array([1, 0, 1, 0, 0])) == 3
+        assert active_length(np.array([[1, 0, 1, 0, 0]])) == 3
 
     def test_all_pad_rows(self):
         mask = np.zeros((2, 6))
         mask[0, :4] = 1
         assert active_length(mask) == 4  # an all-pad row does not widen the batch
         assert active_length(np.zeros((2, 6))) == 6  # nothing attended: untrimmed
-        assert active_length(np.zeros(6)) == 6
+        assert active_length(np.zeros((1, 6))) == 6
 
 
 class TestTrimmedTrainingStep:

@@ -185,6 +185,16 @@ class TestStratifiedSplit:
         with pytest.raises(DataError, match="DDOS"):
             stratified_split(ds, seed=0)
 
+    @pytest.mark.parametrize(
+        "ratios",
+        [(0.5, 0.5), (0.7, 0.1, 0.1, 0.1), (1.2, -0.1, -0.1), (0.5, float("nan"), 0.5),
+         ("0.7", "0.1", "0.2"), (0.7, 0.1, 0.1)],
+        ids=["two", "four", "negative", "nan", "strings", "bad-sum"],
+    )
+    def test_bad_ratios_rejected(self, ratios):
+        with pytest.raises(DataError, match="three numbers >= 0 summing to 1"):
+            stratified_split(synthetic_imbalanced(), ratios, seed=0)
+
     @given(
         n_b=st.integers(3, 60), n_d=st.integers(3, 40), n_w=st.integers(3, 20),
         seed=st.integers(0, 1000),
@@ -218,5 +228,5 @@ class TestAuditOverlap:
 
     def test_empty(self):
         empty = LabeledDataset(SCHEMA, [])
-        split = flow_data.SplitDataset(empty, empty, empty, 0, (0.7, 0.1, 0.2))
+        split = flow_data.SplitDataset(empty, empty, empty)
         assert set(audit_overlap(split).values()) == {0}
