@@ -69,11 +69,7 @@ class ClassAttributionMatrix:
 
 
 def baseline_embeddings(
-    params: Params,
-    config: EncoderConfig,
-    example: TokenizedExample,
-    kind: str = ALL_PAD_EMBEDDINGS,
-    pad_id: int = 0,
+    params: Params, config: EncoderConfig, kind: str = ALL_PAD_EMBEDDINGS, pad_id: int = 0
 ) -> np.ndarray:
     """ALL_PAD: every token replaced by PAD (positions kept); ZERO: zero matrix."""
     if kind == ZERO_EMBEDDINGS:
@@ -101,7 +97,7 @@ def integrated_gradients(
     changes no result beyond rounding, and their attribution is 0.
     """
     emb = encoder.embed(params, config, example)
-    base = baseline_embeddings(params, config, example, cfg.baseline_kind, pad_id)
+    base = baseline_embeddings(params, config, cfg.baseline_kind, pad_id)
     mask = np.array([example.attention_mask], dtype=np.float64)
     n = encoder.active_length(mask)
 

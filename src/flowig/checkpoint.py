@@ -68,6 +68,10 @@ def load_checkpoint(path) -> tuple[EncoderConfig, Params]:
     except (ValueError, TypeError, KeyError, ConfigError) as e:
         raise DataError(f"{path}: corrupt checkpoint header: {e}") from None
     off += hlen
+    # every layer adds tensors, so this bounds the layout by the file, not the header
+    if config.layers > len(specs):
+        raise DataError(f"{path}: header claims {config.layers} layers"
+                        f" but lists {len(specs)} tensors")
     layout = sorted(param_shapes(config).items())
     if specs != layout:
         expected, found = dict(layout), dict(specs)

@@ -35,11 +35,12 @@ EXIT_NUMERIC = 4
 EXIT_AUDIT = 5
 
 VARIANTS = (encoder.ABSOLUTE, encoder.DISENTANGLED)
+HEATMAP_FORMATS = ("csv", "svg")
 
 # the JSON types a config field of each annotation accepts
 _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict,
                "object": object, "int | None": (int, type(None)), "str | None": (str, type(None)),
-               "tuple[float, float, float]": list, "tuple[str, ...]": list}
+               "tuple[float, float, float]": list}
 
 
 def _check_fields(where: str, data, kind, set_by_run=()) -> None:
@@ -70,7 +71,6 @@ class RunConfig:
     ig: dict = field(default_factory=dict)
     ig_max_examples: int | None = None
     top_k: int = 15
-    heatmap_formats: tuple[str, ...] = ("csv", "svg")
 
     @classmethod
     def from_file(cls, path: str | None) -> "RunConfig":
@@ -88,7 +88,6 @@ class RunConfig:
         _check_fields("ig config", data.get("ig", {}), attribution.IGConfig)
         cfg = cls(**data)
         cfg.ratios = tuple(cfg.ratios)
-        cfg.heatmap_formats = tuple(cfg.heatmap_formats)
         return cfg
 
     def feature_schema(self) -> FeatureSchema:
@@ -104,13 +103,8 @@ class RunConfig:
         return textualize.ValueFormatPolicy(significant_digits=self.significant_digits)
 
     def encoder_config(self, vocab_size: int, variant: str) -> encoder.EncoderConfig:
-        defaults = dict(layers=2, heads=4, d_model=64, d_ff=128, max_seq_len=256)
-        defaults.update(self.encoder)
         return encoder.EncoderConfig(
-            vocab_size=vocab_size,
-            attention_variant=variant,
-            seed=self.seed,
-            **defaults,
+            vocab_size=vocab_size, attention_variant=variant, seed=self.seed, **self.encoder
         )
 
     def train_config(self) -> training.TrainConfig:
@@ -122,7 +116,10 @@ class RunConfig:
 
 @contextmanager
 def _work_dir_lock(work_dir: Path):
-    work_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        work_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create work dir {work_dir}: {e.strerror}") from None
     lock = work_dir / ".lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -197,19 +194,18 @@ def _load_model_and_test(cfg: RunConfig, work: Path):
     return enc_cfg, params, vocab, test_ds, test_ex
 
 
-def _select_examples(pairs, limit):
-    """pairs: list of (hash, TokenizedExample).
+def _select_examples(labels, limit) -> list[int]:
+    """Indices of the examples to attribute, given their labels.
 
     Under a cap, examples are taken round-robin across classes (the first
     of each class, then the second of each, ...) so a cap never starves
     the minority class.
     """
-    if limit is None or limit >= len(pairs):
-        return pairs
+    if limit is None or limit >= len(labels):
+        return list(range(len(labels)))
     ranks = {c: itertools.count() for c in COARSE_LABELS}
-    keys = [(next(ranks[ex.label]), ex.label.value) for _, ex in pairs]
-    order = sorted(range(len(pairs)), key=keys.__getitem__)
-    return [pairs[i] for i in order[: max(limit, 0)]]
+    keys = [(next(ranks[label]), label.value) for label in labels]
+    return sorted(range(len(labels)), key=keys.__getitem__)[: max(limit, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,24 +215,25 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
     """Parse, dedup, and split the input CSV; write manifests and audit reports."""
     if cfg.input_csv is None:
         raise ConfigError("no input_csv configured")
-    if not Path(cfg.input_csv).exists():
-        raise DataError(f"input CSV not found: {cfg.input_csv}")
     schema = cfg.feature_schema()
     policy = cfg.format_policy()
     dataset, parse_report = flow_data.parse_flow_csv(
         cfg.input_csv, schema, cfg.label_column
     )
-    deduped, dedup_report = flow_data.deduplicate(dataset, policy)
+    deduped, dedup_report, hashes = flow_data.deduplicate(dataset, policy)
     split = flow_data.stratified_split(deduped, cfg.ratios, cfg.seed)
-    overlap = flow_data.audit_overlap(split, policy)
+    split_hashes = {
+        name: [hashes[rec] for rec, _ in ds.records] for name, ds in split.splits().items()
+    }
+    overlap = flow_data.audit_overlap(split_hashes)
 
     manifest_lines = []
     for name, ds in split.splits().items():
         data = synthetic.dataset_to_csv_bytes(ds, cfg.label_column)
         write_artifact(work / f"split_{name}.csv", data)
-        for rec, label in ds.records:
-            h = flow_data.record_hash(rec, schema, policy)
-            manifest_lines.append(f"{h}\t{name}\t{label.name}\n")
+        manifest_lines += [
+            f"{h}\t{name}\t{label.name}\n" for h, (_, label) in zip(split_hashes[name], ds.records)
+        ]
     write_artifact(work / "manifest.tsv", "".join(manifest_lines))
 
     report_text = (
@@ -304,22 +301,20 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
     """Build the class x feature attribution heatmap and per-example dump."""
     enc_cfg, params, vocab, test_ds, all_ex = _load_model_and_test(cfg, work)
     schema = cfg.feature_schema()
-    policy = cfg.format_policy()
-    pairs = [
-        (flow_data.record_hash(rec, schema, policy), ex)
-        for (rec, _), ex in zip(test_ds.records, all_ex)
-    ]
-    pairs = _select_examples(pairs, cfg.ig_max_examples)
-    test_ex = [ex for _, ex in pairs]
+    chosen = _select_examples([ex.label for ex in all_ex], cfg.ig_max_examples)
 
     ig_cfg = cfg.ig_config()
     matrix, results = attribution.class_attribution_matrix(
-        params, enc_cfg, test_ex, schema, ig_cfg, cfg.top_k, pad_id=vocab.pad_id
+        params, enc_cfg, [all_ex[i] for i in chosen], schema, ig_cfg, cfg.top_k,
+        pad_id=vocab.pad_id,
     )
-    for fmt in cfg.heatmap_formats:
+    for fmt in HEATMAP_FORMATS:
         data = attribution.export_heatmap(matrix, fmt)
         write_artifact(work / f"heatmap_{cfg.variant}.{fmt}", data)
 
+    # only the attributed rows are hashed, to tie each line to its manifest row
+    policy = cfg.format_policy()
+    hashes = [flow_data.record_hash(test_ds.records[i][0], schema, policy) for i in chosen]
     dump = "".join(
         json.dumps(
             {
@@ -332,7 +327,7 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
             sort_keys=True,
         )
         + "\n"
-        for (h, _), res in zip(pairs, results)
+        for h, res in zip(hashes, results)
     )
     write_artifact(work / f"attributions_{cfg.variant}.jsonl", dump)
     frac = sum(r.tolerance_exceeded for r in results) / len(results)
@@ -391,7 +386,7 @@ def _run_report(cfg: RunConfig, work: Path) -> None:
 
     sections.append("## Heatmaps\n")
     for v in trained:
-        for fmt in cfg.heatmap_formats:
+        for fmt in HEATMAP_FORMATS:
             p = work / f"heatmap_{v}.{fmt}"
             if p.exists():
                 sections.append(f"- `{p.name}`")

@@ -32,7 +32,7 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 @dataclass(frozen=True)
 class EncoderConfig:
     vocab_size: int
-    max_seq_len: int
+    max_seq_len: int = 256
     layers: int = 2
     heads: int = 4
     d_model: int = 64
@@ -91,13 +91,13 @@ def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(config: EncoderConfig, seed: int | None = None) -> Params:
+def init_params(config: EncoderConfig) -> Params:
     """Seeded init: matrices ~ N(0, 1/fan_in), classifier zeroed for uniform logits.
 
     The fan-in of an embedding table is d_model, of a weight matrix its row
     count; layer-norm gains start at 1 and every bias at 0.
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     p: Params = {}
     for name, shape in param_shapes(config).items():
         if name.endswith(".g"):

@@ -133,14 +133,14 @@ def parse_flow_csv(
     """Parse a header-bearing CSV into records in schema column order.
 
     `source` is a binary file-like object or a path. Rows with non-finite or
-    unparseable numeric cells are dropped and tallied; non-UTF-8 bytes raise DataError.
+    unparseable numeric cells are dropped and tallied; an unreadable path or
+    non-UTF-8 bytes raise DataError.
     """
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        stream = open(source, "rb")
-        close = True
-    else:
-        stream = source
+    close = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
+    try:
+        stream = open(source, "rb") if close else source
+    except OSError as e:
+        raise DataError(f"cannot read {source}: {e.strerror}") from None
     try:
         text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
         reader = csv.reader(text)
@@ -192,9 +192,14 @@ def record_hash(record: FlowRecord, schema: FeatureSchema, policy: ValueFormatPo
 
 def deduplicate(
     dataset: LabeledDataset, policy: ValueFormatPolicy = ValueFormatPolicy()
-) -> tuple[LabeledDataset, DedupReport]:
-    """Keep the first occurrence of each serialization hash, in input order."""
+) -> tuple[LabeledDataset, DedupReport, dict[FlowRecord, str]]:
+    """Keep the first occurrence of each serialization hash, in input order.
+
+    Also returns each kept record's hash, its identity in the audit and the
+    manifest, so no later step serializes the record again.
+    """
     seen: dict[str, CoarseLabel] = {}
+    hashes: dict[FlowRecord, str] = {}
     kept: list[tuple[FlowRecord, CoarseLabel]] = []
     conflicts = 0
     for rec, label in dataset.records:
@@ -204,6 +209,7 @@ def deduplicate(
                 conflicts += 1
             continue
         seen[h] = label
+        hashes[rec] = h
         kept.append((rec, label))
     report = DedupReport(
         before=len(dataset.records),
@@ -211,7 +217,7 @@ def deduplicate(
         removed=len(dataset.records) - len(kept),
         label_conflicts=conflicts,
     )
-    return LabeledDataset(dataset.schema, kept), report
+    return LabeledDataset(dataset.schema, kept), report, hashes
 
 
 def largest_remainder_sizes(n: int, ratios: tuple[float, ...]) -> tuple[int, ...]:
@@ -260,13 +266,8 @@ def stratified_split(
     return SplitDataset(*datasets)
 
 
-def audit_overlap(
-    split: SplitDataset, policy: ValueFormatPolicy = ValueFormatPolicy()
-) -> dict[tuple[str, str], int]:
-    """Sizes of pairwise intersections of serialization-hash sets; all 0 on a valid split."""
-    hashes = {
-        name: {record_hash(rec, ds.schema, policy) for rec, _ in ds.records}
-        for name, ds in split.splits().items()
-    }
+def audit_overlap(split_hashes: dict[str, list[str]]) -> dict[tuple[str, str], int]:
+    """Sizes of pairwise intersections of the splits' hash sets; all 0 on a valid split."""
+    sets = {name: set(hashes) for name, hashes in split_hashes.items()}
     pairs = [("train", "validation"), ("train", "test"), ("validation", "test")]
-    return {(a, b): len(hashes[a] & hashes[b]) for a, b in pairs}
+    return {(a, b): len(sets[a] & sets[b]) for a, b in pairs}

@@ -44,24 +44,29 @@ _RAW_LABEL = {
 }
 
 
-def generate_synthetic_dataset(
-    n: int = 3000, seed: int = 0, schema: FeatureSchema = SYNTHETIC_SCHEMA
-) -> LabeledDataset:
+def generate_synthetic_dataset(n: int = 3000, seed: int = 0) -> LabeledDataset:
     rng = np.random.default_rng(seed)
-    planted_idx = {c: schema.names.index(PLANTED_FEATURE[c]) for c in COARSE_LABELS}
+    planted_idx = {c: SYNTHETIC_SCHEMA.names.index(PLANTED_FEATURE[c]) for c in COARSE_LABELS}
     records = []
     for i in range(n):
         label = COARSE_LABELS[i % 3]
-        values = rng.integers(100, 200, size=schema.d).astype(np.float64)
+        values = rng.integers(100, 200, size=SYNTHETIC_SCHEMA.d).astype(np.float64)
         values[planted_idx[label]] = float(rng.integers(900, 1000))
         records.append((FlowRecord(tuple(values), _RAW_LABEL[label]), label))
-    return LabeledDataset(schema, records)
+    return LabeledDataset(SYNTHETIC_SCHEMA, records)
+
+
+def _csv_value(v: float) -> str:
+    """A rendering that parses back to the same float64: integral values as
+    integers, every other value as its shortest round-trip repr."""
+    return str(int(v)) if v.is_integer() else repr(float(v))
 
 
 def dataset_to_csv_bytes(dataset: LabeledDataset, label_column: str = "Label") -> bytes:
+    """The dataset as a flow CSV that `parse_flow_csv` reads back losslessly."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow([*dataset.schema.names, label_column])
     for rec, _ in dataset.records:
-        writer.writerow([*(f"{v:g}" for v in rec.features), rec.raw_label])
+        writer.writerow([*map(_csv_value, rec.features), rec.raw_label])
     return buf.getvalue().encode("utf-8")

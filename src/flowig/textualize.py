@@ -18,7 +18,6 @@ CLAUSE_SEPARATOR = " ; "
 @dataclass(frozen=True)
 class ValueFormatPolicy:
     significant_digits: int = 6
-    integer_passthrough: bool = True
 
     def __post_init__(self):
         if self.significant_digits < 1:
@@ -40,7 +39,7 @@ def format_value(x: float, policy: ValueFormatPolicy = ValueFormatPolicy()) -> s
     """Locale-independent fixed rendering of one feature value."""
     if not math.isfinite(x):
         raise NumericError(f"cannot format non-finite value {x!r}")
-    if policy.integer_passthrough and x == int(x) and abs(x) < _INT_PASSTHROUGH_LIMIT:
+    if x == int(x) and abs(x) < _INT_PASSTHROUGH_LIMIT:
         return str(int(x))
     s = f"{x:.{policy.significant_digits}g}"
     # canonicalize exponent: 1.23457e+06 -> 1.23457e6, 1e-05 -> 1e-5

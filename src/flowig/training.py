@@ -14,6 +14,9 @@ from .evaluation import confusion, metrics, predict_labels
 from .flow_data import COARSE_LABELS, CoarseLabel
 from .tokenizer import TokenizedExample
 
+# Adam's moment decay rates and denominator epsilon
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class ClassWeights:
@@ -26,10 +29,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     patience: int = 3
     seed: int = 0
 
@@ -173,13 +172,11 @@ def train(
             lr = train_config.learning_rate
             for k in keys:
                 g = grads[k]
-                m_state[k] = train_config.beta1 * m_state[k] + (1 - train_config.beta1) * g
-                v_state[k] = train_config.beta2 * v_state[k] + (1 - train_config.beta2) * g * g
-                mhat = m_state[k] / (1 - train_config.beta1**t)
-                vhat = v_state[k] / (1 - train_config.beta2**t)
-                if train_config.weight_decay > 0:
-                    params[k] -= lr * train_config.weight_decay * params[k]
-                params[k] -= lr * mhat / (np.sqrt(vhat) + train_config.adam_eps)
+                m_state[k] = _BETA1 * m_state[k] + (1 - _BETA1) * g
+                v_state[k] = _BETA2 * v_state[k] + (1 - _BETA2) * g * g
+                mhat = m_state[k] / (1 - _BETA1**t)
+                vhat = v_state[k] / (1 - _BETA2**t)
+                params[k] -= lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
             epoch_loss += loss
             n_batches += 1
 

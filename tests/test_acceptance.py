@@ -168,7 +168,7 @@ def test_criterion_3_ig_linear_exactness(vocab, schema):
 
     ex = make_example(vocab, schema, [float(100 + 13 * i) for i in range(schema.d)])
     emb = encoder.embed(params, cfg, ex)
-    base = attribution.baseline_embeddings(params, cfg, ex)
+    base = attribution.baseline_embeddings(params, cfg)
     worst = 0.0
     for steps in (1, 4, 64):
         for c in range(3):
@@ -195,9 +195,11 @@ def _prepare_real_corpus(csv_path: Path):
     names = tuple(h.strip() for h in header if h.strip() != "Label")
     schema = FeatureSchema(names)
     ds, _ = flow_data.parse_flow_csv(csv_path, schema)
-    deduped, report = flow_data.deduplicate(ds)
+    deduped, report, hashes = flow_data.deduplicate(ds)
     split = flow_data.stratified_split(deduped, seed=0)
-    overlap = flow_data.audit_overlap(split)
+    overlap = flow_data.audit_overlap(
+        {name: [hashes[rec] for rec, _ in part.records] for name, part in split.splits().items()}
+    )
     return report, deduped.class_counts(), overlap, split
 
 

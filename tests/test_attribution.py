@@ -31,24 +31,21 @@ def trained_like(vocab):
 
 
 class TestBaseline:
-    def test_all_pad_keeps_positions(self, vocab, schema):
+    def test_all_pad_keeps_positions(self, vocab):
         cfg = small_config(vocab.size, ABSOLUTE, max_seq_len=64, d_model=16, d_ff=24)
         p = init_params(cfg)
-        ex = make_example(vocab, schema, [100.0] * schema.d)
-        base = baseline_embeddings(p, cfg, ex, ALL_PAD_EMBEDDINGS)
+        base = baseline_embeddings(p, cfg, ALL_PAD_EMBEDDINGS)
         want = p["tok_emb"][vocab.pad_id][None] + p["pos_emb"][:64]
         np.testing.assert_allclose(base, want)
 
-    def test_zero(self, vocab, schema, trained_like):
+    def test_zero(self, trained_like):
         cfg, p = trained_like
-        ex = make_example(vocab, schema, [100.0] * schema.d)
-        assert not baseline_embeddings(p, cfg, ex, ZERO_EMBEDDINGS).any()
+        assert not baseline_embeddings(p, cfg, ZERO_EMBEDDINGS).any()
 
-    def test_unknown_kind(self, vocab, schema, trained_like):
+    def test_unknown_kind(self, trained_like):
         cfg, p = trained_like
-        ex = make_example(vocab, schema, [100.0] * schema.d)
         with pytest.raises(ConfigError):
-            baseline_embeddings(p, cfg, ex, "mean_embedding")
+            baseline_embeddings(p, cfg, "mean_embedding")
 
 
 class TestIntegratedGradients:
@@ -73,7 +70,7 @@ class TestIntegratedGradients:
         cfg, p = trained_like
         ex = make_example(vocab, schema, [100.0] * schema.d)
         emb = encoder.embed(p, cfg, ex)
-        base = baseline_embeddings(p, cfg, ex, ALL_PAD_EMBEDDINGS)
+        base = baseline_embeddings(p, cfg, ALL_PAD_EMBEDDINGS)
         delta = emb - base
         # force input == baseline by zeroing the token table difference
         p2 = dict(p)
@@ -125,7 +122,7 @@ def _reference_ig(params, cfg, ex, target, ig_cfg, pad_id):
     """IG without the fast path: the path batch at full max_seq_len with a
     full backward, and F(x), F(x') as two separate batch-of-one forwards."""
     emb = encoder.embed(params, cfg, ex)
-    base = baseline_embeddings(params, cfg, ex, ig_cfg.baseline_kind, pad_id)
+    base = baseline_embeddings(params, cfg, ig_cfg.baseline_kind, pad_id)
     mask = np.array(ex.attention_mask, dtype=np.float64)
     delta = emb - base
     alphas = (np.arange(ig_cfg.steps) + 0.5) / ig_cfg.steps

@@ -161,6 +161,24 @@ def test_oversized_header_config_refused_before_allocating(tmp_path, model):
     assert peak < 1_000_000
 
 
+def test_layer_count_beyond_the_tensor_list_refused_before_building_the_layout(tmp_path, model):
+    # every layer adds tensors, so a header cannot claim more layers than it
+    # lists tensors; the layout is never built for the claimed count
+    cfg, params = model
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, cfg, params)
+    header = _header(path)
+    _rewrite_header(path, {**header, "config": {**header["config"], "layers": 20000}})
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="claims 20000 layers but lists"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def _write_half_then_fail(self, data):
     with open(self, "wb") as f:
         f.write(data[: len(data) // 2])

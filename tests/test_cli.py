@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from flowig import cli, encoder
+from flowig import cli, encoder, flow_data, textualize
 from flowig.attribution import IGConfig
 from flowig.checkpoint import load_checkpoint, save_checkpoint
 from flowig.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
@@ -36,7 +36,7 @@ SMALL_CONFIG = {
 
 
 def write_config(tmp: Path, **overrides) -> Path:
-    data = dict(SMALL_CONFIG, work_dir=str(tmp / "work"), **overrides)
+    data = {**SMALL_CONFIG, "work_dir": str(tmp / "work"), **overrides}
     data.setdefault("input_csv", str(tmp / "flows.csv"))
     path = tmp / "config.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -153,9 +153,17 @@ class TestFailureModes:
             ({"train": {"epochs": "2"}}, "train config key epochs must be int, got '2'"),
             ({"encoder": {"layers": 1.5}}, "encoder config key layers must be int, got 1.5"),
             ({"significant_digits": 0}, "significant_digits must be >= 1"),
+            # keys that were removed because they only ever took one value
+            ({"heatmap_formats": ["csv"]}, "unknown config keys: heatmap_formats"),
+            ({"train": {"weight_decay": 0.0}}, "unknown train config keys: weight_decay"),
+            ({"train": {"beta1": 0.9}}, "unknown train config keys: beta1"),
+            ({"train": {"beta2": 0.999}}, "unknown train config keys: beta2"),
+            ({"train": {"adam_eps": 1e-8}}, "unknown train config keys: adam_eps"),
         ],
         ids=["train-key", "encoder-key", "train-seed", "encoder-vocab", "ig-key", "ig-list",
-             "ratios-number", "train-type", "encoder-type", "significant-digits"],
+             "ratios-number", "train-type", "encoder-type", "significant-digits",
+             "removed-heatmap-formats", "removed-weight-decay", "removed-beta1",
+             "removed-beta2", "removed-adam-eps"],
     )
     def test_bad_config_value(self, tmp_path, overrides, message):
         # refused by prepare with one line, before any artifact is written
@@ -197,6 +205,9 @@ class TestFailureModes:
         cfg = write_config(tmp_path)
         r = run("prepare", "--config", cfg)
         assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [
+            f"error: cannot read {tmp_path / 'flows.csv'}: No such file or directory"
+        ]
 
     def test_no_input_configured(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -250,6 +261,23 @@ class TestFailureModes:
         assert "Traceback" not in r.output
         assert not (tmp_path / "work" / ".lock").exists()
 
+    def test_work_dir_not_creatable(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        work = tmp_path / "file" / "work"
+        cfg = write_config(tmp_path, work_dir=str(work))
+        run("synthetic", "--out", tmp_path / "flows.csv", "--n", 30)
+        r = run("prepare", "--config", cfg)
+        assert r.exit_code == EXIT_CONFIG
+        assert r.output.splitlines() == [f"error: cannot create work dir {work}: Not a directory"]
+        assert not (tmp_path / "file" / ".lock").exists()
+
+    def test_input_csv_is_a_directory(self, tmp_path):
+        cfg = write_config(tmp_path, input_csv=str(tmp_path))
+        r = run("prepare", "--config", cfg)
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [f"error: cannot read {tmp_path}: Is a directory"]
+        assert not (tmp_path / "work" / ".lock").exists()
+
     def test_report_before_train(self, tmp_path):
         cfg = write_config(tmp_path)
         (tmp_path / "flows.csv").write_bytes(b"")
@@ -301,6 +329,58 @@ class TestFailureModes:
             with pytest.raises(SystemExit) as info:
                 cli._fail(exc)
             assert info.value.code == code
+
+
+def _count_serializations(monkeypatch, module) -> list:
+    """Patch `module.serialize` to record each record it serializes."""
+    seen, original = [], module.serialize
+
+    def counting(record, *args, **kwargs):
+        seen.append(record)
+        return original(record, *args, **kwargs)
+
+    monkeypatch.setattr(module, "serialize", counting)
+    return seen
+
+
+class TestSerializationCount:
+    """A row's identity is its serialization hash; each stage computes it as
+    few times as it can."""
+
+    def test_prepare_serializes_each_parsed_row_once(self, tmp_path, monkeypatch):
+        flows = tmp_path / "flows.csv"
+        run("synthetic", "--out", flows, "--n", 60)
+        lines = flows.read_bytes().splitlines(keepends=True)
+        flows.write_bytes(b"".join(lines + lines[-1:]))   # one duplicate row
+        cfg = write_config(tmp_path)
+        hashed = _count_serializations(monkeypatch, flow_data)
+        tokenized = _count_serializations(monkeypatch, textualize)
+        r = run("prepare", "--config", cfg)
+        assert r.exit_code == 0, r.output
+        assert r.output.splitlines()[0] == "61 -> 60"
+        assert len(hashed) == 61
+        assert len({id(rec) for rec in hashed}) == 61
+        assert tokenized == []
+
+    def test_explain_hashes_only_the_rows_it_attributes(self, pipeline, tmp_path, monkeypatch):
+        tmp, cfg = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        hashed = _count_serializations(monkeypatch, flow_data)
+        tokenized = _count_serializations(monkeypatch, textualize)
+        r = run("explain", "--config", cfg, "--work-dir", work)
+        assert r.exit_code == 0, r.output
+        test_rows = [ln.split("\t") for ln in (work / "manifest.tsv").read_text().splitlines()
+                     if ln.split("\t")[1] == "test"]
+        assert len(tokenized) == len(test_rows) > SMALL_CONFIG["ig_max_examples"]
+        assert len(hashed) == SMALL_CONFIG["ig_max_examples"]
+        # each attributed row's hash is the one prepare gave it
+        attributed = [json.loads(ln) for ln in
+                      (work / "attributions_absolute.jsonl").read_text().splitlines()]
+        manifest = {h: label for h, _, label in test_rows}
+        assert [manifest.get(a["hash"]) for a in attributed] == [a["class"] for a in attributed]
+        assert (work / "attributions_absolute.jsonl").read_bytes() == (
+            tmp / "work" / "attributions_absolute.jsonl").read_bytes()
 
 
 # Every command with its summary and options, in help order; the stage
@@ -370,7 +450,8 @@ def test_select_examples_matches_round_robin():
         labels = rng.choice(3, size=n, p=weights)
         pairs = [(f"h{i}", SimpleNamespace(label=COARSE_LABELS[c])) for i, c in enumerate(labels)]
         for limit in (None, -1, 0, 1, 2, 3, n, n + 1, int(rng.integers(0, n + 1))):
-            assert cli._select_examples(pairs, limit) == _round_robin(pairs, limit), (trial, limit)
+            chosen = cli._select_examples([ex.label for _, ex in pairs], limit)
+            assert [pairs[i] for i in chosen] == _round_robin(pairs, limit), (trial, limit)
 
 
 class TestSynthetic:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowig import flow_data
+from flowig import flow_data, synthetic
 from flowig.errors import DataError, SchemaError, UnknownLabelError
 from flowig.flow_data import (
     COARSE_LABELS,
@@ -86,30 +86,38 @@ class TestParseFlowCsv:
 class TestDeduplicate:
     def test_first_occurrence_wins(self):
         ds = make_dataset([((1.0, 2.0), "BENIGN"), ((1.0, 2.0), "DDoS")])
-        deduped, report = deduplicate(ds)
+        deduped, report, _ = deduplicate(ds)
         assert len(deduped) == 1
         assert deduped.records[0][1] is CoarseLabel.BENIGN
         assert report.removed == 1
         assert report.label_conflicts == 1
 
+    def test_returns_the_hash_of_each_kept_record(self):
+        ds = make_dataset([((1.0, 2.0), "BENIGN"), ((1.0, 2.0), "DDoS"), ((3.0, 4.0), "DDoS")])
+        deduped, _, hashes = deduplicate(ds)
+        assert list(hashes) == [rec for rec, _ in deduped.records]
+        for rec, h in hashes.items():
+            assert h == record_hash(rec, SCHEMA, ValueFormatPolicy())
+
     def test_empty(self):
-        deduped, report = deduplicate(LabeledDataset(SCHEMA, []))
+        deduped, report, hashes = deduplicate(LabeledDataset(SCHEMA, []))
         assert (report.before, report.after, report.removed) == (0, 0, 0)
         assert len(deduped) == 0
+        assert hashes == {}
 
     def test_idempotent(self):
         ds = make_dataset(
             [((1.0, 2.0), "BENIGN"), ((1.0, 2.0), "BENIGN"), ((3.0, 4.0), "DDoS")]
         )
-        once, _ = deduplicate(ds)
-        twice, report = deduplicate(once)
+        once, _, _ = deduplicate(ds)
+        twice, report, _ = deduplicate(once)
         assert [r for r in twice.records] == [r for r in once.records]
         assert report.removed == 0
 
     def test_formatting_equivalence_class(self):
         # values equal after 6-sig-digit formatting hash identically
         ds = make_dataset([((0.1 + 0.2, 1.0), "BENIGN"), ((0.3, 1.0), "BENIGN")])
-        deduped, report = deduplicate(ds)
+        deduped, report, _ = deduplicate(ds)
         assert report.after == 1
 
 
@@ -214,19 +222,64 @@ class TestStratifiedSplit:
                 assert lhs <= 1 / len(part) + 1 / total + 1e-12
 
 
+def split_hashes(split):
+    return {
+        name: [record_hash(rec, ds.schema, ValueFormatPolicy()) for rec, _ in ds.records]
+        for name, ds in split.splits().items()
+    }
+
+
 class TestAuditOverlap:
     def test_clean_split(self):
         split = stratified_split(synthetic_imbalanced(), seed=2)
-        assert set(audit_overlap(split).values()) == {0}
+        assert set(audit_overlap(split_hashes(split)).values()) == {0}
 
     def test_injected_fault(self):
         split = stratified_split(synthetic_imbalanced(), seed=2)
         split.test.records.append(split.train.records[0])
-        overlap = audit_overlap(split)
+        overlap = audit_overlap(split_hashes(split))
         assert overlap[("train", "test")] == 1
         assert overlap[("train", "validation")] == 0
 
     def test_empty(self):
         empty = LabeledDataset(SCHEMA, [])
         split = flow_data.SplitDataset(empty, empty, empty)
-        assert set(audit_overlap(split).values()) == {0}
+        assert set(audit_overlap(split_hashes(split)).values()) == {0}
+
+
+DURATION = FeatureSchema(("Flow Duration",))
+
+
+def csv_round_trip(ds):
+    """The dataset written as a split CSV and parsed back, as later stages read it."""
+    parsed, report = parse_flow_csv(io.BytesIO(synthetic.dataset_to_csv_bytes(ds)), ds.schema)
+    assert report.rows_dropped == 0
+    return parsed
+
+
+class TestSplitCsvRoundTrip:
+    def test_distinct_flows_stay_distinct(self):
+        # 6 significant digits would write all four as 1.23457e+06
+        ds = LabeledDataset(DURATION, [
+            (FlowRecord((float(v),), "BENIGN"), CoarseLabel.BENIGN)
+            for v in range(1234567, 1234571)
+        ])
+        assert deduplicate(ds)[1].after == 4
+        parsed = csv_round_trip(ds)
+        assert parsed.records == ds.records
+        assert deduplicate(parsed)[1].after == 4
+
+    def test_integers_written_as_integers(self):
+        ds = make_dataset([((150.0, -1.0), "BENIGN"), ((1e6, 0.25), "DDoS")])
+        lines = synthetic.dataset_to_csv_bytes(ds).decode("utf-8").splitlines()
+        assert lines == ["A,B,Label", "150,-1,BENIGN", "1000000,0.25,DDoS"]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_row_round_trips(self, values):
+        ds = make_dataset([(values, "BENIGN")])
+        (rec, _), = csv_round_trip(ds).records
+        assert rec.features == tuple(values)
+        policy = ValueFormatPolicy()
+        assert record_hash(rec, SCHEMA, policy) == record_hash(ds.records[0][0], SCHEMA, policy)
