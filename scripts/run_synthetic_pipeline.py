@@ -50,11 +50,15 @@ def run(args):
     print(f"\nreport: {work / 'report.md'}")
 
 
-if __name__ == "__main__":
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="runs/synthetic")
     ap.add_argument("--n", type=int, default=3000, help="synthetic flow count")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--epochs", type=int, default=10)
     ap.add_argument("--ig-steps", type=int, default=64)
-    sys.exit(run(ap.parse_args()))
+    return ap.parse_args(argv)
+
+
+if __name__ == "__main__":
+    sys.exit(run(parse_args()))

@@ -175,7 +175,7 @@ def _ckpt_path(work: Path, variant: str) -> Path:
 
 
 def _load_model_and_test(cfg: RunConfig, work: Path):
-    """The variant's checkpoint, the vocab and the tokenized test split.
+    """The variant's checkpoint, the vocab and the parsed test split.
 
     Metrics and heatmaps need every class, so a test split that lacks one
     is a data error.
@@ -190,8 +190,7 @@ def _load_model_and_test(cfg: RunConfig, work: Path):
     missing = [c.name for c in COARSE_LABELS if counts[c] == 0]
     if missing:
         raise DataError(f"class absent from test split: {', '.join(missing)}")
-    test_ex = _tokenize_dataset(test_ds, vocab, cfg, enc_cfg.max_seq_len)
-    return enc_cfg, params, vocab, test_ds, test_ex
+    return enc_cfg, params, vocab, test_ds
 
 
 def _select_examples(labels, limit) -> list[int]:
@@ -286,7 +285,8 @@ def _run_train(cfg: RunConfig, work: Path) -> None:
 
 def _run_evaluate(cfg: RunConfig, work: Path) -> None:
     """Compute the metrics report on the test split."""
-    enc_cfg, params, _, _, test_ex = _load_model_and_test(cfg, work)
+    enc_cfg, params, vocab, test_ds = _load_model_and_test(cfg, work)
+    test_ex = _tokenize_dataset(test_ds, vocab, cfg, enc_cfg.max_seq_len)
     _, preds = training.evaluate_examples(params, enc_cfg, test_ex)
     cm = evaluation.confusion(preds, [e.label for e in test_ex])
     report = evaluation.metrics(cm)
@@ -299,22 +299,25 @@ def _run_evaluate(cfg: RunConfig, work: Path) -> None:
 
 def _run_explain(cfg: RunConfig, work: Path) -> None:
     """Build the class x feature attribution heatmap and per-example dump."""
-    enc_cfg, params, vocab, test_ds, all_ex = _load_model_and_test(cfg, work)
-    schema = cfg.feature_schema()
-    chosen = _select_examples([ex.label for ex in all_ex], cfg.ig_max_examples)
+    enc_cfg, params, vocab, test_ds = _load_model_and_test(cfg, work)
+    schema, policy = test_ds.schema, cfg.format_policy()
+    chosen = _select_examples([label for _, label in test_ds.records], cfg.ig_max_examples)
+    # only the attributed rows are serialized, once each: the text is both
+    # what IG reads and the hash that ties each line to its manifest row
+    rows = [test_ds.records[i] for i in chosen]
+    flows = [textualize.serialize(rec, schema, policy) for rec, _ in rows]
+    examples = [tokenizer.tokenize(flow, vocab, enc_cfg.max_seq_len, label)
+                for flow, (_, label) in zip(flows, rows)]
 
     ig_cfg = cfg.ig_config()
     matrix, results = attribution.class_attribution_matrix(
-        params, enc_cfg, [all_ex[i] for i in chosen], schema, ig_cfg, cfg.top_k,
-        pad_id=vocab.pad_id,
+        params, enc_cfg, examples, schema, ig_cfg, cfg.top_k, pad_id=vocab.pad_id,
     )
     for fmt in HEATMAP_FORMATS:
         data = attribution.export_heatmap(matrix, fmt)
         write_artifact(work / f"heatmap_{cfg.variant}.{fmt}", data)
 
-    # only the attributed rows are hashed, to tie each line to its manifest row
-    policy = cfg.format_policy()
-    hashes = [flow_data.record_hash(test_ds.records[i][0], schema, policy) for i in chosen]
+    hashes = [textualize.text_hash(flow.text) for flow in flows]
     dump = "".join(
         json.dumps(
             {

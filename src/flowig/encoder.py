@@ -185,20 +185,21 @@ def _rel_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def attention_scores_disentangled(q, k_content, qr, kr, rel_idx):
     """Disentangled attention logits for one batch of heads.
 
-    q, k_content: (B, H, L, dh); qr, kr: (H, R, dh) projected relative-position
-    embeddings; rel_idx[i, j] indexes the clipped relative distance from query
-    i to key j. Scale is 1/sqrt(3*dh) because three score terms are summed.
+    q: (B, H, Lq, dh), the first Lq <= L query rows; k_content: (B, H, L, dh);
+    qr, kr: (H, R, dh) projected relative-position embeddings; rel_idx (L, L)
+    indexes the clipped relative distance from query i to key j. Scale is
+    1/sqrt(3*dh) because three score terms are summed.
     """
-    B, H, L, dh = q.shape
-    R = kr.shape[1]
+    B, H, Lq, dh = q.shape
+    L, R = k_content.shape[2], kr.shape[1]
     scores = q @ k_content.swapaxes(-1, -2)
-    qkr = (q @ kr.swapaxes(-1, -2)).reshape(B * H, L * R)  # broadcasts over the batch
+    qkr = (q @ kr.swapaxes(-1, -2)).reshape(B * H, Lq * R)  # broadcasts over the batch
     kqr = (k_content @ qr.swapaxes(-1, -2)).reshape(B * H, L * R)
     # flat[i, j] = i*R + rel_idx[i, j] picks qkr[b, h, i, rel_idx[i, j]] (c2p);
     # its transpose picks kqr[b, h, j, rel_idx[j, i]] (p2c)
     flat = np.arange(L)[:, None] * R + rel_idx
-    scores += np.take(qkr, flat, axis=1).reshape(B, H, L, L)
-    scores += np.take(kqr, flat.T, axis=1).reshape(B, H, L, L)
+    scores += np.take(qkr, flat[:Lq], axis=1).reshape(B, H, Lq, L)
+    scores += np.take(kqr, flat.T[:Lq], axis=1).reshape(B, H, Lq, L)
     scores /= math.sqrt(3.0 * dh)
     return scores
 
@@ -255,6 +256,10 @@ def forward_from_embeddings(
     Takes (B, L, D) embeddings and a (B, L) mask with L <= max_seq_len and
     returns (B, 3) logits. A sequence shorter than max_seq_len runs as the
     first L positions, so trailing padding can be trimmed off.
+
+    The head reads only the CLS position, so the last layer computes keys
+    and values at every position but its queries, attention row, FFN and
+    the final norm at position 0 alone.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     mask = np.asarray(attention_mask, dtype=np.float64)
@@ -280,10 +285,11 @@ def forward_from_embeddings(
 
     for li in range(config.layers):
         pre = f"layers.{li}."
+        Lq = 1 if li == config.layers - 1 else L  # query rows this layer computes
         cache: dict = {"pre": pre}
         h1, cache["ln1"] = _ln_forward(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
         cache["h1"] = h1
-        q = _split_heads(h1 @ params[pre + "attn.wq"] + params[pre + "attn.bq"], H)
+        q = _split_heads(h1[:, :Lq] @ params[pre + "attn.wq"] + params[pre + "attn.bq"], H)
         k = _split_heads(h1 @ params[pre + "attn.wk"] + params[pre + "attn.bk"], H)
         v = _split_heads(h1 @ params[pre + "attn.wv"] + params[pre + "attn.bv"], H)
         cache["q"], cache["k"], cache["v"] = q, k, v
@@ -302,10 +308,10 @@ def forward_from_embeddings(
         cache["o"] = o
         out = o @ params[pre + "attn.wo"] + params[pre + "attn.bo"]
         if training and config.dropout_rate > 0:
-            dm = (dropout_rng.random(drop_shape)[:, :L] >= config.dropout_rate) / keep
+            dm = (dropout_rng.random(drop_shape)[:, :Lq] >= config.dropout_rate) / keep
             cache["attn_drop"] = dm
             out = out * dm
-        x = x + out
+        x = x[:, :Lq] + out
         h2, cache["ln2"] = _ln_forward(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
         cache["h2"] = h2
         a = h2 @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]
@@ -313,13 +319,14 @@ def forward_from_embeddings(
         cache["a"], cache["phi"], cache["g"] = a, phi, g
         y = g @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"]
         if training and config.dropout_rate > 0:
-            dm = (dropout_rng.random(drop_shape)[:, :L] >= config.dropout_rate) / keep
+            dm = (dropout_rng.random(drop_shape)[:, :Lq] >= config.dropout_rate) / keep
             cache["ffn_drop"] = dm
             y = y * dm
         x = x + y
         _check_finite(x, f"encoder layer {li}")
         trace.layer_caches.append(cache)
 
+    x = x[:, :1]  # only the CLS row reaches the head
     if config.use_final_norm:
         hf, trace.final["ln_f"] = _ln_forward(x, params["ln_f.g"], params["ln_f.b"])
     else:
@@ -391,14 +398,13 @@ def backward(
             f"dlogits shape {dlogits.shape} does not match logits {trace.logits.shape}"
         )
     grads = zero_grads_like(params) if param_grads else None
-    H, dh, L = config.heads, config.d_head, trace.mask.shape[1]
+    H, dh = config.heads, config.d_head
+    B, L = trace.mask.shape
 
     if grads is not None:
         grads["head.w"] += trace.final["cls"].T @ dlogits
         grads["head.b"] += dlogits.sum(axis=0)
-    dcls = dlogits @ params["head.w"].T
-    dhf = np.zeros((*trace.mask.shape, config.d_model))
-    dhf[:, 0, :] = dcls
+    dhf = (dlogits @ params["head.w"].T)[:, None, :]  # (B, 1, D): the CLS row
     if config.use_final_norm:
         dx = _ln_backward(dhf, trace.final["ln_f"])
         if grads is not None:
@@ -438,25 +444,25 @@ def backward(
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
 
         q, k = cache["q"], cache["k"]
+        Lq = q.shape[2]
         if config.attention_variant == DISENTANGLED:
             scale = 1.0 / math.sqrt(3.0 * dh)
             ds = dscores * scale
             kr, qr = cache["kr"], cache["qr"]
             onehot = _rel_tables(config.max_seq_len, config.rel_window)[1][:L, :L]
-            B = ds.shape[0]
             dq = ds @ k
             dk = ds.swapaxes(-1, -2) @ q
             # content-to-position: score += q[i] . kr[rel(i,j)]
-            dqkr = (ds.transpose(2, 0, 1, 3).reshape(L, B * H, L) @ onehot)
-            dqkr = dqkr.reshape(L, B, H, -1).transpose(1, 2, 0, 3)  # (B,H,L,R)
+            dqkr = (ds.transpose(2, 0, 1, 3).reshape(Lq, B * H, L) @ onehot[:Lq])
+            dqkr = dqkr.reshape(Lq, B, H, -1).transpose(1, 2, 0, 3)  # (B,H,Lq,R)
             dq += dqkr @ kr
             # position-to-content: score += k[j] . qr[rel(j,i)]
-            dkqr = (ds.transpose(3, 0, 1, 2).reshape(L, B * H, L) @ onehot)
+            dkqr = (ds.transpose(3, 0, 1, 2).reshape(L, B * H, Lq) @ onehot[:, :Lq])
             dkqr = dkqr.reshape(L, B, H, -1).transpose(1, 2, 0, 3)  # (B,H,L,R)
             dk += dkqr @ qr
             if grads is not None:
-                dkr = (dqkr.transpose(1, 3, 0, 2).reshape(H, config.rel_size, B * L)
-                       @ q.transpose(1, 0, 2, 3).reshape(H, B * L, dh))
+                dkr = (dqkr.transpose(1, 3, 0, 2).reshape(H, config.rel_size, B * Lq)
+                       @ q.transpose(1, 0, 2, 3).reshape(H, B * Lq, dh))
                 dqr = (dkqr.transpose(1, 3, 0, 2).reshape(H, config.rel_size, B * L)
                        @ k.transpose(1, 0, 2, 3).reshape(H, B * L, dh))
                 dkr_flat = dkr.transpose(1, 0, 2).reshape(config.rel_size, config.d_model)
@@ -473,22 +479,22 @@ def backward(
         dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
         if grads is not None:
             h1 = cache["h1"]
-            grads[pre + "attn.wq"] += _sum_outer(h1, dq_m)
+            grads[pre + "attn.wq"] += _sum_outer(h1[:, :Lq], dq_m)
             grads[pre + "attn.bq"] += dq_m.sum(axis=(0, 1))
             grads[pre + "attn.wk"] += _sum_outer(h1, dk_m)
             grads[pre + "attn.bk"] += dk_m.sum(axis=(0, 1))
             grads[pre + "attn.wv"] += _sum_outer(h1, dv_m)
             grads[pre + "attn.bv"] += dv_m.sum(axis=(0, 1))
-        dh1 = (
-            dq_m @ params[pre + "attn.wq"].T
-            + dk_m @ params[pre + "attn.wk"].T
-            + dv_m @ params[pre + "attn.wv"].T
-        )
+        dh1 = dk_m @ params[pre + "attn.wk"].T + dv_m @ params[pre + "attn.wv"].T
+        dh1[:, :Lq] += dq_m @ params[pre + "attn.wq"].T
         dx1 = _ln_backward(dh1, cache["ln1"])
         if grads is not None:
             _ln_param_grads(grads, pre + "ln1.", dh1, cache["ln1"])
-        dx = dx + dx1  # residual
+        dx1[:, :Lq] += dx  # residual
+        dx = dx1
 
+    if dx.shape[1] < L:  # no layers: only the CLS row has a gradient
+        dx = np.pad(dx, ((0, 0), (0, L - 1), (0, 0)))
     return grads, dx
 
 

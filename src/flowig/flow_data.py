@@ -133,9 +133,10 @@ def parse_flow_csv(
     """Parse a header-bearing CSV into records in schema column order.
 
     `source` is a binary file-like object or a path. Rows with non-finite or
-    unparseable numeric cells are dropped and tallied; an unreadable path or
-    non-UTF-8 bytes raise DataError.
+    unparseable numeric cells are dropped and tallied; an unreadable path,
+    non-UTF-8 bytes or malformed CSV raise DataError.
     """
+    source_name = getattr(source, "name", source)
     close = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     try:
         stream = open(source, "rb") if close else source
@@ -178,8 +179,9 @@ def parse_flow_csv(
             records.append((FlowRecord(values, raw_label), coarse))
         return LabeledDataset(schema, records), report
     except UnicodeDecodeError as e:
-        name = getattr(source, "name", source)
-        raise DataError(f"{name} is not UTF-8 text: {e.reason}") from None
+        raise DataError(f"{source_name} is not UTF-8 text: {e.reason}") from None
+    except csv.Error as e:
+        raise DataError(f"{source_name} line {reader.line_num}: {e}") from None
     finally:
         text.detach()
         if close:

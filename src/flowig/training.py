@@ -131,6 +131,8 @@ def train(
     """
     if not train_examples:
         raise DataError("training split is empty")
+    if not val_examples:
+        raise DataError("validation split is empty")
     params = {k: v.copy() for k, v in params.items()}
     w_arr = np.asarray(weights.w)
     rng = np.random.default_rng(train_config.seed)

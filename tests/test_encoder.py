@@ -380,20 +380,34 @@ def _scores_oracle(q, k_content, qr, kr, rel_idx):
 
 
 class TestDisentangledScores:
-    @pytest.mark.parametrize("L", [16, 11])
-    def test_bit_identical_to_oracle(self, L):
+    @staticmethod
+    def _first_layer(L):
+        # the first of two layers computes every query row
         rng = np.random.default_rng(14)
-        cfg = small_config(20, DISENTANGLED, layers=1)
+        cfg = small_config(20, DISENTANGLED, layers=2)
         p = randomize_params(init_params(cfg), rng)
         mask = np.ones((3, L))
         mask[0, 6:] = 0
         mask[2, 9:] = 0
         _, trace = forward_from_embeddings(p, cfg, rng.normal(size=(3, L, 8)), mask)
-        c = trace.layer_caches[0]
-        rel_idx = _rel_tables(16, cfg.rel_window)[0][:L, :L]
+        return trace.layer_caches[0], _rel_tables(16, cfg.rel_window)[0][:L, :L]
+
+    @pytest.mark.parametrize("L", [16, 11])
+    def test_bit_identical_to_oracle(self, L):
+        c, rel_idx = self._first_layer(L)
+        assert c["q"].shape[2] == L
         got = attention_scores_disentangled(c["q"], c["k"], c["qr"], c["kr"], rel_idx)
         want = _scores_oracle(c["q"], c["k"], c["qr"], c["kr"], rel_idx)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("L", [16, 11])
+    def test_cls_row_matches_oracle_row_0(self, L):
+        # Lq = 1 query row, as in the last layer: c2p reads row 0 of the
+        # gather index and p2c row 0 of its transpose
+        c, rel_idx = self._first_layer(L)
+        got = attention_scores_disentangled(c["q"][:, :, :1], c["k"], c["qr"], c["kr"], rel_idx)
+        want = _scores_oracle(c["q"], c["k"], c["qr"], c["kr"], rel_idx)[:, :, :1]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestActiveLength:
@@ -466,7 +480,8 @@ class TestTrimmedTrainingStep:
     @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
     def test_dropout_stream_unchanged(self, variant):
         # masks are drawn at (B, max_seq_len, D) in layer order, attention then
-        # FFN, and a trimmed batch keeps the first L positions of each
+        # FFN; a trimmed batch keeps the first L positions of each, and the
+        # last layer, which computes the CLS row only, keeps its first row
         rng = np.random.default_rng(16)
         cfg = small_config(20, variant, layers=2, dropout_rate=0.3)
         p = randomize_params(init_params(cfg), rng)
@@ -478,8 +493,181 @@ class TestTrimmedTrainingStep:
             p, cfg, ids[:, :10], mask[:, :10], training=True, dropout_rng=np.random.default_rng(4)
         )
         replay = np.random.default_rng(4)
-        for c_full, c_trim in zip(full.layer_caches, trim.layer_caches):
+        for li, (c_full, c_trim) in enumerate(zip(full.layer_caches, trim.layer_caches)):
+            last = li == cfg.layers - 1
             for name in ("attn_drop", "ffn_drop"):
                 want = (replay.random((3, 16, 8)) >= cfg.dropout_rate) / (1.0 - cfg.dropout_rate)
-                assert np.array_equal(c_full[name], want)
-                assert np.array_equal(c_trim[name], want[:, :10])
+                assert np.array_equal(c_full[name], want[:, :1] if last else want)
+                assert np.array_equal(c_trim[name], want[:, :1] if last else want[:, :10])
+
+
+# ---------------------------------------------------------------------------
+# The encoder as it was before the last layer went CLS-only: every layer,
+# the last included, computes its queries, attention rows, FFN and the final
+# norm at all L positions, and the backward pass starts from a zero-filled
+# (B, L, D) gradient with the CLS row set.
+
+def _full_length_forward(p, cfg, emb, mask, dropout_rng=None):
+    x = np.asarray(emb, dtype=np.float64)
+    B, L, D = x.shape
+    H, dh = cfg.heads, cfg.d_head
+    bias = _key_mask_bias(mask)
+    rel_idx = _rel_tables(cfg.max_seq_len, cfg.rel_window)[0][:L, :L]
+
+    def dropout(y):
+        if dropout_rng is None:
+            return y, None
+        dm = (dropout_rng.random((B, cfg.max_seq_len, D))[:, :L] >= cfg.dropout_rate)
+        dm = dm / (1.0 - cfg.dropout_rate)
+        return y * dm, dm
+
+    caches = []
+    for li in range(cfg.layers):
+        pre = f"layers.{li}."
+        c = {"pre": pre}
+        c["h1"], c["ln1"] = encoder._ln_forward(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+        proj = {n: c["h1"] @ p[pre + f"attn.w{n}"] + p[pre + f"attn.b{n}"] for n in "qkv"}
+        q, k, v = (encoder._split_heads(proj[n], H) for n in "qkv")
+        c["q"], c["k"], c["v"] = q, k, v
+        if cfg.attention_variant == DISENTANGLED:
+            rel = p["rel_emb"]
+            c["kr"] = (rel @ p[pre + "attn.wk"]).reshape(cfg.rel_size, H, dh).transpose(1, 0, 2)
+            c["qr"] = (rel @ p[pre + "attn.wq"]).reshape(cfg.rel_size, H, dh).transpose(1, 0, 2)
+            scores = _scores_oracle(q, k, c["qr"], c["kr"], rel_idx)
+        else:
+            scores = q @ k.swapaxes(-1, -2) / math.sqrt(dh)
+        c["attn"] = _masked_softmax(scores, bias)
+        c["o"] = encoder._merge_heads(c["attn"] @ v)
+        out, c["attn_drop"] = dropout(c["o"] @ p[pre + "attn.wo"] + p[pre + "attn.bo"])
+        x = x + out
+        c["h2"], c["ln2"] = encoder._ln_forward(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
+        c["a"] = c["h2"] @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"]
+        c["g"], c["phi"] = encoder._gelu_forward(c["a"])
+        y, c["ffn_drop"] = dropout(c["g"] @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"])
+        x = x + y
+        caches.append(c)
+    final = None
+    if cfg.use_final_norm:
+        x, final = encoder._ln_forward(x, p["ln_f.g"], p["ln_f.b"])
+    cls = x[:, 0]
+    return cls @ p["head.w"] + p["head.b"], (caches, final, cls, L)
+
+
+def _full_length_backward(p, cfg, state, dlogits):
+    caches, final, cls, L = state
+    H, dh = cfg.heads, cfg.d_head
+    grads = zero_grads_like(p)
+    grads["head.w"] += cls.T @ dlogits
+    grads["head.b"] += dlogits.sum(axis=0)
+    dx = np.zeros((len(dlogits), L, cfg.d_model))
+    dx[:, 0] = dlogits @ p["head.w"].T
+    if final is not None:
+        encoder._ln_param_grads(grads, "ln_f.", dx, final)
+        dx = encoder._ln_backward(dx, final)
+    for c in reversed(caches):
+        pre = c["pre"]
+        dy = dx if c["ffn_drop"] is None else dx * c["ffn_drop"]
+        grads[pre + "ffn.w2"] += encoder._sum_outer(c["g"], dy)
+        grads[pre + "ffn.b2"] += dy.sum(axis=(0, 1))
+        da = encoder._gelu_backward(dy @ p[pre + "ffn.w2"].T, c["a"], c["phi"])
+        grads[pre + "ffn.w1"] += encoder._sum_outer(c["h2"], da)
+        grads[pre + "ffn.b1"] += da.sum(axis=(0, 1))
+        dh2 = da @ p[pre + "ffn.w1"].T
+        encoder._ln_param_grads(grads, pre + "ln2.", dh2, c["ln2"])
+        dx = dx + encoder._ln_backward(dh2, c["ln2"])
+
+        dout = dx if c["attn_drop"] is None else dx * c["attn_drop"]
+        grads[pre + "attn.wo"] += encoder._sum_outer(c["o"], dout)
+        grads[pre + "attn.bo"] += dout.sum(axis=(0, 1))
+        do_h = encoder._split_heads(dout @ p[pre + "attn.wo"].T, H)
+        attn, q, k, v = c["attn"], c["q"], c["k"], c["v"]
+        dattn = do_h @ v.swapaxes(-1, -2)
+        dv = attn.swapaxes(-1, -2) @ do_h
+        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        if cfg.attention_variant == DISENTANGLED:
+            ds = dscores / math.sqrt(3.0 * dh)
+            rel_idx = _rel_tables(cfg.max_seq_len, cfg.rel_window)[0][:L, :L]
+            # c2p adds q[i] . kr[rel(i, j)]; p2c adds k[j] . qr[rel(j, i)]
+            dqkr = np.zeros((*ds.shape[:3], cfg.rel_size))
+            dkqr = np.zeros((*ds.shape[:3], cfg.rel_size))
+            for i in range(L):
+                for j in range(L):
+                    dqkr[:, :, i, rel_idx[i, j]] += ds[:, :, i, j]
+                    dkqr[:, :, j, rel_idx[j, i]] += ds[:, :, i, j]
+            dq = ds @ k + dqkr @ c["kr"]
+            dk = ds.swapaxes(-1, -2) @ q + dkqr @ c["qr"]
+            dkr = np.einsum("bhlr,bhld->rhd", dqkr, q).reshape(cfg.rel_size, -1)
+            dqr = np.einsum("bhlr,bhld->rhd", dkqr, k).reshape(cfg.rel_size, -1)
+            grads[pre + "attn.wk"] += p["rel_emb"].T @ dkr
+            grads[pre + "attn.wq"] += p["rel_emb"].T @ dqr
+            grads["rel_emb"] += dkr @ p[pre + "attn.wk"].T + dqr @ p[pre + "attn.wq"].T
+        else:
+            ds = dscores / math.sqrt(dh)
+            dq, dk = ds @ k, ds.swapaxes(-1, -2) @ q
+        dh1 = 0.0
+        for n, d in zip("qkv", (dq, dk, dv)):
+            d = encoder._merge_heads(d)
+            grads[pre + f"attn.w{n}"] += encoder._sum_outer(c["h1"], d)
+            grads[pre + f"attn.b{n}"] += d.sum(axis=(0, 1))
+            dh1 = dh1 + d @ p[pre + f"attn.w{n}"].T
+        encoder._ln_param_grads(grads, pre + "ln1.", dh1, c["ln1"])
+        dx = dx + encoder._ln_backward(dh1, c["ln1"])
+    return grads, dx
+
+
+class TestClsOnlyLastLayer:
+    """The CLS-only last layer against the full-length reference above."""
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "dropout"])
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_matches_full_length_reference(self, variant, layers, training):
+        rng = np.random.default_rng(17 + layers)
+        cfg = small_config(20, variant, layers=layers, dropout_rate=0.2 if training else 0.0)
+        p = randomize_params(init_params(cfg), rng)
+        emb = rng.normal(size=(3, 12, 8))
+        mask = np.ones((3, 12))
+        mask[0, 7:] = 0
+        mask[2, 10:] = 0
+        dlog = rng.normal(size=(3, 3))
+
+        def rng_or_none():
+            return np.random.default_rng(5) if training else None
+
+        want, state = _full_length_forward(p, cfg, emb, mask, rng_or_none())
+        want_grads, want_demb = _full_length_backward(p, cfg, state, dlog)
+        got, trace = forward_from_embeddings(
+            p, cfg, emb, mask, training=training, dropout_rng=rng_or_none()
+        )
+        grads, demb = backward(p, trace, dlog)
+        _, demb_only = backward(p, trace, dlog, param_grads=False)
+
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert demb.shape == emb.shape
+        np.testing.assert_allclose(demb, want_demb, rtol=1e-12, atol=0)
+        assert np.array_equal(demb_only, demb)
+        assert grads.keys() == want_grads.keys()
+        scale = max(np.abs(g).max() for g in want_grads.values())
+        for k in want_grads:
+            # the absolute key bias adds q_i . bk to every score of row i,
+            # which the softmax cancels: its exact gradient is 0, so both
+            # sides hold rounding noise only
+            zero_grad = variant == ABSOLUTE and k.endswith("attn.bk")
+            np.testing.assert_allclose(
+                grads[k], want_grads[k], rtol=1e-12, atol=1e-12 * scale if zero_grad else 0,
+                err_msg=k,
+            )
+
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_last_layer_keeps_cls_row_only(self, variant):
+        rng = np.random.default_rng(18)
+        cfg = small_config(20, variant, layers=2)
+        p = randomize_params(init_params(cfg), rng)
+        _, trace = forward_from_embeddings(p, cfg, rng.normal(size=(3, 12, 8)), np.ones((3, 12)))
+        first, last = trace.layer_caches
+        assert first["q"].shape == (3, cfg.heads, 12, cfg.d_head)
+        assert last["q"].shape == (3, cfg.heads, 1, cfg.d_head)
+        assert last["k"].shape == last["v"].shape == first["k"].shape
+        assert last["attn"].shape == (3, cfg.heads, 1, 12)
+        assert last["g"].shape == (3, 1, cfg.d_ff)
+        assert trace.final["ln_f"][0].shape == (3, 1, cfg.d_model)

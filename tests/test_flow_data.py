@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowig import flow_data, synthetic
-from flowig.errors import DataError, SchemaError, UnknownLabelError
+from flowig.errors import DataError, FlowigError, SchemaError, UnknownLabelError
 from flowig.flow_data import (
     COARSE_LABELS,
     CoarseLabel,
@@ -81,6 +81,27 @@ class TestParseFlowCsv:
         csv_bytes = b"B,Label,A\r\n2,BENIGN,1\r\n"
         ds, _ = parse_flow_csv(io.BytesIO(csv_bytes), SCHEMA)
         assert ds.records[0][0].features == (1.0, 2.0)
+
+    # cells that stress the CSV reader: NUL, stray and doubled quotes, line
+    # breaks inside a cell, a cell past the reader's field size limit, and
+    # numbers and labels that do or do not parse
+    _CELL = st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+        st.sampled_from(["\x00", '"', '""', '"1"', '1"2', "\n", "\r", "\r\n", ",", "1",
+                         "-0.5", "1e309", "nan", "inf", "BENIGN", "DDoS", "Web Attack - XSS",
+                         "9" * 200_000]),
+    )
+
+    @given(st.lists(st.lists(_CELL, min_size=1, max_size=4), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_any_cell_text_parses_or_raises_flowig_error(self, rows):
+        body = "".join(",".join(cells) + "\r\n" for cells in rows)
+        csv_bytes = ("A,B,Label\r\n" + body).encode("utf-8")
+        try:
+            ds, report = parse_flow_csv(io.BytesIO(csv_bytes), SCHEMA)
+        except FlowigError:
+            return
+        assert report.rows_total == len(ds) + report.rows_dropped
 
 
 class TestDeduplicate:
