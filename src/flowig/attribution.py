@@ -22,18 +22,18 @@ from .tokenizer import TokenizedExample
 ALL_PAD_EMBEDDINGS = "all_pad_embeddings"
 ZERO_EMBEDDINGS = "zero_embeddings"
 
+# an example whose relative completeness gap exceeds this is flagged
+COMPLETENESS_TOLERANCE = 0.01
+
 
 @dataclass(frozen=True)
 class IGConfig:
     steps: int = 64
     baseline_kind: str = ALL_PAD_EMBEDDINGS
-    completeness_tolerance: float = 0.01  # relative
 
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("IG steps must be >= 1")
-        if self.completeness_tolerance <= 0:
-            raise ConfigError("completeness tolerance must be positive")
         if self.baseline_kind not in (ALL_PAD_EMBEDDINGS, ZERO_EMBEDDINGS):
             raise ConfigError(f"unknown baseline kind {self.baseline_kind!r}")
 
@@ -46,26 +46,17 @@ class AttributionResult:
     target_class: CoarseLabel
     completeness_gap: float        # sum(token_attr) - (F(x) - F(x'))
     output_delta: float            # F(x) - F(x')
-    completeness_tolerance: float  # relative
 
     @property
     def relative_gap(self) -> float:
         denom = abs(self.output_delta)
         return abs(self.completeness_gap) / denom if denom > 0 else 0.0
 
-    @property
-    def tolerance_exceeded(self) -> bool:
-        return self.relative_gap > self.completeness_tolerance
-
 
 @dataclass(frozen=True)
 class ClassAttributionMatrix:
     feature_names: tuple[str, ...]          # top-K, global rank order
     values: np.ndarray                      # (3, K) mean |feature_attr| per class
-    sample_counts: tuple[int, int, int]
-
-    def class_row(self, label: CoarseLabel) -> np.ndarray:
-        return self.values[label.value]
 
 
 def baseline_embeddings(
@@ -133,7 +124,6 @@ def integrated_gradients(
         target_class=target_class,
         completeness_gap=float(token_attr.sum() - output_delta),
         output_delta=output_delta,
-        completeness_tolerance=cfg.completeness_tolerance,
     )
 
 
@@ -170,11 +160,8 @@ def class_attribution_matrix(
 
     Each example is attributed toward its true label.
     """
-    counts = {c: 0 for c in COARSE_LABELS}
-    for e in examples:
-        if e.label is not None:
-            counts[e.label] += 1
-    empty = [c.name for c in COARSE_LABELS if counts[c] == 0]
+    labels = np.array([e.label.value for e in examples])
+    empty = [c.name for c in COARSE_LABELS if c.value not in labels]
     if empty:
         raise DataError(f"no examples for class: {', '.join(empty)}")
 
@@ -189,17 +176,10 @@ def class_attribution_matrix(
     # stable sort keeps schema order among ties
     order = np.argsort(-global_score, kind="stable")[:top_k]
 
-    values = np.zeros((3, top_k))
-    sample_counts = [0, 0, 0]
-    for c in COARSE_LABELS:
-        sel = [i for i, e in enumerate(examples) if e.label == c]
-        sample_counts[c.value] = len(sel)
-        if sel:
-            values[c.value] = abs_attr[sel][:, order].mean(axis=0)
     matrix = ClassAttributionMatrix(
         feature_names=tuple(schema.names[i] for i in order),
-        values=values,
-        sample_counts=tuple(sample_counts),
+        values=np.stack([abs_attr[labels == c.value][:, order].mean(axis=0)
+                         for c in COARSE_LABELS]),
     )
     return matrix, results
 
@@ -213,7 +193,7 @@ def export_heatmap_csv(matrix: ClassAttributionMatrix) -> bytes:
     writer.writerow(["class", *matrix.feature_names])
     for c in COARSE_LABELS:
         writer.writerow(
-            [c.name, *(format_value(float(v)) for v in matrix.class_row(c))]
+            [c.name, *(format_value(float(v)) for v in matrix.values[c.value])]
         )
     return buf.getvalue().encode("utf-8")
 

@@ -159,15 +159,13 @@ def _load_split(work: Path, name: str, cfg: RunConfig) -> LabeledDataset:
     return ds
 
 
-def _tokenize_dataset(
-    ds: LabeledDataset, vocab, cfg: RunConfig, max_seq_len: int
-) -> list[tokenizer.TokenizedExample]:
+def _examples(records, schema: FeatureSchema, vocab, cfg: RunConfig, max_seq_len: int):
+    """Each (record, label)'s text flow and tokenized example, serializing it once."""
     policy = cfg.format_policy()
-    out = []
-    for rec, label in ds.records:
-        flow = textualize.serialize(rec, ds.schema, policy)
-        out.append(tokenizer.tokenize(flow, vocab, max_seq_len, label))
-    return out
+    flows = [textualize.serialize(rec, schema, policy) for rec, _ in records]
+    examples = [tokenizer.tokenize(flow, vocab, max_seq_len, label)
+                for flow, (_, label) in zip(flows, records)]
+    return flows, examples
 
 
 def _ckpt_path(work: Path, variant: str) -> Path:
@@ -258,13 +256,13 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
 def _run_train(cfg: RunConfig, work: Path) -> None:
     """Train the selected attention variant on the prepared splits."""
     vocab = tokenizer.build_vocab(cfg.feature_schema())
-    write_artifact(work / "vocab.tsv", vocab.to_lines())
     enc_cfg = cfg.encoder_config(vocab.size, cfg.variant)
+    write_artifact(work / "vocab.tsv", vocab.to_lines())
 
     train_ds = _load_split(work, "train", cfg)
     val_ds = _load_split(work, "validation", cfg)
-    train_ex = _tokenize_dataset(train_ds, vocab, cfg, enc_cfg.max_seq_len)
-    val_ex = _tokenize_dataset(val_ds, vocab, cfg, enc_cfg.max_seq_len)
+    _, train_ex = _examples(train_ds.records, train_ds.schema, vocab, cfg, enc_cfg.max_seq_len)
+    _, val_ex = _examples(val_ds.records, val_ds.schema, vocab, cfg, enc_cfg.max_seq_len)
 
     counts = train_ds.class_counts()
     weights = training.class_weights(tuple(counts[c] for c in COARSE_LABELS))
@@ -286,7 +284,7 @@ def _run_train(cfg: RunConfig, work: Path) -> None:
 def _run_evaluate(cfg: RunConfig, work: Path) -> None:
     """Compute the metrics report on the test split."""
     enc_cfg, params, vocab, test_ds = _load_model_and_test(cfg, work)
-    test_ex = _tokenize_dataset(test_ds, vocab, cfg, enc_cfg.max_seq_len)
+    _, test_ex = _examples(test_ds.records, test_ds.schema, vocab, cfg, enc_cfg.max_seq_len)
     _, preds = training.evaluate_examples(params, enc_cfg, test_ex)
     cm = evaluation.confusion(preds, [e.label for e in test_ex])
     report = evaluation.metrics(cm)
@@ -300,14 +298,13 @@ def _run_evaluate(cfg: RunConfig, work: Path) -> None:
 def _run_explain(cfg: RunConfig, work: Path) -> None:
     """Build the class x feature attribution heatmap and per-example dump."""
     enc_cfg, params, vocab, test_ds = _load_model_and_test(cfg, work)
-    schema, policy = test_ds.schema, cfg.format_policy()
+    schema = test_ds.schema
     chosen = _select_examples([label for _, label in test_ds.records], cfg.ig_max_examples)
     # only the attributed rows are serialized, once each: the text is both
     # what IG reads and the hash that ties each line to its manifest row
-    rows = [test_ds.records[i] for i in chosen]
-    flows = [textualize.serialize(rec, schema, policy) for rec, _ in rows]
-    examples = [tokenizer.tokenize(flow, vocab, enc_cfg.max_seq_len, label)
-                for flow, (_, label) in zip(flows, rows)]
+    flows, examples = _examples(
+        [test_ds.records[i] for i in chosen], schema, vocab, cfg, enc_cfg.max_seq_len
+    )
 
     ig_cfg = cfg.ig_config()
     matrix, results = attribution.class_attribution_matrix(
@@ -333,11 +330,12 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
         for h, res in zip(hashes, results)
     )
     write_artifact(work / f"attributions_{cfg.variant}.jsonl", dump)
-    frac = sum(r.tolerance_exceeded for r in results) / len(results)
+    tolerance = attribution.COMPLETENESS_TOLERANCE
+    frac = sum(r.relative_gap > tolerance for r in results) / len(results)
     summary = (
         f"examples: {len(results)}\n"
         f"ig_steps: {ig_cfg.steps}\n"
-        f"completeness_tolerance: {ig_cfg.completeness_tolerance}\n"
+        f"completeness_tolerance: {tolerance}\n"
         f"fraction_exceeding_tolerance: {frac:.6f}\n"
     )
     write_artifact(work / f"completeness_{cfg.variant}.txt", summary)
@@ -419,8 +417,8 @@ def _stage(run, *options) -> None:
     """Register `_run_<name>` as the `flowig <name>` command.
 
     The command applies the flag overrides to the config, checks the
-    variant, holds the work-dir lock while `run` works, and turns every
-    FlowigError into its one-line message and exit code.
+    variant, seed and top-K, holds the work-dir lock while `run` works, and
+    turns every FlowigError into its one-line message and exit code.
     """
 
     def command(config_path, steps=None, **overrides):
@@ -433,6 +431,10 @@ def _stage(run, *options) -> None:
                 cfg.ig = dict(cfg.ig, steps=steps)
             if cfg.variant not in VARIANTS:
                 raise ConfigError(f"unknown attention variant {cfg.variant!r}")
+            if cfg.seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+            if cfg.top_k < 1:
+                raise ConfigError(f"top_k must be >= 1, got {cfg.top_k}")
             work = Path(cfg.work_dir)
             with _work_dir_lock(work):
                 run(cfg, work)

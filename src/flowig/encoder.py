@@ -45,6 +45,12 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        lows = {"vocab_size": 1, "max_seq_len": 1, "layers": 0, "heads": 1,
+                "d_model": 1, "d_ff": 1, "rel_window": 0}
+        for name, low in lows.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigError(f"encoder {name} must be >= {low}, got {value}")
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by heads={self.heads}"
@@ -55,8 +61,6 @@ class EncoderConfig:
             raise ConfigError(f"unknown attention variant {self.attention_variant!r}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout_rate must be in [0, 1)")
-        if self.layers < 0 or self.vocab_size < 1 or self.max_seq_len < 1:
-            raise ConfigError("invalid encoder dimensions")
 
     @property
     def d_head(self) -> int:

@@ -19,12 +19,6 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
-class ClassWeights:
-    w: tuple[float, float, float]            # after clipping
-    unclipped: tuple[float, float, float]    # mean-normalized 1/sqrt(n_c)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
@@ -57,20 +51,14 @@ class TrainingLog:
 
 def class_weights(
     counts: tuple[int, int, int], clip: tuple[float, float] = (0.25, 10.0)
-) -> ClassWeights:
+) -> tuple[float, float, float]:
     """w_c proportional to 1/sqrt(n_c), mean-normalized to 1, then clipped."""
-    lo, hi = clip
     arr = np.asarray(counts, dtype=np.float64)
     if (arr <= 0).any():
         missing = [COARSE_LABELS[i].name for i in np.where(arr <= 0)[0]]
         raise DataError(f"class absent from training data: {', '.join(missing)}")
     inv = 1.0 / np.sqrt(arr)
-    w = inv / inv.mean()
-    clipped = np.clip(w, lo, hi)
-    return ClassWeights(
-        w=tuple(float(v) for v in clipped),
-        unclipped=tuple(float(v) for v in w),
-    )
+    return tuple(float(v) for v in np.clip(inv / inv.mean(), *clip))
 
 
 def _batch_loss(
@@ -121,7 +109,7 @@ def train(
     config: EncoderConfig,
     train_examples: list[TokenizedExample],
     val_examples: list[TokenizedExample],
-    weights: ClassWeights,
+    weights: tuple[float, float, float],
     train_config: TrainConfig = TrainConfig(),
 ) -> tuple[Params, TrainingLog]:
     """Adam training; returns the checkpoint with best validation macro-F1.
@@ -134,7 +122,7 @@ def train(
     if not val_examples:
         raise DataError("validation split is empty")
     params = {k: v.copy() for k, v in params.items()}
-    w_arr = np.asarray(weights.w)
+    w_arr = np.asarray(weights)
     rng = np.random.default_rng(train_config.seed)
     m_state = encoder.zero_grads_like(params)
     v_state = encoder.zero_grads_like(params)

@@ -227,8 +227,8 @@ def test_criterion_4_protocol_numbers():
 
 
 def test_criterion_5_class_weight_formula():
-    cw = class_weights((243211, 121606, 2053), clip=(0.0, math.inf))
-    ratio = cw.unclipped[2] / cw.unclipped[0]
+    unclipped = class_weights((243211, 121606, 2053), clip=(0.0, math.inf))
+    ratio = unclipped[2] / unclipped[0]
     expected = math.sqrt(243211 / 2053)
     ok = abs(ratio - expected) < 1e-9
     check(5, "class-weight formula", ok, f"ratio {ratio:.12f} vs {expected:.12f}")

@@ -110,12 +110,13 @@ def _header(path) -> dict:
         lambda h: [1, 2],
         lambda h: {**h, "config": {**h["config"], "botnet": 1}},
         lambda h: {**h, "config": {**h["config"], "heads": 3}},
+        lambda h: {**h, "config": {**h["config"], "heads": 0}},
         lambda h: {"config": h["config"]},
         lambda h: {**h, "tensors": [{"name": "x", "shape": [-2, -4]}]},
         lambda h: {**h, "tensors": h["tensors"][::-1]},
     ],
-    ids=["not-json", "not-object", "unknown-key", "bad-value", "no-tensors", "negative-shape",
-         "reordered"],
+    ids=["not-json", "not-object", "unknown-key", "bad-value", "zero-heads", "no-tensors",
+         "negative-shape", "reordered"],
 )
 def test_corrupt_header_raises_data_error(tmp_path, model, corrupt):
     cfg, params = model

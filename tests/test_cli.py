@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from flowig import cli, encoder, flow_data, textualize
+from flowig import cli, encoder, flow_data, textualize, tokenizer
 from flowig.attribution import IGConfig
 from flowig.checkpoint import load_checkpoint, save_checkpoint
 from flowig.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
@@ -159,11 +159,17 @@ class TestFailureModes:
             ({"train": {"beta1": 0.9}}, "unknown train config keys: beta1"),
             ({"train": {"beta2": 0.999}}, "unknown train config keys: beta2"),
             ({"train": {"adam_eps": 1e-8}}, "unknown train config keys: adam_eps"),
+            ({"ig": {"completeness_tolerance": 0.05}},
+             "unknown ig config keys: completeness_tolerance"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"top_k": 0}, "top_k must be >= 1, got 0"),
+            ({"top_k": -1}, "top_k must be >= 1, got -1"),
         ],
         ids=["train-key", "encoder-key", "train-seed", "encoder-vocab", "ig-key", "ig-list",
              "ratios-number", "train-type", "encoder-type", "significant-digits",
              "removed-heatmap-formats", "removed-weight-decay", "removed-beta1",
-             "removed-beta2", "removed-adam-eps"],
+             "removed-beta2", "removed-adam-eps", "removed-completeness-tolerance",
+             "negative-seed", "top-k-zero", "top-k-negative"],
     )
     def test_bad_config_value(self, tmp_path, overrides, message):
         # refused by prepare with one line, before any artifact is written
@@ -173,6 +179,46 @@ class TestFailureModes:
         assert r.exit_code == EXIT_CONFIG
         assert r.output.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "work" / "split_train.csv").exists()
+
+    @pytest.mark.parametrize("stage", ["prepare", "train"])
+    def test_negative_seed_flag(self, tmp_path, stage):
+        cfg = write_config(tmp_path)
+        run("synthetic", "--out", tmp_path / "flows.csv", "--n", 30)
+        r = run(stage, "--config", cfg, "--seed", -1)
+        assert r.exit_code == EXIT_CONFIG
+        assert r.output.splitlines() == ["error: seed must be >= 0, got -1"]
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, low",
+        [("heads", 0, 1), ("heads", -4, 1), ("d_model", 0, 1), ("d_ff", 0, 1),
+         ("rel_window", -2, 0)],
+        ids=["heads-zero", "heads-negative", "d-model-zero", "d-ff-zero", "rel-window-negative"],
+    )
+    def test_bad_encoder_dimension(self, pipeline, tmp_path, field, value, low):
+        tmp, _ = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        (work / "vocab.tsv").unlink()
+        cfg = write_config(tmp_path, encoder={**SMALL_CONFIG["encoder"], field: value})
+        r = run("train", "--config", cfg, "--variant", "disentangled")
+        assert r.exit_code == EXIT_CONFIG
+        assert r.output.splitlines() == [f"error: encoder {field} must be >= {low}, got {value}"]
+        assert not (work / "vocab.tsv").exists()
+        assert not (work / "model_disentangled.ckpt").exists()
+        assert not (work / ".lock").exists()
+
+    def test_explain_top_k_zero_writes_nothing(self, pipeline, tmp_path):
+        tmp, cfg = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        for fmt in cli.HEATMAP_FORMATS:
+            (work / f"heatmap_absolute.{fmt}").unlink()
+        r = run("explain", "--config", cfg, "--work-dir", work, "--top-k", 0)
+        assert r.exit_code == EXIT_CONFIG
+        assert r.output.splitlines() == ["error: top_k must be >= 1, got 0"]
+        assert not list(work.glob("heatmap_*"))
+        assert not (work / ".lock").exists()
 
     def test_every_config_field_has_a_json_type(self):
         for kind in (cli.RunConfig, encoder.EncoderConfig, TrainConfig, IGConfig):
@@ -500,3 +546,22 @@ class TestSynthetic:
         run("synthetic", "--out", tmp_path / "a.csv", "--n", 30)
         text = (tmp_path / "a.csv").read_text(encoding="utf-8")
         assert "BENIGN" in text and "DDoS" in text and "Web Attack" in text
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_config_builds(tmp_path):
+    # README's config.json block is the documented starting point: a removed
+    # or renamed key must not leave it stale
+    block = re.search(r"cat > config\.json <<'EOF'\n(.*?\n)EOF\n",
+                      README.read_text(encoding="utf-8"), re.S)
+    assert block, "README has no config.json block"
+    path = tmp_path / "config.json"
+    path.write_text(block.group(1), encoding="utf-8")
+    cfg = cli.RunConfig.from_file(str(path))
+    vocab_size = tokenizer.build_vocab(cfg.feature_schema()).size
+    for variant in cli.VARIANTS:
+        assert cfg.encoder_config(vocab_size, variant).attention_variant == variant
+    assert cfg.train_config().epochs == 10
+    assert cfg.ig_config().steps == 64

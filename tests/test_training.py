@@ -17,24 +17,24 @@ from conftest import make_example, randomize_params, small_config
 class TestClassWeights:
     def test_hand_check(self):
         # counts (4, 1, 1): inverse sqrts (1/2, 1, 1), mean 5/6
-        cw = class_weights((4, 1, 1))
-        np.testing.assert_allclose(cw.w, (0.6, 1.2, 1.2), atol=1e-15)
+        np.testing.assert_allclose(class_weights((4, 1, 1)), (0.6, 1.2, 1.2), atol=1e-15)
 
     def test_equal_counts(self):
-        np.testing.assert_allclose(class_weights((7, 7, 7)).w, 1.0, atol=1e-15)
+        np.testing.assert_allclose(class_weights((7, 7, 7)), 1.0, atol=1e-15)
 
     def test_corpus_ratio(self):
         # ratio of rarest to most common weight equals sqrt(n_max / n_min)
-        cw = class_weights((243211, 121606, 2053), clip=(0.0, math.inf))
-        got = cw.w[2] / cw.w[0]
+        w = class_weights((243211, 121606, 2053), clip=(0.0, math.inf))
+        got = w[2] / w[0]
         assert abs(got - math.sqrt(243211 / 2053)) < 1e-9
 
     def test_clipping(self):
-        cw = class_weights((1000000, 100, 100), clip=(0.25, 1.2))
-        assert cw.w[1] == cw.w[2] == 1.2
-        assert cw.w[0] == 0.25
-        assert cw.unclipped[1] > 1.2
-        assert cw.unclipped[0] < 0.25
+        w = class_weights((1000000, 100, 100), clip=(0.25, 1.2))
+        assert w[1] == w[2] == 1.2
+        assert w[0] == 0.25
+        unclipped = class_weights((1000000, 100, 100), clip=(0.0, math.inf))
+        assert unclipped[1] > 1.2
+        assert unclipped[0] < 0.25
 
     def test_missing_class(self):
         with pytest.raises(DataError, match="WEB_ATTACK"):
@@ -43,10 +43,10 @@ class TestClassWeights:
     @given(st.tuples(*[st.integers(1, 10**7)] * 3))
     @settings(max_examples=50)
     def test_unclipped_mean_one(self, counts):
-        cw = class_weights(counts, clip=(0.0, math.inf))
-        assert abs(sum(cw.unclipped) / 3 - 1.0) < 1e-12
+        unclipped = class_weights(counts, clip=(0.0, math.inf))
+        assert abs(sum(unclipped) / 3 - 1.0) < 1e-12
         order = np.argsort(counts)
-        w = np.asarray(cw.w)[order]
+        w = np.asarray(unclipped)[order]
         assert all(w[i] >= w[i + 1] - 1e-15 for i in range(2))
 
 
@@ -54,8 +54,8 @@ class TestWeightedCrossEntropy:
     """The batched loss `_batch_loss`: mean class-weighted cross-entropy."""
 
     def test_uniform_logits(self):
-        cw = class_weights((5, 5, 5))
-        loss, _ = _batch_loss(np.zeros((1, 3)), np.array([0]), np.asarray(cw.w))
+        w = np.asarray(class_weights((5, 5, 5)))
+        loss, _ = _batch_loss(np.zeros((1, 3)), np.array([0]), w)
         assert abs(loss - math.log(3)) < 1e-12
 
     def test_weight_doubles_loss(self):
@@ -68,7 +68,7 @@ class TestWeightedCrossEntropy:
 
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(0)
-        w = np.asarray(class_weights((4, 1, 1)).w)
+        w = np.asarray(class_weights((4, 1, 1)))
         z = rng.normal(size=(2, 3))
         labels = np.array([CoarseLabel.DDOS.value, CoarseLabel.BENIGN.value])
         _, grad = _batch_loss(z, labels, w)
@@ -81,7 +81,7 @@ class TestWeightedCrossEntropy:
             assert abs(fd - grad[idx]) < 1e-8
 
     def test_grad_sums_to_zero(self):
-        w = np.asarray(class_weights((3, 3, 3)).w)
+        w = np.asarray(class_weights((3, 3, 3)))
         z = np.array([[5.0, -2.0, 0.1], [0.0, 1.0, -1.0]])
         labels = np.array([CoarseLabel.WEB_ATTACK.value, CoarseLabel.DDOS.value])
         _, grad = _batch_loss(z, labels, w)
@@ -115,8 +115,7 @@ class TestTrain:
         cfg = small_config(vocab.size, max_seq_len=64, d_model=16, d_ff=24, dropout_rate=0.1)
         tc = TrainConfig(epochs=kw.pop("epochs", 3), batch_size=8, seed=kw.pop("seed", 0), **kw)
         params = encoder.init_params(cfg)
-        cw = class_weights((8, 8, 8))
-        best, log = train(params, cfg, train_ex, val_ex, cw, tc)
+        best, log = train(params, cfg, train_ex, val_ex, class_weights((8, 8, 8)), tc)
         return best, log
 
     def test_loss_decreases(self, vocab, corpus):
