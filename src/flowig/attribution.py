@@ -19,9 +19,6 @@ from .flow_data import COARSE_LABELS, CoarseLabel, FeatureSchema
 from .textualize import format_value
 from .tokenizer import TokenizedExample
 
-ALL_PAD_EMBEDDINGS = "all_pad_embeddings"
-ZERO_EMBEDDINGS = "zero_embeddings"
-
 # an example whose relative completeness gap exceeds this is flagged
 COMPLETENESS_TOLERANCE = 0.01
 
@@ -29,13 +26,10 @@ COMPLETENESS_TOLERANCE = 0.01
 @dataclass(frozen=True)
 class IGConfig:
     steps: int = 64
-    baseline_kind: str = ALL_PAD_EMBEDDINGS
 
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("IG steps must be >= 1")
-        if self.baseline_kind not in (ALL_PAD_EMBEDDINGS, ZERO_EMBEDDINGS):
-            raise ConfigError(f"unknown baseline kind {self.baseline_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -59,14 +53,8 @@ class ClassAttributionMatrix:
     values: np.ndarray                      # (3, K) mean |feature_attr| per class
 
 
-def baseline_embeddings(
-    params: Params, config: EncoderConfig, kind: str = ALL_PAD_EMBEDDINGS, pad_id: int = 0
-) -> np.ndarray:
-    """ALL_PAD: every token replaced by PAD (positions kept); ZERO: zero matrix."""
-    if kind == ZERO_EMBEDDINGS:
-        return np.zeros((config.max_seq_len, config.d_model))
-    if kind != ALL_PAD_EMBEDDINGS:
-        raise ConfigError(f"unknown baseline kind {kind!r}")
+def baseline_embeddings(params: Params, config: EncoderConfig, pad_id: int = 0) -> np.ndarray:
+    """The IG baseline: every token replaced by PAD, position embeddings kept."""
     pad_ids = np.full((1, config.max_seq_len), pad_id, dtype=np.int64)
     return encoder.embed_ids(params, config, pad_ids)[0]
 
@@ -88,7 +76,7 @@ def integrated_gradients(
     changes no result beyond rounding, and their attribution is 0.
     """
     emb = encoder.embed(params, config, example)
-    base = baseline_embeddings(params, config, cfg.baseline_kind, pad_id)
+    base = baseline_embeddings(params, config, pad_id)
     mask = np.array([example.attention_mask], dtype=np.float64)
     n = encoder.active_length(mask)
 

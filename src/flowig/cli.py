@@ -58,6 +58,13 @@ def _check_fields(where: str, data, kind, set_by_run=()) -> None:
 
 @dataclass
 class RunConfig:
+    """The run's settings, checked whole when they are loaded.
+
+    Construction refuses every out-of-range value and builds, once, the
+    feature schema, format policy, vocabulary and encoder, train and IG
+    configs that the stages read, so a bad value fails every stage before
+    it takes the work-dir lock.
+    """
     work_dir: str = "work"
     input_csv: str | None = None
     schema: object = "synthetic"          # "synthetic" or explicit feature-name list
@@ -72,46 +79,58 @@ class RunConfig:
     ig_max_examples: int | None = None
     top_k: int = 15
 
+    def __post_init__(self):
+        self.ratios = tuple(self.ratios)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.top_k < 1:
+            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
+        # under one example per class, the round-robin pick leaves a class out
+        if self.ig_max_examples is not None and self.ig_max_examples < len(COARSE_LABELS):
+            raise ConfigError(
+                f"ig_max_examples must be >= {len(COARSE_LABELS)}, got {self.ig_max_examples}"
+            )
+        if self.schema == "synthetic":
+            self._schema = synthetic.SYNTHETIC_SCHEMA
+        elif isinstance(self.schema, (list, tuple)):
+            self._schema = FeatureSchema(names=tuple(self.schema))
+        else:
+            raise ConfigError('schema must be "synthetic" or an explicit list of feature names')
+        self._policy = textualize.ValueFormatPolicy(significant_digits=self.significant_digits)
+        self.vocab = tokenizer.build_vocab(self._schema)
+        self.encoder_cfg = encoder.EncoderConfig(
+            vocab_size=self.vocab.size, attention_variant=self.variant, seed=self.seed,
+            **self.encoder,
+        )
+        self.train_cfg = training.TrainConfig(seed=self.seed, **self.train)
+        self.ig_cfg = attribution.IGConfig(**self.ig)
+
     @classmethod
-    def from_file(cls, path: str | None) -> "RunConfig":
-        if path is None:
-            return cls()
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
-            raise ConfigError(f"cannot read config {path}: {e}")
-        _check_fields("config", data, cls)
-        # the run itself sets the vocabulary size, the variant and the seed
-        _check_fields("encoder config", data.get("encoder", {}), encoder.EncoderConfig,
-                      ("vocab_size", "attention_variant", "seed"))
-        _check_fields("train config", data.get("train", {}), training.TrainConfig, ("seed",))
-        _check_fields("ig config", data.get("ig", {}), attribution.IGConfig)
-        cfg = cls(**data)
-        cfg.ratios = tuple(cfg.ratios)
-        return cfg
+    def from_file(cls, path: str | None, steps: int | None = None, **overrides) -> "RunConfig":
+        """The config at `path` (the defaults if None) with every override
+        that is not None applied over it; `steps` overrides `ig.steps`."""
+        data = {}
+        if path is not None:
+            try:
+                data = json.loads(Path(path).read_text(encoding="utf-8"))
+            except (OSError, json.JSONDecodeError) as e:
+                raise ConfigError(f"cannot read config {path}: {e}")
+            _check_fields("config", data, cls)
+            # the run itself sets the vocabulary size, the variant and the seed
+            _check_fields("encoder config", data.get("encoder", {}), encoder.EncoderConfig,
+                          ("vocab_size", "attention_variant", "seed"))
+            _check_fields("train config", data.get("train", {}), training.TrainConfig, ("seed",))
+            _check_fields("ig config", data.get("ig", {}), attribution.IGConfig)
+        data.update((key, value) for key, value in overrides.items() if value is not None)
+        if steps is not None:
+            data["ig"] = dict(data.get("ig", {}), steps=steps)
+        return cls(**data)
 
     def feature_schema(self) -> FeatureSchema:
-        if self.schema == "synthetic":
-            return synthetic.SYNTHETIC_SCHEMA
-        if isinstance(self.schema, (list, tuple)):
-            return FeatureSchema(names=tuple(self.schema))
-        raise ConfigError(
-            'schema must be "synthetic" or an explicit list of feature names'
-        )
+        return self._schema
 
     def format_policy(self) -> textualize.ValueFormatPolicy:
-        return textualize.ValueFormatPolicy(significant_digits=self.significant_digits)
-
-    def encoder_config(self, vocab_size: int, variant: str) -> encoder.EncoderConfig:
-        return encoder.EncoderConfig(
-            vocab_size=vocab_size, attention_variant=variant, seed=self.seed, **self.encoder
-        )
-
-    def train_config(self) -> training.TrainConfig:
-        return training.TrainConfig(seed=self.seed, **self.train)
-
-    def ig_config(self) -> attribution.IGConfig:
-        return attribution.IGConfig(**self.ig)
+        return self._policy
 
 
 @contextmanager
@@ -159,11 +178,11 @@ def _load_split(work: Path, name: str, cfg: RunConfig) -> LabeledDataset:
     return ds
 
 
-def _examples(records, schema: FeatureSchema, vocab, cfg: RunConfig, max_seq_len: int):
+def _examples(records, cfg: RunConfig, max_seq_len: int):
     """Each (record, label)'s text flow and tokenized example, serializing it once."""
-    policy = cfg.format_policy()
+    schema, policy = cfg.feature_schema(), cfg.format_policy()
     flows = [textualize.serialize(rec, schema, policy) for rec, _ in records]
-    examples = [tokenizer.tokenize(flow, vocab, max_seq_len, label)
+    examples = [tokenizer.tokenize(flow, cfg.vocab, max_seq_len, label)
                 for flow, (_, label) in zip(flows, records)]
     return flows, examples
 
@@ -173,7 +192,7 @@ def _ckpt_path(work: Path, variant: str) -> Path:
 
 
 def _load_model_and_test(cfg: RunConfig, work: Path):
-    """The variant's checkpoint, the vocab and the parsed test split.
+    """The variant's checkpoint and the parsed test split.
 
     Metrics and heatmaps need every class, so a test split that lacks one
     is a data error.
@@ -182,13 +201,12 @@ def _load_model_and_test(cfg: RunConfig, work: Path):
     if not ckpt.exists():
         raise DataError(f"missing checkpoint {ckpt}; run `flowig train` first")
     enc_cfg, params = checkpoint.load_checkpoint(ckpt)
-    vocab = tokenizer.build_vocab(cfg.feature_schema())
     test_ds = _load_split(work, "test", cfg)
     counts = test_ds.class_counts()
     missing = [c.name for c in COARSE_LABELS if counts[c] == 0]
     if missing:
         raise DataError(f"class absent from test split: {', '.join(missing)}")
-    return enc_cfg, params, vocab, test_ds
+    return enc_cfg, params, test_ds
 
 
 def _select_examples(labels, limit) -> list[int]:
@@ -255,21 +273,18 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
 
 def _run_train(cfg: RunConfig, work: Path) -> None:
     """Train the selected attention variant on the prepared splits."""
-    vocab = tokenizer.build_vocab(cfg.feature_schema())
-    enc_cfg = cfg.encoder_config(vocab.size, cfg.variant)
-    write_artifact(work / "vocab.tsv", vocab.to_lines())
+    enc_cfg = cfg.encoder_cfg
+    write_artifact(work / "vocab.tsv", cfg.vocab.to_lines())
 
     train_ds = _load_split(work, "train", cfg)
     val_ds = _load_split(work, "validation", cfg)
-    _, train_ex = _examples(train_ds.records, train_ds.schema, vocab, cfg, enc_cfg.max_seq_len)
-    _, val_ex = _examples(val_ds.records, val_ds.schema, vocab, cfg, enc_cfg.max_seq_len)
+    _, train_ex = _examples(train_ds.records, cfg, enc_cfg.max_seq_len)
+    _, val_ex = _examples(val_ds.records, cfg, enc_cfg.max_seq_len)
 
     counts = train_ds.class_counts()
     weights = training.class_weights(tuple(counts[c] for c in COARSE_LABELS))
     params = encoder.init_params(enc_cfg)
-    best, log = training.train(
-        params, enc_cfg, train_ex, val_ex, weights, cfg.train_config()
-    )
+    best, log = training.train(params, enc_cfg, train_ex, val_ex, weights, cfg.train_cfg)
     checkpoint.save_checkpoint(_ckpt_path(work, cfg.variant), enc_cfg, best)
     log_lines = [
         json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n" for rec in log.epochs
@@ -283,8 +298,8 @@ def _run_train(cfg: RunConfig, work: Path) -> None:
 
 def _run_evaluate(cfg: RunConfig, work: Path) -> None:
     """Compute the metrics report on the test split."""
-    enc_cfg, params, vocab, test_ds = _load_model_and_test(cfg, work)
-    _, test_ex = _examples(test_ds.records, test_ds.schema, vocab, cfg, enc_cfg.max_seq_len)
+    enc_cfg, params, test_ds = _load_model_and_test(cfg, work)
+    _, test_ex = _examples(test_ds.records, cfg, enc_cfg.max_seq_len)
     _, preds = training.evaluate_examples(params, enc_cfg, test_ex)
     cm = evaluation.confusion(preds, [e.label for e in test_ex])
     report = evaluation.metrics(cm)
@@ -297,18 +312,14 @@ def _run_evaluate(cfg: RunConfig, work: Path) -> None:
 
 def _run_explain(cfg: RunConfig, work: Path) -> None:
     """Build the class x feature attribution heatmap and per-example dump."""
-    enc_cfg, params, vocab, test_ds = _load_model_and_test(cfg, work)
-    schema = test_ds.schema
+    enc_cfg, params, test_ds = _load_model_and_test(cfg, work)
     chosen = _select_examples([label for _, label in test_ds.records], cfg.ig_max_examples)
     # only the attributed rows are serialized, once each: the text is both
     # what IG reads and the hash that ties each line to its manifest row
-    flows, examples = _examples(
-        [test_ds.records[i] for i in chosen], schema, vocab, cfg, enc_cfg.max_seq_len
-    )
-
-    ig_cfg = cfg.ig_config()
+    flows, examples = _examples([test_ds.records[i] for i in chosen], cfg, enc_cfg.max_seq_len)
     matrix, results = attribution.class_attribution_matrix(
-        params, enc_cfg, examples, schema, ig_cfg, cfg.top_k, pad_id=vocab.pad_id,
+        params, enc_cfg, examples, cfg.feature_schema(), cfg.ig_cfg, cfg.top_k,
+        pad_id=cfg.vocab.pad_id,
     )
     for fmt in HEATMAP_FORMATS:
         data = attribution.export_heatmap(matrix, fmt)
@@ -334,7 +345,7 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
     frac = sum(r.relative_gap > tolerance for r in results) / len(results)
     summary = (
         f"examples: {len(results)}\n"
-        f"ig_steps: {ig_cfg.steps}\n"
+        f"ig_steps: {cfg.ig_cfg.steps}\n"
         f"completeness_tolerance: {tolerance}\n"
         f"fraction_exceeding_tolerance: {frac:.6f}\n"
     )
@@ -416,25 +427,14 @@ def main():
 def _stage(run, *options) -> None:
     """Register `_run_<name>` as the `flowig <name>` command.
 
-    The command applies the flag overrides to the config, checks the
-    variant, seed and top-K, holds the work-dir lock while `run` works, and
-    turns every FlowigError into its one-line message and exit code.
+    The command loads the config with the flag overrides, holds the
+    work-dir lock while `run` works, and turns every FlowigError into its
+    one-line message and exit code.
     """
 
-    def command(config_path, steps=None, **overrides):
+    def command(config_path, **overrides):
         try:
-            cfg = RunConfig.from_file(config_path)
-            for key, value in overrides.items():
-                if value is not None:
-                    setattr(cfg, key, value)
-            if steps is not None:
-                cfg.ig = dict(cfg.ig, steps=steps)
-            if cfg.variant not in VARIANTS:
-                raise ConfigError(f"unknown attention variant {cfg.variant!r}")
-            if cfg.seed < 0:
-                raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-            if cfg.top_k < 1:
-                raise ConfigError(f"top_k must be >= 1, got {cfg.top_k}")
+            cfg = RunConfig.from_file(config_path, **overrides)
             work = Path(cfg.work_dir)
             with _work_dir_lock(work):
                 run(cfg, work)
@@ -467,6 +467,10 @@ _stage(_run_report)
 @click.option("--seed", type=int, default=0)
 def cmd_synthetic(out, n, seed):
     """Write the bundled synthetic 3-class fixture as a flow CSV."""
+    if n < 1:
+        _fail(ConfigError(f"n must be >= 1, got {n}"))
+    if seed < 0:
+        _fail(ConfigError(f"seed must be >= 0, got {seed}"))
     ds = synthetic.generate_synthetic_dataset(n=n, seed=seed)
     try:
         write_artifact(Path(out), synthetic.dataset_to_csv_bytes(ds))

@@ -3,9 +3,7 @@ import pytest
 
 from flowig import attribution, encoder
 from flowig.attribution import (
-    ALL_PAD_EMBEDDINGS,
     COMPLETENESS_TOLERANCE,
-    ZERO_EMBEDDINGS,
     ClassAttributionMatrix,
     IGConfig,
     aggregate_to_features,
@@ -35,18 +33,9 @@ class TestBaseline:
     def test_all_pad_keeps_positions(self, vocab):
         cfg = small_config(vocab.size, ABSOLUTE, max_seq_len=64, d_model=16, d_ff=24)
         p = init_params(cfg)
-        base = baseline_embeddings(p, cfg, ALL_PAD_EMBEDDINGS)
+        base = baseline_embeddings(p, cfg, vocab.pad_id)
         want = p["tok_emb"][vocab.pad_id][None] + p["pos_emb"][:64]
         np.testing.assert_allclose(base, want)
-
-    def test_zero(self, trained_like):
-        cfg, p = trained_like
-        assert not baseline_embeddings(p, cfg, ZERO_EMBEDDINGS).any()
-
-    def test_unknown_kind(self, trained_like):
-        cfg, p = trained_like
-        with pytest.raises(ConfigError):
-            baseline_embeddings(p, cfg, "mean_embedding")
 
 
 class TestIntegratedGradients:
@@ -71,7 +60,7 @@ class TestIntegratedGradients:
         cfg, p = trained_like
         ex = make_example(vocab, schema, [100.0] * schema.d)
         emb = encoder.embed(p, cfg, ex)
-        base = baseline_embeddings(p, cfg, ALL_PAD_EMBEDDINGS)
+        base = baseline_embeddings(p, cfg, vocab.pad_id)
         delta = emb - base
         # force input == baseline by zeroing the token table difference
         p2 = dict(p)
@@ -123,7 +112,7 @@ def _reference_ig(params, cfg, ex, target, ig_cfg, pad_id):
     """IG without the fast path: the path batch at full max_seq_len with a
     full backward, and F(x), F(x') as two separate batch-of-one forwards."""
     emb = encoder.embed(params, cfg, ex)
-    base = baseline_embeddings(params, cfg, ig_cfg.baseline_kind, pad_id)
+    base = baseline_embeddings(params, cfg, pad_id)
     mask = np.array(ex.attention_mask, dtype=np.float64)
     delta = emb - base
     alphas = (np.arange(ig_cfg.steps) + 0.5) / ig_cfg.steps
@@ -149,9 +138,8 @@ def _reference_ig(params, cfg, ex, target, ig_cfg, pad_id):
 
 class TestFastPathMatchesReference:
     @pytest.mark.parametrize("padded", [True, False], ids=["padded", "unpadded"])
-    @pytest.mark.parametrize("kind", [ALL_PAD_EMBEDDINGS, ZERO_EMBEDDINGS])
     @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
-    def test_matches_reference(self, vocab, schema, variant, kind, padded):
+    def test_matches_reference(self, vocab, schema, variant, padded):
         values = [float(100 + 37 * i) for i in range(schema.d)]
         active = sum(make_example(vocab, schema, values).attention_mask)
         max_len = 64 if padded else active
@@ -161,7 +149,7 @@ class TestFastPathMatchesReference:
         )
         p = randomize_params(init_params(cfg), np.random.default_rng(21))
         ex = make_example(vocab, schema, values, max_seq_len=max_len)
-        ig_cfg = IGConfig(steps=16, baseline_kind=kind)
+        ig_cfg = IGConfig(steps=16)
         pad_id = vocab.pad_id
 
         res = integrated_gradients(p, cfg, ex, CoarseLabel.DDOS, ig_cfg, pad_id)

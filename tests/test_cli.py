@@ -43,6 +43,18 @@ def write_config(tmp: Path, **overrides) -> Path:
     return path
 
 
+# out-of-range values that only one stage reads; every stage refuses them at load
+LOAD_REFUSALS = [
+    ({"ig": {"steps": 0}}, "IG steps must be >= 1"),
+    ({"train": {"epochs": 0}}, "epochs, batch_size and learning_rate must be positive"),
+    ({"encoder": {"heads": 0}}, "encoder heads must be >= 1, got 0"),
+    ({"ig_max_examples": 2}, "ig_max_examples must be >= 3, got 2"),
+    ({"variant": "bogus"}, "unknown attention variant 'bogus'"),
+]
+LOAD_REFUSAL_IDS = ["ig-steps-zero", "train-epochs-zero", "encoder-heads-zero",
+                    "ig-max-examples-two", "variant-bogus"]
+
+
 def run(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
 
@@ -161,24 +173,39 @@ class TestFailureModes:
             ({"train": {"adam_eps": 1e-8}}, "unknown train config keys: adam_eps"),
             ({"ig": {"completeness_tolerance": 0.05}},
              "unknown ig config keys: completeness_tolerance"),
+            ({"ig": {"baseline_kind": "zero_embeddings"}},
+             "unknown ig config keys: baseline_kind"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
             ({"top_k": 0}, "top_k must be >= 1, got 0"),
             ({"top_k": -1}, "top_k must be >= 1, got -1"),
+            *LOAD_REFUSALS,
         ],
         ids=["train-key", "encoder-key", "train-seed", "encoder-vocab", "ig-key", "ig-list",
              "ratios-number", "train-type", "encoder-type", "significant-digits",
              "removed-heatmap-formats", "removed-weight-decay", "removed-beta1",
              "removed-beta2", "removed-adam-eps", "removed-completeness-tolerance",
-             "negative-seed", "top-k-zero", "top-k-negative"],
+             "removed-baseline-kind", "negative-seed", "top-k-zero", "top-k-negative",
+             *LOAD_REFUSAL_IDS],
     )
     def test_bad_config_value(self, tmp_path, overrides, message):
-        # refused by prepare with one line, before any artifact is written
+        # refused by prepare with one line, before the work dir is created
         cfg = write_config(tmp_path, **overrides)
         run("synthetic", "--out", tmp_path / "flows.csv", "--n", 30)
         r = run("prepare", "--config", cfg)
         assert r.exit_code == EXIT_CONFIG
         assert r.output.splitlines() == [f"error: {message}"]
-        assert not (tmp_path / "work" / "split_train.csv").exists()
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("stage", ["prepare", "train", "evaluate", "explain", "report"])
+    @pytest.mark.parametrize("overrides, message", LOAD_REFUSALS, ids=LOAD_REFUSAL_IDS)
+    def test_every_stage_refuses_at_load(self, tmp_path, stage, overrides, message):
+        # a value only one stage reads is refused by every stage, before it
+        # creates the work dir or takes the lock
+        cfg = write_config(tmp_path, **overrides)
+        r = run(stage, "--config", cfg)
+        assert r.exit_code == EXIT_CONFIG
+        assert r.output.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "work").exists()
 
     @pytest.mark.parametrize("stage", ["prepare", "train"])
     def test_negative_seed_flag(self, tmp_path, stage):
@@ -219,6 +246,18 @@ class TestFailureModes:
         assert r.output.splitlines() == ["error: top_k must be >= 1, got 0"]
         assert not list(work.glob("heatmap_*"))
         assert not (work / ".lock").exists()
+
+    def test_explain_steps_flag_overrides_config(self, pipeline, tmp_path):
+        tmp, cfg = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        r = run("explain", "--config", cfg, "--work-dir", work, "--steps", 0)
+        assert r.exit_code == EXIT_CONFIG
+        assert r.output.splitlines() == ["error: IG steps must be >= 1"]
+        assert not (work / ".lock").exists()
+        r = run("explain", "--config", cfg, "--work-dir", work, "--steps", 3)
+        assert r.exit_code == 0, r.output
+        assert "ig_steps: 3\n" in (work / "completeness_absolute.txt").read_text()
 
     def test_every_config_field_has_a_json_type(self):
         for kind in (cli.RunConfig, encoder.EncoderConfig, TrainConfig, IGConfig):
@@ -542,6 +581,19 @@ class TestSynthetic:
         assert r.output.splitlines() == [f"error: cannot write {out}: No such file or directory"]
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--seed", -1, "seed must be >= 0, got -1"), ("--n", -5, "n must be >= 1, got -5"),
+         ("--n", 0, "n must be >= 1, got 0")],
+        ids=["seed-negative", "n-negative", "n-zero"],
+    )
+    def test_bad_value_writes_nothing(self, tmp_path, flag, value, message):
+        out = tmp_path / "x.csv"
+        r = run("synthetic", "--out", out, flag, value)
+        assert r.exit_code == EXIT_CONFIG
+        assert r.output.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_has_all_labels(self, tmp_path):
         run("synthetic", "--out", tmp_path / "a.csv", "--n", 30)
         text = (tmp_path / "a.csv").read_text(encoding="utf-8")
@@ -560,8 +612,10 @@ def test_readme_config_builds(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(block.group(1), encoding="utf-8")
     cfg = cli.RunConfig.from_file(str(path))
-    vocab_size = tokenizer.build_vocab(cfg.feature_schema()).size
+    assert cfg.encoder_cfg.vocab_size == tokenizer.build_vocab(cfg.feature_schema()).size
+    assert (cfg.encoder_cfg.d_model, cfg.encoder_cfg.max_seq_len) == (64, 64)
+    assert cfg.train_cfg.epochs == 10
+    assert cfg.ig_cfg.steps == 64
     for variant in cli.VARIANTS:
-        assert cfg.encoder_config(vocab_size, variant).attention_variant == variant
-    assert cfg.train_config().epochs == 10
-    assert cfg.ig_config().steps == 64
+        built = cli.RunConfig.from_file(str(path), variant=variant).encoder_cfg
+        assert built.attention_variant == variant
