@@ -34,7 +34,7 @@ class IGConfig:
 
 @dataclass(frozen=True)
 class AttributionResult:
-    token_attr: np.ndarray         # (max_seq_len,), signed, 0 past the active length
+    token_attr: np.ndarray         # (max_seq_len,), signed, 0 past the example's length
     feature_attr: np.ndarray       # (d,), signed, span sums
     structural_residue: float      # attribution on CLS/SEP/PAD positions
     target_class: CoarseLabel
@@ -71,24 +71,22 @@ def integrated_gradients(
 
     The batch holds the `steps` path points, then the input (alpha = 1) and
     the baseline (alpha = 0), whose logits give F(x) - F(x'). It runs at the
-    example's active length (last attended position + 1): keys past it are
-    masked for every query and nothing reads their outputs, so trimming them
-    changes no result beyond rounding, and their attribution is 0.
+    example's own length, since examples carry no padding; `token_attr` is 0
+    past it.
     """
     emb = encoder.embed(params, config, example)
-    base = baseline_embeddings(params, config, pad_id)
-    mask = np.array([example.attention_mask], dtype=np.float64)
-    n = encoder.active_length(mask)
+    n = len(example.ids)
+    base = baseline_embeddings(params, config, pad_id)[:n]
 
     steps = cfg.steps
-    delta = emb[:n] - base[:n]
+    delta = emb - base
     alphas = (np.arange(steps) + 0.5) / steps
     points = np.empty((steps + 2, n, config.d_model))
-    points[:steps] = base[None, :n] + alphas[:, None, None] * delta[None]
-    points[steps] = emb[:n]
-    points[steps + 1] = base[:n]
+    points[:steps] = base[None] + alphas[:, None, None] * delta[None]
+    points[steps] = emb
+    points[steps + 1] = base
     logits, trace = encoder.forward_from_embeddings(
-        params, config, points, np.tile(mask[:, :n], (steps + 2, 1))
+        params, config, points, np.ones((steps + 2, n))
     )
     t = target_class.value
     dlogits = np.zeros_like(logits)
@@ -98,7 +96,9 @@ def integrated_gradients(
     if not np.all(np.isfinite(path_grads)):
         bad = int(np.where(~np.isfinite(path_grads).all(axis=(1, 2)))[0][0])
         raise NumericError(f"non-finite gradient at integration step {bad}")
-    token_attr = np.zeros(mask.shape[1])
+    # full width: numpy's pairwise sum rounds by array length, and
+    # completeness_gap sums this array
+    token_attr = np.zeros(config.max_seq_len)
     token_attr[:n] = (delta * path_grads.mean(axis=0)).sum(axis=-1)
 
     output_delta = float(logits[steps, t] - logits[steps + 1, t])

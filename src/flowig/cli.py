@@ -80,7 +80,7 @@ class RunConfig:
     top_k: int = 15
 
     def __post_init__(self):
-        self.ratios = tuple(self.ratios)
+        self.ratios = flow_data.check_split_ratios(self.ratios)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.top_k < 1:

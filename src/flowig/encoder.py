@@ -208,16 +208,6 @@ def attention_scores_disentangled(q, k_content, qr, kr, rel_idx):
     return scores
 
 
-def active_length(mask: np.ndarray) -> int:
-    """Last position attended in any row of a (B, L) mask, plus 1.
-
-    Later positions are keys every query masks out, so dropping them changes
-    logits only by rounding. A mask with nothing attended keeps its length.
-    """
-    attended = (np.asarray(mask) > 0).any(axis=0)
-    return len(attended) - int(np.argmax(attended[::-1]))
-
-
 def _key_mask_bias(mask):
     """Additive score bias (B, 1, 1, L) from a (B, L) key mask: 0 = attend, -inf = not."""
     return np.where(mask[:, None, None, :] > 0, 0.0, -np.inf)

@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SchemaError, UnknownLabelError, DataError
+from .errors import ConfigError, SchemaError, UnknownLabelError, DataError
 from .textualize import ValueFormatPolicy, serialize, text_hash
 
 
@@ -29,9 +29,9 @@ class FeatureSchema:
 
     def __post_init__(self):
         if len(self.names) < 1:
-            raise SchemaError("schema must have at least one feature")
+            raise ConfigError("schema must have at least one feature")
         if len(set(self.names)) != len(self.names):
-            raise SchemaError("schema feature names must be unique")
+            raise ConfigError("schema feature names must be unique")
 
     @property
     def d(self) -> int:
@@ -234,15 +234,21 @@ def largest_remainder_sizes(n: int, ratios: tuple[float, ...]) -> tuple[int, ...
     return tuple(base)
 
 
+def check_split_ratios(ratios) -> tuple[float, float, float]:
+    """`ratios` as a tuple, refused unless three numbers >= 0 summing to 1."""
+    ratios = tuple(ratios)
+    if (len(ratios) != 3 or not all(isinstance(r, (int, float)) and r >= 0 for r in ratios)
+            or abs(sum(ratios) - 1.0) > 1e-9):
+        raise ConfigError(f"split ratios must be three numbers >= 0 summing to 1, got {ratios}")
+    return ratios
+
+
 def stratified_split(
     dataset: LabeledDataset,
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
     seed: int = 0,
 ) -> SplitDataset:
     """Seeded per-class shuffle then largest-remainder partition into train/val/test."""
-    if (len(ratios) != 3 or not all(isinstance(r, (int, float)) and r >= 0 for r in ratios)
-            or abs(sum(ratios) - 1.0) > 1e-9):
-        raise DataError(f"split ratios must be three numbers >= 0 summing to 1, got {ratios}")
     by_class: dict[CoarseLabel, list[int]] = {c: [] for c in COARSE_LABELS}
     for i, (_, label) in enumerate(dataset.records):
         by_class[label].append(i)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SchemaError, TruncationError, DataError
+from .errors import ConfigError, TruncationError, DataError
 from .flow_data import CoarseLabel, FeatureSchema
 from .textualize import TextFlow
 
@@ -50,14 +50,12 @@ class TokenizedExample:
 
 
 def build_vocab(schema: FeatureSchema) -> Vocab:
-    if schema.d < 1:
-        raise SchemaError("cannot build a vocabulary for an empty schema")
     id_of: dict[str, int] = {}
     for tok in SPECIALS:
         id_of[tok] = len(id_of)
     for name in schema.names:
         if name in id_of:
-            raise SchemaError(f"feature name collides with a reserved token: {name!r}")
+            raise ConfigError(f"feature name collides with a reserved token: {name!r}")
         id_of[name] = len(id_of)
     for tok in NUMBER_TOKENS:
         id_of[tok] = len(id_of)
@@ -70,7 +68,8 @@ def tokenize(
     max_seq_len: int,
     label: CoarseLabel | None = None,
 ) -> TokenizedExample:
-    """[CLS] then per feature [FEAT][IS][value chars...][SEP], padded to max_seq_len."""
+    """[CLS] then per feature [FEAT][IS][value chars...][SEP], unpadded;
+    batches are padded where they are built (`training._stack`)."""
     ids = [vocab.id_of[CLS]]
     spans = []
     for fi, start, end in flow.spans:
@@ -93,11 +92,9 @@ def tokenize(
             raise TruncationError(
                 f"sequence exceeds max_seq_len={max_seq_len} at feature {name!r}"
             )
-    mask = [1] * len(ids) + [0] * (max_seq_len - len(ids))
-    ids = ids + [vocab.pad_id] * (max_seq_len - len(ids))
     return TokenizedExample(
         ids=tuple(ids),
-        attention_mask=tuple(mask),
+        attention_mask=(1,) * len(ids),
         feature_token_spans=tuple(spans),
         label=label,
     )

@@ -77,8 +77,12 @@ def _batch_loss(
 
 
 def _stack(examples: list[TokenizedExample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ids = np.array([e.ids for e in examples], dtype=np.int64)
-    mask = np.array([e.attention_mask for e in examples], dtype=np.float64)
+    """A batch's ids, mask and labels, padded to its longest example with
+    the PAD id (0) and mask 0."""
+    lengths = np.array([len(e.ids) for e in examples])
+    mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    ids[mask > 0] = np.concatenate([e.ids for e in examples])
     labels = np.array([e.label.value for e in examples], dtype=np.int64)
     return ids, mask, labels
 
@@ -91,14 +95,12 @@ def evaluate_examples(
 ) -> tuple[np.ndarray, list[CoarseLabel]]:
     """Eval-mode logits and argmax predictions for a list of examples.
 
-    Each chunk runs at its active length (see `encoder.active_length`).
+    Each chunk is padded to its longest example (see `_stack`).
     """
-    ids, mask, _ = _stack(examples)
     out = []
     for start in range(0, len(examples), chunk):
-        ids_c, mask_c = ids[start : start + chunk], mask[start : start + chunk]
-        n = encoder.active_length(mask_c)
-        logits, _ = encoder.forward_batch(params, config, ids_c[:, :n], mask_c[:, :n])
+        ids, mask, _ = _stack(examples[start : start + chunk])
+        logits, _ = encoder.forward_batch(params, config, ids, mask)
         out.append(logits)
     logits = np.concatenate(out, axis=0)
     return logits, predict_labels(logits)
@@ -115,7 +117,7 @@ def train(
     """Adam training; returns the checkpoint with best validation macro-F1.
 
     Class weights enter the loss only; validation metrics are unweighted.
-    Each batch runs at its active length (see `encoder.active_length`).
+    Each batch is padded to its longest example (see `_stack`).
     """
     if not train_examples:
         raise DataError("training split is empty")
@@ -133,7 +135,6 @@ def train(
     best_params = copy.deepcopy(params)
     since_best = 0
 
-    ids_all, mask_all, labels_all = _stack(train_examples)
     n = len(train_examples)
 
     for epoch in range(1, train_config.epochs + 1):
@@ -145,9 +146,7 @@ def train(
         n_batches = 0
         for start in range(0, n, train_config.batch_size):
             sel = order[start : start + train_config.batch_size]
-            ids, mask, labels = ids_all[sel], mask_all[sel], labels_all[sel]
-            n_active = encoder.active_length(mask)
-            ids, mask = ids[:, :n_active], mask[:, :n_active]
+            ids, mask, labels = _stack([train_examples[i] for i in sel])
             logits, trace = encoder.forward_batch(
                 params, config, ids, mask, training=True, dropout_rng=dropout_rng
             )

@@ -60,7 +60,7 @@ class TestIntegratedGradients:
         cfg, p = trained_like
         ex = make_example(vocab, schema, [100.0] * schema.d)
         emb = encoder.embed(p, cfg, ex)
-        base = baseline_embeddings(p, cfg, vocab.pad_id)
+        base = baseline_embeddings(p, cfg, vocab.pad_id)[: len(ex.ids)]
         delta = emb - base
         # force input == baseline by zeroing the token table difference
         p2 = dict(p)
@@ -109,11 +109,15 @@ class TestIntegratedGradients:
 
 
 def _reference_ig(params, cfg, ex, target, ig_cfg, pad_id):
-    """IG without the fast path: the path batch at full max_seq_len with a
-    full backward, and F(x), F(x') as two separate batch-of-one forwards."""
-    emb = encoder.embed(params, cfg, ex)
+    """IG without the fast path: the path batch with the example padded to
+    full max_seq_len and a full backward, and F(x), F(x') as two separate
+    batch-of-one forwards."""
+    n = len(ex.ids)
+    ids = np.full((1, cfg.max_seq_len), pad_id, dtype=np.int64)
+    ids[0, :n] = ex.ids
+    emb = encoder.embed_ids(params, cfg, ids)[0]
     base = baseline_embeddings(params, cfg, pad_id)
-    mask = np.array(ex.attention_mask, dtype=np.float64)
+    mask = (np.arange(cfg.max_seq_len) < n).astype(np.float64)
     delta = emb - base
     alphas = (np.arange(ig_cfg.steps) + 0.5) / ig_cfg.steps
     points = base[None] + alphas[:, None, None] * delta[None]
@@ -141,7 +145,7 @@ class TestFastPathMatchesReference:
     @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
     def test_matches_reference(self, vocab, schema, variant, padded):
         values = [float(100 + 37 * i) for i in range(schema.d)]
-        active = sum(make_example(vocab, schema, values).attention_mask)
+        active = len(make_example(vocab, schema, values).ids)
         max_len = 64 if padded else active
         assert (active < max_len) == padded
         cfg = small_config(

@@ -43,16 +43,22 @@ def write_config(tmp: Path, **overrides) -> Path:
     return path
 
 
-# out-of-range values that only one stage reads; every stage refuses them at load
+# bad values, most of which only one stage reads; every stage refuses them at load
 LOAD_REFUSALS = [
     ({"ig": {"steps": 0}}, "IG steps must be >= 1"),
     ({"train": {"epochs": 0}}, "epochs, batch_size and learning_rate must be positive"),
     ({"encoder": {"heads": 0}}, "encoder heads must be >= 1, got 0"),
     ({"ig_max_examples": 2}, "ig_max_examples must be >= 3, got 2"),
     ({"variant": "bogus"}, "unknown attention variant 'bogus'"),
+    ({"schema": []}, "schema must have at least one feature"),
+    ({"schema": ["a", "a"]}, "schema feature names must be unique"),
+    ({"schema": ["[PAD]"]}, "feature name collides with a reserved token: '[PAD]'"),
+    ({"ratios": [0.5, 0.6, 0.1]},
+     "split ratios must be three numbers >= 0 summing to 1, got (0.5, 0.6, 0.1)"),
 ]
 LOAD_REFUSAL_IDS = ["ig-steps-zero", "train-epochs-zero", "encoder-heads-zero",
-                    "ig-max-examples-two", "variant-bogus"]
+                    "ig-max-examples-two", "variant-bogus", "schema-empty", "schema-repeated-name",
+                    "schema-reserved-name", "ratios-bad-sum"]
 
 
 def run(*args):
@@ -279,12 +285,11 @@ class TestFailureModes:
         cfg = write_config(tmp_path, ratios=ratios)
         run("synthetic", "--out", tmp_path / "flows.csv", "--n", 30)
         r = run("prepare", "--config", cfg)
-        assert r.exit_code == EXIT_DATA
+        assert r.exit_code == EXIT_CONFIG
         assert r.output.splitlines() == [
             f"error: split ratios must be three numbers >= 0 summing to 1, got {tuple(ratios)}"
         ]
-        assert not (tmp_path / "work" / "split_test.csv").exists()
-        assert not (tmp_path / "work" / ".lock").exists()
+        assert not (tmp_path / "work").exists()
 
     def test_missing_input_csv(self, tmp_path):
         cfg = write_config(tmp_path)

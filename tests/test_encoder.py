@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flowig import encoder
+from flowig import encoder, training
 from flowig.encoder import (
     ABSOLUTE,
     DISENTANGLED,
@@ -12,7 +12,6 @@ from flowig.encoder import (
     _masked_softmax,
     _rel_tables,
     accumulate_embedding_grads,
-    active_length,
     attention_scores_disentangled,
     backward,
     embed_ids,
@@ -24,6 +23,8 @@ from flowig.encoder import (
     zero_grads_like,
 )
 from flowig.errors import ConfigError
+from flowig.flow_data import CoarseLabel
+from flowig.tokenizer import TokenizedExample
 
 from conftest import finite_diff_check, make_example, randomize_params, small_config
 
@@ -410,50 +411,30 @@ class TestDisentangledScores:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-class TestActiveLength:
-    def test_full_rows(self):
-        assert active_length(np.ones((3, 7))) == 7
-        assert active_length(np.ones((1, 7))) == 7
-
-    def test_mixed_rows(self):
-        mask = np.zeros((3, 8))
-        mask[0, :3] = 1
-        mask[1, :5] = 1
-        mask[2, :1] = 1
-        assert active_length(mask) == 5
-        assert active_length(mask[:1]) == 3
-
-    def test_interior_gap_kept(self):
-        assert active_length(np.array([[1, 0, 1, 0, 0]])) == 3
-
-    def test_all_pad_rows(self):
-        mask = np.zeros((2, 6))
-        mask[0, :4] = 1
-        assert active_length(mask) == 4  # an all-pad row does not widen the batch
-        assert active_length(np.zeros((2, 6))) == 6  # nothing attended: untrimmed
-        assert active_length(np.zeros((1, 6))) == 6
-
-
 class TestTrimmedTrainingStep:
-    """A training step at the active length against the same step padded."""
+    """A training step on a batch of unpadded examples, stacked to its
+    longest one, against the same step padded to max_seq_len."""
 
     @staticmethod
     def _batch(rng):
-        ids = rng.integers(1, 20, size=(3, 16))
-        mask = np.ones((3, 16))
-        for row, n in enumerate((7, 10, 9)):
-            mask[row, n:] = 0
-            ids[row, n:] = 0
-        return ids, mask
+        """Examples of lengths 7, 10 and 9 as `training._stack` pads them
+        (to 10), and padded on to max_seq_len (16)."""
+        examples = [
+            TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel.BENIGN)
+            for n in (7, 10, 9)
+        ]
+        ids, mask, _ = training._stack(examples)
+        assert ids.shape == (3, 10)
+        pad = ((0, 0), (0, 6))
+        return ids, mask, np.pad(ids, pad), np.pad(mask, pad)
 
     @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
     def test_matches_padded_step(self, variant):
         rng = np.random.default_rng(15)
         cfg = small_config(20, variant, layers=2, dropout_rate=0.2)
         p = randomize_params(init_params(cfg), rng)
-        ids, mask = self._batch(rng)
-        n = active_length(mask)
-        assert n == 10
+        ids_trim, mask_trim, ids, mask = self._batch(rng)
+        n = ids_trim.shape[1]
         dlog = rng.normal(size=(3, 3))
 
         def step(ids, mask):
@@ -465,7 +446,7 @@ class TestTrimmedTrainingStep:
             return logits, grads, demb
 
         logits_pad, g_pad, d_pad = step(ids, mask)
-        logits_trim, g_trim, d_trim = step(ids[:, :n], mask[:, :n])
+        logits_trim, g_trim, d_trim = step(ids_trim, mask_trim)
         np.testing.assert_allclose(logits_trim, logits_pad, rtol=1e-12, atol=0)
         scale = max(np.abs(g).max() for g in g_pad.values())
         for k in g_pad:
@@ -485,12 +466,12 @@ class TestTrimmedTrainingStep:
         rng = np.random.default_rng(16)
         cfg = small_config(20, variant, layers=2, dropout_rate=0.3)
         p = randomize_params(init_params(cfg), rng)
-        ids, mask = self._batch(rng)
+        ids_trim, mask_trim, ids, mask = self._batch(rng)
         _, full = forward_batch(
             p, cfg, ids, mask, training=True, dropout_rng=np.random.default_rng(4)
         )
         _, trim = forward_batch(
-            p, cfg, ids[:, :10], mask[:, :10], training=True, dropout_rng=np.random.default_rng(4)
+            p, cfg, ids_trim, mask_trim, training=True, dropout_rng=np.random.default_rng(4)
         )
         replay = np.random.default_rng(4)
         for li, (c_full, c_trim) in enumerate(zip(full.layer_caches, trim.layer_caches)):

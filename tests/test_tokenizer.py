@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowig import tokenizer, textualize
-from flowig.errors import SchemaError, TruncationError
+from flowig.errors import ConfigError, TruncationError
 from flowig.flow_data import CoarseLabel, FeatureSchema, FlowRecord
 from flowig.tokenizer import CLS, IS, PAD, SEP, build_vocab, reconstruct_values, tokenize
 
@@ -25,11 +25,12 @@ class TestBuildVocab:
         assert build_vocab(schema).id_of == build_vocab(schema).id_of
 
     def test_empty_schema_rejected(self):
-        with pytest.raises(SchemaError):
-            build_vocab(FeatureSchema(()))
+        # refused by the schema itself, before a vocabulary is built
+        with pytest.raises(ConfigError, match="at least one feature"):
+            FeatureSchema(())
 
     def test_reserved_name_collision(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="reserved token: '\\[CLS\\]'"):
             build_vocab(FeatureSchema(("[CLS]",)))
 
     def test_roundtrips_through_lines(self, vocab):
@@ -45,10 +46,9 @@ class TestTokenize:
         v = build_vocab(schema)
         flow = textualize.serialize(FlowRecord((0.0,), "x"), schema)
         ex = tokenize(flow, v, max_seq_len=8)
-        want = [v.id_of[CLS], v.id_of["A"], v.id_of[IS], v.id_of["0"], v.id_of[SEP]]
-        assert list(ex.ids[:5]) == want
-        assert list(ex.ids[5:]) == [v.pad_id] * 3
-        assert ex.attention_mask == (1, 1, 1, 1, 1, 0, 0, 0)
+        # unpadded: batches pad to their longest example
+        assert ex.ids == (v.id_of[CLS], v.id_of["A"], v.id_of[IS], v.id_of["0"], v.id_of[SEP])
+        assert ex.attention_mask == (1, 1, 1, 1, 1)
 
     def test_span_covers_feat_is_value(self):
         schema = FeatureSchema(("Flow Duration",))

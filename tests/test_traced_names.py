@@ -1,26 +1,73 @@
-"""Every function the benchmark's tracer wraps must exist in flowig.
+"""The benchmark's tracer must find and measure what it wraps in flowig.
 
 `bench/tracing.py` looks each `(module, name)` of its `TRACED` table up with
-`getattr` when a traced pass starts, so a renamed or deleted function would
-only surface there; this test surfaces it in the package's own suite.
+`getattr` when a traced pass starts, and its probes read the arguments and
+results of the wrapped calls, so a renamed function or a changed shape would
+only surface in a benchmark run; these tests surface it in the package's own
+suite.
 """
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from flowig import attribution, encoder, textualize, tokenizer, training
+from flowig.flow_data import COARSE_LABELS, FlowRecord
+
+from conftest import randomize_params, small_config
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def _traced_names() -> list[tuple[str, str]]:
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return [(module, entry[0]) for module, entries in tracing.TRACED.items() for entry in entries]
+    return tracing
+
+
+def _traced_names() -> list[tuple[str, str]]:
+    return [(module, entry[0]) for module, entries in _tracing().TRACED.items()
+            for entry in entries]
 
 
 @pytest.mark.parametrize("module, name", _traced_names(), ids=lambda v: v)
 def test_traced_name_resolves(module, name):
     fn = getattr(importlib.import_module(f"flowig.{module}"), name, None)
     assert callable(fn), f"bench/tracing.py wraps flowig.{module}.{name}, which does not exist"
+
+
+def test_probes_read_a_mixed_length_pass(vocab, schema):
+    # tokenize -> evaluate_examples -> integrated_gradients under the tracer,
+    # on flows whose values render to different token lengths
+    tracing = _tracing()
+    cfg = small_config(vocab.size, max_seq_len=64, d_model=16, d_ff=24)
+    params = randomize_params(encoder.init_params(cfg), np.random.default_rng(4))
+    rng = np.random.default_rng(6)
+    records = [FlowRecord(tuple(float(rng.integers(1, 10 ** int(rng.integers(1, 5))))
+                                for _ in range(schema.d)), "BENIGN") for _ in range(7)]
+    steps, chunk = 5, 3
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        examples = [tokenizer.tokenize(textualize.serialize(rec, schema), vocab, 64,
+                                       COARSE_LABELS[i % 3])
+                    for i, rec in enumerate(records)]
+        training.evaluate_examples(params, cfg, examples, chunk=chunk)
+        for e in examples[:2]:
+            attribution.integrated_gradients(params, cfg, e, e.label,
+                                             attribution.IGConfig(steps=steps))
+    metrics = tracing.layer_metrics(tracer.spans)
+
+    assert all(math.isfinite(v) for v in metrics.values()), metrics
+    assert metrics["tokenizer.pad_share"] == 0
+    assert len({len(e.ids) for e in examples}) > 1
+    masks = [training._stack(examples[i : i + chunk])[1] for i in range(0, 7, chunk)]
+    masked = sum(m.size - m.sum() for m in masks)
+    positions = sum(m.size for m in masks) + sum((steps + 2) * len(e.ids) for e in examples[:2])
+    assert masked > 0
+    assert metrics["encoder.pad_share"] == pytest.approx(masked / positions, rel=1e-12)
+    assert metrics["attribution.forward_calls_per_example"] == 1
+    assert metrics["attribution.forward_rows_per_example"] == steps + 2

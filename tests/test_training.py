@@ -9,6 +9,7 @@ from flowig import encoder, training
 from flowig.errors import DataError
 from flowig.evaluation import predict_labels
 from flowig.flow_data import CoarseLabel
+from flowig.tokenizer import TokenizedExample
 from flowig.training import TrainConfig, _batch_loss, class_weights, train
 
 from conftest import make_example, randomize_params, small_config
@@ -153,6 +154,44 @@ class TestTrain:
         assert abs(metrics(cm).macro_f1 - log.best_val_macro_f1) < 1e-12
 
 
+def _padded(examples, max_seq_len):
+    """ids and mask with every example padded to max_seq_len (PAD id 0)."""
+    ids = np.zeros((len(examples), max_seq_len), dtype=np.int64)
+    mask = np.zeros((len(examples), max_seq_len))
+    for row, e in enumerate(examples):
+        ids[row, : len(e.ids)] = e.ids
+        mask[row, : len(e.ids)] = e.attention_mask
+    return ids, mask
+
+
+def _active_length(mask):
+    """Last position attended in any row of a (B, L) mask, plus 1: where a
+    batch of examples padded to max_seq_len used to be cut."""
+    attended = (np.asarray(mask) > 0).any(axis=0)
+    return len(attended) - int(np.argmax(attended[::-1]))
+
+
+class TestStack:
+    @pytest.mark.parametrize(
+        "lengths", [(3, 5, 1), (3,), (7, 10, 9), (4, 4), (16, 2)],
+        ids=["mixed", "single", "mixed-longest-inside", "equal", "full-width"],
+    )
+    def test_matches_padded_then_cut(self, lengths):
+        rng = np.random.default_rng(len(lengths))
+        examples = [
+            TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel(i % 3))
+            for i, n in enumerate(lengths)
+        ]
+        ids, mask, labels = training._stack(examples)
+        want_ids, want_mask = _padded(examples, 16)
+        n = _active_length(want_mask)
+        assert n == max(lengths)
+        assert ids.dtype == want_ids.dtype and mask.dtype == want_mask.dtype
+        assert np.array_equal(ids, want_ids[:, :n])
+        assert np.array_equal(mask, want_mask[:, :n])
+        assert labels.tolist() == [i % 3 for i in range(len(lengths))]
+
+
 class TestEvaluateExamples:
     @pytest.mark.parametrize("variant", [encoder.ABSOLUTE, encoder.DISENTANGLED])
     def test_trimmed_chunks_match_untrimmed(self, vocab, schema, variant):
@@ -166,12 +205,12 @@ class TestEvaluateExamples:
             )
             for _ in range(10)
         ]
-        lengths = {sum(e.attention_mask) for e in examples}
+        lengths = {len(e.ids) for e in examples}
         assert len(lengths) > 1 and max(lengths) < 64
         cfg = small_config(vocab.size, variant, max_seq_len=64, d_model=16, d_ff=24)
         params = randomize_params(encoder.init_params(cfg), rng)
         logits, preds = training.evaluate_examples(params, cfg, examples, chunk=4)
-        ids, mask, _ = training._stack(examples)
+        ids, mask = _padded(examples, 64)
         want, _ = encoder.forward_batch(params, cfg, ids, mask)
         np.testing.assert_allclose(logits, want, rtol=1e-12, atol=0)
         assert preds == predict_labels(want)
