@@ -52,7 +52,9 @@ def _check_fields(where: str, data, kind, set_by_run=()) -> None:
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
     for key, value in data.items():
-        if not isinstance(value, _JSON_TYPES[types[key]]):
+        # bool is an int subclass, so JSON true would pass as 1
+        if (not isinstance(value, _JSON_TYPES[types[key]])
+                or isinstance(value, bool) and types[key] != "bool"):
             raise ConfigError(f"{where} key {key} must be {types[key]}, got {value!r}")
 
 

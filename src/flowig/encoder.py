@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import erf
@@ -47,10 +47,14 @@ class EncoderConfig:
     def __post_init__(self):
         lows = {"vocab_size": 1, "max_seq_len": 1, "layers": 0, "heads": 1,
                 "d_model": 1, "d_ff": 1, "rel_window": 0}
-        for name, low in lows.items():
-            value = getattr(self, name)
-            if value < low:
-                raise ConfigError(f"encoder {name} must be >= {low}, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a checkpoint header's JSON may hold 2.0 or true where a count belongs
+            want = {"int": int, "float": (int, float), "bool": bool, "str": str}[f.type]
+            if not isinstance(value, want) or isinstance(value, bool) and f.type != "bool":
+                raise ConfigError(f"encoder {f.name} must be {f.type}, got {value!r}")
+            if f.name in lows and value < lows[f.name]:
+                raise ConfigError(f"encoder {f.name} must be >= {lows[f.name]}, got {value}")
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by heads={self.heads}"
@@ -130,8 +134,12 @@ def _ln_forward(x, g, b):
     return g * xhat + b, (xhat, ivar, g)
 
 
-def _ln_backward(dy, cache):
+def _ln_backward(dy, cache, grads: Params | None = None, prefix: str = ""):
     xhat, ivar, g = cache
+    if grads is not None:
+        axes = tuple(range(dy.ndim - 1))
+        grads[prefix + "g"] += (dy * xhat).sum(axis=axes)
+        grads[prefix + "b"] += dy.sum(axis=axes)
     dxhat = dy * g
     return ivar * (
         dxhat
@@ -140,11 +148,24 @@ def _ln_backward(dy, cache):
     )
 
 
-def _ln_param_grads(grads: Params, prefix: str, dy, cache) -> None:
-    xhat = cache[0]
-    axes = tuple(range(dy.ndim - 1))
-    grads[prefix + "g"] += (dy * xhat).sum(axis=axes)
-    grads[prefix + "b"] += dy.sum(axis=axes)
+def _linear(params: Params, pre: str, n: str, x):
+    """x @ W + b with W, b the parameters `{pre}w{n}`, `{pre}b{n}`."""
+    return x @ params[f"{pre}w{n}"] + params[f"{pre}b{n}"]
+
+
+def _linear_backward(params: Params, grads: Params | None, pre: str, n: str, x, dy):
+    """The input gradient of `_linear`; adds dW and db to `grads` unless it is None."""
+    if grads is not None:
+        grads[f"{pre}w{n}"] += _sum_outer(x, dy)
+        grads[f"{pre}b{n}"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
+    return dy @ params[f"{pre}w{n}"].T
+
+
+def _dropout(x, rng: np.random.Generator, rate: float, shape):
+    """x times an inverted-dropout mask, and the mask; drawn at `shape` (B, max_seq_len,
+    D) and cut to x's rows, so a trimmed batch uses its padded form's random stream."""
+    dm = (rng.random(shape)[:, : x.shape[1]] >= rate) / (1.0 - rate)
+    return x * dm, dm
 
 
 def _gelu_forward(a):
@@ -167,9 +188,8 @@ def _merge_heads(x):
 
 
 def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over batch and sequence of outer products: (B,L,D),(B,L,E) -> (D,E)."""
-    B, L, D = a.shape
-    return a.reshape(B * L, D).T @ b.reshape(B * L, -1)
+    """Sum over every leading axis of outer products: (..., D), (..., E) -> (D, E)."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
 @functools.lru_cache(maxsize=4)
@@ -208,6 +228,38 @@ def attention_scores_disentangled(q, k_content, qr, kr, rel_idx):
     return scores
 
 
+def _disentangled_scores_backward(dscores, q, k_content, qr, kr, onehot, params: Params,
+                                  grads: Params | None, pre: str):
+    """The q and k_content gradients of `attention_scores_disentangled`, given
+    the (L, L, R) one-hot of its rel_idx. Unless `grads` is None, also adds the
+    gradients through qr = rel_emb @ wq and kr = rel_emb @ wk of layer `pre`."""
+    B, H, Lq, dh = q.shape
+    L, R = k_content.shape[2], kr.shape[1]
+    ds = dscores * (1.0 / math.sqrt(3.0 * dh))
+    dq = ds @ k_content
+    dk = ds.swapaxes(-1, -2) @ q
+    # content-to-position: score += q[i] . kr[rel(i,j)]
+    dqkr = ds.transpose(2, 0, 1, 3).reshape(Lq, B * H, L) @ onehot[:Lq]
+    dqkr = dqkr.reshape(Lq, B, H, R).transpose(1, 2, 0, 3)  # (B,H,Lq,R)
+    dq += dqkr @ kr
+    # position-to-content: score += k[j] . qr[rel(j,i)]
+    dkqr = ds.transpose(3, 0, 1, 2).reshape(L, B * H, Lq) @ onehot[:, :Lq]
+    dkqr = dkqr.reshape(L, B, H, R).transpose(1, 2, 0, 3)  # (B,H,L,R)
+    dk += dkqr @ qr
+    if grads is not None:
+        dkr = (dqkr.transpose(1, 3, 0, 2).reshape(H, R, B * Lq)
+               @ q.transpose(1, 0, 2, 3).reshape(H, B * Lq, dh))
+        dqr = (dkqr.transpose(1, 3, 0, 2).reshape(H, R, B * L)
+               @ k_content.transpose(1, 0, 2, 3).reshape(H, B * L, dh))
+        dkr = dkr.transpose(1, 0, 2).reshape(R, H * dh)
+        dqr = dqr.transpose(1, 0, 2).reshape(R, H * dh)
+        grads[pre + "attn.wk"] += params["rel_emb"].T @ dkr
+        grads[pre + "attn.wq"] += params["rel_emb"].T @ dqr
+        grads["rel_emb"] += dkr @ params[pre + "attn.wk"].T
+        grads["rel_emb"] += dqr @ params[pre + "attn.wq"].T
+    return dq, dk
+
+
 def _key_mask_bias(mask):
     """Additive score bias (B, 1, 1, L) from a (B, L) key mask: 0 = attend, -inf = not."""
     return np.where(mask[:, None, None, :] > 0, 0.0, -np.inf)
@@ -221,6 +273,11 @@ def _masked_softmax(scores, bias):
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     return s
+
+
+def _softmax_backward(attn, dattn):
+    # masked columns have attn == 0, so their score gradients vanish
+    return attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
 
 
 @dataclass
@@ -269,13 +326,11 @@ def forward_from_embeddings(
 
     trace = ForwardTrace(config, mask)
     H, dh = config.heads, config.d_head
-    keep = 1.0 - config.dropout_rate
+    drop = training and config.dropout_rate > 0
+    drop_shape = (B, config.max_seq_len, D)
     bias = _key_mask_bias(mask)
     if config.attention_variant == DISENTANGLED:
         rel_idx = _rel_tables(config.max_seq_len, config.rel_window)[0][:L, :L]
-    # dropout masks are drawn at full length and sliced, so a trimmed batch
-    # consumes the same random stream as its padded form
-    drop_shape = (B, config.max_seq_len, D)
 
     for li in range(config.layers):
         pre = f"layers.{li}."
@@ -283,9 +338,9 @@ def forward_from_embeddings(
         cache: dict = {"pre": pre}
         h1, cache["ln1"] = _ln_forward(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
         cache["h1"] = h1
-        q = _split_heads(h1[:, :Lq] @ params[pre + "attn.wq"] + params[pre + "attn.bq"], H)
-        k = _split_heads(h1 @ params[pre + "attn.wk"] + params[pre + "attn.bk"], H)
-        v = _split_heads(h1 @ params[pre + "attn.wv"] + params[pre + "attn.bv"], H)
+        q = _split_heads(_linear(params, pre + "attn.", "q", h1[:, :Lq]), H)
+        k = _split_heads(_linear(params, pre + "attn.", "k", h1), H)
+        v = _split_heads(_linear(params, pre + "attn.", "v", h1), H)
         cache["q"], cache["k"], cache["v"] = q, k, v
         if config.attention_variant == DISENTANGLED:
             rel = params["rel_emb"]
@@ -300,22 +355,18 @@ def forward_from_embeddings(
         cache["attn"] = attn
         o = _merge_heads(attn @ v)
         cache["o"] = o
-        out = o @ params[pre + "attn.wo"] + params[pre + "attn.bo"]
-        if training and config.dropout_rate > 0:
-            dm = (dropout_rng.random(drop_shape)[:, :Lq] >= config.dropout_rate) / keep
-            cache["attn_drop"] = dm
-            out = out * dm
+        out = _linear(params, pre + "attn.", "o", o)
+        if drop:
+            out, cache["attn_drop"] = _dropout(out, dropout_rng, config.dropout_rate, drop_shape)
         x = x[:, :Lq] + out
         h2, cache["ln2"] = _ln_forward(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
         cache["h2"] = h2
-        a = h2 @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]
+        a = _linear(params, pre + "ffn.", "1", h2)
         g, phi = _gelu_forward(a)
         cache["a"], cache["phi"], cache["g"] = a, phi, g
-        y = g @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"]
-        if training and config.dropout_rate > 0:
-            dm = (dropout_rng.random(drop_shape)[:, :Lq] >= config.dropout_rate) / keep
-            cache["ffn_drop"] = dm
-            y = y * dm
+        y = _linear(params, pre + "ffn.", "2", g)
+        if drop:
+            y, cache["ffn_drop"] = _dropout(y, dropout_rng, config.dropout_rate, drop_shape)
         x = x + y
         _check_finite(x, f"encoder layer {li}")
         trace.layer_caches.append(cache)
@@ -326,7 +377,7 @@ def forward_from_embeddings(
     else:
         hf = x
     trace.final["cls"] = hf[:, 0, :]
-    logits = trace.final["cls"] @ params["head.w"] + params["head.b"]
+    logits = _linear(params, "head.", "", trace.final["cls"])
     _check_finite(logits, "classification head")
     trace.logits = logits
     return logits, trace
@@ -392,98 +443,44 @@ def backward(
             f"dlogits shape {dlogits.shape} does not match logits {trace.logits.shape}"
         )
     grads = zero_grads_like(params) if param_grads else None
-    H, dh = config.heads, config.d_head
-    B, L = trace.mask.shape
+    L = trace.mask.shape[1]
 
-    if grads is not None:
-        grads["head.w"] += trace.final["cls"].T @ dlogits
-        grads["head.b"] += dlogits.sum(axis=0)
-    dhf = (dlogits @ params["head.w"].T)[:, None, :]  # (B, 1, D): the CLS row
-    if config.use_final_norm:
-        dx = _ln_backward(dhf, trace.final["ln_f"])
-        if grads is not None:
-            _ln_param_grads(grads, "ln_f.", dhf, trace.final["ln_f"])
-    else:
-        dx = dhf
+    dhf = _linear_backward(params, grads, "head.", "", trace.final["cls"], dlogits)[:, None, :]
+    dx = _ln_backward(dhf, trace.final["ln_f"], grads, "ln_f.") if config.use_final_norm else dhf
 
     for cache in reversed(trace.layer_caches):
         pre = cache["pre"]
         # FFN block
         dy = dx * cache["ffn_drop"] if "ffn_drop" in cache else dx
-        if grads is not None:
-            grads[pre + "ffn.w2"] += _sum_outer(cache["g"], dy)
-            grads[pre + "ffn.b2"] += dy.sum(axis=(0, 1))
-        dg_act = dy @ params[pre + "ffn.w2"].T
+        dg_act = _linear_backward(params, grads, pre + "ffn.", "2", cache["g"], dy)
         da = _gelu_backward(dg_act, cache["a"], cache["phi"])
-        if grads is not None:
-            grads[pre + "ffn.w1"] += _sum_outer(cache["h2"], da)
-            grads[pre + "ffn.b1"] += da.sum(axis=(0, 1))
-        dh2 = da @ params[pre + "ffn.w1"].T
-        dx2 = _ln_backward(dh2, cache["ln2"])
-        if grads is not None:
-            _ln_param_grads(grads, pre + "ln2.", dh2, cache["ln2"])
-        dx = dx + dx2  # residual
+        dh2 = _linear_backward(params, grads, pre + "ffn.", "1", cache["h2"], da)
+        dx = dx + _ln_backward(dh2, cache["ln2"], grads, pre + "ln2.")  # residual
 
         # attention block
         dout = dx * cache["attn_drop"] if "attn_drop" in cache else dx
-        if grads is not None:
-            grads[pre + "attn.wo"] += _sum_outer(cache["o"], dout)
-            grads[pre + "attn.bo"] += dout.sum(axis=(0, 1))
-        do = dout @ params[pre + "attn.wo"].T
-        do_h = _split_heads(do, H)
-        attn, v = cache["attn"], cache["v"]
+        do = _linear_backward(params, grads, pre + "attn.", "o", cache["o"], dout)
+        do_h = _split_heads(do, config.heads)
+        attn, q, k, v = cache["attn"], cache["q"], cache["k"], cache["v"]
         dattn = do_h @ v.swapaxes(-1, -2)
         dv = attn.swapaxes(-1, -2) @ do_h
-        # softmax backward; masked columns have attn == 0 so their dscores vanish
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-
-        q, k = cache["q"], cache["k"]
-        Lq = q.shape[2]
+        dscores = _softmax_backward(attn, dattn)
         if config.attention_variant == DISENTANGLED:
-            scale = 1.0 / math.sqrt(3.0 * dh)
-            ds = dscores * scale
-            kr, qr = cache["kr"], cache["qr"]
             onehot = _rel_tables(config.max_seq_len, config.rel_window)[1][:L, :L]
-            dq = ds @ k
-            dk = ds.swapaxes(-1, -2) @ q
-            # content-to-position: score += q[i] . kr[rel(i,j)]
-            dqkr = (ds.transpose(2, 0, 1, 3).reshape(Lq, B * H, L) @ onehot[:Lq])
-            dqkr = dqkr.reshape(Lq, B, H, -1).transpose(1, 2, 0, 3)  # (B,H,Lq,R)
-            dq += dqkr @ kr
-            # position-to-content: score += k[j] . qr[rel(j,i)]
-            dkqr = (ds.transpose(3, 0, 1, 2).reshape(L, B * H, Lq) @ onehot[:, :Lq])
-            dkqr = dkqr.reshape(L, B, H, -1).transpose(1, 2, 0, 3)  # (B,H,L,R)
-            dk += dkqr @ qr
-            if grads is not None:
-                dkr = (dqkr.transpose(1, 3, 0, 2).reshape(H, config.rel_size, B * Lq)
-                       @ q.transpose(1, 0, 2, 3).reshape(H, B * Lq, dh))
-                dqr = (dkqr.transpose(1, 3, 0, 2).reshape(H, config.rel_size, B * L)
-                       @ k.transpose(1, 0, 2, 3).reshape(H, B * L, dh))
-                dkr_flat = dkr.transpose(1, 0, 2).reshape(config.rel_size, config.d_model)
-                dqr_flat = dqr.transpose(1, 0, 2).reshape(config.rel_size, config.d_model)
-                grads[pre + "attn.wk"] += params["rel_emb"].T @ dkr_flat
-                grads[pre + "attn.wq"] += params["rel_emb"].T @ dqr_flat
-                grads["rel_emb"] += dkr_flat @ params[pre + "attn.wk"].T
-                grads["rel_emb"] += dqr_flat @ params[pre + "attn.wq"].T
+            dq, dk = _disentangled_scores_backward(dscores, q, k, cache["qr"], cache["kr"],
+                                                   onehot, params, grads, pre)
         else:
-            ds = dscores / math.sqrt(dh)
-            dq = ds @ k
-            dk = ds.swapaxes(-1, -2) @ q
+            ds = dscores / math.sqrt(config.d_head)
+            dq, dk = ds @ k, ds.swapaxes(-1, -2) @ q
 
-        dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-        if grads is not None:
-            h1 = cache["h1"]
-            grads[pre + "attn.wq"] += _sum_outer(h1[:, :Lq], dq_m)
-            grads[pre + "attn.bq"] += dq_m.sum(axis=(0, 1))
-            grads[pre + "attn.wk"] += _sum_outer(h1, dk_m)
-            grads[pre + "attn.bk"] += dk_m.sum(axis=(0, 1))
-            grads[pre + "attn.wv"] += _sum_outer(h1, dv_m)
-            grads[pre + "attn.bv"] += dv_m.sum(axis=(0, 1))
-        dh1 = dk_m @ params[pre + "attn.wk"].T + dv_m @ params[pre + "attn.wv"].T
-        dh1[:, :Lq] += dq_m @ params[pre + "attn.wq"].T
-        dx1 = _ln_backward(dh1, cache["ln1"])
-        if grads is not None:
-            _ln_param_grads(grads, pre + "ln1.", dh1, cache["ln1"])
+        # wq and wk take their relative terms (above) before their content terms,
+        # an order that fixes how the gradient sums round
+        h1, Lq = cache["h1"], q.shape[2]
+        dh1 = _linear_backward(params, grads, pre + "attn.", "k", h1, _merge_heads(dk))
+        dh1 += _linear_backward(params, grads, pre + "attn.", "v", h1, _merge_heads(dv))
+        dh1[:, :Lq] += _linear_backward(params, grads, pre + "attn.", "q", h1[:, :Lq],
+                                        _merge_heads(dq))
+        dx1 = _ln_backward(dh1, cache["ln1"], grads, pre + "ln1.")
         dx1[:, :Lq] += dx  # residual
         dx = dx1
 

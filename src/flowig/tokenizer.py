@@ -88,10 +88,10 @@ def tokenize(
             ids.append(vocab.id_of[ch])
         spans.append((fi, tok_start, len(ids)))
         ids.append(vocab.id_of[SEP])
-        if len(ids) > max_seq_len:
-            raise TruncationError(
-                f"sequence exceeds max_seq_len={max_seq_len} at feature {name!r}"
-            )
+    if len(ids) > max_seq_len:
+        fi = next(fi for fi, _, end in spans if end >= max_seq_len)  # first [SEP] past it
+        raise TruncationError(f"sequence of {len(ids)} tokens exceeds max_seq_len={max_seq_len}"
+                              f" (first past it: feature {vocab.feature_names[fi]!r})")
     return TokenizedExample(
         ids=tuple(ids),
         attention_mask=(1,) * len(ids),

@@ -114,9 +114,18 @@ def _header(path) -> dict:
         lambda h: {"config": h["config"]},
         lambda h: {**h, "tensors": [{"name": "x", "shape": [-2, -4]}]},
         lambda h: {**h, "tensors": h["tensors"][::-1]},
+        # JSON numbers that are not the integers the config needs
+        *(lambda h, k=key: {**h, "config": {**h["config"], k: float(h["config"][k])}}
+          for key in ("layers", "d_model", "max_seq_len", "vocab_size", "heads")),
+        lambda h: {**h, "config": {**h["config"], "rel_window": 1.5}},
+        lambda h: {**h, "config": {**h["config"], "layers": True}},
+        lambda h: {**h, "config": {**h["config"], "dropout_rate": False}},
+        lambda h: {**h, "config": {**h["config"], "use_final_norm": "no"}},
     ],
     ids=["not-json", "not-object", "unknown-key", "bad-value", "zero-heads", "no-tensors",
-         "negative-shape", "reordered"],
+         "negative-shape", "reordered", "float-layers", "float-d-model", "float-max-seq-len",
+         "float-vocab-size", "float-heads", "fractional-rel-window", "bool-layers",
+         "bool-dropout-rate", "str-final-norm"],
 )
 def test_corrupt_header_raises_data_error(tmp_path, model, corrupt):
     cfg, params = model

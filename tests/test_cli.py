@@ -170,6 +170,12 @@ class TestFailureModes:
             ({"ratios": 5}, "config key ratios must be tuple[float, float, float], got 5"),
             ({"train": {"epochs": "2"}}, "train config key epochs must be int, got '2'"),
             ({"encoder": {"layers": 1.5}}, "encoder config key layers must be int, got 1.5"),
+            ({"encoder": {"layers": True}}, "encoder config key layers must be int, got True"),
+            ({"encoder": {"dropout_rate": False}},
+             "encoder config key dropout_rate must be float, got False"),
+            ({"train": {"epochs": True}}, "train config key epochs must be int, got True"),
+            ({"ig": {"steps": True}}, "ig config key steps must be int, got True"),
+            ({"top_k": True}, "config key top_k must be int, got True"),
             ({"significant_digits": 0}, "significant_digits must be >= 1"),
             # keys that were removed because they only ever took one value
             ({"heatmap_formats": ["csv"]}, "unknown config keys: heatmap_formats"),
@@ -187,7 +193,9 @@ class TestFailureModes:
             *LOAD_REFUSALS,
         ],
         ids=["train-key", "encoder-key", "train-seed", "encoder-vocab", "ig-key", "ig-list",
-             "ratios-number", "train-type", "encoder-type", "significant-digits",
+             "ratios-number", "train-type", "encoder-type", "encoder-bool-layers",
+             "encoder-bool-dropout-rate", "train-bool-epochs", "ig-bool-steps", "top-k-bool",
+             "significant-digits",
              "removed-heatmap-formats", "removed-weight-decay", "removed-beta1",
              "removed-beta2", "removed-adam-eps", "removed-completeness-tolerance",
              "removed-baseline-kind", "negative-seed", "top-k-zero", "top-k-negative",

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -411,6 +412,69 @@ class TestDisentangledScores:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+_OPS = ("_linear", "_linear_backward", "_ln_forward", "_ln_backward", "_gelu_forward",
+        "_gelu_backward", "_masked_softmax", "_softmax_backward", "attention_scores_disentangled",
+        "_disentangled_scores_backward", "_dropout", "_sum_outer")
+
+
+class TestOpBoundary:
+    """Every encoder op is a module-level function looked up by name at each
+    call, so rebinding it (as a per-op tracer would) sees every call."""
+
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_rebound_ops_see_every_call(self, variant, monkeypatch):
+        layers = 2
+        rng = np.random.default_rng(19)
+        cfg = small_config(20, variant, layers=layers, dropout_rate=0.2)
+        p = randomize_params(init_params(cfg), rng)
+        ids = rng.integers(1, 20, size=(3, 10))
+        mask = np.ones((3, 10))
+        mask[1, 6:] = 0
+        dlog = rng.normal(size=(3, 3))
+        path = rng.normal(size=(6, 10, 8))  # an IG path: one example at 6 steps
+        dlog_ig = np.zeros((6, 3))
+        dlog_ig[:, 1] = 1.0
+
+        def train_step():
+            logits, trace = forward_batch(
+                p, cfg, ids, mask, training=True, dropout_rng=np.random.default_rng(3)
+            )
+            return (logits, *backward(p, trace, dlog))
+
+        def ig_step():
+            logits, trace = forward_from_embeddings(p, cfg, path, np.ones((6, 10)))
+            return (logits, *backward(p, trace, dlog_ig, param_grads=False))
+
+        want = [train_step(), ig_step()]
+        calls = collections.Counter()
+        for name in _OPS:
+            def counted(*args, _fn=getattr(encoder, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(encoder, name, counted)
+
+        scores = layers if variant == DISENTANGLED else 0
+        each_pass = {
+            "_linear": 6 * layers + 1, "_linear_backward": 6 * layers + 1,
+            "_ln_forward": 2 * layers + 1, "_ln_backward": 2 * layers + 1,
+            "_gelu_forward": layers, "_gelu_backward": layers,
+            "_masked_softmax": layers, "_softmax_backward": layers,
+            "attention_scores_disentangled": scores, "_disentangled_scores_backward": scores,
+        }
+        for step, expected in ((train_step, {"_dropout": 2 * layers, "_sum_outer": 6 * layers + 1}),
+                               (ig_step, {"_dropout": 0, "_sum_outer": 0})):
+            calls.clear()
+            got = step()
+            assert {name: calls[name] for name in _OPS} == {**each_pass, **expected}
+            logits, grads, demb = want.pop(0)
+            assert np.array_equal(got[0], logits) and np.array_equal(got[2], demb)
+            if grads is None:
+                assert got[1] is None
+            else:
+                assert got[1].keys() == grads.keys()
+                assert all(np.array_equal(got[1][k], grads[k]) for k in grads)
+
+
 class TestTrimmedTrainingStep:
     """A training step on a batch of unpadded examples, stacked to its
     longest one, against the same step padded to max_seq_len."""
@@ -543,8 +607,7 @@ def _full_length_backward(p, cfg, state, dlogits):
     dx = np.zeros((len(dlogits), L, cfg.d_model))
     dx[:, 0] = dlogits @ p["head.w"].T
     if final is not None:
-        encoder._ln_param_grads(grads, "ln_f.", dx, final)
-        dx = encoder._ln_backward(dx, final)
+        dx = encoder._ln_backward(dx, final, grads, "ln_f.")
     for c in reversed(caches):
         pre = c["pre"]
         dy = dx if c["ffn_drop"] is None else dx * c["ffn_drop"]
@@ -554,8 +617,7 @@ def _full_length_backward(p, cfg, state, dlogits):
         grads[pre + "ffn.w1"] += encoder._sum_outer(c["h2"], da)
         grads[pre + "ffn.b1"] += da.sum(axis=(0, 1))
         dh2 = da @ p[pre + "ffn.w1"].T
-        encoder._ln_param_grads(grads, pre + "ln2.", dh2, c["ln2"])
-        dx = dx + encoder._ln_backward(dh2, c["ln2"])
+        dx = dx + encoder._ln_backward(dh2, c["ln2"], grads, pre + "ln2.")
 
         dout = dx if c["attn_drop"] is None else dx * c["attn_drop"]
         grads[pre + "attn.wo"] += encoder._sum_outer(c["o"], dout)
@@ -591,8 +653,7 @@ def _full_length_backward(p, cfg, state, dlogits):
             grads[pre + f"attn.w{n}"] += encoder._sum_outer(c["h1"], d)
             grads[pre + f"attn.b{n}"] += d.sum(axis=(0, 1))
             dh1 = dh1 + d @ p[pre + f"attn.w{n}"].T
-        encoder._ln_param_grads(grads, pre + "ln1.", dh1, c["ln1"])
-        dx = dx + encoder._ln_backward(dh1, c["ln1"])
+        dx = dx + encoder._ln_backward(dh1, c["ln1"], grads, pre + "ln1.")
     return grads, dx
 
 

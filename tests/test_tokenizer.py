@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,7 +79,11 @@ class TestTokenize:
         assert ex.label is CoarseLabel.DDOS
 
     def test_truncation_names_feature(self, schema, vocab):
-        with pytest.raises(TruncationError, match="Flow IAT Max"):
+        # the message gives the whole flow's length, not where it was cut
+        n = len(make_example(vocab, schema, [1.0] * schema.d, max_seq_len=1000).ids)
+        assert n > 16
+        msg = f"sequence of {n} tokens exceeds max_seq_len=16 (first past it: feature 'Flow IAT Max')"
+        with pytest.raises(TruncationError, match=re.escape(msg)):
             make_example(vocab, schema, [1.0] * schema.d, max_seq_len=16)
 
     @given(
