@@ -93,16 +93,18 @@ def evaluate_examples(
     examples: list[TokenizedExample],
     chunk: int = 256,
 ) -> tuple[np.ndarray, list[CoarseLabel]]:
-    """Eval-mode logits and argmax predictions for a list of examples.
+    """Eval-mode logits and argmax predictions for a list of examples, in
+    input order.
 
-    Each chunk is padded to its longest example (see `_stack`).
+    Chunks are cut from the examples stably sorted by length, so each chunk,
+    padded to its longest example (see `_stack`), carries almost no padding.
     """
-    out = []
+    order = np.argsort([len(e.ids) for e in examples], kind="stable")
+    logits = np.empty((len(examples), config.n_classes))
     for start in range(0, len(examples), chunk):
-        ids, mask, _ = _stack(examples[start : start + chunk])
-        logits, _ = encoder.forward_batch(params, config, ids, mask)
-        out.append(logits)
-    logits = np.concatenate(out, axis=0)
+        sel = order[start : start + chunk]
+        ids, mask, _ = _stack([examples[i] for i in sel])
+        logits[sel], _ = encoder.forward_batch(params, config, ids, mask)
     return logits, predict_labels(logits)
 
 

@@ -1,9 +1,13 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from flowig import attribution, encoder
 from flowig.attribution import (
     COMPLETENESS_TOLERANCE,
+    AttributionResult,
     ClassAttributionMatrix,
     IGConfig,
     aggregate_to_features,
@@ -17,6 +21,7 @@ from flowig.attribution import (
 from flowig.encoder import ABSOLUTE, DISENTANGLED, init_params
 from flowig.errors import ConfigError, DataError
 from flowig.flow_data import CoarseLabel, FeatureSchema
+from flowig.tokenizer import build_vocab
 
 from conftest import make_example, randomize_params, small_config
 
@@ -167,6 +172,91 @@ class TestFastPathMatchesReference:
             )
         assert res.token_attr.shape == (max_len,)
         assert np.all(res.token_attr[active:] == 0.0)
+
+
+def _one_call_ig(params, cfg, ex, target, steps):
+    """The whole path (the steps, then the input and the baseline) in one
+    encoder call: the reference the chunked path must match."""
+    n = len(ex.ids)
+    emb = encoder.embed(params, cfg, ex)
+    base = baseline_embeddings(params, cfg)[:n]
+    delta = emb - base
+    alphas = (np.arange(steps) + 0.5) / steps
+    points = np.concatenate([base[None] + alphas[:, None, None] * delta[None],
+                             emb[None], base[None]])
+    logits, trace = encoder.forward_from_embeddings(params, cfg, points, np.ones((steps + 2, n)))
+    dlogits = np.zeros_like(logits)
+    dlogits[:steps, target.value] = 1.0
+    _, demb = encoder.backward(params, trace, dlogits, param_grads=False)
+    token_attr = np.zeros(cfg.max_seq_len)
+    token_attr[:n] = (delta * demb[:steps].mean(axis=0)).sum(axis=-1)
+    return token_attr, float(logits[steps, target.value] - logits[steps + 1, target.value])
+
+
+_WIDE = FeatureSchema(tuple(f"Feature {i}" for i in range(48)))
+
+
+class TestChunkedPath:
+    """IG's path runs in chunks of `_IG_POSITIONS // n` rows; the result must
+    not depend on the chunking."""
+
+    @pytest.mark.parametrize("case", ["divides", "remainder", "one-chunk", "row-per-call"])
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_matches_one_call(self, monkeypatch, vocab, schema, variant, case):
+        if case == "row-per-call":
+            schema = _WIDE
+            vocab = build_vocab(schema)
+            values = [123456789.125] * schema.d
+        else:
+            values = [float(100 + 37 * i) for i in range(schema.d)]
+        ex = make_example(vocab, schema, values, max_seq_len=1024)
+        n = len(ex.ids)
+        rows = max(1, attribution._IG_POSITIONS // n)
+        steps = {"divides": 2 * rows - 2, "remainder": 2 * rows + 1,
+                 "one-chunk": rows - 3, "row-per-call": 3}[case]
+        assert steps >= 1
+        assert {"divides": (steps + 2) % rows == 0, "remainder": (steps + 2) % rows != 0,
+                "one-chunk": steps + 2 < rows, "row-per-call": n > attribution._IG_POSITIONS}[case]
+        cfg = small_config(vocab.size, variant, max_seq_len=n, layers=2, d_model=8, d_ff=12)
+        p = randomize_params(init_params(cfg), np.random.default_rng(31))
+
+        calls = []
+        forward = encoder.forward_from_embeddings
+
+        def counting(params, config, embeddings, *args, **kwargs):
+            calls.append(embeddings.shape[:2])
+            return forward(params, config, embeddings, *args, **kwargs)
+
+        monkeypatch.setattr(encoder, "forward_from_embeddings", counting)
+        res = integrated_gradients(p, cfg, ex, CoarseLabel.WEB_ATTACK, IGConfig(steps=steps))
+        monkeypatch.undo()
+
+        assert sum(b for b, _ in calls) == steps + 2
+        assert all(b * length <= max(attribution._IG_POSITIONS, n) for b, length in calls)
+        assert len(calls) == -(-(steps + 2) // rows)
+        token_attr, output_delta = _one_call_ig(p, cfg, ex, CoarseLabel.WEB_ATTACK, steps)
+        floor = 1e-12 * max(1.0, np.abs(token_attr).max())
+        np.testing.assert_allclose(res.token_attr, token_attr, rtol=1e-12, atol=floor)
+        assert res.output_delta == pytest.approx(output_delta, rel=1e-12, abs=1e-12)
+
+
+class TestRelativeGap:
+    def _result(self, gap, output_delta):
+        return AttributionResult(np.zeros(4), np.zeros(1), 0.0, CoarseLabel.DDOS,
+                                 completeness_gap=gap, output_delta=output_delta)
+
+    def test_gap_at_equal_outputs_is_infinite(self):
+        res = self._result(1e-3, 0.0)
+        assert res.relative_gap == math.inf
+        assert res.relative_gap > COMPLETENESS_TOLERANCE
+        line = json.dumps({"relative_gap": res.relative_gap}, sort_keys=True)
+        assert json.loads(line)["relative_gap"] == math.inf
+
+    def test_no_gap_at_equal_outputs_is_zero(self):
+        assert self._result(0.0, 0.0).relative_gap == 0.0
+
+    def test_ratio(self):
+        assert self._result(-0.5, 2.0).relative_gap == 0.25
 
 
 class TestAggregate:

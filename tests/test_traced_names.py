@@ -42,21 +42,23 @@ def test_traced_name_resolves(module, name):
 
 def test_probes_read_a_mixed_length_pass(vocab, schema):
     # tokenize -> evaluate_examples -> integrated_gradients under the tracer,
-    # on flows whose values render to different token lengths
+    # on flows whose values render to different token lengths; the last one
+    # is long enough that its IG path takes more than one encoder call
     tracing = _tracing()
-    cfg = small_config(vocab.size, max_seq_len=64, d_model=16, d_ff=24)
+    cfg = small_config(vocab.size, max_seq_len=128, d_model=16, d_ff=24)
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(4))
     rng = np.random.default_rng(6)
     records = [FlowRecord(tuple(float(rng.integers(1, 10 ** int(rng.integers(1, 5))))
-                                for _ in range(schema.d)), "BENIGN") for _ in range(7)]
+                                for _ in range(schema.d)), "BENIGN") for _ in range(6)]
+    records.append(FlowRecord((123456789.123,) * schema.d, "BENIGN"))
     steps, chunk = 5, 3
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
-        examples = [tokenizer.tokenize(textualize.serialize(rec, schema), vocab, 64,
+        examples = [tokenizer.tokenize(textualize.serialize(rec, schema), vocab, 128,
                                        COARSE_LABELS[i % 3])
                     for i, rec in enumerate(records)]
         training.evaluate_examples(params, cfg, examples, chunk=chunk)
-        for e in examples[:2]:
+        for e in (examples[0], examples[-1]):
             attribution.integrated_gradients(params, cfg, e, e.label,
                                              attribution.IGConfig(steps=steps))
     metrics = tracing.layer_metrics(tracer.spans)
@@ -64,10 +66,16 @@ def test_probes_read_a_mixed_length_pass(vocab, schema):
     assert all(math.isfinite(v) for v in metrics.values()), metrics
     assert metrics["tokenizer.pad_share"] == 0
     assert len({len(e.ids) for e in examples}) > 1
-    masks = [training._stack(examples[i : i + chunk])[1] for i in range(0, 7, chunk)]
+    # evaluate_examples chunks the examples in stable length order
+    by_length = sorted(examples, key=lambda e: len(e.ids))
+    masks = [training._stack(by_length[i : i + chunk])[1] for i in range(0, 7, chunk)]
     masked = sum(m.size - m.sum() for m in masks)
-    positions = sum(m.size for m in masks) + sum((steps + 2) * len(e.ids) for e in examples[:2])
+    ig_lengths = [len(examples[0].ids), len(examples[-1].ids)]
+    positions = sum(m.size for m in masks) + sum((steps + 2) * n for n in ig_lengths)
     assert masked > 0
     assert metrics["encoder.pad_share"] == pytest.approx(masked / positions, rel=1e-12)
-    assert metrics["attribution.forward_calls_per_example"] == 1
+    calls = [math.ceil((steps + 2) / max(1, attribution._IG_POSITIONS // n))
+             for n in ig_lengths]
+    assert calls[0] == 1 and calls[1] > 1
+    assert metrics["attribution.forward_calls_per_example"] == sum(calls) / 2
     assert metrics["attribution.forward_rows_per_example"] == steps + 2

@@ -214,3 +214,31 @@ class TestEvaluateExamples:
         want, _ = encoder.forward_batch(params, cfg, ids, mask)
         np.testing.assert_allclose(logits, want, rtol=1e-12, atol=0)
         assert preds == predict_labels(want)
+
+    @pytest.mark.parametrize("variant", [encoder.ABSOLUTE, encoder.DISENTANGLED])
+    def test_length_sorted_chunks_keep_input_order(self, vocab, schema, variant):
+        rng = np.random.default_rng(2)
+        digits = [1, 8, 2, 7, 1, 6, 3, 8, 2]
+        examples = [
+            make_example(vocab, schema,
+                         [float(rng.integers(10 ** (k - 1), 10 ** k)) for _ in range(schema.d)],
+                         max_seq_len=128, label=CoarseLabel(i % 3))
+            for i, k in enumerate(digits)
+        ]
+        chunk = 3
+        lengths = [len(e.ids) for e in examples]
+        order = np.argsort(lengths, kind="stable")
+        in_order = {frozenset(range(s, s + chunk)) for s in range(0, len(examples), chunk)}
+        by_length = {frozenset(order[s : s + chunk].tolist())
+                     for s in range(0, len(examples), chunk)}
+        assert in_order != by_length
+        cfg = small_config(vocab.size, variant, max_seq_len=128, d_model=16, d_ff=24)
+        params = randomize_params(encoder.init_params(cfg), rng)
+        logits, preds = training.evaluate_examples(params, cfg, examples, chunk=chunk)
+        want = np.concatenate([
+            encoder.forward_batch(params, cfg, np.array([e.ids]), np.ones((1, len(e.ids))))[0]
+            for e in examples
+        ])
+        assert not np.allclose(want, want[order])  # so a lost order would show
+        np.testing.assert_allclose(logits, want, rtol=1e-12, atol=0)
+        assert preds == predict_labels(want)
