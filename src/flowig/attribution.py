@@ -82,37 +82,38 @@ def integrated_gradients(
 ) -> AttributionResult:
     """Midpoint-rule IG toward one class logit, in chunks of path rows.
 
-    The path holds the `steps` path points, then the input (alpha = 1) and
-    the baseline (alpha = 0), whose logits give F(x) - F(x'). It runs at the
-    example's own length, since examples carry no padding; `token_attr` is 0
-    past it. Each encoder call takes at most `_IG_POSITIONS // n` rows (at
-    least one); with `param_grads=False` every op works row by row, so the
-    chunking moves the embedding gradients and logits by rounding at most.
+    F(x) and F(x') (the input and the baseline) come from a forward-only
+    call; only the `steps` path points go through the backward pass. Both
+    run at the example's own length, since examples carry no padding;
+    `token_attr` is 0 past it. Each encoder call takes at most
+    `_IG_POSITIONS // n` rows (at least one); with `param_grads=False` every
+    op works row by row, so the chunking moves the embedding gradients and
+    logits by rounding at most.
     """
     emb = encoder.embed(params, config, example)
     n = len(example.ids)
     base = baseline_embeddings(params, config, pad_id)[:n]
+    t = target_class.value
+    rows = max(1, _IG_POSITIONS // n)
+
+    def forward(chunk):
+        return encoder.forward_from_embeddings(params, config, chunk, np.ones(chunk.shape[:2]))
+
+    # F(x) and F(x'): one call, or one per row when two rows do not fit
+    ends = np.stack([emb, base])
+    f = np.concatenate([forward(ends[lo : lo + rows])[0][:, t] for lo in range(0, 2, rows)])
+    output_delta = float(f[0] - f[1])
 
     steps = cfg.steps
     delta = emb - base
     alphas = (np.arange(steps) + 0.5) / steps
-    points = np.empty((steps + 2, n, config.d_model))
-    points[:steps] = base[None] + alphas[:, None, None] * delta[None]
-    points[steps] = emb
-    points[steps + 1] = base
-    t = target_class.value
-    rows = max(1, _IG_POSITIONS // n)
-    logits = np.empty((steps + 2, config.n_classes))
-    demb = np.empty_like(points)
-    for lo in range(0, steps + 2, rows):
-        chunk = points[lo : lo + rows]
-        logits[lo : lo + rows], trace = encoder.forward_from_embeddings(
-            params, config, chunk, np.ones(chunk.shape[:2])
-        )
-        dlogits = np.zeros((len(chunk), config.n_classes))
-        dlogits[: max(0, steps - lo), t] = 1.0
-        _, demb[lo : lo + rows] = encoder.backward(params, trace, dlogits, param_grads=False)
-    path_grads = demb[:steps]
+    path_grads = np.empty((steps, n, config.d_model))
+    for lo in range(0, steps, rows):
+        points = base[None] + alphas[lo : lo + rows, None, None] * delta[None]
+        _, trace = forward(points)
+        dlogits = np.zeros((len(points), config.n_classes))
+        dlogits[:, t] = 1.0
+        _, path_grads[lo : lo + rows] = encoder.backward(params, trace, dlogits, param_grads=False)
     if not np.all(np.isfinite(path_grads)):
         bad = int(np.where(~np.isfinite(path_grads).all(axis=(1, 2)))[0][0])
         raise NumericError(f"non-finite gradient at integration step {bad}")
@@ -121,7 +122,6 @@ def integrated_gradients(
     token_attr = np.zeros(config.max_seq_len)
     token_attr[:n] = (delta * path_grads.mean(axis=0)).sum(axis=-1)
 
-    output_delta = float(logits[steps, t] - logits[steps + 1, t])
     feature_attr, residue = aggregate_to_features(
         token_attr, example.feature_token_spans
     )

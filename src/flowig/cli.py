@@ -431,7 +431,7 @@ def _stage(run, *options) -> None:
 
     The command loads the config with the flag overrides, holds the
     work-dir lock while `run` works, and turns every FlowigError into its
-    one-line message and exit code.
+    one-line message and exit code; a failed read or write is a data error.
     """
 
     def command(config_path, **overrides):
@@ -442,6 +442,9 @@ def _stage(run, *options) -> None:
                 run(cfg, work)
         except FlowigError as e:
             _fail(e)
+        except OSError as e:
+            # a write fails at its rename, whose target is filename2
+            _fail(DataError(f"cannot access {e.filename2 or e.filename}: {e.strerror}"))
 
     name = run.__name__.removeprefix("_run_")
     params = [*_COMMON, *options]

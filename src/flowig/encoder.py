@@ -194,8 +194,9 @@ def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _rel_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rel_idx (n, n) and its one-hot (n, n, 2k+1); rel_idx depends
-    only on i - j, so the tables for any L <= n are their [:L, :L] slices."""
+    """Read-only rel_idx (n, n) and its one-hot (n, n, 2k+1) for a batch of
+    length n, so the one-hot never outgrows the batch; rel_idx depends only
+    on i - j, so the tables for any L <= n are their [:L, :L] slices."""
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     idx = np.clip(i - j, -k, k) + k
@@ -330,7 +331,7 @@ def forward_from_embeddings(
     drop_shape = (B, config.max_seq_len, D)
     bias = _key_mask_bias(mask)
     if config.attention_variant == DISENTANGLED:
-        rel_idx = _rel_tables(config.max_seq_len, config.rel_window)[0][:L, :L]
+        rel_idx = _rel_tables(L, config.rel_window)[0]
 
     for li in range(config.layers):
         pre = f"layers.{li}."
@@ -466,7 +467,7 @@ def backward(
         dv = attn.swapaxes(-1, -2) @ do_h
         dscores = _softmax_backward(attn, dattn)
         if config.attention_variant == DISENTANGLED:
-            onehot = _rel_tables(config.max_seq_len, config.rel_window)[1][:L, :L]
+            onehot = _rel_tables(L, config.rel_window)[1]
             dq, dk = _disentangled_scores_backward(dscores, q, k, cache["qr"], cache["kr"],
                                                    onehot, params, grads, pre)
         else:

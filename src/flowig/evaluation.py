@@ -54,9 +54,9 @@ def confusion(
         raise DataError(
             f"length mismatch: {len(predictions)} predictions vs {len(labels)} labels"
         )
-    cm = np.zeros((3, 3), dtype=np.int64)
-    for pred, true in zip(predictions, labels):
-        cm[true.value, pred.value] += 1
+    true = np.array([c.value for c in labels], dtype=np.int64)
+    pred = np.array([c.value for c in predictions], dtype=np.int64)
+    cm = np.bincount(3 * true + pred, minlength=9).reshape(3, 3)
     return ConfusionMatrix(tuple(tuple(int(v) for v in row) for row in cm))
 
 
@@ -66,24 +66,12 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     if total == 0:
         raise DataError("cannot compute metrics on an all-zero confusion matrix")
     tp = np.diag(arr).astype(np.float64)
-    pred_totals = arr.sum(axis=0).astype(np.float64)
-    true_totals = arr.sum(axis=1).astype(np.float64)
-
-    zero_div: list[str] = []
-    precision = np.zeros(3)
-    recall = np.zeros(3)
-    for c in range(3):
-        if pred_totals[c] > 0:
-            precision[c] = tp[c] / pred_totals[c]
-        else:
-            zero_div.append(COARSE_LABELS[c].name)
-        if true_totals[c] > 0:
-            recall[c] = tp[c] / true_totals[c]
-        elif COARSE_LABELS[c].name not in zero_div:
-            zero_div.append(COARSE_LABELS[c].name)
+    pred_totals = arr.sum(axis=0)
+    support = arr.sum(axis=1)
+    precision = np.divide(tp, pred_totals, out=np.zeros(3), where=pred_totals > 0)
+    recall = np.divide(tp, support, out=np.zeros(3), where=support > 0)
     denom = precision + recall
-    f1 = np.where(denom > 0, 2 * precision * recall / np.where(denom > 0, denom, 1), 0.0)
-    support = true_totals
+    f1 = np.divide(2 * precision * recall, denom, out=np.zeros(3), where=denom > 0)
     return MetricsReport(
         precision=tuple(precision),
         recall=tuple(recall),
@@ -91,8 +79,10 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
         support=tuple(int(s) for s in support),
         accuracy=float(tp.sum() / total),
         macro_f1=float(f1.mean()),
-        weighted_f1=float((f1 * support).sum() / support.sum()) if support.sum() else 0.0,
-        zero_division_classes=tuple(zero_div),
+        weighted_f1=float((f1 * support).sum() / total),
+        zero_division_classes=tuple(
+            c.name for c, p, s in zip(COARSE_LABELS, pred_totals, support) if p == 0 or s == 0
+        ),
     )
 
 

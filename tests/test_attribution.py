@@ -197,8 +197,9 @@ _WIDE = FeatureSchema(tuple(f"Feature {i}" for i in range(48)))
 
 
 class TestChunkedPath:
-    """IG's path runs in chunks of `_IG_POSITIONS // n` rows; the result must
-    not depend on the chunking."""
+    """IG's path runs in chunks of `_IG_POSITIONS // n` rows after one
+    forward-only call for F(x) and F(x') (one per row once two rows do not
+    fit); the result must not depend on the chunking."""
 
     @pytest.mark.parametrize("case", ["divides", "remainder", "one-chunk", "row-per-call"])
     @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
@@ -212,28 +213,35 @@ class TestChunkedPath:
         ex = make_example(vocab, schema, values, max_seq_len=1024)
         n = len(ex.ids)
         rows = max(1, attribution._IG_POSITIONS // n)
-        steps = {"divides": 2 * rows - 2, "remainder": 2 * rows + 1,
+        steps = {"divides": 2 * rows, "remainder": 2 * rows + 1,
                  "one-chunk": rows - 3, "row-per-call": 3}[case]
         assert steps >= 1
-        assert {"divides": (steps + 2) % rows == 0, "remainder": (steps + 2) % rows != 0,
-                "one-chunk": steps + 2 < rows, "row-per-call": n > attribution._IG_POSITIONS}[case]
+        assert {"divides": steps % rows == 0, "remainder": steps % rows != 0,
+                "one-chunk": steps < rows, "row-per-call": n > attribution._IG_POSITIONS}[case]
         cfg = small_config(vocab.size, variant, max_seq_len=n, layers=2, d_model=8, d_ff=12)
         p = randomize_params(init_params(cfg), np.random.default_rng(31))
 
-        calls = []
-        forward = encoder.forward_from_embeddings
+        calls, backward_rows = [], []
+        forward, backward = encoder.forward_from_embeddings, encoder.backward
 
         def counting(params, config, embeddings, *args, **kwargs):
             calls.append(embeddings.shape[:2])
             return forward(params, config, embeddings, *args, **kwargs)
 
+        def counting_backward(params, trace, dlogits, *args, **kwargs):
+            backward_rows.append(len(dlogits))
+            return backward(params, trace, dlogits, *args, **kwargs)
+
         monkeypatch.setattr(encoder, "forward_from_embeddings", counting)
+        monkeypatch.setattr(encoder, "backward", counting_backward)
         res = integrated_gradients(p, cfg, ex, CoarseLabel.WEB_ATTACK, IGConfig(steps=steps))
         monkeypatch.undo()
 
         assert sum(b for b, _ in calls) == steps + 2
+        assert sum(backward_rows) == steps
         assert all(b * length <= max(attribution._IG_POSITIONS, n) for b, length in calls)
-        assert len(calls) == -(-(steps + 2) // rows)
+        endpoint_calls = 1 if rows >= 2 else 2
+        assert len(calls) == endpoint_calls + -(-steps // rows)
         token_attr, output_delta = _one_call_ig(p, cfg, ex, CoarseLabel.WEB_ATTACK, steps)
         floor = 1e-12 * max(1.0, np.abs(token_attr).max())
         np.testing.assert_allclose(res.token_attr, token_attr, rtol=1e-12, atol=floor)

@@ -393,6 +393,25 @@ class TestFailureModes:
         assert r.output.splitlines() == [f"error: cannot create work dir {work}: Not a directory"]
         assert not (tmp_path / "file" / ".lock").exists()
 
+    @pytest.mark.parametrize("stage, name", [
+        ("prepare", "dedup_report.txt"),
+        ("evaluate", "model_absolute.ckpt"),
+        ("evaluate", "metrics_absolute.txt"),
+    ], ids=["prepare-writes-report", "evaluate-reads-checkpoint", "evaluate-writes-metrics"])
+    def test_io_failure_in_a_stage(self, pipeline, tmp_path, stage, name):
+        # a directory where a stage reads or writes a file: one line, exit 3
+        tmp, cfg = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        (work / name).unlink()
+        (work / name).mkdir()
+        before = {p.name: p.read_bytes() for p in work.iterdir() if p.is_file()}
+        r = run(stage, "--config", cfg, "--work-dir", work)
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [f"error: cannot access {work / name}: Is a directory"]
+        assert not (work / ".lock").exists()
+        assert {p.name: p.read_bytes() for p in work.iterdir() if p.is_file()} == before
+
     def test_input_csv_is_a_directory(self, tmp_path):
         cfg = write_config(tmp_path, input_csv=str(tmp_path))
         r = run("prepare", "--config", cfg)

@@ -291,14 +291,19 @@ class TestRelativePositions:
         )
         np.testing.assert_allclose(sd * np.sqrt(3.0), sa, atol=1e-12)
 
-    def test_tables_built_once_per_config_and_sliced(self):
+    def test_tables_built_once_per_length_and_sliced(self):
+        # each batch's tables are built at its own length, once for its
+        # forward and backward, so the one-hot never outgrows the batch
         _rel_tables.cache_clear()
         rng = np.random.default_rng(13)
-        cfg = small_config(20, DISENTANGLED)
+        cfg = small_config(20, DISENTANGLED, layers=2)
         p = randomize_params(init_params(cfg), rng)
-        for L in (5, 10, 16, 12):
-            forward_from_embeddings(p, cfg, rng.normal(size=(2, L, 8)), np.ones((2, L)))
-        assert _rel_tables.cache_info().currsize == 1
+        for L in (5, 10, 16, 12, 10):
+            _, trace = forward_from_embeddings(p, cfg, rng.normal(size=(2, L, 8)), np.ones((2, L)))
+            backward(p, trace, np.ones((2, 3)), param_grads=False)
+        assert _rel_tables.cache_info().misses == 4
+        assert _rel_tables(12, 4)[1].shape == (12, 12, 9)
+        assert _rel_tables.cache_info().misses == 4
         full = _rel_tables(16, 4)[0]
         for L in range(1, 17):
             assert np.array_equal(_rel_tables(L, 4)[0], full[:L, :L])

@@ -73,6 +73,12 @@ class TestMetrics:
         assert m.f1[1] == 0.0
         assert set(m.zero_division_classes) == {"DDOS", "WEB_ATTACK"}
 
+    def test_zero_division_line_in_class_order(self):
+        # DDOS has no predictions (precision 0/0), WEB_ATTACK no support
+        # (recall 0/0): both arms of the condition, listed in class order
+        m = metrics(ConfusionMatrix(((4, 0, 1), (3, 0, 0), (0, 0, 0))))
+        assert m.format().splitlines()[-1] == "zero_division\tDDOS,WEB_ATTACK"
+
     def test_hand_worked_matrix(self):
         cm = ConfusionMatrix(((8, 2, 0), (1, 9, 0), (0, 0, 10)))
         m = metrics(cm)

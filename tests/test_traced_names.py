@@ -43,7 +43,8 @@ def test_traced_name_resolves(module, name):
 def test_probes_read_a_mixed_length_pass(vocab, schema):
     # tokenize -> evaluate_examples -> integrated_gradients under the tracer,
     # on flows whose values render to different token lengths; the last one
-    # is long enough that its IG path takes more than one encoder call
+    # is long enough that its IG path takes more than one encoder call after
+    # the one for F(x) and F(x')
     tracing = _tracing()
     cfg = small_config(vocab.size, max_seq_len=128, d_model=16, d_ff=24)
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(4))
@@ -51,7 +52,7 @@ def test_probes_read_a_mixed_length_pass(vocab, schema):
     records = [FlowRecord(tuple(float(rng.integers(1, 10 ** int(rng.integers(1, 5))))
                                 for _ in range(schema.d)), "BENIGN") for _ in range(6)]
     records.append(FlowRecord((123456789.123,) * schema.d, "BENIGN"))
-    steps, chunk = 5, 3
+    steps, chunk = 7, 3
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         examples = [tokenizer.tokenize(textualize.serialize(rec, schema), vocab, 128,
@@ -74,8 +75,8 @@ def test_probes_read_a_mixed_length_pass(vocab, schema):
     positions = sum(m.size for m in masks) + sum((steps + 2) * n for n in ig_lengths)
     assert masked > 0
     assert metrics["encoder.pad_share"] == pytest.approx(masked / positions, rel=1e-12)
-    calls = [math.ceil((steps + 2) / max(1, attribution._IG_POSITIONS // n))
+    calls = [1 + math.ceil(steps / max(1, attribution._IG_POSITIONS // n))
              for n in ig_lengths]
-    assert calls[0] == 1 and calls[1] > 1
+    assert calls[0] == 2 and calls[1] > 2
     assert metrics["attribution.forward_calls_per_example"] == sum(calls) / 2
     assert metrics["attribution.forward_rows_per_example"] == steps + 2
