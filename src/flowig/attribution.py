@@ -15,7 +15,7 @@ import numpy as np
 
 from . import encoder
 from .encoder import EncoderConfig, Params
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_fields
 from .flow_data import COARSE_LABELS, CoarseLabel, FeatureSchema
 from .textualize import format_value
 from .tokenizer import TokenizedExample
@@ -37,8 +37,7 @@ class IGConfig:
     steps: int = 64
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("IG steps must be >= 1")
+        check_fields(self, "ig ", {"steps": 1})
 
 
 @dataclass(frozen=True)

@@ -20,42 +20,20 @@ import click
 
 from . import attribution, checkpoint, encoder, evaluation, flow_data, synthetic, textualize, tokenizer, training
 from .checkpoint import write_artifact
-from .errors import (
-    AuditError,
-    ConfigError,
-    DataError,
-    FlowigError,
-    NumericError,
-)
+from .errors import AuditError, ConfigError, DataError, FlowigError, check_fields
 from .flow_data import COARSE_LABELS, FeatureSchema, LabeledDataset
-
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-EXIT_AUDIT = 5
 
 VARIANTS = (encoder.ABSOLUTE, encoder.DISENTANGLED)
 HEATMAP_FORMATS = ("csv", "svg")
 
-# the JSON types a config field of each annotation accepts
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict,
-               "object": object, "int | None": (int, type(None)), "str | None": (str, type(None)),
-               "tuple[float, float, float]": list}
 
-
-def _check_fields(where: str, data, kind, set_by_run=()) -> None:
-    """Refuse a non-object, keys that `kind` lacks and wrongly typed values."""
+def _check_keys(where: str, data, kind, set_by_run=()) -> None:
+    """Refuse a non-object, and keys that `kind` lacks or that the run sets."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    types = {f.name: f.type for f in dataclasses.fields(kind) if f.name not in set_by_run}
-    unknown = set(data) - set(types)
+    unknown = set(data) - ({f.name for f in dataclasses.fields(kind)} - set(set_by_run))
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
-    for key, value in data.items():
-        # bool is an int subclass, so JSON true would pass as 1
-        if (not isinstance(value, _JSON_TYPES[types[key]])
-                or isinstance(value, bool) and types[key] != "bool"):
-            raise ConfigError(f"{where} key {key} must be {types[key]}, got {value!r}")
 
 
 @dataclass
@@ -82,16 +60,9 @@ class RunConfig:
     top_k: int = 15
 
     def __post_init__(self):
+        # under one example per class, ig_max_examples's round-robin pick leaves a class out
+        check_fields(self, "", {"seed": 0, "top_k": 1, "ig_max_examples": len(COARSE_LABELS)})
         self.ratios = flow_data.check_split_ratios(self.ratios)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        # under one example per class, the round-robin pick leaves a class out
-        if self.ig_max_examples is not None and self.ig_max_examples < len(COARSE_LABELS):
-            raise ConfigError(
-                f"ig_max_examples must be >= {len(COARSE_LABELS)}, got {self.ig_max_examples}"
-            )
         if self.schema == "synthetic":
             self._schema = synthetic.SYNTHETIC_SCHEMA
         elif isinstance(self.schema, (list, tuple)):
@@ -117,12 +88,12 @@ class RunConfig:
                 data = json.loads(Path(path).read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as e:
                 raise ConfigError(f"cannot read config {path}: {e}")
-            _check_fields("config", data, cls)
+            _check_keys("config", data, cls)
             # the run itself sets the vocabulary size, the variant and the seed
-            _check_fields("encoder config", data.get("encoder", {}), encoder.EncoderConfig,
-                          ("vocab_size", "attention_variant", "seed"))
-            _check_fields("train config", data.get("train", {}), training.TrainConfig, ("seed",))
-            _check_fields("ig config", data.get("ig", {}), attribution.IGConfig)
+            _check_keys("encoder config", data.get("encoder", {}), encoder.EncoderConfig,
+                        ("vocab_size", "attention_variant", "seed"))
+            _check_keys("train config", data.get("train", {}), training.TrainConfig, ("seed",))
+            _check_keys("ig config", data.get("ig", {}), attribution.IGConfig)
         data.update((key, value) for key, value in overrides.items() if value is not None)
         if steps is not None:
             data["ig"] = dict(data.get("ig", {}), steps=steps)
@@ -161,15 +132,7 @@ def _echo(msg: str) -> None:
 
 def _fail(exc: FlowigError) -> None:
     click.echo(f"error: {exc}", err=True)
-    if isinstance(exc, ConfigError):
-        sys.exit(EXIT_CONFIG)
-    if isinstance(exc, DataError):
-        sys.exit(EXIT_DATA)
-    if isinstance(exc, NumericError):
-        sys.exit(EXIT_NUMERIC)
-    if isinstance(exc, AuditError):
-        sys.exit(EXIT_AUDIT)
-    sys.exit(1)
+    sys.exit(exc.exit_code)
 
 
 def _load_split(work: Path, name: str, cfg: RunConfig) -> LabeledDataset:
@@ -355,6 +318,14 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
     _echo(f"fraction of examples exceeding completeness tolerance: {frac:.4f}")
 
 
+def _read_text(path: Path) -> str:
+    """An artifact's text; bytes that are not UTF-8 are a data error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path} is not UTF-8 text: {e.reason}") from None
+
+
 def _run_report(cfg: RunConfig, work: Path) -> None:
     """Aggregate all stage artifacts into one run report."""
     required = {
@@ -370,28 +341,26 @@ def _run_report(cfg: RunConfig, work: Path) -> None:
         raise DataError("missing artifacts: " + "; ".join(missing))
 
     sections = ["# Run report\n"]
-    sections.append("## Deduplication\n\n```\n" + (work / "dedup_report.txt").read_text() + "```\n")
-    sections.append("## Overlap audit\n\n```\n" + (work / "overlap_audit.txt").read_text() + "```\n")
+    sections.append("## Deduplication\n\n```\n" + _read_text(work / "dedup_report.txt") + "```\n")
+    sections.append("## Overlap audit\n\n```\n" + _read_text(work / "overlap_audit.txt") + "```\n")
 
     sections.append("## Training\n")
     for v in trained:
         log = work / f"train_log_{v}.jsonl"
         if log.exists():
-            sections.append(f"### {v}\n\n```\n" + log.read_text() + "```\n")
+            sections.append(f"### {v}\n\n```\n" + _read_text(log) + "```\n")
 
     metrics_rows = []
     for v in trained:
         mfile = work / f"metrics_{v}.txt"
         if not mfile.exists():
             raise DataError(f"missing metrics for {v}; run `flowig evaluate --variant {v}`")
-        text = mfile.read_text()
-        macro = next(
-            line.split("\t")[1] for line in text.splitlines() if line.startswith("macro_f1")
-        )
-        weighted = next(
-            line.split("\t")[1] for line in text.splitlines() if line.startswith("weighted_f1")
-        )
-        metrics_rows.append((v, macro, weighted))
+        text = _read_text(mfile)
+        values = dict(line.split("\t", 1) for line in text.splitlines() if "\t" in line)
+        try:
+            metrics_rows.append((v, values["macro_f1"], values["weighted_f1"]))
+        except KeyError as e:
+            raise DataError(f"{mfile} has no {e.args[0]} line") from None
         sections.append(f"## Metrics ({v})\n\n```\n" + text + "```\n")
     if len(metrics_rows) > 1:
         table = ["| variant | macro F1 | weighted F1 |", "|---|---|---|"]

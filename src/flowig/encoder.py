@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_fields
 from .tokenizer import TokenizedExample
 
 ABSOLUTE = "absolute"
@@ -45,16 +45,9 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        lows = {"vocab_size": 1, "max_seq_len": 1, "layers": 0, "heads": 1,
-                "d_model": 1, "d_ff": 1, "rel_window": 0}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # a checkpoint header's JSON may hold 2.0 or true where a count belongs
-            want = {"int": int, "float": (int, float), "bool": bool, "str": str}[f.type]
-            if not isinstance(value, want) or isinstance(value, bool) and f.type != "bool":
-                raise ConfigError(f"encoder {f.name} must be {f.type}, got {value!r}")
-            if f.name in lows and value < lows[f.name]:
-                raise ConfigError(f"encoder {f.name} must be >= {lows[f.name]}, got {value}")
+        # a checkpoint header's JSON may hold 2.0 or true where a count belongs
+        check_fields(self, "encoder ", {"vocab_size": 1, "max_seq_len": 1, "layers": 0, "heads": 1,
+                                        "d_model": 1, "d_ff": 1, "rel_window": 0})
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by heads={self.heads}"

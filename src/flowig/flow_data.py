@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -74,11 +73,11 @@ class ParseReport:
 class DedupReport:
     before: int
     after: int
-    removed: int
     label_conflicts: int = 0
 
-    def __post_init__(self):
-        assert self.before - self.removed == self.after
+    @property
+    def removed(self) -> int:
+        return self.before - self.after
 
     def format(self) -> str:
         return (
@@ -126,25 +125,22 @@ def merge_labels(raw_label: str) -> CoarseLabel:
 
 
 def parse_flow_csv(
-    source,
+    path,
     schema: FeatureSchema,
     label_column: str = "Label",
 ) -> tuple[LabeledDataset, ParseReport]:
-    """Parse a header-bearing CSV into records in schema column order.
+    """Parse a header-bearing CSV file into records in schema column order.
 
-    `source` is a binary file-like object or a path. Rows with non-finite or
-    unparseable numeric cells are dropped and tallied; an unreadable path,
-    non-UTF-8 bytes or malformed CSV raise DataError.
+    Rows with non-finite or unparseable numeric cells are dropped and
+    tallied; an unreadable file, non-UTF-8 bytes or malformed CSV raise
+    DataError.
     """
-    source_name = getattr(source, "name", source)
-    close = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     try:
-        stream = open(source, "rb") if close else source
+        stream = open(path, encoding="utf-8-sig", newline="")
     except OSError as e:
-        raise DataError(f"cannot read {source}: {e.strerror}") from None
+        raise DataError(f"cannot read {path}: {e.strerror}") from None
     try:
-        text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
-        reader = csv.reader(text)
+        reader = csv.reader(stream)
         try:
             header = next(reader)
         except StopIteration:
@@ -179,13 +175,11 @@ def parse_flow_csv(
             records.append((FlowRecord(values, raw_label), coarse))
         return LabeledDataset(schema, records), report
     except UnicodeDecodeError as e:
-        raise DataError(f"{source_name} is not UTF-8 text: {e.reason}") from None
+        raise DataError(f"{path} is not UTF-8 text: {e.reason}") from None
     except csv.Error as e:
-        raise DataError(f"{source_name} line {reader.line_num}: {e}") from None
+        raise DataError(f"{path} line {reader.line_num}: {e}") from None
     finally:
-        text.detach()
-        if close:
-            stream.close()
+        stream.close()
 
 
 def record_hash(record: FlowRecord, schema: FeatureSchema, policy: ValueFormatPolicy) -> str:
@@ -216,7 +210,6 @@ def deduplicate(
     report = DedupReport(
         before=len(dataset.records),
         after=len(kept),
-        removed=len(dataset.records) - len(kept),
         label_conflicts=conflicts,
     )
     return LabeledDataset(dataset.schema, kept), report, hashes

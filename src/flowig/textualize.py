@@ -10,7 +10,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError, check_fields
 
 CLAUSE_SEPARATOR = " ; "
 
@@ -20,8 +20,7 @@ class ValueFormatPolicy:
     significant_digits: int = 6
 
     def __post_init__(self):
-        if self.significant_digits < 1:
-            raise ConfigError("significant_digits must be >= 1")
+        check_fields(self, "", {"significant_digits": 1})
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import encoder
 from .encoder import EncoderConfig, Params
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_fields
 from .evaluation import confusion, metrics, predict_labels
 from .flow_data import COARSE_LABELS, CoarseLabel
 from .tokenizer import TokenizedExample
@@ -27,10 +27,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ConfigError("epochs, batch_size and learning_rate must be positive")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
+        check_fields(self, "train ", {"epochs": 1, "batch_size": 1, "patience": 1})
+        if self.learning_rate <= 0:
+            raise ConfigError(f"train learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -46,7 +45,6 @@ class TrainingLog:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
     best_val_macro_f1: float = -1.0
-    stopped_early: bool = False
 
 
 def class_weights(
@@ -190,7 +188,6 @@ def train(
         else:
             since_best += 1
             if since_best >= train_config.patience:
-                log.stopped_early = True
                 break
 
     return best_params, log

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import shutil
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,13 +10,24 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from flowig import cli, encoder, flow_data, textualize, tokenizer
+from flowig import checkpoint, cli, encoder, errors, flow_data, textualize, tokenizer
 from flowig.attribution import IGConfig
 from flowig.checkpoint import load_checkpoint, save_checkpoint
-from flowig.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
-from flowig.errors import AuditError, ConfigError, DataError, NumericError
+from flowig.cli import main
+from flowig.errors import (
+    AuditError,
+    ConfigError,
+    DataError,
+    FlowigError,
+    NumericError,
+    SchemaError,
+    TruncationError,
+)
 from flowig.flow_data import COARSE_LABELS
 from flowig.training import TrainConfig
+
+# the documented exit codes
+EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_AUDIT = 2, 3, 4, 5
 
 SMALL_CONFIG = {
     "schema": "synthetic",
@@ -45,8 +57,8 @@ def write_config(tmp: Path, **overrides) -> Path:
 
 # bad values, most of which only one stage reads; every stage refuses them at load
 LOAD_REFUSALS = [
-    ({"ig": {"steps": 0}}, "IG steps must be >= 1"),
-    ({"train": {"epochs": 0}}, "epochs, batch_size and learning_rate must be positive"),
+    ({"ig": {"steps": 0}}, "ig steps must be >= 1, got 0"),
+    ({"train": {"epochs": 0}}, "train epochs must be >= 1, got 0"),
     ({"encoder": {"heads": 0}}, "encoder heads must be >= 1, got 0"),
     ({"ig_max_examples": 2}, "ig_max_examples must be >= 3, got 2"),
     ({"variant": "bogus"}, "unknown attention variant 'bogus'"),
@@ -166,17 +178,17 @@ class TestFailureModes:
             ({"train": {"seed": 3}}, "unknown train config keys: seed"),
             ({"encoder": {"vocab_size": 9}}, "unknown encoder config keys: vocab_size"),
             ({"ig": {"bogus": 1}}, "unknown ig config keys: bogus"),
-            ({"ig": [8]}, "config key ig must be dict, got [8]"),
-            ({"ratios": 5}, "config key ratios must be tuple[float, float, float], got 5"),
-            ({"train": {"epochs": "2"}}, "train config key epochs must be int, got '2'"),
-            ({"encoder": {"layers": 1.5}}, "encoder config key layers must be int, got 1.5"),
-            ({"encoder": {"layers": True}}, "encoder config key layers must be int, got True"),
+            ({"ig": [8]}, "ig config must be a JSON object"),
+            ({"ratios": 5}, "ratios must be tuple[float, float, float], got 5"),
+            ({"train": {"epochs": "2"}}, "train epochs must be int, got '2'"),
+            ({"encoder": {"layers": 1.5}}, "encoder layers must be int, got 1.5"),
+            ({"encoder": {"layers": True}}, "encoder layers must be int, got True"),
             ({"encoder": {"dropout_rate": False}},
-             "encoder config key dropout_rate must be float, got False"),
-            ({"train": {"epochs": True}}, "train config key epochs must be int, got True"),
-            ({"ig": {"steps": True}}, "ig config key steps must be int, got True"),
-            ({"top_k": True}, "config key top_k must be int, got True"),
-            ({"significant_digits": 0}, "significant_digits must be >= 1"),
+             "encoder dropout_rate must be float, got False"),
+            ({"train": {"epochs": True}}, "train epochs must be int, got True"),
+            ({"ig": {"steps": True}}, "ig steps must be int, got True"),
+            ({"top_k": True}, "top_k must be int, got True"),
+            ({"significant_digits": 0}, "significant_digits must be >= 1, got 0"),
             # keys that were removed because they only ever took one value
             ({"heatmap_formats": ["csv"]}, "unknown config keys: heatmap_formats"),
             ({"train": {"weight_decay": 0.0}}, "unknown train config keys: weight_decay"),
@@ -267,16 +279,59 @@ class TestFailureModes:
         shutil.copytree(tmp / "work", work)
         r = run("explain", "--config", cfg, "--work-dir", work, "--steps", 0)
         assert r.exit_code == EXIT_CONFIG
-        assert r.output.splitlines() == ["error: IG steps must be >= 1"]
+        assert r.output.splitlines() == ["error: ig steps must be >= 1, got 0"]
         assert not (work / ".lock").exists()
         r = run("explain", "--config", cfg, "--work-dir", work, "--steps", 3)
         assert r.exit_code == 0, r.output
         assert "ig_steps: 3\n" in (work / "completeness_absolute.txt").read_text()
 
     def test_every_config_field_has_a_json_type(self):
-        for kind in (cli.RunConfig, encoder.EncoderConfig, TrainConfig, IGConfig):
+        for kind in (cli.RunConfig, encoder.EncoderConfig, TrainConfig, IGConfig,
+                     textualize.ValueFormatPolicy):
             for f in dataclasses.fields(kind):
-                assert f.type in cli._JSON_TYPES, (kind.__name__, f.name, f.type)
+                assert f.type in errors.JSON_TYPES, (kind.__name__, f.name, f.type)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TrainConfig(epochs=2.0), "train epochs must be int, got 2.0"),
+            (lambda: TrainConfig(batch_size=True), "train batch_size must be int, got True"),
+            (lambda: IGConfig(steps=True), "ig steps must be int, got True"),
+            (lambda: textualize.ValueFormatPolicy(significant_digits=6.0),
+             "significant_digits must be int, got 6.0"),
+        ],
+        ids=["train-float-epochs", "train-bool-batch-size", "ig-bool-steps",
+             "float-significant-digits"],
+    )
+    def test_config_dataclass_refuses_wrong_type(self, build, message):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_one_message_from_config_and_checkpoint_header(self, pipeline, tmp_path):
+        # the same field check refuses a run config and a checkpoint header
+        cfg = write_config(tmp_path, encoder={**SMALL_CONFIG["encoder"], "layers": 1.5})
+        r = run("prepare", "--config", cfg)
+        assert r.exit_code == EXIT_CONFIG
+        assert r.output.splitlines() == ["error: encoder layers must be int, got 1.5"]
+
+        tmp, good = pipeline
+        work = tmp_path / "copy"
+        work.mkdir()
+        ckpt = work / "model_absolute.ckpt"
+        data = (tmp / "work" / ckpt.name).read_bytes()
+        magic = len(checkpoint._MAGIC)
+        (hlen,) = struct.unpack_from("<Q", data, magic)
+        header = json.loads(data[magic + 8 : magic + 8 + hlen])
+        header["config"]["layers"] = 1.5
+        head = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(data[:magic] + struct.pack("<Q", len(head)) + head
+                         + data[magic + 8 + hlen :])
+        r = run("evaluate", "--config", good, "--work-dir", work)
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [
+            f"error: {ckpt}: corrupt checkpoint header: encoder layers must be int, got 1.5"
+        ]
 
     def test_config_not_an_object(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -455,6 +510,36 @@ class TestFailureModes:
         assert "truncated" in r.output
         assert "Traceback" not in r.output
 
+    @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            ("metrics_absolute.txt", b"accuracy\t0.9\nweighted_f1\t0.9\n", "has no macro_f1 line"),
+            ("metrics_absolute.txt", b"macro_f1\t0.9\n", "has no weighted_f1 line"),
+            ("metrics_absolute.txt", b"macro_f1\t0.9\xff\n",
+             "is not UTF-8 text: invalid start byte"),
+            ("dedup_report.txt", b"deduplication: 3 \x96 2\n",
+             "is not UTF-8 text: invalid start byte"),
+            ("train_log_absolute.jsonl", b"\xff\n", "is not UTF-8 text: invalid start byte"),
+        ],
+        ids=["metrics-no-macro-f1", "metrics-no-weighted-f1", "metrics-not-utf8",
+             "dedup-report-not-utf8", "train-log-not-utf8"],
+    )
+    def test_report_refuses_bad_artifact(self, tmp_path, name, data, message):
+        # report only checks that a checkpoint exists, so an empty one will do
+        cfg = write_config(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        files = {"model_absolute.ckpt": b"", "dedup_report.txt": b"deduplication: 3 -> 2\n",
+                 "overlap_audit.txt": b"train x test\t0\n",
+                 "metrics_absolute.txt": b"macro_f1\t0.9\nweighted_f1\t0.9\n", name: data}
+        for file, content in files.items():
+            (work / file).write_bytes(content)
+        r = run("report", "--config", cfg)
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [f"error: {work / name} {message}"]
+        assert not (work / ".lock").exists()
+        assert not (work / "report.md").exists()
+
     def test_unknown_variant_flag(self, tmp_path):
         cfg = write_config(tmp_path)
         r = run("train", "--config", cfg, "--variant", "rotary")
@@ -464,8 +549,11 @@ class TestFailureModes:
         for exc, code in (
             (ConfigError("x"), EXIT_CONFIG),
             (DataError("x"), EXIT_DATA),
+            (SchemaError("x"), EXIT_DATA),
+            (TruncationError("x"), EXIT_DATA),
             (NumericError("x"), EXIT_NUMERIC),
             (AuditError("x"), EXIT_AUDIT),
+            (FlowigError("x"), 1),
         ):
             with pytest.raises(SystemExit) as info:
                 cli._fail(exc)

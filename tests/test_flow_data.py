@@ -1,4 +1,3 @@
-import io
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +25,18 @@ from flowig.flow_data import (
 from flowig.textualize import ValueFormatPolicy
 
 SCHEMA = FeatureSchema(("A", "B"))
+
+
+@pytest.fixture(scope="module")
+def csv_file(tmp_path_factory):
+    """A function that writes CSV bytes to one file and returns its path."""
+    path = tmp_path_factory.mktemp("csv") / "flows.csv"
+
+    def write(data: bytes):
+        path.write_bytes(data)
+        return path
+
+    return write
 
 
 def make_dataset(rows):
@@ -56,31 +67,31 @@ class TestMergeLabels:
 
 
 class TestParseFlowCsv:
-    def test_nonfinite_rows_dropped(self):
+    def test_nonfinite_rows_dropped(self, csv_file):
         csv_bytes = b"A,B,Label\r\n1,2,BENIGN\r\n3,Infinity,DDoS\r\n5,6,DDoS\r\n"
-        ds, report = parse_flow_csv(io.BytesIO(csv_bytes), SCHEMA)
+        ds, report = parse_flow_csv(csv_file(csv_bytes), SCHEMA)
         assert len(ds) == 2
         assert report.rows_dropped == 1
         assert report.rows_dropped_nonfinite == 1
 
-    def test_header_only(self):
-        ds, report = parse_flow_csv(io.BytesIO(b"A,B,Label\r\n"), SCHEMA)
+    def test_header_only(self, csv_file):
+        ds, report = parse_flow_csv(csv_file(b"A,B,Label\r\n"), SCHEMA)
         assert len(ds) == 0
         assert report.rows_dropped == 0
 
-    def test_missing_column(self):
+    def test_missing_column(self, csv_file):
         with pytest.raises(SchemaError, match="'B'"):
-            parse_flow_csv(io.BytesIO(b"A,Label\r\n1,BENIGN\r\n"), SCHEMA)
+            parse_flow_csv(csv_file(b"A,Label\r\n1,BENIGN\r\n"), SCHEMA)
 
-    def test_unparseable_cell_tallied(self):
+    def test_unparseable_cell_tallied(self, csv_file):
         csv_bytes = b"A,B,Label\r\n1,2,BENIGN\r\nx,2,BENIGN\r\n"
-        ds, report = parse_flow_csv(io.BytesIO(csv_bytes), SCHEMA)
+        ds, report = parse_flow_csv(csv_file(csv_bytes), SCHEMA)
         assert len(ds) == 1
         assert report.rows_dropped_unparseable == 1
 
-    def test_column_order_follows_schema(self):
+    def test_column_order_follows_schema(self, csv_file):
         csv_bytes = b"B,Label,A\r\n2,BENIGN,1\r\n"
-        ds, _ = parse_flow_csv(io.BytesIO(csv_bytes), SCHEMA)
+        ds, _ = parse_flow_csv(csv_file(csv_bytes), SCHEMA)
         assert ds.records[0][0].features == (1.0, 2.0)
 
     # cells that stress the CSV reader: NUL, stray and doubled quotes, line
@@ -95,11 +106,11 @@ class TestParseFlowCsv:
 
     @given(st.lists(st.lists(_CELL, min_size=1, max_size=4), max_size=6))
     @settings(max_examples=300, deadline=None)
-    def test_any_cell_text_parses_or_raises_flowig_error(self, rows):
+    def test_any_cell_text_parses_or_raises_flowig_error(self, csv_file, rows):
         body = "".join(",".join(cells) + "\r\n" for cells in rows)
         csv_bytes = ("A,B,Label\r\n" + body).encode("utf-8")
         try:
-            ds, report = parse_flow_csv(io.BytesIO(csv_bytes), SCHEMA)
+            ds, report = parse_flow_csv(csv_file(csv_bytes), SCHEMA)
         except FlowigError:
             return
         assert report.rows_total == len(ds) + report.rows_dropped
@@ -273,22 +284,22 @@ class TestAuditOverlap:
 DURATION = FeatureSchema(("Flow Duration",))
 
 
-def csv_round_trip(ds):
+def csv_round_trip(csv_file, ds):
     """The dataset written as a split CSV and parsed back, as later stages read it."""
-    parsed, report = parse_flow_csv(io.BytesIO(synthetic.dataset_to_csv_bytes(ds)), ds.schema)
+    parsed, report = parse_flow_csv(csv_file(synthetic.dataset_to_csv_bytes(ds)), ds.schema)
     assert report.rows_dropped == 0
     return parsed
 
 
 class TestSplitCsvRoundTrip:
-    def test_distinct_flows_stay_distinct(self):
+    def test_distinct_flows_stay_distinct(self, csv_file):
         # 6 significant digits would write all four as 1.23457e+06
         ds = LabeledDataset(DURATION, [
             (FlowRecord((float(v),), "BENIGN"), CoarseLabel.BENIGN)
             for v in range(1234567, 1234571)
         ])
         assert deduplicate(ds)[1].after == 4
-        parsed = csv_round_trip(ds)
+        parsed = csv_round_trip(csv_file, ds)
         assert parsed.records == ds.records
         assert deduplicate(parsed)[1].after == 4
 
@@ -300,9 +311,9 @@ class TestSplitCsvRoundTrip:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                     min_size=2, max_size=2))
     @settings(max_examples=300, deadline=None)
-    def test_any_finite_row_round_trips(self, values):
+    def test_any_finite_row_round_trips(self, csv_file, values):
         ds = make_dataset([(values, "BENIGN")])
-        (rec, _), = csv_round_trip(ds).records
+        (rec, _), = csv_round_trip(csv_file, ds).records
         assert rec.features == tuple(values)
         policy = ValueFormatPolicy()
         assert record_hash(rec, SCHEMA, policy) == record_hash(ds.records[0][0], SCHEMA, policy)
