@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -117,6 +119,7 @@ def _normalize_label(raw: str) -> str:
     return _WS.sub(" ", s)
 
 
+@functools.lru_cache(maxsize=1024)   # a capture holds a handful of distinct raw labels
 def merge_labels(raw_label: str) -> CoarseLabel:
     key = _normalize_label(raw_label)
     if key not in _LABEL_MAP:
@@ -146,33 +149,30 @@ def parse_flow_csv(
         except StopIteration:
             raise SchemaError("CSV has no header row")
         header = [h.strip() for h in header]
-        col_index = {}
-        for name in schema.names:
+        for name in (*schema.names, label_column):
             if name not in header:
                 raise SchemaError(f"missing required column: {name!r}")
-            col_index[name] = header.index(name)
-        if label_column not in header:
-            raise SchemaError(f"missing required column: {label_column!r}")
-        label_idx = header.index(label_column)
-        positions = [col_index[n] for n in schema.names]
+        # the label cell last, so a one-column schema still picks a tuple
+        pick = operator.itemgetter(*(header.index(n) for n in schema.names),
+                                   header.index(label_column))
 
         report = ParseReport()
         records: list[tuple[FlowRecord, CoarseLabel]] = []
         for row in reader:
-            if not row or all(not c.strip() for c in row):
+            if not any(map(str.strip, row)):
                 continue
             report.rows_total += 1
             try:
-                values = tuple(float(row[p]) for p in positions)
-                raw_label = row[label_idx].strip()
+                *cells, raw_label = pick(row)
+                values = tuple(map(float, cells))
             except (ValueError, IndexError):
                 report.rows_dropped_unparseable += 1
                 continue
-            if not all(math.isfinite(v) for v in values):
+            if not all(map(math.isfinite, values)):
                 report.rows_dropped_nonfinite += 1
                 continue
-            coarse = merge_labels(raw_label)
-            records.append((FlowRecord(values, raw_label), coarse))
+            raw_label = raw_label.strip()
+            records.append((FlowRecord(values, raw_label), merge_labels(raw_label)))
         return LabeledDataset(schema, records), report
     except UnicodeDecodeError as e:
         raise DataError(f"{path} is not UTF-8 text: {e.reason}") from None
@@ -230,7 +230,10 @@ def largest_remainder_sizes(n: int, ratios: tuple[float, ...]) -> tuple[int, ...
 def check_split_ratios(ratios) -> tuple[float, float, float]:
     """`ratios` as a tuple, refused unless three numbers >= 0 summing to 1."""
     ratios = tuple(ratios)
-    if (len(ratios) != 3 or not all(isinstance(r, (int, float)) and r >= 0 for r in ratios)
+    # bool is an int subclass, so JSON true would pass as 1
+    if (len(ratios) != 3
+            or not all(isinstance(r, (int, float)) and not isinstance(r, bool) and r >= 0
+                       for r in ratios)
             or abs(sum(ratios) - 1.0) > 1e-9):
         raise ConfigError(f"split ratios must be three numbers >= 0 summing to 1, got {ratios}")
     return ratios
@@ -258,7 +261,7 @@ def stratified_split(
         sizes = largest_remainder_sizes(len(perm), ratios)
         offset = 0
         for s, size in enumerate(sizes):
-            parts[s].extend(int(i) for i in perm[offset : offset + size])
+            parts[s] += perm[offset : offset + size].tolist()
             offset += size
     datasets = [
         LabeledDataset(dataset.schema, [dataset.records[i] for i in part])

@@ -67,6 +67,6 @@ def dataset_to_csv_bytes(dataset: LabeledDataset, label_column: str = "Label") -
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow([*dataset.schema.names, label_column])
-    for rec, _ in dataset.records:
-        writer.writerow([*map(_csv_value, rec.features), rec.raw_label])
+    writer.writerows([*map(_csv_value, rec.features), rec.raw_label]
+                     for rec, _ in dataset.records)
     return buf.getvalue().encode("utf-8")

@@ -6,7 +6,9 @@ platforms.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,12 +24,27 @@ class ValueFormatPolicy:
     def __post_init__(self):
         check_fields(self, "", {"significant_digits": 1})
 
+    @functools.cached_property
+    def spec(self) -> str:   # of a non-integral value
+        return f".{self.significant_digits}g"
+
 
 @dataclass(frozen=True)
 class TextFlow:
-    text: str
-    # (feature_index, char_start, char_end) per "name is value" clause, end exclusive
-    spans: tuple[tuple[int, int, int], ...]
+    """A flow's "name is value" clauses in schema order. `text` and `spans`
+    are derived on each access, so no row's text outlives its one use."""
+    clauses: tuple[str, ...]
+
+    @property
+    def text(self) -> str:
+        return CLAUSE_SEPARATOR.join(self.clauses)
+
+    @property
+    def spans(self) -> tuple[tuple[int, int, int], ...]:
+        """(feature_index, char_start, char_end) of each clause in `text`, end exclusive."""
+        step = len(CLAUSE_SEPARATOR)
+        starts = itertools.accumulate((len(c) + step for c in self.clauses), initial=0)
+        return tuple((i, s, s + len(c)) for i, (s, c) in enumerate(zip(starts, self.clauses)))
 
 
 # Values whose integral rendering is exact in float64.
@@ -36,18 +53,23 @@ _INT_PASSTHROUGH_LIMIT = 1e16
 
 def format_value(x: float, policy: ValueFormatPolicy = ValueFormatPolicy()) -> str:
     """Locale-independent fixed rendering of one feature value."""
-    if not math.isfinite(x):
+    if x.is_integer():
+        if -_INT_PASSTHROUGH_LIMIT < x < _INT_PASSTHROUGH_LIMIT:
+            return str(int(x))
+    elif not math.isfinite(x):
         raise NumericError(f"cannot format non-finite value {x!r}")
-    if x == int(x) and abs(x) < _INT_PASSTHROUGH_LIMIT:
-        return str(int(x))
-    s = f"{x:.{policy.significant_digits}g}"
-    # canonicalize exponent: 1.23457e+06 -> 1.23457e6, 1e-05 -> 1e-5
+    s = format(x, policy.spec)
     if "e" in s:
-        mant, exp = s.split("e")
-        sign = "-" if exp.startswith("-") else ""
-        digits = exp.lstrip("+-").lstrip("0") or "0"
-        s = f"{mant}e{sign}{digits}"
+        # canonicalize the exponent, which `g` writes with a sign and at least
+        # two digits: 1.23457e+06 -> 1.23457e6, 1e-05 -> 1e-5, 1e+100 -> 1e100
+        s = s.replace("e+0", "e").replace("e-0", "e-").replace("e+", "e")
     return s
+
+
+@functools.lru_cache(maxsize=64)
+def clause_prefixes(names: tuple[str, ...]) -> tuple[str, ...]:
+    """Each feature's "name is " clause prefix, built once per schema."""
+    return tuple(f"{name} is " for name in names)
 
 
 def serialize(record, schema, policy: ValueFormatPolicy = ValueFormatPolicy()) -> TextFlow:
@@ -56,17 +78,8 @@ def serialize(record, schema, policy: ValueFormatPolicy = ValueFormatPolicy()) -
         raise ValueError(
             f"record has {len(record.features)} features, schema expects {schema.d}"
         )
-    parts = []
-    spans = []
-    pos = 0
-    for i, (name, value) in enumerate(zip(schema.names, record.features)):
-        clause = f"{name} is {format_value(value, policy)}"
-        if i > 0:
-            pos += len(CLAUSE_SEPARATOR)
-        spans.append((i, pos, pos + len(clause)))
-        pos += len(clause)
-        parts.append(clause)
-    return TextFlow(text=CLAUSE_SEPARATOR.join(parts), spans=tuple(spans))
+    return TextFlow(tuple([prefix + format_value(value, policy) for prefix, value
+                           in zip(clause_prefixes(schema.names), record.features)]))
 
 
 def text_hash(text: str) -> str:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, TruncationError, DataError
 from .flow_data import CoarseLabel, FeatureSchema
-from .textualize import TextFlow
+from .textualize import TextFlow, clause_prefixes
 
 PAD = "[PAD]"
 CLS = "[CLS]"
@@ -70,24 +70,23 @@ def tokenize(
 ) -> TokenizedExample:
     """[CLS] then per feature [FEAT][IS][value chars...][SEP], unpadded;
     batches are padded where they are built (`training._stack`)."""
-    ids = [vocab.id_of[CLS]]
+    id_of = vocab.id_of
+    is_id, sep_id = id_of[IS], id_of[SEP]
+    prefixes = clause_prefixes(vocab.feature_names)
+    ids = [id_of[CLS]]
     spans = []
-    for fi, start, end in flow.spans:
-        name = vocab.feature_names[fi]
-        clause = flow.text[start:end]
-        prefix = f"{name} is "
+    for fi, clause in enumerate(flow.clauses):
+        name, prefix = vocab.feature_names[fi], prefixes[fi]
         if not clause.startswith(prefix):
             raise DataError(f"span {fi} does not match schema feature {name!r}")
-        value = clause[len(prefix):]
         tok_start = len(ids)
-        ids.append(vocab.id_of[name])
-        ids.append(vocab.id_of[IS])
-        for ch in value:
-            if ch not in vocab.id_of:
-                raise DataError(f"value character {ch!r} not in vocabulary")
-            ids.append(vocab.id_of[ch])
+        ids += (id_of[name], is_id)
+        try:
+            ids += map(id_of.__getitem__, clause[len(prefix):])
+        except KeyError as e:
+            raise DataError(f"value character {e.args[0]!r} not in vocabulary") from None
         spans.append((fi, tok_start, len(ids)))
-        ids.append(vocab.id_of[SEP])
+        ids.append(sep_id)
     if len(ids) > max_seq_len:
         fi = next(fi for fi, _, end in spans if end >= max_seq_len)  # first [SEP] past it
         raise TruncationError(f"sequence of {len(ids)} tokens exceeds max_seq_len={max_seq_len}"

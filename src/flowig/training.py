@@ -28,8 +28,10 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self, "train ", {"epochs": 1, "batch_size": 1, "patience": 1})
-        if self.learning_rate <= 0:
-            raise ConfigError(f"train learning_rate must be > 0, got {self.learning_rate}")
+        # JSON reads NaN and Infinity, which no comparison with 0 alone refuses
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"train learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import shutil
 import struct
@@ -67,10 +68,14 @@ LOAD_REFUSALS = [
     ({"schema": ["[PAD]"]}, "feature name collides with a reserved token: '[PAD]'"),
     ({"ratios": [0.5, 0.6, 0.1]},
      "split ratios must be three numbers >= 0 summing to 1, got (0.5, 0.6, 0.1)"),
+    # json.dumps writes these as the raw JSON text NaN and Infinity, which json.loads reads
+    ({"train": {"learning_rate": math.nan}}, "train learning_rate must be finite and > 0, got nan"),
+    ({"train": {"learning_rate": math.inf}}, "train learning_rate must be finite and > 0, got inf"),
 ]
 LOAD_REFUSAL_IDS = ["ig-steps-zero", "train-epochs-zero", "encoder-heads-zero",
                     "ig-max-examples-two", "variant-bogus", "schema-empty", "schema-repeated-name",
-                    "schema-reserved-name", "ratios-bad-sum"]
+                    "schema-reserved-name", "ratios-bad-sum", "learning-rate-nan",
+                    "learning-rate-infinity"]
 
 
 def run(*args):
@@ -202,6 +207,8 @@ class TestFailureModes:
             ({"seed": -1}, "seed must be >= 0, got -1"),
             ({"top_k": 0}, "top_k must be >= 1, got 0"),
             ({"top_k": -1}, "top_k must be >= 1, got -1"),
+            ({"ratios": [True, False, False]},
+             "split ratios must be three numbers >= 0 summing to 1, got (True, False, False)"),
             *LOAD_REFUSALS,
         ],
         ids=["train-key", "encoder-key", "train-seed", "encoder-vocab", "ig-key", "ig-list",
@@ -211,7 +218,7 @@ class TestFailureModes:
              "removed-heatmap-formats", "removed-weight-decay", "removed-beta1",
              "removed-beta2", "removed-adam-eps", "removed-completeness-tolerance",
              "removed-baseline-kind", "negative-seed", "top-k-zero", "top-k-negative",
-             *LOAD_REFUSAL_IDS],
+             "ratios-bool", *LOAD_REFUSAL_IDS],
     )
     def test_bad_config_value(self, tmp_path, overrides, message):
         # refused by prepare with one line, before the work dir is created

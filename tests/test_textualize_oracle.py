@@ -1,0 +1,178 @@
+"""`format_value`, `serialize` and `tokenize` against their earlier bodies.
+
+The bodies below are the per-value renderings the data path used before it
+moved to clause tuples and C-level calls. They are kept as references: the
+fast path must give the same string, spans and token ids for every input,
+and the same error for every refused one.
+"""
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowig.errors import DataError, NumericError, TruncationError
+from flowig.flow_data import CoarseLabel, FeatureSchema, FlowRecord
+from flowig.textualize import (
+    CLAUSE_SEPARATOR, TextFlow, ValueFormatPolicy, format_value, serialize,
+)
+from flowig.tokenizer import CLS, IS, SEP, TokenizedExample, build_vocab, tokenize
+
+
+def reference_format_value(x: float, policy: ValueFormatPolicy = ValueFormatPolicy()) -> str:
+    if not math.isfinite(x):
+        raise NumericError(f"cannot format non-finite value {x!r}")
+    if x == int(x) and abs(x) < 1e16:
+        return str(int(x))
+    s = f"{x:.{policy.significant_digits}g}"
+    if "e" in s:
+        mant, exp = s.split("e")
+        sign = "-" if exp.startswith("-") else ""
+        digits = exp.lstrip("+-").lstrip("0") or "0"
+        s = f"{mant}e{sign}{digits}"
+    return s
+
+
+def reference_serialize(record, schema, policy=ValueFormatPolicy()):
+    """(text, spans) as they were built clause by clause."""
+    parts, spans, pos = [], [], 0
+    for i, (name, value) in enumerate(zip(schema.names, record.features)):
+        clause = f"{name} is {reference_format_value(value, policy)}"
+        if i > 0:
+            pos += len(CLAUSE_SEPARATOR)
+        spans.append((i, pos, pos + len(clause)))
+        pos += len(clause)
+        parts.append(clause)
+    return CLAUSE_SEPARATOR.join(parts), tuple(spans)
+
+
+def reference_tokenize(text, spans, vocab, max_seq_len, label=None) -> TokenizedExample:
+    """Tokenize by slicing each clause out of the text through its span."""
+    ids = [vocab.id_of[CLS]]
+    token_spans = []
+    for fi, start, end in spans:
+        name = vocab.feature_names[fi]
+        clause = text[start:end]
+        prefix = f"{name} is "
+        if not clause.startswith(prefix):
+            raise DataError(f"span {fi} does not match schema feature {name!r}")
+        tok_start = len(ids)
+        ids.append(vocab.id_of[name])
+        ids.append(vocab.id_of[IS])
+        for ch in clause[len(prefix):]:
+            if ch not in vocab.id_of:
+                raise DataError(f"value character {ch!r} not in vocabulary")
+            ids.append(vocab.id_of[ch])
+        token_spans.append((fi, tok_start, len(ids)))
+        ids.append(vocab.id_of[SEP])
+    if len(ids) > max_seq_len:
+        fi = next(fi for fi, _, end in token_spans if end >= max_seq_len)
+        raise TruncationError(f"sequence of {len(ids)} tokens exceeds max_seq_len={max_seq_len}"
+                              f" (first past it: feature {vocab.feature_names[fi]!r})")
+    return TokenizedExample(tuple(ids), (1,) * len(ids), tuple(token_spans), label)
+
+
+SPECIAL_VALUES = [
+    0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.1 + 0.2,
+    1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf),
+    -1e16, math.nextafter(-1e16, 0.0), math.nextafter(-1e16, -math.inf),
+    2.0**53, 2.0**53 + 2, -(2.0**53 + 2), 2.0**63, -(2.0**63), 2.0**64,
+    5e-324, -5e-324, 2.2250738585072014e-308, math.nextafter(2.2250738585072014e-308, 0.0),
+    1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e-5, 1e-4, 9.999995e-5, 99999.95, 999999.5, 1234567.891, 123456.5, 1.25e-7,
+]
+finite_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(SPECIAL_VALUES))
+policies = st.integers(1, 17).map(lambda n: ValueFormatPolicy(significant_digits=n))
+
+
+class TestFormatValue:
+    @pytest.mark.parametrize("x", SPECIAL_VALUES, ids=repr)
+    @pytest.mark.parametrize("digits", [1, 6, 17])
+    def test_special_values(self, x, digits):
+        policy = ValueFormatPolicy(significant_digits=digits)
+        assert format_value(x, policy) == reference_format_value(x, policy)
+
+    @given(finite_floats, policies)
+    @settings(max_examples=2000)
+    def test_matches_reference(self, x, policy):
+        assert format_value(x, policy) == reference_format_value(x, policy)
+
+    @pytest.mark.parametrize("x", [math.nan, -math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_refused(self, x):
+        with pytest.raises(NumericError) as fast:
+            format_value(x)
+        with pytest.raises(NumericError) as reference:
+            reference_format_value(x)
+        assert str(fast.value) == str(reference.value)
+
+
+WIDE = FeatureSchema(tuple(f"Feature {i}" for i in range(78)))
+
+
+def _record(values):
+    return FlowRecord(tuple(values), "BENIGN")
+
+
+class TestSerialize:
+    @pytest.mark.parametrize("schema", [FeatureSchema(("Flow Duration",)), WIDE],
+                             ids=["one-feature", "78-features"])
+    def test_special_values(self, schema):
+        for start in range(0, len(SPECIAL_VALUES), schema.d):
+            values = (SPECIAL_VALUES * 3)[start : start + schema.d]
+            flow = serialize(_record(values), schema)
+            assert (flow.text, flow.spans) == reference_serialize(_record(values), schema)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, data):
+        d = data.draw(st.sampled_from([1, 2, 11, 78]))
+        schema = WIDE if d == 78 else FeatureSchema(tuple(f"F{i}" for i in range(d)))
+        record = _record(data.draw(st.lists(finite_floats, min_size=d, max_size=d)))
+        policy = data.draw(policies)
+        flow = serialize(record, schema, policy)
+        assert flow.clauses == tuple(flow.text[s:e] for _, s, e in flow.spans)
+        assert (flow.text, flow.spans) == reference_serialize(record, schema, policy)
+
+    def test_non_finite_refused(self):
+        with pytest.raises(NumericError, match="cannot format non-finite value nan"):
+            serialize(_record((1.0, math.nan)), FeatureSchema(("A", "B")))
+
+
+class TestTokenize:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, data):
+        d = data.draw(st.sampled_from([1, 3, 78]))
+        schema = WIDE if d == 78 else FeatureSchema(tuple(f"F{i}" for i in range(d)))
+        vocab = build_vocab(schema)
+        record = _record(data.draw(st.lists(finite_floats, min_size=d, max_size=d)))
+        max_seq_len = data.draw(st.integers(4, 2000))
+        label = data.draw(st.sampled_from([None, CoarseLabel.DDOS]))
+        flow = serialize(record, schema)
+        text, spans = reference_serialize(record, schema)
+        try:
+            expected = reference_tokenize(text, spans, vocab, max_seq_len, label)
+        except TruncationError as e:
+            with pytest.raises(TruncationError) as fast:
+                tokenize(flow, vocab, max_seq_len, label)
+            assert str(fast.value) == str(e)
+        else:
+            assert tokenize(flow, vocab, max_seq_len, label) == expected
+
+    @pytest.mark.parametrize(
+        "clauses, message",
+        [(("A is 1", "C is 2"), "span 1 does not match schema feature 'B'"),
+         (("A is 12", "B is 1x5"), "value character 'x' not in vocabulary"),
+         (("A is 1", "B is  2"), "value character ' ' not in vocabulary")],
+        ids=["feature-name", "value-character", "value-space"],
+    )
+    def test_data_errors_unchanged(self, clauses, message):
+        vocab = build_vocab(FeatureSchema(("A", "B")))
+        flow = TextFlow(clauses)
+        with pytest.raises(DataError) as reference:
+            reference_tokenize(flow.text, flow.spans, vocab, 64)
+        assert str(reference.value) == message
+        with pytest.raises(DataError) as fast:
+            tokenize(flow, vocab, 64)
+        assert str(fast.value) == message
