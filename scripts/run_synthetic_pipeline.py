@@ -2,8 +2,8 @@
 """End-to-end variant comparison on the synthetic fixture.
 
 Generates the fixture, runs prepare/train/evaluate/explain for both
-attention variants into one work dir, and prints the metric tables plus
-each class's top heatmap features.
+attention variants and then report into one work dir, and prints each
+stage's output (the metrics tables among it) and the path of `report.md`.
 """
 import argparse
 import json

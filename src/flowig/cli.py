@@ -201,19 +201,17 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
         cfg.input_csv, schema, cfg.label_column
     )
     deduped, dedup_report, hashes = flow_data.deduplicate(dataset, policy)
-    split = flow_data.stratified_split(deduped, cfg.ratios, cfg.seed)
-    split_hashes = {
-        name: [hashes[rec] for rec, _ in ds.records] for name, ds in split.splits().items()
-    }
-    overlap = flow_data.audit_overlap(split_hashes)
+    parts = dict(zip(flow_data.SPLITS, flow_data.stratified_split(deduped, cfg.ratios, cfg.seed)))
+    overlap = flow_data.audit_overlap(
+        {name: [hashes[i] for i in part] for name, part in parts.items()})
 
     manifest_lines = []
-    for name, ds in split.splits().items():
-        data = synthetic.dataset_to_csv_bytes(ds, cfg.label_column)
+    for name, part in parts.items():
+        records = [deduped.records[i] for i in part]
+        data = synthetic.dataset_to_csv_bytes(LabeledDataset(schema, records), cfg.label_column)
         write_artifact(work / f"split_{name}.csv", data)
-        manifest_lines += [
-            f"{h}\t{name}\t{label.name}\n" for h, (_, label) in zip(split_hashes[name], ds.records)
-        ]
+        manifest_lines += [f"{hashes[i]}\t{name}\t{label.name}\n"
+                           for i, (_, label) in zip(part, records)]
     write_artifact(work / "manifest.tsv", "".join(manifest_lines))
 
     report_text = (

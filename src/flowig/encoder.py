@@ -37,7 +37,6 @@ class EncoderConfig:
     heads: int = 4
     d_model: int = 64
     d_ff: int = 128
-    n_classes: int = 3
     attention_variant: str = ABSOLUTE
     rel_window: int = 16
     dropout_rate: float = 0.1
@@ -52,12 +51,14 @@ class EncoderConfig:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by heads={self.heads}"
             )
-        if self.n_classes != 3:
-            raise ConfigError("the classification head is fixed at 3 classes")
         if self.attention_variant not in (ABSOLUTE, DISENTANGLED):
             raise ConfigError(f"unknown attention variant {self.attention_variant!r}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout_rate must be in [0, 1)")
+
+    @property
+    def n_classes(self) -> int:   # the head is fixed at the 3 coarse labels
+        return 3
 
     @property
     def d_head(self) -> int:
@@ -83,7 +84,10 @@ def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
         pre = f"layers.{i}."
         shapes[pre + "ln1.g"] = shapes[pre + "ln1.b"] = (D,)
         shapes.update({pre + "attn." + name: (D, D) for name in ("wq", "wk", "wv", "wo")})
-        shapes.update({pre + "attn." + name: (D,) for name in ("bq", "bk", "bv", "bo")})
+        # a key bias adds q_i . bk to every score of row i, which the softmax
+        # cancels; only the disentangled variant's p2c term, k_j . qr, reads it
+        biases = "qkvo" if config.attention_variant == DISENTANGLED else "qvo"
+        shapes.update({pre + "attn.b" + n: (D,) for n in biases})
         shapes[pre + "ln2.g"] = shapes[pre + "ln2.b"] = (D,)
         shapes[pre + "ffn.w1"], shapes[pre + "ffn.b1"] = (D, F), (F,)
         shapes[pre + "ffn.w2"], shapes[pre + "ffn.b2"] = (F, D), (D,)
@@ -142,15 +146,19 @@ def _ln_backward(dy, cache, grads: Params | None = None, prefix: str = ""):
 
 
 def _linear(params: Params, pre: str, n: str, x):
-    """x @ W + b with W, b the parameters `{pre}w{n}`, `{pre}b{n}`."""
-    return x @ params[f"{pre}w{n}"] + params[f"{pre}b{n}"]
+    """x @ W + b with W, b the parameters `{pre}w{n}`, `{pre}b{n}`; no b if the
+    layout has none."""
+    y = x @ params[f"{pre}w{n}"]
+    b = params.get(f"{pre}b{n}")
+    return y if b is None else y + b
 
 
 def _linear_backward(params: Params, grads: Params | None, pre: str, n: str, x, dy):
     """The input gradient of `_linear`; adds dW and db to `grads` unless it is None."""
     if grads is not None:
         grads[f"{pre}w{n}"] += _sum_outer(x, dy)
-        grads[f"{pre}b{n}"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
+        if f"{pre}b{n}" in grads:
+            grads[f"{pre}b{n}"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
     return dy @ params[f"{pre}w{n}"].T
 
 
@@ -293,14 +301,14 @@ def forward_from_embeddings(
     config: EncoderConfig,
     embeddings: np.ndarray,
     attention_mask: np.ndarray,
-    training: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Pre-norm encoder stack from raw embeddings to class logits.
 
     Takes (B, L, D) embeddings and a (B, L) mask with L <= max_seq_len and
     returns (B, 3) logits. A sequence shorter than max_seq_len runs as the
-    first L positions, so trailing padding can be trimmed off.
+    first L positions, so trailing padding can be trimmed off. Dropout runs
+    if and only if `dropout_rng` is given and the rate is above 0.
 
     The head reads only the CLS position, so the last layer computes keys
     and values at every position but its queries, attention row, FFN and
@@ -315,12 +323,9 @@ def forward_from_embeddings(
             f" max_seq_len={config.max_seq_len}, d_model={config.d_model}"
         )
     B, L, D = x.shape
-    if training and config.dropout_rate > 0 and dropout_rng is None:
-        raise ConfigError("training-mode forward with dropout requires dropout_rng")
-
     trace = ForwardTrace(config, mask)
     H, dh = config.heads, config.d_head
-    drop = training and config.dropout_rate > 0
+    drop = dropout_rng is not None and config.dropout_rate > 0
     drop_shape = (B, config.max_seq_len, D)
     bias = _key_mask_bias(mask)
     if config.attention_variant == DISENTANGLED:
@@ -397,13 +402,12 @@ def forward(
     params: Params,
     config: EncoderConfig,
     example: TokenizedExample,
-    training: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """One example as a batch of one: logits (1, 3)."""
     ids = np.array([example.ids], dtype=np.int64)
     mask = np.array([example.attention_mask], dtype=np.float64)
-    return forward_batch(params, config, ids, mask, training, dropout_rng)
+    return forward_batch(params, config, ids, mask, dropout_rng)
 
 
 def forward_batch(
@@ -411,11 +415,10 @@ def forward_batch(
     config: EncoderConfig,
     ids: np.ndarray,
     mask: np.ndarray,
-    training: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     emb = embed_ids(params, config, ids)
-    return forward_from_embeddings(params, config, emb, mask, training, dropout_rng)
+    return forward_from_embeddings(params, config, emb, mask, dropout_rng)
 
 
 def backward(

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import operator
 import re
@@ -22,6 +23,7 @@ class CoarseLabel(Enum):
 
 
 COARSE_LABELS = (CoarseLabel.BENIGN, CoarseLabel.DDOS, CoarseLabel.WEB_ATTACK)
+SPLITS = ("train", "validation", "test")
 
 
 @dataclass(frozen=True)
@@ -87,16 +89,6 @@ class DedupReport:
             f"removed: {self.removed}\n"
             f"conflicting-label duplicates: {self.label_conflicts}\n"
         )
-
-
-@dataclass
-class SplitDataset:
-    train: LabeledDataset
-    validation: LabeledDataset
-    test: LabeledDataset
-
-    def splits(self) -> dict[str, LabeledDataset]:
-        return {"train": self.train, "validation": self.validation, "test": self.test}
 
 
 # Raw label -> coarse mapping, keys normalized by _normalize_label.
@@ -188,14 +180,14 @@ def record_hash(record: FlowRecord, schema: FeatureSchema, policy: ValueFormatPo
 
 def deduplicate(
     dataset: LabeledDataset, policy: ValueFormatPolicy = ValueFormatPolicy()
-) -> tuple[LabeledDataset, DedupReport, dict[FlowRecord, str]]:
+) -> tuple[LabeledDataset, DedupReport, list[str]]:
     """Keep the first occurrence of each serialization hash, in input order.
 
-    Also returns each kept record's hash, its identity in the audit and the
-    manifest, so no later step serializes the record again.
+    Also returns `hashes`, where `hashes[i]` is the hash of kept record i: its
+    identity in the audit and the manifest, so no later step serializes it again.
     """
     seen: dict[str, CoarseLabel] = {}
-    hashes: dict[FlowRecord, str] = {}
+    hashes: list[str] = []
     kept: list[tuple[FlowRecord, CoarseLabel]] = []
     conflicts = 0
     for rec, label in dataset.records:
@@ -205,7 +197,7 @@ def deduplicate(
                 conflicts += 1
             continue
         seen[h] = label
-        hashes[rec] = h
+        hashes.append(h)
         kept.append((rec, label))
     report = DedupReport(
         before=len(dataset.records),
@@ -243,8 +235,9 @@ def stratified_split(
     dataset: LabeledDataset,
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
     seed: int = 0,
-) -> SplitDataset:
-    """Seeded per-class shuffle then largest-remainder partition into train/val/test."""
+) -> list[list[int]]:
+    """Seeded per-class shuffle then largest-remainder partition: the train,
+    validation and test lists of indices into `dataset.records`."""
     by_class: dict[CoarseLabel, list[int]] = {c: [] for c in COARSE_LABELS}
     for i, (_, label) in enumerate(dataset.records):
         by_class[label].append(i)
@@ -263,15 +256,10 @@ def stratified_split(
         for s, size in enumerate(sizes):
             parts[s] += perm[offset : offset + size].tolist()
             offset += size
-    datasets = [
-        LabeledDataset(dataset.schema, [dataset.records[i] for i in part])
-        for part in parts
-    ]
-    return SplitDataset(*datasets)
+    return parts
 
 
 def audit_overlap(split_hashes: dict[str, list[str]]) -> dict[tuple[str, str], int]:
     """Sizes of pairwise intersections of the splits' hash sets; all 0 on a valid split."""
     sets = {name: set(hashes) for name, hashes in split_hashes.items()}
-    pairs = [("train", "validation"), ("train", "test"), ("validation", "test")]
-    return {(a, b): len(sets[a] & sets[b]) for a, b in pairs}
+    return {(a, b): len(sets[a] & sets[b]) for a, b in itertools.combinations(SPLITS, 2)}

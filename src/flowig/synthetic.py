@@ -52,14 +52,14 @@ def generate_synthetic_dataset(n: int = 3000, seed: int = 0) -> LabeledDataset:
         label = COARSE_LABELS[i % 3]
         values = rng.integers(100, 200, size=SYNTHETIC_SCHEMA.d).astype(np.float64)
         values[planted_idx[label]] = float(rng.integers(900, 1000))
-        records.append((FlowRecord(tuple(values), _RAW_LABEL[label]), label))
+        records.append((FlowRecord(tuple(values.tolist()), _RAW_LABEL[label]), label))
     return LabeledDataset(SYNTHETIC_SCHEMA, records)
 
 
 def _csv_value(v: float) -> str:
     """A rendering that parses back to the same float64: integral values as
     integers, every other value as its shortest round-trip repr."""
-    return str(int(v)) if v.is_integer() else repr(float(v))
+    return str(int(v)) if v.is_integer() else repr(v)
 
 
 def dataset_to_csv_bytes(dataset: LabeledDataset, label_column: str = "Label") -> bytes:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,20 +30,13 @@ class ValueFormatPolicy:
 
 @dataclass(frozen=True)
 class TextFlow:
-    """A flow's "name is value" clauses in schema order. `text` and `spans`
-    are derived on each access, so no row's text outlives its one use."""
+    """A flow's "name is value" clauses in schema order. `text` is derived
+    on each access, so no row's text outlives its one use."""
     clauses: tuple[str, ...]
 
     @property
     def text(self) -> str:
         return CLAUSE_SEPARATOR.join(self.clauses)
-
-    @property
-    def spans(self) -> tuple[tuple[int, int, int], ...]:
-        """(feature_index, char_start, char_end) of each clause in `text`, end exclusive."""
-        step = len(CLAUSE_SEPARATOR)
-        starts = itertools.accumulate((len(c) + step for c in self.clauses), initial=0)
-        return tuple((i, s, s + len(c)) for i, (s, c) in enumerate(zip(starts, self.clauses)))
 
 
 # Values whose integral rendering is exact in float64.

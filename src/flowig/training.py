@@ -1,7 +1,6 @@
 """Class-weighted cross-entropy training with seeded Adam and early stopping."""
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -134,7 +133,7 @@ def train(
     t = 0
 
     log = TrainingLog()
-    best_params = copy.deepcopy(params)
+    best_params = {k: v.copy() for k, v in params.items()}
     since_best = 0
 
     n = len(train_examples)
@@ -149,9 +148,7 @@ def train(
         for start in range(0, n, train_config.batch_size):
             sel = order[start : start + train_config.batch_size]
             ids, mask, labels = _stack([train_examples[i] for i in sel])
-            logits, trace = encoder.forward_batch(
-                params, config, ids, mask, training=True, dropout_rng=dropout_rng
-            )
+            logits, trace = encoder.forward_batch(params, config, ids, mask, dropout_rng)
             loss, dlogits = _batch_loss(logits, labels, w_arr)
             if not math.isfinite(loss):
                 raise NumericError(
@@ -185,7 +182,7 @@ def train(
         if report.macro_f1 > log.best_val_macro_f1:
             log.best_val_macro_f1 = report.macro_f1
             log.best_epoch = epoch
-            best_params = copy.deepcopy(params)
+            best_params = {k: v.copy() for k, v in params.items()}
             since_best = 0
         else:
             since_best += 1

@@ -196,11 +196,32 @@ def _prepare_real_corpus(csv_path: Path):
     schema = FeatureSchema(names)
     ds, _ = flow_data.parse_flow_csv(csv_path, schema)
     deduped, report, hashes = flow_data.deduplicate(ds)
-    split = flow_data.stratified_split(deduped, seed=0)
-    overlap = flow_data.audit_overlap(
-        {name: [hashes[rec] for rec, _ in part.records] for name, part in split.splits().items()}
-    )
-    return report, deduped.class_counts(), overlap, split
+    parts = flow_data.stratified_split(deduped, seed=0)
+    split_hashes = {name: [hashes[i] for i in part] for name, part in zip(flow_data.SPLITS, parts)}
+    return report, deduped.class_counts(), flow_data.audit_overlap(split_hashes), split_hashes
+
+
+def test_criterion_4_helper_matches_prepare(tmp_path):
+    # criterion 4 skips without the real capture, so its helper runs here on
+    # a small synthetic one with three repeated rows, against `flowig prepare`
+    flows = tmp_path / "flows.csv"
+    run_cli("synthetic", "--out", flows, "--n", 300, "--seed", 3)
+    lines = flows.read_bytes().splitlines(keepends=True)
+    flows.write_bytes(b"".join(lines + lines[1:4]))
+    report, counts, overlap, split_hashes = _prepare_real_corpus(flows)
+    assert (report.before, report.after) == (303, 300)
+    assert set(overlap.values()) == {0}
+
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"work_dir": str(tmp_path / "work"),
+                                    "input_csv": str(flows)}), encoding="utf-8")
+    out = run_cli("prepare", "--config", cfg_path).output.splitlines()
+    assert out[1] == "class counts: " + ", ".join(
+        f"{c.name}={counts[c]}" for c in flow_data.COARSE_LABELS)
+    manifest = [line.split("\t") for line in
+                (tmp_path / "work" / "manifest.tsv").read_text().splitlines()]
+    assert split_hashes == {name: [h for h, split, _ in manifest if split == name]
+                            for name in flow_data.SPLITS}
 
 
 def test_criterion_4_protocol_numbers():

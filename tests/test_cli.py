@@ -204,6 +204,7 @@ class TestFailureModes:
              "unknown ig config keys: completeness_tolerance"),
             ({"ig": {"baseline_kind": "zero_embeddings"}},
              "unknown ig config keys: baseline_kind"),
+            ({"encoder": {"n_classes": 3}}, "unknown encoder config keys: n_classes"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
             ({"top_k": 0}, "top_k must be >= 1, got 0"),
             ({"top_k": -1}, "top_k must be >= 1, got -1"),
@@ -217,7 +218,7 @@ class TestFailureModes:
              "significant-digits",
              "removed-heatmap-formats", "removed-weight-decay", "removed-beta1",
              "removed-beta2", "removed-adam-eps", "removed-completeness-tolerance",
-             "removed-baseline-kind", "negative-seed", "top-k-zero", "top-k-negative",
+             "removed-baseline-kind", "removed-n-classes", "negative-seed", "top-k-zero", "top-k-negative",
              "ratios-bool", *LOAD_REFUSAL_IDS],
     )
     def test_bad_config_value(self, tmp_path, overrides, message):
@@ -408,6 +409,29 @@ class TestFailureModes:
         assert r.exit_code == EXIT_DATA
         assert drop in r.output
         assert "Traceback" not in r.output
+
+    def test_checkpoint_in_the_old_layout(self, pipeline, tmp_path):
+        # the layout before `n_classes` left the config and the absolute
+        # variant lost its key biases: both are in the header and the tensors
+        tmp, cfg = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        ckpt = work / "model_absolute.ckpt"
+        enc_cfg, params = load_checkpoint(ckpt)
+        params.update({f"layers.{i}.attn.bk": np.zeros(enc_cfg.d_model)
+                       for i in range(enc_cfg.layers)})
+        names = sorted(params)
+        header = {"config": {**dataclasses.asdict(enc_cfg), "n_classes": 3},
+                  "tensors": [{"name": n, "shape": list(params[n].shape)} for n in names]}
+        head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        ckpt.write_bytes(b"".join([checkpoint._MAGIC, struct.pack("<Q", len(head)), head,
+                                   *(params[n].astype("<f8").tobytes() for n in names)]))
+        r = run("evaluate", "--config", cfg, "--work-dir", work)
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [
+            f"error: {ckpt}: corrupt checkpoint header: EncoderConfig.__init__()"
+            " got an unexpected keyword argument 'n_classes'"
+        ]
 
     def test_non_utf8_csv(self, tmp_path):
         cfg = write_config(tmp_path)

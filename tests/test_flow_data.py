@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowig import flow_data, synthetic
+from flowig import synthetic
 from flowig.errors import ConfigError, DataError, FlowigError, SchemaError, UnknownLabelError
 from flowig.flow_data import (
     COARSE_LABELS,
+    SPLITS,
     CoarseLabel,
     FeatureSchema,
     FlowRecord,
@@ -128,15 +129,15 @@ class TestDeduplicate:
     def test_returns_the_hash_of_each_kept_record(self):
         ds = make_dataset([((1.0, 2.0), "BENIGN"), ((1.0, 2.0), "DDoS"), ((3.0, 4.0), "DDoS")])
         deduped, _, hashes = deduplicate(ds)
-        assert list(hashes) == [rec for rec, _ in deduped.records]
-        for rec, h in hashes.items():
+        assert len(hashes) == len(deduped) == 2
+        for (rec, _), h in zip(deduped.records, hashes):
             assert h == record_hash(rec, SCHEMA, ValueFormatPolicy())
 
     def test_empty(self):
         deduped, report, hashes = deduplicate(LabeledDataset(SCHEMA, []))
         assert (report.before, report.after, report.removed) == (0, 0, 0)
         assert len(deduped) == 0
-        assert hashes == {}
+        assert hashes == []
 
     def test_idempotent(self):
         ds = make_dataset(
@@ -197,26 +198,17 @@ def synthetic_imbalanced(n_b=40, n_d=20, n_w=10):
 
 class TestStratifiedSplit:
     def test_sizes(self):
-        split = stratified_split(synthetic_imbalanced(), seed=7)
-        assert len(split.train) == 49
-        assert len(split.validation) == 7
-        assert len(split.test) == 14
+        train, validation, test = stratified_split(synthetic_imbalanced(), seed=7)
+        assert (len(train), len(validation), len(test)) == (49, 7, 14)
 
     def test_determinism(self):
         ds = synthetic_imbalanced()
-        a = stratified_split(ds, seed=3)
-        b = stratified_split(ds, seed=3)
-        for name in ("train", "validation", "test"):
-            assert a.splits()[name].records == b.splits()[name].records
+        assert stratified_split(ds, seed=3) == stratified_split(ds, seed=3)
 
     def test_partition_is_exact(self):
         ds = synthetic_imbalanced()
-        split = stratified_split(ds, seed=1)
-        combined = sorted(
-            split.train.records + split.validation.records + split.test.records,
-            key=lambda rl: rl[0].features,
-        )
-        assert combined == sorted(ds.records, key=lambda rl: rl[0].features)
+        parts = stratified_split(ds, seed=1)
+        assert sorted(i for part in parts for i in part) == list(range(len(ds)))
 
     def test_small_class_rejected(self):
         ds = make_dataset(
@@ -244,10 +236,10 @@ class TestStratifiedSplit:
     @settings(max_examples=25, deadline=None)
     def test_stratification_bound(self, n_b, n_d, n_w, seed):
         ds = synthetic_imbalanced(n_b, n_d, n_w)
-        split = stratified_split(ds, seed=seed)
         total = len(ds)
         global_counts = ds.class_counts()
-        for part in split.splits().values():
+        for idx in stratified_split(ds, seed=seed):
+            part = LabeledDataset(ds.schema, [ds.records[i] for i in idx])
             if len(part) == 0:
                 continue
             counts = part.class_counts()
@@ -256,29 +248,45 @@ class TestStratifiedSplit:
                 assert lhs <= 1 / len(part) + 1 / total + 1e-12
 
 
-def split_hashes(split):
+def split_hashes(ds, parts):
     return {
-        name: [record_hash(rec, ds.schema, ValueFormatPolicy()) for rec, _ in ds.records]
-        for name, ds in split.splits().items()
+        name: [record_hash(ds.records[i][0], ds.schema, ValueFormatPolicy()) for i in part]
+        for name, part in zip(SPLITS, parts)
     }
 
 
 class TestAuditOverlap:
     def test_clean_split(self):
-        split = stratified_split(synthetic_imbalanced(), seed=2)
-        assert set(audit_overlap(split_hashes(split)).values()) == {0}
+        ds = synthetic_imbalanced()
+        assert set(audit_overlap(split_hashes(ds, stratified_split(ds, seed=2))).values()) == {0}
 
     def test_injected_fault(self):
-        split = stratified_split(synthetic_imbalanced(), seed=2)
-        split.test.records.append(split.train.records[0])
-        overlap = audit_overlap(split_hashes(split))
+        ds = synthetic_imbalanced()
+        train, validation, test = stratified_split(ds, seed=2)
+        overlap = audit_overlap(split_hashes(ds, (train, validation, test + train[:1])))
         assert overlap[("train", "test")] == 1
         assert overlap[("train", "validation")] == 0
 
     def test_empty(self):
-        empty = LabeledDataset(SCHEMA, [])
-        split = flow_data.SplitDataset(empty, empty, empty)
-        assert set(audit_overlap(split_hashes(split)).values()) == {0}
+        overlap = audit_overlap({name: [] for name in SPLITS})
+        assert list(overlap.items()) == [
+            (("train", "validation"), 0), (("train", "test"), 0), (("validation", "test"), 0)]
+
+
+class TestPrepareContract:
+    """`prepare` links each kept row to its hash and to its split by position."""
+
+    def test_hashes_and_split_indices_line_up(self):
+        labels = ("BENIGN", "DDoS", "Web Attack – XSS")
+        rows = [((v % 20.0, float(k)), raw) for v in range(30) for k, raw in enumerate(labels)]
+        kept, report, hashes = deduplicate(make_dataset(rows))
+        assert (report.before, report.after) == (90, 60)
+        assert len(hashes) == len(kept)
+        for i, (rec, _) in enumerate(kept.records):
+            assert hashes[i] == record_hash(rec, SCHEMA, ValueFormatPolicy())
+        parts = stratified_split(kept, seed=5)
+        assert len(parts) == len(SPLITS)
+        assert sorted(i for part in parts for i in part) == list(range(len(kept)))
 
 
 DURATION = FeatureSchema(("Flow Duration",))

@@ -64,18 +64,18 @@ class TestSerialize:
         schema = FeatureSchema(("Flow Duration",))
         flow = serialize(FlowRecord((120.0,), "BENIGN"), schema)
         assert flow.text == "Flow Duration is 120"
-        assert flow.spans == ((0, 0, len(flow.text)),)
+        assert flow.clauses == (flow.text,)
 
     def test_two_features_separator(self):
         schema = FeatureSchema(("A", "B"))
         flow = serialize(FlowRecord((1.5, 0.0), "BENIGN"), schema)
         assert flow.text == "A is 1.5 ; B is 0"
 
-    def test_span_fidelity(self):
+    def test_clause_fidelity(self):
         schema = FeatureSchema(("A", "B", "C"))
         flow = serialize(FlowRecord((1.0, 22.5, -3.0), "x"), schema)
-        for fi, start, end in flow.spans:
-            clause = flow.text[start:end]
+        assert len(flow.clauses) == schema.d
+        for fi, clause in enumerate(flow.clauses):
             name, value = clause.split(" is ")
             assert name == schema.names[fi]
             assert value == format_value((1.0, 22.5, -3.0)[fi])
@@ -88,11 +88,11 @@ class TestSerialize:
         )
     )
     @settings(max_examples=50)
-    def test_spans_partition_text(self, values):
+    def test_clauses_partition_text(self, values):
         schema = FeatureSchema(tuple(f"F{i}" for i in range(len(values))))
         flow = serialize(FlowRecord(tuple(values), "x"), schema)
-        rebuilt = " ; ".join(flow.text[s:e] for _, s, e in flow.spans)
-        assert rebuilt == flow.text
+        assert tuple(flow.text.split(" ; ")) == flow.clauses
+        assert flow.clauses == tuple(f"F{i} is {format_value(v)}" for i, v in enumerate(values))
 
     def test_hash_stability(self):
         schema = FeatureSchema(("A",))

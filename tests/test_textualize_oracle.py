@@ -2,7 +2,7 @@
 
 The bodies below are the per-value renderings the data path used before it
 moved to clause tuples and C-level calls. They are kept as references: the
-fast path must give the same string, spans and token ids for every input,
+fast path must give the same string, clauses and token ids for every input,
 and the same error for every refused one.
 """
 import math
@@ -33,17 +33,29 @@ def reference_format_value(x: float, policy: ValueFormatPolicy = ValueFormatPoli
     return s
 
 
-def reference_serialize(record, schema, policy=ValueFormatPolicy()):
-    """(text, spans) as they were built clause by clause."""
-    parts, spans, pos = [], [], 0
-    for i, (name, value) in enumerate(zip(schema.names, record.features)):
-        clause = f"{name} is {reference_format_value(value, policy)}"
+def reference_join(clauses):
+    """(text, spans): the clauses joined, and each one's (feature_index,
+    char_start, char_end) in the text, end exclusive."""
+    spans, pos = [], 0
+    for i, clause in enumerate(clauses):
         if i > 0:
             pos += len(CLAUSE_SEPARATOR)
         spans.append((i, pos, pos + len(clause)))
         pos += len(clause)
-        parts.append(clause)
-    return CLAUSE_SEPARATOR.join(parts), tuple(spans)
+    return CLAUSE_SEPARATOR.join(clauses), tuple(spans)
+
+
+def reference_serialize(record, schema, policy=ValueFormatPolicy()):
+    """(text, spans) as they were built clause by clause."""
+    return reference_join([f"{name} is {reference_format_value(value, policy)}"
+                           for name, value in zip(schema.names, record.features)])
+
+
+def assert_matches_reference(flow, reference):
+    """`flow`'s text, and its clauses as the reference's spans cut them from it."""
+    text, spans = reference
+    assert flow.text == text
+    assert flow.clauses == tuple(text[s:e] for _, s, e in spans)
 
 
 def reference_tokenize(text, spans, vocab, max_seq_len, label=None) -> TokenizedExample:
@@ -121,7 +133,7 @@ class TestSerialize:
         for start in range(0, len(SPECIAL_VALUES), schema.d):
             values = (SPECIAL_VALUES * 3)[start : start + schema.d]
             flow = serialize(_record(values), schema)
-            assert (flow.text, flow.spans) == reference_serialize(_record(values), schema)
+            assert_matches_reference(flow, reference_serialize(_record(values), schema))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -131,8 +143,7 @@ class TestSerialize:
         record = _record(data.draw(st.lists(finite_floats, min_size=d, max_size=d)))
         policy = data.draw(policies)
         flow = serialize(record, schema, policy)
-        assert flow.clauses == tuple(flow.text[s:e] for _, s, e in flow.spans)
-        assert (flow.text, flow.spans) == reference_serialize(record, schema, policy)
+        assert_matches_reference(flow, reference_serialize(record, schema, policy))
 
     def test_non_finite_refused(self):
         with pytest.raises(NumericError, match="cannot format non-finite value nan"):
@@ -171,7 +182,7 @@ class TestTokenize:
         vocab = build_vocab(FeatureSchema(("A", "B")))
         flow = TextFlow(clauses)
         with pytest.raises(DataError) as reference:
-            reference_tokenize(flow.text, flow.spans, vocab, 64)
+            reference_tokenize(*reference_join(clauses), vocab, 64)
         assert str(reference.value) == message
         with pytest.raises(DataError) as fast:
             tokenize(flow, vocab, 64)
