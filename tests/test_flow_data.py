@@ -47,6 +47,14 @@ def make_dataset(rows):
     )
 
 
+def with_repeats():
+    """90 rows over the three coarse labels, 30 of them repeats of an earlier row's values."""
+    labels = ("BENIGN", "DDoS", "Web Attack – XSS")
+    return make_dataset(
+        [((v % 20.0, float(k)), raw) for v in range(30) for k, raw in enumerate(labels)]
+    )
+
+
 class TestMergeLabels:
     def test_web_attack_variants(self):
         assert merge_labels("Web Attack – Brute Force") is CoarseLabel.WEB_ATTACK
@@ -127,11 +135,14 @@ class TestDeduplicate:
         assert report.label_conflicts == 1
 
     def test_returns_the_hash_of_each_kept_record(self):
-        ds = make_dataset([((1.0, 2.0), "BENIGN"), ((1.0, 2.0), "DDoS"), ((3.0, 4.0), "DDoS")])
-        deduped, _, hashes = deduplicate(ds)
-        assert len(hashes) == len(deduped) == 2
-        for (rec, _), h in zip(deduped.records, hashes):
-            assert h == record_hash(rec, SCHEMA, ValueFormatPolicy())
+        conflict = make_dataset(
+            [((1.0, 2.0), "BENIGN"), ((1.0, 2.0), "DDoS"), ((3.0, 4.0), "DDoS")]
+        )
+        for ds, after in ((conflict, 2), (with_repeats(), 60)):
+            deduped, report, hashes = deduplicate(ds)
+            assert len(hashes) == len(deduped) == report.after == after
+            for i, (rec, _) in enumerate(deduped.records):
+                assert hashes[i] == record_hash(rec, SCHEMA, ValueFormatPolicy())
 
     def test_empty(self):
         deduped, report, hashes = deduplicate(LabeledDataset(SCHEMA, []))
@@ -206,9 +217,10 @@ class TestStratifiedSplit:
         assert stratified_split(ds, seed=3) == stratified_split(ds, seed=3)
 
     def test_partition_is_exact(self):
-        ds = synthetic_imbalanced()
-        parts = stratified_split(ds, seed=1)
-        assert sorted(i for part in parts for i in part) == list(range(len(ds)))
+        for ds in (synthetic_imbalanced(), deduplicate(with_repeats())[0]):
+            parts = stratified_split(ds, seed=1)
+            assert len(parts) == len(SPLITS)
+            assert sorted(i for part in parts for i in part) == list(range(len(ds)))
 
     def test_small_class_rejected(self):
         ds = make_dataset(
@@ -271,22 +283,6 @@ class TestAuditOverlap:
         overlap = audit_overlap({name: [] for name in SPLITS})
         assert list(overlap.items()) == [
             (("train", "validation"), 0), (("train", "test"), 0), (("validation", "test"), 0)]
-
-
-class TestPrepareContract:
-    """`prepare` links each kept row to its hash and to its split by position."""
-
-    def test_hashes_and_split_indices_line_up(self):
-        labels = ("BENIGN", "DDoS", "Web Attack – XSS")
-        rows = [((v % 20.0, float(k)), raw) for v in range(30) for k, raw in enumerate(labels)]
-        kept, report, hashes = deduplicate(make_dataset(rows))
-        assert (report.before, report.after) == (90, 60)
-        assert len(hashes) == len(kept)
-        for i, (rec, _) in enumerate(kept.records):
-            assert hashes[i] == record_hash(rec, SCHEMA, ValueFormatPolicy())
-        parts = stratified_split(kept, seed=5)
-        assert len(parts) == len(SPLITS)
-        assert sorted(i for part in parts for i in part) == list(range(len(kept)))
 
 
 DURATION = FeatureSchema(("Flow Duration",))
