@@ -6,6 +6,7 @@ identical training runs produce identical files, with no timestamps.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -32,24 +33,26 @@ def write_artifact(path, data: bytes | str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def save_checkpoint(path, config: EncoderConfig, params: Params) -> None:
+def save_checkpoint(path, config: EncoderConfig, params: Params, tokens) -> None:
     names = sorted(params)
     header = {
         "config": dataclasses.asdict(config),
         "tensors": [
             {"name": n, "shape": list(params[n].shape)} for n in names
         ],
+        "tokens": list(tokens),  # the vocabulary in id order, which tok_emb's rows embed
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tensors = [np.ascontiguousarray(params[n], dtype="<f8").tobytes() for n in names]
     write_artifact(path, b"".join([_MAGIC, struct.pack("<Q", len(head)), head, *tensors]))
 
 
-def load_checkpoint(path) -> tuple[EncoderConfig, Params]:
+def load_checkpoint(path, tokens=None) -> tuple[EncoderConfig, Params]:
     """Read a checkpoint; a truncated, corrupt or mismatched file raises DataError.
 
     The header's tensor list must be the config's parameter layout and the
-    file exactly as long as that layout needs before any tensor is read.
+    file exactly as long as that layout needs before any tensor is read; its
+    token list must be `config.vocab_size` long, and equal to `tokens` if given.
     """
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
@@ -83,6 +86,15 @@ def load_checkpoint(path) -> tuple[EncoderConfig, Params]:
     if len(data) != size:
         what = "truncated" if len(data) < size else "has trailing bytes"
         raise DataError(f"{path}: checkpoint {what} ({len(data)} bytes, expected {size})")
+    saved = header.get("tokens")
+    if not isinstance(saved, list) or len(saved) != config.vocab_size:
+        raise DataError(f"{path}: header has no list of its {config.vocab_size}"
+                        " vocabulary tokens; retrain it")
+    if tokens is not None and list(tokens) != saved:
+        pairs = enumerate(itertools.zip_longest(saved, tokens))
+        i, (was, now) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
+        raise DataError(f"{path}: trained on another vocabulary: token {i} is {was!r},"
+                        f" this run's is {now!r}")
     values = np.split(np.frombuffer(data, dtype="<f8", offset=off), np.cumsum(counts)[:-1])
     params = {name: v.reshape(shape).astype(np.float64) for (name, shape), v in zip(layout, values)}
     return config, params

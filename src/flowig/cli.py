@@ -41,15 +41,14 @@ class RunConfig:
     """The run's settings, checked whole when they are loaded.
 
     Construction refuses every out-of-range value and builds, once, the
-    feature schema, format policy, vocabulary and encoder, train and IG
-    configs that the stages read, so a bad value fails every stage before
-    it takes the work-dir lock.
+    feature schema, vocabulary and encoder, train and IG configs that the
+    stages read, so a bad value fails every stage before it takes the
+    work-dir lock.
     """
     work_dir: str = "work"
     input_csv: str | None = None
     schema: object = "synthetic"          # "synthetic" or explicit feature-name list
     label_column: str = "Label"
-    significant_digits: int = 6
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
     seed: int = 0
     variant: str = encoder.ABSOLUTE
@@ -69,7 +68,6 @@ class RunConfig:
             self._schema = FeatureSchema(names=tuple(self.schema))
         else:
             raise ConfigError('schema must be "synthetic" or an explicit list of feature names')
-        self._policy = textualize.ValueFormatPolicy(significant_digits=self.significant_digits)
         self.vocab = tokenizer.build_vocab(self._schema)
         self.encoder_cfg = encoder.EncoderConfig(
             vocab_size=self.vocab.size, attention_variant=self.variant, seed=self.seed,
@@ -103,7 +101,7 @@ class RunConfig:
         return self._schema
 
     def format_policy(self) -> textualize.ValueFormatPolicy:
-        return self._policy
+        return textualize.ValueFormatPolicy()
 
 
 @contextmanager
@@ -126,10 +124,6 @@ def _work_dir_lock(work_dir: Path):
         lock.unlink(missing_ok=True)
 
 
-def _echo(msg: str) -> None:
-    click.echo(msg, color=False if os.environ.get("NO_COLOR") else None)
-
-
 def _fail(exc: FlowigError) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(exc.exit_code)
@@ -144,12 +138,11 @@ def _load_split(work: Path, name: str, cfg: RunConfig) -> LabeledDataset:
 
 
 def _examples(records, cfg: RunConfig, max_seq_len: int):
-    """Each (record, label)'s text flow and tokenized example, serializing it once."""
+    """Each (record, label)'s tokenized example; a row's text lives only
+    while that row is tokenized."""
     schema, policy = cfg.feature_schema(), cfg.format_policy()
-    flows = [textualize.serialize(rec, schema, policy) for rec, _ in records]
-    examples = [tokenizer.tokenize(flow, cfg.vocab, max_seq_len, label)
-                for flow, (_, label) in zip(flows, records)]
-    return flows, examples
+    return [tokenizer.tokenize(textualize.serialize(rec, schema, policy), cfg.vocab,
+                               max_seq_len, label) for rec, label in records]
 
 
 def _ckpt_path(work: Path, variant: str) -> Path:
@@ -165,7 +158,7 @@ def _load_model_and_test(cfg: RunConfig, work: Path):
     ckpt = _ckpt_path(work, cfg.variant)
     if not ckpt.exists():
         raise DataError(f"missing checkpoint {ckpt}; run `flowig train` first")
-    enc_cfg, params = checkpoint.load_checkpoint(ckpt)
+    enc_cfg, params = checkpoint.load_checkpoint(ckpt, tuple(cfg.vocab.id_of))
     test_ds = _load_split(work, "test", cfg)
     counts = test_ds.class_counts()
     missing = [c.name for c in COARSE_LABELS if counts[c] == 0]
@@ -226,10 +219,10 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
     )
     write_artifact(work / "overlap_audit.txt", audit_text)
 
-    _echo(f"{dedup_report.before} -> {dedup_report.after}")
+    click.echo(f"{dedup_report.before} -> {dedup_report.after}")
     counts = deduped.class_counts()
-    _echo("class counts: " + ", ".join(f"{c.name}={counts[c]}" for c in COARSE_LABELS))
-    _echo("overlap audit: " + audit_text.replace("\n", "; ").rstrip("; "))
+    click.echo("class counts: " + ", ".join(f"{c.name}={counts[c]}" for c in COARSE_LABELS))
+    click.echo("overlap audit: " + audit_text.replace("\n", "; ").rstrip("; "))
     if any(overlap.values()):
         raise AuditError(f"split overlap detected: {overlap}")
 
@@ -241,19 +234,20 @@ def _run_train(cfg: RunConfig, work: Path) -> None:
 
     train_ds = _load_split(work, "train", cfg)
     val_ds = _load_split(work, "validation", cfg)
-    _, train_ex = _examples(train_ds.records, cfg, enc_cfg.max_seq_len)
-    _, val_ex = _examples(val_ds.records, cfg, enc_cfg.max_seq_len)
+    train_ex = _examples(train_ds.records, cfg, enc_cfg.max_seq_len)
+    val_ex = _examples(val_ds.records, cfg, enc_cfg.max_seq_len)
 
     counts = train_ds.class_counts()
     weights = training.class_weights(tuple(counts[c] for c in COARSE_LABELS))
     params = encoder.init_params(enc_cfg)
     best, log = training.train(params, enc_cfg, train_ex, val_ex, weights, cfg.train_cfg)
-    checkpoint.save_checkpoint(_ckpt_path(work, cfg.variant), enc_cfg, best)
+    checkpoint.save_checkpoint(_ckpt_path(work, cfg.variant), enc_cfg, best,
+                               tuple(cfg.vocab.id_of))
     log_lines = [
         json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n" for rec in log.epochs
     ]
     write_artifact(work / f"train_log_{cfg.variant}.jsonl", "".join(log_lines))
-    _echo(
+    click.echo(
         f"trained {cfg.variant}: best epoch {log.best_epoch},"
         f" val macro-F1 {log.best_val_macro_f1:.4f}"
     )
@@ -262,15 +256,12 @@ def _run_train(cfg: RunConfig, work: Path) -> None:
 def _run_evaluate(cfg: RunConfig, work: Path) -> None:
     """Compute the metrics report on the test split."""
     enc_cfg, params, test_ds = _load_model_and_test(cfg, work)
-    _, test_ex = _examples(test_ds.records, cfg, enc_cfg.max_seq_len)
+    test_ex = _examples(test_ds.records, cfg, enc_cfg.max_seq_len)
     _, preds = training.evaluate_examples(params, enc_cfg, test_ex)
-    cm = evaluation.confusion(preds, [e.label for e in test_ex])
-    report = evaluation.metrics(cm)
-    text = report.format() + "confusion_matrix\n" + "".join(
-        "\t".join(str(v) for v in row) + "\n" for row in cm.counts
-    )
+    counts = evaluation.confusion(preds, [e.label.value for e in test_ex])
+    text = evaluation.metrics(counts).format()
     write_artifact(work / f"metrics_{cfg.variant}.txt", text)
-    _echo(text.rstrip("\n"))
+    click.echo(text.rstrip("\n"))
 
 
 def _run_explain(cfg: RunConfig, work: Path) -> None:
@@ -279,10 +270,13 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
     chosen = _select_examples([label for _, label in test_ds.records], cfg.ig_max_examples)
     # only the attributed rows are serialized, once each: the text is both
     # what IG reads and the hash that ties each line to its manifest row
-    flows, examples = _examples([test_ds.records[i] for i in chosen], cfg, enc_cfg.max_seq_len)
+    schema, policy = cfg.feature_schema(), cfg.format_policy()
+    rows = [test_ds.records[i] for i in chosen]
+    flows = [textualize.serialize(rec, schema, policy) for rec, _ in rows]
+    examples = [tokenizer.tokenize(flow, cfg.vocab, enc_cfg.max_seq_len, label)
+                for flow, (_, label) in zip(flows, rows)]
     matrix, results = attribution.class_attribution_matrix(
-        params, enc_cfg, examples, cfg.feature_schema(), cfg.ig_cfg, cfg.top_k,
-        pad_id=cfg.vocab.pad_id,
+        params, enc_cfg, examples, schema, cfg.ig_cfg, cfg.top_k, pad_id=cfg.vocab.pad_id,
     )
     for fmt in HEATMAP_FORMATS:
         data = attribution.export_heatmap(matrix, fmt)
@@ -313,7 +307,7 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
         f"fraction_exceeding_tolerance: {frac:.6f}\n"
     )
     write_artifact(work / f"completeness_{cfg.variant}.txt", summary)
-    _echo(f"fraction of examples exceeding completeness tolerance: {frac:.4f}")
+    click.echo(f"fraction of examples exceeding completeness tolerance: {frac:.4f}")
 
 
 def _read_text(path: Path) -> str:
@@ -377,7 +371,7 @@ def _run_report(cfg: RunConfig, work: Path) -> None:
     sections.append("")
 
     write_artifact(work / "report.md", "\n".join(sections))
-    _echo(f"wrote {work / 'report.md'}")
+    click.echo(f"wrote {work / 'report.md'}")
 
 
 _COMMON = (
@@ -448,7 +442,7 @@ def cmd_synthetic(out, n, seed):
         write_artifact(Path(out), synthetic.dataset_to_csv_bytes(ds))
     except OSError as e:
         _fail(ConfigError(f"cannot write {out}: {e.strerror}"))
-    _echo(f"wrote {n} synthetic flows to {out}")
+    click.echo(f"wrote {n} synthetic flows to {out}")
 
 
 if __name__ == "__main__":

@@ -6,18 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .flow_data import COARSE_LABELS, CoarseLabel
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    # rows = true class, columns = predicted class, coarse label order
-    counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        arr = np.array(self.counts)
-        if arr.shape != (3, 3) or (arr < 0).any():
-            raise DataError("confusion matrix must be 3x3 with non-negative counts")
+from .flow_data import COARSE_LABELS
 
 
 @dataclass(frozen=True)
@@ -29,6 +18,8 @@ class MetricsReport:
     accuracy: float
     macro_f1: float
     weighted_f1: float
+    # the confusion matrix: rows = true class, columns = predicted class
+    counts: tuple[tuple[int, ...], ...]
     # classes where a 0/0 precision or recall was reported as 0
     zero_division_classes: tuple[str, ...] = field(default=())
 
@@ -44,24 +35,26 @@ class MetricsReport:
         lines.append(f"weighted_f1\t{self.weighted_f1:.6f}")
         if self.zero_division_classes:
             lines.append("zero_division\t" + ",".join(self.zero_division_classes))
+        lines.append("confusion_matrix")
+        lines += ["\t".join(str(v) for v in row) for row in self.counts]
         return "\n".join(lines) + "\n"
 
 
-def confusion(
-    predictions: list[CoarseLabel], labels: list[CoarseLabel]
-) -> ConfusionMatrix:
+def confusion(predictions, labels) -> np.ndarray:
+    """The (3, 3) count matrix of class indices: rows = true, columns = predicted."""
     if len(predictions) != len(labels):
         raise DataError(
             f"length mismatch: {len(predictions)} predictions vs {len(labels)} labels"
         )
-    true = np.array([c.value for c in labels], dtype=np.int64)
-    pred = np.array([c.value for c in predictions], dtype=np.int64)
-    cm = np.bincount(3 * true + pred, minlength=9).reshape(3, 3)
-    return ConfusionMatrix(tuple(tuple(int(v) for v in row) for row in cm))
+    true = np.asarray(labels, dtype=np.int64)
+    pred = np.asarray(predictions, dtype=np.int64)
+    return np.bincount(3 * true + pred, minlength=9).reshape(3, 3)
 
 
-def metrics(cm: ConfusionMatrix) -> MetricsReport:
-    arr = np.array(cm.counts, dtype=np.int64)
+def metrics(counts) -> MetricsReport:
+    arr = np.asarray(counts, dtype=np.int64)
+    if arr.shape != (3, 3) or (arr < 0).any():
+        raise DataError("confusion matrix must be 3x3 with non-negative counts")
     total = arr.sum()
     if total == 0:
         raise DataError("cannot compute metrics on an all-zero confusion matrix")
@@ -80,12 +73,8 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
         accuracy=float(tp.sum() / total),
         macro_f1=float(f1.mean()),
         weighted_f1=float((f1 * support).sum() / total),
+        counts=tuple(map(tuple, arr.tolist())),
         zero_division_classes=tuple(
             c.name for c, p, s in zip(COARSE_LABELS, pred_totals, support) if p == 0 or s == 0
         ),
     )
-
-
-def predict_labels(logits: np.ndarray) -> list[CoarseLabel]:
-    """Argmax over class logits; ties resolve to the lower class index."""
-    return [COARSE_LABELS[int(i)] for i in np.argmax(logits, axis=-1)]

@@ -9,8 +9,8 @@ import numpy as np
 from . import encoder
 from .encoder import EncoderConfig, Params
 from .errors import ConfigError, DataError, NumericError, check_fields
-from .evaluation import confusion, metrics, predict_labels
-from .flow_data import COARSE_LABELS, CoarseLabel
+from .evaluation import confusion, metrics
+from .flow_data import COARSE_LABELS
 from .tokenizer import TokenizedExample
 
 # Adam's moment decay rates and denominator epsilon
@@ -91,9 +91,9 @@ def evaluate_examples(
     config: EncoderConfig,
     examples: list[TokenizedExample],
     chunk: int = 256,
-) -> tuple[np.ndarray, list[CoarseLabel]]:
-    """Eval-mode logits and argmax predictions for a list of examples, in
-    input order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode logits and predicted class indices (the argmax, ties to the
+    lower index) for a list of examples, in input order.
 
     Chunks are cut from the examples stably sorted by length, so each chunk,
     padded to its longest example (see `_stack`), carries almost no padding.
@@ -104,7 +104,7 @@ def evaluate_examples(
         sel = order[start : start + chunk]
         ids, mask, _ = _stack([examples[i] for i in sel])
         logits[sel], _ = encoder.forward_batch(params, config, ids, mask)
-    return logits, predict_labels(logits)
+    return logits, logits.argmax(axis=1)
 
 
 def train(
@@ -137,6 +137,7 @@ def train(
     since_best = 0
 
     n = len(train_examples)
+    val_labels = [e.label.value for e in val_examples]
 
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(n)
@@ -169,7 +170,6 @@ def train(
             n_batches += 1
 
         _, preds = evaluate_examples(params, config, val_examples)
-        val_labels = [e.label for e in val_examples]
         report = metrics(confusion(preds, val_labels))
         record = EpochRecord(
             epoch=epoch,

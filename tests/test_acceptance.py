@@ -19,7 +19,7 @@ from flowig import attribution, checkpoint, encoder, flow_data, textualize, toke
 from flowig.attribution import IGConfig, integrated_gradients
 from flowig.cli import main
 from flowig.encoder import ABSOLUTE, DISENTANGLED, init_params
-from flowig.evaluation import ConfusionMatrix, metrics
+from flowig.evaluation import metrics
 from flowig.flow_data import FeatureSchema
 from flowig.synthetic import PLANTED_FEATURE, SYNTHETIC_SCHEMA
 from flowig.training import class_weights
@@ -280,7 +280,7 @@ def test_criterion_6_metrics_oracle():
         arr = rng.integers(0, 1000, size=(3, 3))
         if arr.sum() == 0:
             arr[0, 0] = 1
-        m = metrics(ConfusionMatrix(tuple(tuple(int(v) for v in row) for row in arr)))
+        m = metrics(tuple(tuple(int(v) for v in row) for row in arr))
         bp, br, bf, bacc, bmac, bwf = brute(arr.astype(float))
         worst = max(
             worst,

@@ -14,9 +14,13 @@ from flowig.errors import DataError
 from conftest import randomize_params, small_config
 
 
+# the vocabulary a checkpoint records, one token per tok_emb row
+TOKENS = tuple(f"t{i}" for i in range(20))
+
+
 @pytest.fixture()
 def model():
-    cfg = small_config(20, DISENTANGLED)
+    cfg = small_config(len(TOKENS), DISENTANGLED)
     params = randomize_params(init_params(cfg), np.random.default_rng(0))
     return cfg, params
 
@@ -24,9 +28,10 @@ def model():
 def test_roundtrip(tmp_path, model):
     cfg, params = model
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, cfg, params)
+    save_checkpoint(path, cfg, params, TOKENS)
     cfg2, params2 = load_checkpoint(path)
-    assert cfg2 == cfg
+    assert load_checkpoint(path, TOKENS)[0] == cfg2 == cfg
+    assert _header(path)["tokens"] == list(TOKENS)
     assert sorted(params2) == sorted(params)
     for k in params:
         np.testing.assert_array_equal(params[k], params2[k])
@@ -34,8 +39,8 @@ def test_roundtrip(tmp_path, model):
 
 def test_byte_deterministic(tmp_path, model):
     cfg, params = model
-    save_checkpoint(tmp_path / "a.ckpt", cfg, params)
-    save_checkpoint(tmp_path / "b.ckpt", cfg, dict(reversed(list(params.items()))))
+    save_checkpoint(tmp_path / "a.ckpt", cfg, params, TOKENS)
+    save_checkpoint(tmp_path / "b.ckpt", cfg, dict(reversed(list(params.items()))), TOKENS)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
@@ -49,7 +54,7 @@ def test_bad_magic(tmp_path):
 def test_trailing_bytes(tmp_path, model):
     cfg, params = model
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, cfg, params)
+    save_checkpoint(path, cfg, params, TOKENS)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(DataError, match="trailing"):
         load_checkpoint(path)
@@ -77,7 +82,7 @@ def _section_cuts(data: bytes) -> list[int]:
 def test_truncated_at_every_section_raises_data_error(tmp_path, model):
     cfg, params = model
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, cfg, params)
+    save_checkpoint(path, cfg, params, TOKENS)
     data = path.read_bytes()
     for cut in _section_cuts(data):
         bad = tmp_path / f"cut{cut}.ckpt"
@@ -130,10 +135,49 @@ def _header(path) -> dict:
 def test_corrupt_header_raises_data_error(tmp_path, model, corrupt):
     cfg, params = model
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, cfg, params)
+    save_checkpoint(path, cfg, params, TOKENS)
     _rewrite_header(path, corrupt(_header(path)))
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: {k: v for k, v in h.items() if k != "tokens"},
+        lambda h: {**h, "tokens": h["tokens"][:-1]},
+        lambda h: {**h, "tokens": "".join(h["tokens"])},
+    ],
+    ids=["absent", "short", "not-a-list"],
+)
+def test_token_list_must_cover_the_vocabulary(tmp_path, model, edit):
+    # a checkpoint written before headers listed their tokens has none
+    cfg, params = model
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, cfg, params, TOKENS)
+    _rewrite_header(path, edit(_header(path)))
+    with pytest.raises(DataError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: header has no list of its 20 vocabulary tokens; retrain it"
+
+
+@pytest.mark.parametrize(
+    "tokens, difference",
+    [
+        (TOKENS[:3] + ("x",) + TOKENS[4:], "token 3 is 't3', this run's is 'x'"),
+        (TOKENS[::-1], "token 0 is 't0', this run's is 't19'"),
+        (TOKENS + ("t20",), "token 20 is None, this run's is 't20'"),
+        (TOKENS[:-1], "token 19 is 't19', this run's is None"),
+    ],
+    ids=["one-renamed", "reversed", "one-more", "one-fewer"],
+)
+def test_another_vocabulary_refused(tmp_path, model, tokens, difference):
+    cfg, params = model
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, cfg, params, TOKENS)
+    with pytest.raises(DataError) as info:
+        load_checkpoint(path, tokens)
+    assert str(info.value) == f"{path}: trained on another vocabulary: {difference}"
 
 
 @pytest.mark.parametrize(
@@ -148,7 +192,7 @@ def test_corrupt_header_raises_data_error(tmp_path, model, corrupt):
 def test_tensors_must_match_config(tmp_path, model, edit):
     cfg, params = model
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, cfg, edit(params))
+    save_checkpoint(path, cfg, edit(params), TOKENS)
     with pytest.raises(DataError, match="do not match"):
         load_checkpoint(path)
 
@@ -158,7 +202,7 @@ def test_oversized_header_config_refused_before_allocating(tmp_path, model):
     # layout check must refuse it without building that vocabulary's table
     cfg, params = model
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, cfg, params)
+    save_checkpoint(path, cfg, params, TOKENS)
     header = _header(path)
     _rewrite_header(path, {**header, "config": {**header["config"], "vocab_size": 800000}})
     tracemalloc.start()
@@ -176,7 +220,7 @@ def test_layer_count_beyond_the_tensor_list_refused_before_building_the_layout(t
     # lists tensors; the layout is never built for the claimed count
     cfg, params = model
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, cfg, params)
+    save_checkpoint(path, cfg, params, TOKENS)
     header = _header(path)
     _rewrite_header(path, {**header, "config": {**header["config"], "layers": 20000}})
     tracemalloc.start()
@@ -207,14 +251,14 @@ def _fail_replace(src, dst):
 def test_failed_write_keeps_the_old_file(tmp_path, model, monkeypatch, target, name, fail):
     cfg, params = model
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, cfg, params)
+    save_checkpoint(path, cfg, params, TOKENS)
     report = tmp_path / "report.md"
     write_artifact(report, "old report\n")
     before = path.read_bytes()
     newer = randomize_params(params, np.random.default_rng(1))
     monkeypatch.setattr(target, name, fail)
     with pytest.raises(OSError):
-        save_checkpoint(path, cfg, newer)
+        save_checkpoint(path, cfg, newer, TOKENS)
     with pytest.raises(OSError):
         write_artifact(report, "new report\n")
     monkeypatch.undo()

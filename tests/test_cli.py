@@ -25,6 +25,7 @@ from flowig.errors import (
     TruncationError,
 )
 from flowig.flow_data import COARSE_LABELS
+from flowig.synthetic import SYNTHETIC_SCHEMA
 from flowig.training import TrainConfig
 
 # the documented exit codes
@@ -80,6 +81,20 @@ LOAD_REFUSAL_IDS = ["ig-steps-zero", "train-epochs-zero", "encoder-heads-zero",
 
 def run(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
+
+
+# the tokens, in id order, of the vocabulary that the "synthetic" schema builds
+SYNTHETIC_TOKENS = tuple(tokenizer.build_vocab(SYNTHETIC_SCHEMA).id_of)
+
+
+def edit_checkpoint_header(ckpt: Path, edit) -> None:
+    """Replace a checkpoint's JSON header with `edit(header)`, keeping its tensors."""
+    data = ckpt.read_bytes()
+    magic = len(checkpoint._MAGIC)
+    (hlen,) = struct.unpack_from("<Q", data, magic)
+    head = json.dumps(edit(json.loads(data[magic + 8 : magic + 8 + hlen]))).encode("utf-8")
+    ckpt.write_bytes(data[:magic] + struct.pack("<Q", len(head)) + head
+                     + data[magic + 8 + hlen :])
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +208,8 @@ class TestFailureModes:
             ({"train": {"epochs": True}}, "train epochs must be int, got True"),
             ({"ig": {"steps": True}}, "ig steps must be int, got True"),
             ({"top_k": True}, "top_k must be int, got True"),
-            ({"significant_digits": 0}, "significant_digits must be >= 1, got 0"),
             # keys that were removed because they only ever took one value
+            ({"significant_digits": 6}, "unknown config keys: significant_digits"),
             ({"heatmap_formats": ["csv"]}, "unknown config keys: heatmap_formats"),
             ({"train": {"weight_decay": 0.0}}, "unknown train config keys: weight_decay"),
             ({"train": {"beta1": 0.9}}, "unknown train config keys: beta1"),
@@ -215,8 +230,7 @@ class TestFailureModes:
         ids=["train-key", "encoder-key", "train-seed", "encoder-vocab", "ig-key", "ig-list",
              "ratios-number", "train-type", "encoder-type", "encoder-bool-layers",
              "encoder-bool-dropout-rate", "train-bool-epochs", "ig-bool-steps", "top-k-bool",
-             "significant-digits",
-             "removed-heatmap-formats", "removed-weight-decay", "removed-beta1",
+             "removed-significant-digits", "removed-heatmap-formats", "removed-weight-decay", "removed-beta1",
              "removed-beta2", "removed-adam-eps", "removed-completeness-tolerance",
              "removed-baseline-kind", "removed-n-classes", "negative-seed", "top-k-zero", "top-k-negative",
              "ratios-bool", *LOAD_REFUSAL_IDS],
@@ -327,14 +341,8 @@ class TestFailureModes:
         work = tmp_path / "copy"
         work.mkdir()
         ckpt = work / "model_absolute.ckpt"
-        data = (tmp / "work" / ckpt.name).read_bytes()
-        magic = len(checkpoint._MAGIC)
-        (hlen,) = struct.unpack_from("<Q", data, magic)
-        header = json.loads(data[magic + 8 : magic + 8 + hlen])
-        header["config"]["layers"] = 1.5
-        head = json.dumps(header).encode("utf-8")
-        ckpt.write_bytes(data[:magic] + struct.pack("<Q", len(head)) + head
-                         + data[magic + 8 + hlen :])
+        shutil.copyfile(tmp / "work" / ckpt.name, ckpt)
+        edit_checkpoint_header(ckpt, lambda h: {**h, "config": {**h["config"], "layers": 1.5}})
         r = run("evaluate", "--config", good, "--work-dir", work)
         assert r.exit_code == EXIT_DATA
         assert r.output.splitlines() == [
@@ -404,7 +412,7 @@ class TestFailureModes:
         ckpt = work / "model_absolute.ckpt"
         enc_cfg, params = load_checkpoint(ckpt)
         del params[drop]
-        save_checkpoint(ckpt, enc_cfg, params)
+        save_checkpoint(ckpt, enc_cfg, params, SYNTHETIC_TOKENS)
         r = run("evaluate", "--config", cfg, "--work-dir", work)
         assert r.exit_code == EXIT_DATA
         assert drop in r.output
@@ -432,6 +440,45 @@ class TestFailureModes:
             f"error: {ckpt}: corrupt checkpoint header: EncoderConfig.__init__()"
             " got an unexpected keyword argument 'n_classes'"
         ]
+
+    @pytest.mark.parametrize("stage", ["evaluate", "explain"])
+    def test_checkpoint_from_another_schema_order(self, pipeline, tmp_path, stage):
+        # the split CSVs pick their columns by name, so only the checkpoint's
+        # token list can tell that its token ids embed other features
+        tmp, _ = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        outputs = [*work.glob("metrics_*"), *work.glob("heatmap_*"),
+                   *work.glob("attributions_*"), *work.glob("completeness_*")]
+        for p in outputs:
+            p.unlink()
+        names = list(SYNTHETIC_SCHEMA.names)
+        cfg = write_config(tmp_path, schema=names[::-1])
+        r = run(stage, "--config", cfg)
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [
+            f"error: {work / 'model_absolute.ckpt'}: trained on another vocabulary:"
+            f" token {len(tokenizer.SPECIALS)} is {names[0]!r}, this run's is {names[-1]!r}"
+        ]
+        assert not any(p.exists() for p in outputs)
+        assert not (work / ".lock").exists()
+
+    def test_checkpoint_without_a_token_list(self, pipeline, tmp_path):
+        # written before checkpoint headers listed the vocabulary's tokens
+        tmp, cfg = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        ckpt = work / "model_absolute.ckpt"
+        edit_checkpoint_header(ckpt, lambda h: {k: v for k, v in h.items() if k != "tokens"})
+        (work / "metrics_absolute.txt").unlink()
+        r = run("evaluate", "--config", cfg, "--work-dir", work)
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [
+            f"error: {ckpt}: header has no list of its {len(SYNTHETIC_TOKENS)} vocabulary tokens;"
+            " retrain it"
+        ]
+        assert not (work / "metrics_absolute.txt").exists()
+        assert not (work / ".lock").exists()
 
     def test_non_utf8_csv(self, tmp_path):
         cfg = write_config(tmp_path)

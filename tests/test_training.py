@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flowig import encoder, training
 from flowig.errors import DataError
-from flowig.evaluation import predict_labels
+from flowig.evaluation import confusion, metrics
 from flowig.flow_data import CoarseLabel
 from flowig.tokenizer import TokenizedExample
 from flowig.training import TrainConfig, _batch_loss, class_weights, train
@@ -147,9 +147,7 @@ class TestTrain:
         train_ex, val_ex = corpus
         cfg = small_config(vocab.size, max_seq_len=64, d_model=16, d_ff=24, dropout_rate=0.1)
         _, preds = training.evaluate_examples(best, cfg, val_ex)
-        from flowig.evaluation import confusion, metrics
-
-        cm = confusion(preds, [e.label for e in val_ex])
+        cm = confusion(preds, [e.label.value for e in val_ex])
         assert abs(metrics(cm).macro_f1 - log.best_val_macro_f1) < 1e-12
 
 
@@ -212,7 +210,7 @@ class TestEvaluateExamples:
         ids, mask = _padded(examples, 64)
         want, _ = encoder.forward_batch(params, cfg, ids, mask)
         np.testing.assert_allclose(logits, want, rtol=1e-12, atol=0)
-        assert preds == predict_labels(want)
+        assert np.array_equal(preds, want.argmax(axis=1))
 
     @pytest.mark.parametrize("variant", [encoder.ABSOLUTE, encoder.DISENTANGLED])
     def test_length_sorted_chunks_keep_input_order(self, vocab, schema, variant):
@@ -240,4 +238,16 @@ class TestEvaluateExamples:
         ])
         assert not np.allclose(want, want[order])  # so a lost order would show
         np.testing.assert_allclose(logits, want, rtol=1e-12, atol=0)
-        assert preds == predict_labels(want)
+        assert np.array_equal(preds, want.argmax(axis=1))
+
+    def test_untrained_model_predicts_index_0(self, vocab, schema):
+        # init_params zeroes the head, so every logit ties and the tie goes
+        # to the lowest class index
+        rng = np.random.default_rng(3)
+        examples = [make_example(vocab, schema, [float(v) for v in rng.integers(0, 100, schema.d)],
+                                 label=CoarseLabel(i % 3)) for i in range(5)]
+        cfg = small_config(vocab.size, max_seq_len=64)
+        logits, preds = training.evaluate_examples(encoder.init_params(cfg), cfg, examples)
+        assert (logits == 0).all()
+        assert preds.dtype == np.int64
+        assert preds.tolist() == [0] * 5
