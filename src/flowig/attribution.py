@@ -23,15 +23,6 @@ from .tokenizer import TokenizedExample
 # an example whose relative completeness gap exceeds this is flagged
 COMPLETENESS_TOLERANCE = 0.01
 
-# positions (rows x example length) per IG encoder call. One forward and
-# backward over an absolute, d=64, 2-layer path on 2 vCPUs (1 BLAS thread):
-# at L=49 the 130-row path took 127 ms in one call and 95-105 ms in chunks of
-# 6-16 rows; the best chunks were 4-8 rows at L=95 and 1-2 rows at L=300,
-# about 500-800 positions at every length, where each layer's cached
-# activations fit in L2
-_IG_POSITIONS = 512
-
-
 @dataclass(frozen=True)
 class IGConfig:
     steps: int = 64
@@ -84,35 +75,35 @@ def integrated_gradients(
     F(x) and F(x') (the input and the baseline) come from a forward-only
     call; only the `steps` path points go through the backward pass. Both
     run at the example's own length, since examples carry no padding;
-    `token_attr` is 0 past it. Each encoder call takes at most
-    `_IG_POSITIONS // n` rows (at least one); with `param_grads=False` every
-    op works row by row, so the chunking moves the embedding gradients and
-    logits by rounding at most.
+    `token_attr` is 0 past it. Each encoder call takes as many rows as the
+    encoder's budget allows (see `encoder.row_chunks`); with
+    `param_grads=False` every op works row by row, so the chunking moves the
+    embedding gradients and logits by rounding at most.
     """
     emb = encoder.embed(params, config, example)
     n = len(example.ids)
     base = baseline_embeddings(params, config, pad_id)[:n]
     t = target_class.value
-    rows = max(1, _IG_POSITIONS // n)
 
     def forward(chunk):
         return encoder.forward_from_embeddings(params, config, chunk, np.ones(chunk.shape[:2]))
 
     # F(x) and F(x'): one call, or one per row when two rows do not fit
     ends = np.stack([emb, base])
-    f = np.concatenate([forward(ends[lo : lo + rows])[0][:, t] for lo in range(0, 2, rows)])
+    f = np.concatenate([forward(ends[part])[0][:, t]
+                        for part in encoder.row_chunks([n, n], config.d_model)])
     output_delta = float(f[0] - f[1])
 
     steps = cfg.steps
     delta = emb - base
     alphas = (np.arange(steps) + 0.5) / steps
     path_grads = np.empty((steps, n, config.d_model))
-    for lo in range(0, steps, rows):
-        points = base[None] + alphas[lo : lo + rows, None, None] * delta[None]
+    for part in encoder.row_chunks([n] * steps, config.d_model):
+        points = base[None] + alphas[part, None, None] * delta[None]
         _, trace = forward(points)
         dlogits = np.zeros((len(points), config.n_classes))
         dlogits[:, t] = 1.0
-        _, path_grads[lo : lo + rows] = encoder.backward(params, trace, dlogits, param_grads=False)
+        _, path_grads[part] = encoder.backward(params, trace, dlogits, param_grads=False)
     if not np.all(np.isfinite(path_grads)):
         bad = int(np.where(~np.isfinite(path_grads).all(axis=(1, 2)))[0][0])
         raise NumericError(f"non-finite gradient at integration step {bad}")

@@ -7,6 +7,7 @@ same inputs and seeds.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import itertools
 import json
@@ -230,8 +231,6 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
 def _run_train(cfg: RunConfig, work: Path) -> None:
     """Train the selected attention variant on the prepared splits."""
     enc_cfg = cfg.encoder_cfg
-    write_artifact(work / "vocab.tsv", cfg.vocab.to_lines())
-
     train_ds = _load_split(work, "train", cfg)
     val_ds = _load_split(work, "validation", cfg)
     train_ex = _examples(train_ds.records, cfg, enc_cfg.max_seq_len)
@@ -385,6 +384,22 @@ _VARIANT = click.Option(["--variant"], type=click.Choice(VARIANTS), default=None
 @click.group()
 def main():
     """Explainable flow-level intrusion detection pipeline."""
+    _reuse_freed_memory()
+
+
+def _reuse_freed_memory() -> None:
+    """Have glibc's malloc serve blocks under 8 MiB from its heap and keep up
+    to 32 MiB free at the heap's top. The encoder works in row chunks of a
+    few MB (see `encoder._CHUNK_FLOATS`); under glibc's default thresholds
+    each chunk's freed arrays go back to the system and the next chunk
+    faults them in again. A no-op where malloc is not glibc's."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 8 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
 
 
 def _stage(run, *options) -> None:

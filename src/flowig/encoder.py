@@ -70,6 +70,27 @@ class EncoderConfig:
 
 
 Params = dict[str, np.ndarray]
+Dropout = list[tuple[np.ndarray, np.ndarray]]
+
+# float64 per encoder call (rows x length x d_model). IG's path, training
+# batches and evaluation all go through the encoder in row chunks of this
+# size, so each layer's cached activations stay near L2-sized and memory does
+# not grow with the batch. It is 512 positions at d_model 64: on 2 vCPUs
+# (1 BLAS thread) IG's best chunks held 500-800 positions at every length,
+# and training and evaluation calls ran fastest at about 25k-90k float64
+_CHUNK_FLOATS = 32768
+
+
+def row_chunks(lengths, d_model: int):
+    """Slices that cut rows of nondecreasing `lengths` into encoder calls, each
+    as many rows as fit `_CHUNK_FLOATS` at its longest (last) row, at least one."""
+    lo, n = 0, len(lengths)
+    while lo < n:
+        hi = lo + 1
+        while hi < n and (hi + 1 - lo) * lengths[hi] * d_model <= _CHUNK_FLOATS:
+            hi += 1
+        yield slice(lo, hi)
+        lo = hi
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -119,6 +140,33 @@ def zero_grads_like(params: Params) -> Params:
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
+def dropout_masks(
+    rng: np.random.Generator, config: EncoderConfig, B: int, L: int
+) -> Dropout | None:
+    """A training batch's inverted-dropout masks (None at rate 0): per layer,
+    an (attention, FFN) pair of (B, Lq, D) arrays, Lq = L, or 1 in the
+    CLS-only last layer. Each is the first Lq rows of a (B, max_seq_len, D)
+    uniform draw; only those rows are drawn and the generator skips the rest
+    (PCG64 spends one step per float64), so the stream does not depend on L
+    and any row range of a mask is those rows' mask in a whole-batch call."""
+    rate = config.dropout_rate
+    if rate == 0:
+        return None
+    D, S = config.d_model, config.max_seq_len
+    masks = []
+    for li in range(config.layers):
+        Lq = 1 if li == config.layers - 1 else L
+        pair = []
+        for _ in range(2):
+            u = np.empty((B, Lq, D))
+            for row in u:
+                rng.random(out=row)
+                rng.bit_generator.advance((S - Lq) * D)
+            pair.append((u >= rate) / (1.0 - rate))
+        masks.append(tuple(pair))
+    return masks
+
+
 # ---------------------------------------------------------------------------
 # primitive layers
 
@@ -160,13 +208,6 @@ def _linear_backward(params: Params, grads: Params | None, pre: str, n: str, x, 
         if f"{pre}b{n}" in grads:
             grads[f"{pre}b{n}"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
     return dy @ params[f"{pre}w{n}"].T
-
-
-def _dropout(x, rng: np.random.Generator, rate: float, shape):
-    """x times an inverted-dropout mask, and the mask; drawn at `shape` (B, max_seq_len,
-    D) and cut to x's rows, so a trimmed batch uses its padded form's random stream."""
-    dm = (rng.random(shape)[:, : x.shape[1]] >= rate) / (1.0 - rate)
-    return x * dm, dm
 
 
 def _gelu_forward(a):
@@ -301,14 +342,14 @@ def forward_from_embeddings(
     config: EncoderConfig,
     embeddings: np.ndarray,
     attention_mask: np.ndarray,
-    dropout_rng: np.random.Generator | None = None,
+    dropout: Dropout | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Pre-norm encoder stack from raw embeddings to class logits.
 
     Takes (B, L, D) embeddings and a (B, L) mask with L <= max_seq_len and
     returns (B, 3) logits. A sequence shorter than max_seq_len runs as the
     first L positions, so trailing padding can be trimmed off. Dropout runs
-    if and only if `dropout_rng` is given and the rate is above 0.
+    if and only if `dropout` holds the rows' masks (see `dropout_masks`).
 
     The head reads only the CLS position, so the last layer computes keys
     and values at every position but its queries, attention row, FFN and
@@ -325,8 +366,6 @@ def forward_from_embeddings(
     B, L, D = x.shape
     trace = ForwardTrace(config, mask)
     H, dh = config.heads, config.d_head
-    drop = dropout_rng is not None and config.dropout_rate > 0
-    drop_shape = (B, config.max_seq_len, D)
     bias = _key_mask_bias(mask)
     if config.attention_variant == DISENTANGLED:
         rel_idx = _rel_tables(L, config.rel_window)[0]
@@ -355,8 +394,9 @@ def forward_from_embeddings(
         o = _merge_heads(attn @ v)
         cache["o"] = o
         out = _linear(params, pre + "attn.", "o", o)
-        if drop:
-            out, cache["attn_drop"] = _dropout(out, dropout_rng, config.dropout_rate, drop_shape)
+        if dropout:
+            cache["attn_drop"], cache["ffn_drop"] = dropout[li]
+            out = out * cache["attn_drop"]
         x = x[:, :Lq] + out
         h2, cache["ln2"] = _ln_forward(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
         cache["h2"] = h2
@@ -364,8 +404,8 @@ def forward_from_embeddings(
         g, phi = _gelu_forward(a)
         cache["a"], cache["phi"], cache["g"] = a, phi, g
         y = _linear(params, pre + "ffn.", "2", g)
-        if drop:
-            y, cache["ffn_drop"] = _dropout(y, dropout_rng, config.dropout_rate, drop_shape)
+        if dropout:
+            y = y * cache["ffn_drop"]
         x = x + y
         _check_finite(x, f"encoder layer {li}")
         trace.layer_caches.append(cache)
@@ -402,12 +442,12 @@ def forward(
     params: Params,
     config: EncoderConfig,
     example: TokenizedExample,
-    dropout_rng: np.random.Generator | None = None,
+    dropout: Dropout | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """One example as a batch of one: logits (1, 3)."""
     ids = np.array([example.ids], dtype=np.int64)
     mask = np.array([example.attention_mask], dtype=np.float64)
-    return forward_batch(params, config, ids, mask, dropout_rng)
+    return forward_batch(params, config, ids, mask, dropout)
 
 
 def forward_batch(
@@ -415,10 +455,10 @@ def forward_batch(
     config: EncoderConfig,
     ids: np.ndarray,
     mask: np.ndarray,
-    dropout_rng: np.random.Generator | None = None,
+    dropout: Dropout | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     emb = embed_ids(params, config, ids)
-    return forward_from_embeddings(params, config, emb, mask, dropout_rng)
+    return forward_from_embeddings(params, config, emb, mask, dropout)
 
 
 def backward(

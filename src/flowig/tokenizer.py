@@ -35,10 +35,6 @@ class Vocab:
     def pad_id(self) -> int:
         return self.id_of[PAD]
 
-    def to_lines(self) -> str:
-        ordered = sorted(self.id_of.items(), key=lambda kv: kv[1])
-        return "".join(f"{tok}\t{tid}\n" for tok, tid in ordered)
-
 
 @dataclass(frozen=True)
 class TokenizedExample:

@@ -60,19 +60,20 @@ def class_weights(
     return tuple(float(v) for v in np.clip(inv / inv.mean(), *clip))
 
 
-def _batch_loss(
-    logits: np.ndarray, labels: np.ndarray, w: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean weighted CE over a batch; returns (loss, dloss/dlogits)."""
-    B = logits.shape[0]
+def _loss_rows(
+    logits: np.ndarray, labels: np.ndarray, w: np.ndarray, batch_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's weighted CE and its rows of d(batch loss)/dlogits, where the
+    batch loss is the mean of the CE over a batch of `batch_size` rows, of
+    which these rows may be a chunk."""
+    rows = np.arange(len(logits))
     m = logits.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
     logp = logits - lse
     wl = w[labels]
-    loss = float(-(wl * logp[np.arange(B), labels]).mean())
     grad = np.exp(logp) * wl[:, None]
-    grad[np.arange(B), labels] -= wl
-    return loss, grad / B
+    grad[rows, labels] -= wl
+    return -(wl * logp[rows, labels]), grad / batch_size
 
 
 def _stack(examples: list[TokenizedExample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -90,21 +91,52 @@ def evaluate_examples(
     params: Params,
     config: EncoderConfig,
     examples: list[TokenizedExample],
-    chunk: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode logits and predicted class indices (the argmax, ties to the
     lower index) for a list of examples, in input order.
 
-    Chunks are cut from the examples stably sorted by length, so each chunk,
-    padded to its longest example (see `_stack`), carries almost no padding.
+    Chunks are cut from the examples stably sorted by length, as many rows
+    as the encoder's budget takes at a chunk's longest example (see
+    `encoder.row_chunks`), so each chunk, padded to that example (see
+    `_stack`), carries almost no padding.
     """
-    order = np.argsort([len(e.ids) for e in examples], kind="stable")
+    lengths = np.array([len(e.ids) for e in examples])
+    order = np.argsort(lengths, kind="stable")
     logits = np.empty((len(examples), config.n_classes))
-    for start in range(0, len(examples), chunk):
-        sel = order[start : start + chunk]
+    for part in encoder.row_chunks(lengths[order], config.d_model):
+        sel = order[part]
         ids, mask, _ = _stack([examples[i] for i in sel])
         logits[sel], _ = encoder.forward_batch(params, config, ids, mask)
     return logits, logits.argmax(axis=1)
+
+
+def _batch_grads(
+    params: Params,
+    config: EncoderConfig,
+    ids: np.ndarray,
+    mask: np.ndarray,
+    labels: np.ndarray,
+    w: np.ndarray,
+    dropout: encoder.Dropout | None,
+) -> tuple[float, Params]:
+    """One batch's mean loss and parameter gradients, in encoder row chunks
+    (see `encoder.row_chunks`). A chunk takes its rows of the batch's dlogits
+    (divided by the batch's row count) and of its dropout masks, so the sum
+    over chunks differs from one whole-batch call by rounding only; one
+    chunk's trace is alive at a time."""
+    B, L = ids.shape
+    losses = np.empty(B)
+    grads = encoder.zero_grads_like(params)
+    for part in encoder.row_chunks([L] * B, config.d_model):
+        drop = None if dropout is None else [(a[part], f[part]) for a, f in dropout]
+        logits, trace = encoder.forward_batch(params, config, ids[part], mask[part], drop)
+        losses[part], dlogits = _loss_rows(logits, labels[part], w, B)
+        chunk_grads, demb = encoder.backward(params, trace, dlogits)
+        del trace
+        for k, g in chunk_grads.items():
+            grads[k] += g
+        encoder.accumulate_embedding_grads(grads, config, ids[part], demb)
+    return float(losses.mean()), grads
 
 
 def train(
@@ -149,14 +181,12 @@ def train(
         for start in range(0, n, train_config.batch_size):
             sel = order[start : start + train_config.batch_size]
             ids, mask, labels = _stack([train_examples[i] for i in sel])
-            logits, trace = encoder.forward_batch(params, config, ids, mask, dropout_rng)
-            loss, dlogits = _batch_loss(logits, labels, w_arr)
+            dropout = encoder.dropout_masks(dropout_rng, config, *ids.shape)
+            loss, grads = _batch_grads(params, config, ids, mask, labels, w_arr, dropout)
             if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}"
                 )
-            grads, demb = encoder.backward(params, trace, dlogits)
-            encoder.accumulate_embedding_grads(grads, config, ids, demb)
             t += 1
             lr = train_config.learning_rate
             for k in keys:

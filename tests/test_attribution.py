@@ -197,9 +197,9 @@ _WIDE = FeatureSchema(tuple(f"Feature {i}" for i in range(48)))
 
 
 class TestChunkedPath:
-    """IG's path runs in chunks of `_IG_POSITIONS // n` rows after one
-    forward-only call for F(x) and F(x') (one per row once two rows do not
-    fit); the result must not depend on the chunking."""
+    """IG's path runs in chunks of `_CHUNK_FLOATS // (n * d_model)` rows
+    after one forward-only call for F(x) and F(x') (one per row once two rows
+    do not fit); the result must not depend on the chunking."""
 
     @pytest.mark.parametrize("case", ["divides", "remainder", "one-chunk", "row-per-call"])
     @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
@@ -212,13 +212,16 @@ class TestChunkedPath:
             values = [float(100 + 37 * i) for i in range(schema.d)]
         ex = make_example(vocab, schema, values, max_seq_len=1024)
         n = len(ex.ids)
-        rows = max(1, attribution._IG_POSITIONS // n)
+        cfg = small_config(vocab.size, variant, max_seq_len=n, layers=2, d_model=8, d_ff=12)
+        # 512 positions per call, as the default budget gives at d_model 64
+        budget = 512 * cfg.d_model
+        monkeypatch.setattr(encoder, "_CHUNK_FLOATS", budget)
+        rows = max(1, budget // (n * cfg.d_model))
         steps = {"divides": 2 * rows, "remainder": 2 * rows + 1,
                  "one-chunk": rows - 3, "row-per-call": 3}[case]
         assert steps >= 1
         assert {"divides": steps % rows == 0, "remainder": steps % rows != 0,
-                "one-chunk": steps < rows, "row-per-call": n > attribution._IG_POSITIONS}[case]
-        cfg = small_config(vocab.size, variant, max_seq_len=n, layers=2, d_model=8, d_ff=12)
+                "one-chunk": steps < rows, "row-per-call": n * cfg.d_model > budget}[case]
         p = randomize_params(init_params(cfg), np.random.default_rng(31))
 
         calls, backward_rows = [], []
@@ -239,7 +242,7 @@ class TestChunkedPath:
 
         assert sum(b for b, _ in calls) == steps + 2
         assert sum(backward_rows) == steps
-        assert all(b * length <= max(attribution._IG_POSITIONS, n) for b, length in calls)
+        assert all(b * length * cfg.d_model <= max(budget, n * cfg.d_model) for b, length in calls)
         endpoint_calls = 1 if rows >= 2 else 2
         assert len(calls) == endpoint_calls + -(-steps // rows)
         token_attr, output_delta = _one_call_ig(p, cfg, ex, CoarseLabel.WEB_ATTACK, steps)

@@ -137,7 +137,7 @@ class TestPipeline:
     def test_train_artifacts(self, pipeline):
         tmp, _ = pipeline
         work = tmp / "work"
-        assert (work / "vocab.tsv").exists()
+        assert not (work / "vocab.tsv").exists()  # the checkpoint header holds the tokens
         assert (work / "model_absolute.ckpt").exists()
         log = (work / "train_log_absolute.jsonl").read_text().strip().split("\n")
         assert len(log) == 2
@@ -274,12 +274,10 @@ class TestFailureModes:
         tmp, _ = pipeline
         work = tmp_path / "work"
         shutil.copytree(tmp / "work", work)
-        (work / "vocab.tsv").unlink()
         cfg = write_config(tmp_path, encoder={**SMALL_CONFIG["encoder"], field: value})
         r = run("train", "--config", cfg, "--variant", "disentangled")
         assert r.exit_code == EXIT_CONFIG
         assert r.output.splitlines() == [f"error: encoder {field} must be >= {low}, got {value}"]
-        assert not (work / "vocab.tsv").exists()
         assert not (work / "model_disentangled.ckpt").exists()
         assert not (work / ".lock").exists()
 
@@ -817,3 +815,12 @@ def test_readme_config_builds(tmp_path):
     for variant in cli.VARIANTS:
         built = cli.RunConfig.from_file(str(path), variant=variant).encoder_cfg
         assert built.attention_variant == variant
+
+
+def test_allocator_setting_skips_a_libc_without_mallopt(monkeypatch, tmp_path):
+    # every command runs through `main`, which must not fail on a platform
+    # whose C library has no mallopt (not glibc)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    r = run("synthetic", "--out", tmp_path / "flows.csv", "--n", 3)
+    assert r.exit_code == 0, r.output
+    assert (tmp_path / "flows.csv").exists()

@@ -15,6 +15,7 @@ from flowig.encoder import (
     accumulate_embedding_grads,
     attention_scores_disentangled,
     backward,
+    dropout_masks,
     embed_ids,
     forward,
     forward_batch,
@@ -344,7 +345,7 @@ class TestBackward:
         mask[1, 11:] = 0
         dlog = rng.normal(size=(3, 3))
         _, trace = forward_from_embeddings(
-            p, cfg, emb, mask, dropout_rng=np.random.default_rng(1)
+            p, cfg, emb, mask, dropout_masks(np.random.default_rng(1), cfg, 3, 16)
         )
         grads, demb = backward(p, trace, dlog)
         no_grads, demb_only = backward(p, trace, dlog, param_grads=False)
@@ -417,7 +418,7 @@ class TestDisentangledScores:
 
 _OPS = ("_linear", "_linear_backward", "_ln_forward", "_ln_backward", "_gelu_forward",
         "_gelu_backward", "_masked_softmax", "_softmax_backward", "attention_scores_disentangled",
-        "_disentangled_scores_backward", "_dropout", "_sum_outer")
+        "_disentangled_scores_backward", "_sum_outer")
 
 
 class TestOpBoundary:
@@ -440,7 +441,7 @@ class TestOpBoundary:
 
         def train_step():
             logits, trace = forward_batch(
-                p, cfg, ids, mask, dropout_rng=np.random.default_rng(3)
+                p, cfg, ids, mask, dropout_masks(np.random.default_rng(3), cfg, *ids.shape)
             )
             return (logits, *backward(p, trace, dlog))
 
@@ -464,8 +465,8 @@ class TestOpBoundary:
             "_masked_softmax": layers, "_softmax_backward": layers,
             "attention_scores_disentangled": scores, "_disentangled_scores_backward": scores,
         }
-        for step, expected in ((train_step, {"_dropout": 2 * layers, "_sum_outer": 6 * layers + 1}),
-                               (ig_step, {"_dropout": 0, "_sum_outer": 0})):
+        for step, expected in ((train_step, {"_sum_outer": 6 * layers + 1}),
+                               (ig_step, {"_sum_outer": 0})):
             calls.clear()
             got = step()
             assert {name: calls[name] for name in _OPS} == {**each_pass, **expected}
@@ -506,7 +507,7 @@ class TestTrimmedTrainingStep:
 
         def step(ids, mask):
             logits, trace = forward_batch(
-                p, cfg, ids, mask, dropout_rng=np.random.default_rng(3)
+                p, cfg, ids, mask, dropout_masks(np.random.default_rng(3), cfg, *ids.shape)
             )
             grads, demb = backward(p, trace, dlog)
             accumulate_embedding_grads(grads, cfg, ids, demb)
@@ -535,10 +536,11 @@ class TestTrimmedTrainingStep:
         p = randomize_params(init_params(cfg), rng)
         ids_trim, mask_trim, ids, mask = self._batch(rng)
         _, full = forward_batch(
-            p, cfg, ids, mask, dropout_rng=np.random.default_rng(4)
+            p, cfg, ids, mask, dropout_masks(np.random.default_rng(4), cfg, *ids.shape)
         )
         _, trim = forward_batch(
-            p, cfg, ids_trim, mask_trim, dropout_rng=np.random.default_rng(4)
+            p, cfg, ids_trim, mask_trim,
+            dropout_masks(np.random.default_rng(4), cfg, *ids_trim.shape)
         )
         replay = np.random.default_rng(4)
         for li, (c_full, c_trim) in enumerate(zip(full.layer_caches, trim.layer_caches)):
@@ -701,7 +703,7 @@ class TestClsOnlyLastLayer:
         want, state = _full_length_forward(p, cfg, emb, mask, rng_or_none())
         want_grads, want_demb = _full_length_backward(p, cfg, state, dlog)
         got, trace = forward_from_embeddings(
-            p, cfg, emb, mask, dropout_rng=rng_or_none()
+            p, cfg, emb, mask, dropout_masks(np.random.default_rng(5), cfg, 3, 12)
         )
         grads, demb = backward(p, trace, dlog)
         _, demb_only = backward(p, trace, dlog, param_grads=False)

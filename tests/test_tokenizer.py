@@ -35,11 +35,10 @@ class TestBuildVocab:
         with pytest.raises(ConfigError, match="reserved token: '\\[CLS\\]'"):
             build_vocab(FeatureSchema(("[CLS]",)))
 
-    def test_roundtrips_through_lines(self, vocab):
-        lines = vocab.to_lines().strip().split("\n")
-        assert len(lines) == vocab.size
-        tok0, tid0 = lines[0].split("\t")
-        assert (tok0, int(tid0)) == (PAD, 0)
+    def test_ids_follow_token_order(self, vocab):
+        # a checkpoint header lists `tuple(vocab.id_of)` as the tokens in id order
+        assert list(vocab.id_of.values()) == list(range(vocab.size))
+        assert next(iter(vocab.id_of)) == PAD
 
 
 class TestTokenize:

@@ -40,25 +40,27 @@ def test_traced_name_resolves(module, name):
     assert callable(fn), f"bench/tracing.py wraps flowig.{module}.{name}, which does not exist"
 
 
-def test_probes_read_a_mixed_length_pass(vocab, schema):
+def test_probes_read_a_mixed_length_pass(vocab, schema, monkeypatch):
     # tokenize -> evaluate_examples -> integrated_gradients under the tracer,
     # on flows whose values render to different token lengths; the last one
     # is long enough that its IG path takes more than one encoder call after
     # the one for F(x) and F(x')
     tracing = _tracing()
     cfg = small_config(vocab.size, max_seq_len=128, d_model=16, d_ff=24)
+    # 512 positions per encoder call, as the default budget gives at d_model 64
+    monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 512 * cfg.d_model)
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(4))
     rng = np.random.default_rng(6)
     records = [FlowRecord(tuple(float(rng.integers(1, 10 ** int(rng.integers(1, 5))))
                                 for _ in range(schema.d)), "BENIGN") for _ in range(6)]
     records.append(FlowRecord((123456789.123,) * schema.d, "BENIGN"))
-    steps, chunk = 7, 3
+    steps = 7
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         examples = [tokenizer.tokenize(textualize.serialize(rec, schema), vocab, 128,
                                        COARSE_LABELS[i % 3])
                     for i, rec in enumerate(records)]
-        training.evaluate_examples(params, cfg, examples, chunk=chunk)
+        training.evaluate_examples(params, cfg, examples)
         for e in (examples[0], examples[-1]):
             attribution.integrated_gradients(params, cfg, e, e.label,
                                              attribution.IGConfig(steps=steps))
@@ -69,14 +71,14 @@ def test_probes_read_a_mixed_length_pass(vocab, schema):
     assert len({len(e.ids) for e in examples}) > 1
     # evaluate_examples chunks the examples in stable length order
     by_length = sorted(examples, key=lambda e: len(e.ids))
-    masks = [training._stack(by_length[i : i + chunk])[1] for i in range(0, 7, chunk)]
+    parts = encoder.row_chunks([len(e.ids) for e in by_length], cfg.d_model)
+    masks = [training._stack(by_length[part])[1] for part in parts]
     masked = sum(m.size - m.sum() for m in masks)
     ig_lengths = [len(examples[0].ids), len(examples[-1].ids)]
     positions = sum(m.size for m in masks) + sum((steps + 2) * n for n in ig_lengths)
     assert masked > 0
     assert metrics["encoder.pad_share"] == pytest.approx(masked / positions, rel=1e-12)
-    calls = [1 + math.ceil(steps / max(1, attribution._IG_POSITIONS // n))
-             for n in ig_lengths]
+    calls = [1 + math.ceil(steps / max(1, 512 // n)) for n in ig_lengths]
     assert calls[0] == 2 and calls[1] > 2
     assert metrics["attribution.forward_calls_per_example"] == sum(calls) / 2
     assert metrics["attribution.forward_rows_per_example"] == steps + 2

@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowig import encoder, training
-from flowig.errors import DataError
+from flowig import attribution, encoder, training
+from flowig.errors import DataError, NumericError
 from flowig.evaluation import confusion, metrics
 from flowig.flow_data import CoarseLabel
 from flowig.tokenizer import TokenizedExample
-from flowig.training import TrainConfig, _batch_loss, class_weights, train
+from flowig.training import TrainConfig, _loss_rows, class_weights, train
 
 from conftest import make_example, randomize_params, small_config
 
@@ -51,8 +52,14 @@ class TestClassWeights:
         assert all(w[i] >= w[i + 1] - 1e-15 for i in range(2))
 
 
+def _batch_loss(logits, labels, w):
+    """The mean loss of a whole batch and its dlogits."""
+    rows, grad = _loss_rows(logits, labels, w, len(logits))
+    return float(rows.mean()), grad
+
+
 class TestWeightedCrossEntropy:
-    """The batched loss `_batch_loss`: mean class-weighted cross-entropy."""
+    """The loss `_loss_rows`: mean class-weighted cross-entropy, by rows."""
 
     def test_uniform_logits(self):
         w = np.asarray(class_weights((5, 5, 5)))
@@ -191,7 +198,7 @@ class TestStack:
 
 class TestEvaluateExamples:
     @pytest.mark.parametrize("variant", [encoder.ABSOLUTE, encoder.DISENTANGLED])
-    def test_trimmed_chunks_match_untrimmed(self, vocab, schema, variant):
+    def test_trimmed_chunks_match_untrimmed(self, vocab, schema, variant, monkeypatch):
         rng = np.random.default_rng(1)
         examples = [
             make_example(
@@ -206,14 +213,16 @@ class TestEvaluateExamples:
         assert len(lengths) > 1 and max(lengths) < 64
         cfg = small_config(vocab.size, variant, max_seq_len=64, d_model=16, d_ff=24)
         params = randomize_params(encoder.init_params(cfg), rng)
-        logits, preds = training.evaluate_examples(params, cfg, examples, chunk=4)
         ids, mask = _padded(examples, 64)
         want, _ = encoder.forward_batch(params, cfg, ids, mask)
+        # at most 3 rows per call, so the 10 examples take 4 calls or more
+        monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 3 * min(lengths) * cfg.d_model)
+        logits, preds = training.evaluate_examples(params, cfg, examples)
         np.testing.assert_allclose(logits, want, rtol=1e-12, atol=0)
         assert np.array_equal(preds, want.argmax(axis=1))
 
     @pytest.mark.parametrize("variant", [encoder.ABSOLUTE, encoder.DISENTANGLED])
-    def test_length_sorted_chunks_keep_input_order(self, vocab, schema, variant):
+    def test_length_sorted_chunks_keep_input_order(self, vocab, schema, variant, monkeypatch):
         rng = np.random.default_rng(2)
         digits = [1, 8, 2, 7, 1, 6, 3, 8, 2]
         examples = [
@@ -222,16 +231,16 @@ class TestEvaluateExamples:
                          max_seq_len=128, label=CoarseLabel(i % 3))
             for i, k in enumerate(digits)
         ]
-        chunk = 3
-        lengths = [len(e.ids) for e in examples]
+        lengths = np.array([len(e.ids) for e in examples])
         order = np.argsort(lengths, kind="stable")
-        in_order = {frozenset(range(s, s + chunk)) for s in range(0, len(examples), chunk)}
-        by_length = {frozenset(order[s : s + chunk].tolist())
-                     for s in range(0, len(examples), chunk)}
-        assert in_order != by_length
         cfg = small_config(vocab.size, variant, max_seq_len=128, d_model=16, d_ff=24)
+        monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 3 * lengths.max() * cfg.d_model)
+        parts = list(encoder.row_chunks(lengths[order], cfg.d_model))
+        in_order = {frozenset(range(len(examples))[part]) for part in parts}
+        by_length = {frozenset(order[part].tolist()) for part in parts}
+        assert len(parts) > 1 and in_order != by_length
         params = randomize_params(encoder.init_params(cfg), rng)
-        logits, preds = training.evaluate_examples(params, cfg, examples, chunk=chunk)
+        logits, preds = training.evaluate_examples(params, cfg, examples)
         want = np.concatenate([
             encoder.forward_batch(params, cfg, np.array([e.ids]), np.ones((1, len(e.ids))))[0]
             for e in examples
@@ -251,3 +260,119 @@ class TestEvaluateExamples:
         assert (logits == 0).all()
         assert preds.dtype == np.int64
         assert preds.tolist() == [0] * 5
+
+
+def _whole_batch_step(params, cfg, ids, mask, labels, w, dropout):
+    """A training step's loss and gradients from one encoder call over the
+    whole batch: the reference the chunked step must match."""
+    logits, trace = encoder.forward_batch(params, cfg, ids, mask, dropout)
+    rows, dlogits = _loss_rows(logits, labels, w, len(ids))
+    grads, demb = encoder.backward(params, trace, dlogits)
+    encoder.accumulate_embedding_grads(grads, cfg, ids, demb)
+    return float(rows.mean()), grads
+
+
+class TestChunkedStep:
+    """A training batch runs through the encoder in row chunks, each with its
+    rows of the batch's dropout masks and dlogits; Adam steps once per batch."""
+
+    @pytest.mark.parametrize("variant", [encoder.ABSOLUTE, encoder.DISENTANGLED])
+    def test_matches_whole_batch(self, variant, monkeypatch):
+        rng = np.random.default_rng(23)
+        cfg = small_config(20, variant, layers=2, dropout_rate=0.2)
+        p = randomize_params(encoder.init_params(cfg), rng)
+        examples = [
+            TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel(i % 3))
+            for i, n in enumerate((7, 10, 9, 12, 5, 11, 8))
+        ]
+        ids, mask, labels = training._stack(examples)
+        w = np.array([0.7, 1.1, 1.4])
+        dropout = encoder.dropout_masks(np.random.default_rng(4), cfg, *ids.shape)
+        want_loss, want = _whole_batch_step(p, cfg, ids, mask, labels, w, dropout)
+
+        calls = []
+        forward = encoder.forward_from_embeddings
+
+        def recording(params, config, embeddings, *args, **kwargs):
+            calls.append(len(embeddings))
+            return forward(params, config, embeddings, *args, **kwargs)
+
+        monkeypatch.setattr(encoder, "forward_from_embeddings", recording)
+        monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 2 * ids.shape[1] * cfg.d_model)
+        loss, grads = training._batch_grads(p, cfg, ids, mask, labels, w, dropout)
+
+        assert calls == [2, 2, 2, 1]
+        assert loss == want_loss
+        assert grads.keys() == want.keys()
+        scale = max(np.abs(g).max() for g in want.values())
+        for k in want:
+            np.testing.assert_allclose(grads[k], want[k], rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=k)
+
+    def test_non_finite_loss_stops_before_any_step(self, vocab, corpus, monkeypatch):
+        train_ex, val_ex = corpus
+        cfg = small_config(vocab.size, max_seq_len=64, d_model=16, d_ff=24, dropout_rate=0.1)
+        params = encoder.init_params(cfg)
+        seen = []
+        forward_batch = encoder.forward_batch
+
+        def recording(p, *args, **kwargs):
+            seen.append(p)
+            return forward_batch(p, *args, **kwargs)
+
+        monkeypatch.setattr(encoder, "forward_batch", recording)
+        monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 3 * 64 * cfg.d_model)
+        # WEB_ATTACK rows get an infinite loss; the first batch holds one
+        with pytest.raises(NumericError, match=r"^non-finite loss at epoch 1, batch 0$"):
+            with np.errstate(invalid="ignore"):
+                train(params, cfg, train_ex, val_ex, (1.0, 1.0, math.inf),
+                      TrainConfig(epochs=1, batch_size=8))
+        assert len(seen) == 3  # every chunk of the batch ran
+        assert all(p is seen[0] for p in seen)  # train's own copy of the parameters
+        for k in params:
+            np.testing.assert_array_equal(seen[0][k], params[k], err_msg=k)
+
+
+@pytest.mark.parametrize("budget", [32768, 1500, 100])
+def test_every_encoder_call_fits_the_budget(vocab, corpus, monkeypatch, budget):
+    # train (with its validation passes), evaluate_examples and IG; at 100
+    # float64 no row fits, so each call takes one row
+    train_ex, val_ex = corpus
+    cfg = small_config(vocab.size, max_seq_len=64, d_model=16, d_ff=24, dropout_rate=0.1)
+    calls = []
+    forward = encoder.forward_from_embeddings
+
+    def recording(params, config, embeddings, *args, **kwargs):
+        calls.append(embeddings.shape)
+        return forward(params, config, embeddings, *args, **kwargs)
+
+    monkeypatch.setattr(encoder, "forward_from_embeddings", recording)
+    monkeypatch.setattr(encoder, "_CHUNK_FLOATS", budget)
+    params, _ = train(encoder.init_params(cfg), cfg, train_ex, val_ex, class_weights((8, 8, 8)),
+                      TrainConfig(epochs=1, batch_size=8))
+    training.evaluate_examples(params, cfg, train_ex)
+    for e in val_ex[:2]:
+        attribution.integrated_gradients(params, cfg, e, e.label, attribution.IGConfig(steps=6))
+    assert calls
+    assert all(rows * L * D <= max(budget, L * D) for rows, L, D in calls), calls
+
+
+def test_evaluate_peak_memory_does_not_grow_with_rows(vocab, schema):
+    # same length and config; only the row count differs
+    cfg = small_config(vocab.size, max_seq_len=64, layers=2, d_model=16, d_ff=24)
+    params = randomize_params(encoder.init_params(cfg), np.random.default_rng(5))
+    one = make_example(vocab, schema, [float(100 + 37 * i) for i in range(schema.d)],
+                       label=CoarseLabel.BENIGN)
+    assert 512 * len(one.ids) * cfg.d_model > 8 * encoder._CHUNK_FLOATS
+
+    def peak(n):
+        examples = [one] * n
+        tracemalloc.start()
+        try:
+            training.evaluate_examples(params, cfg, examples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)  # warm-up
+    assert peak(512) <= 1.25 * peak(64)
