@@ -76,7 +76,8 @@ def integrated_gradients(
     call; only the `steps` path points go through the backward pass. Both
     run at the example's own length, since examples carry no padding;
     `token_attr` is 0 past it. Each encoder call takes as many rows as the
-    encoder's budget allows (see `encoder.row_chunks`); with
+    encoder's budget allows (see `encoder.row_chunks`), and the path's
+    chunks may run at once (see `encoder.map_chunks`); with
     `param_grads=False` every op works row by row, so the chunking moves the
     embedding gradients and logits by rounding at most.
     """
@@ -97,13 +98,17 @@ def integrated_gradients(
     steps = cfg.steps
     delta = emb - base
     alphas = (np.arange(steps) + 0.5) / steps
-    path_grads = np.empty((steps, n, config.d_model))
-    for part in encoder.row_chunks([n] * steps, config.d_model):
+
+    def path_chunk(part):
         points = base[None] + alphas[part, None, None] * delta[None]
         _, trace = forward(points)
         dlogits = np.zeros((len(points), config.n_classes))
         dlogits[:, t] = 1.0
-        _, path_grads[part] = encoder.backward(params, trace, dlogits, param_grads=False)
+        return encoder.backward(params, trace, dlogits, param_grads=False)[1]
+
+    path_grads = np.empty((steps, n, config.d_model))
+    for part, grads in encoder.map_chunks(path_chunk, [n] * steps, config):
+        path_grads[part] = grads
     if not np.all(np.isfinite(path_grads)):
         bad = int(np.where(~np.isfinite(path_grads).all(axis=(1, 2)))[0][0])
         raise NumericError(f"non-finite gradient at integration step {bad}")

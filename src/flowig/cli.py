@@ -388,11 +388,13 @@ def main():
 
 
 def _reuse_freed_memory() -> None:
-    """Have glibc's malloc serve blocks under 8 MiB from its heap and keep up
-    to 32 MiB free at the heap's top. The encoder works in row chunks of a
-    few MB (see `encoder._CHUNK_FLOATS`); under glibc's default thresholds
-    each chunk's freed arrays go back to the system and the next chunk
-    faults them in again. A no-op where malloc is not glibc's."""
+    """Have glibc's malloc serve blocks under 8 MiB from its heap, keep up
+    to 32 MiB free at the heap's top and use one arena for every thread. The
+    encoder works in row chunks of a few MB (see `encoder._CHUNK_FLOATS`);
+    under glibc's default thresholds each chunk's freed arrays go back to the
+    system and the next chunk faults them in again, and each chunk worker's
+    own arena (see `encoder.map_chunks`) would keep its own freed pages. A
+    no-op where malloc is not glibc's."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -400,6 +402,7 @@ def _reuse_freed_memory() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 8 << 20)   # M_MMAP_THRESHOLD
     mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)         # M_ARENA_MAX
 
 
 def _stage(run, *options) -> None:

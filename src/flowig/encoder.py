@@ -12,7 +12,11 @@ dimension is also how integration-path gradient evaluations are vectorized.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,25 +76,66 @@ class EncoderConfig:
 Params = dict[str, np.ndarray]
 Dropout = list[tuple[np.ndarray, np.ndarray]]
 
-# float64 per encoder call (rows x length x d_model). IG's path, training
-# batches and evaluation all go through the encoder in row chunks of this
-# size, so each layer's cached activations stay near L2-sized and memory does
-# not grow with the batch. It is 512 positions at d_model 64: on 2 vCPUs
-# (1 BLAS thread) IG's best chunks held 500-800 positions at every length,
-# and training and evaluation calls ran fastest at about 25k-90k float64
+# float64 per encoder call (rows x length x d_model), shared by the calls
+# that run at once. IG's path, training batches and evaluation all go through
+# the encoder in row chunks of this size, so each layer's cached activations
+# stay near L2-sized and memory does not grow with the batch. It is 512
+# positions at d_model 64: on 2 vCPUs (1 BLAS thread) IG's best chunks held
+# 500-800 positions at every length, and training and evaluation calls ran
+# fastest at about 25k-90k float64
 _CHUNK_FLOATS = 32768
 
+# one worker per usable CPU; numpy and BLAS release the GIL inside each op
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="flowig-chunk")
 
-def row_chunks(lengths, d_model: int):
+
+def row_chunks(lengths, d_model: int, workers: int = 1):
     """Slices that cut rows of nondecreasing `lengths` into encoder calls, each
-    as many rows as fit `_CHUNK_FLOATS` at its longest (last) row, at least one."""
+    as many rows as fit `_CHUNK_FLOATS / workers` at its longest (last) row,
+    at least one."""
     lo, n = 0, len(lengths)
     while lo < n:
         hi = lo + 1
-        while hi < n and (hi + 1 - lo) * lengths[hi] * d_model <= _CHUNK_FLOATS:
+        while hi < n and (hi + 1 - lo) * lengths[hi] * d_model * workers <= _CHUNK_FLOATS:
             hi += 1
         yield slice(lo, hi)
         lo = hi
+
+
+def map_chunks(fn, lengths, config: EncoderConfig):
+    """Yield `(part, fn(part))` for each of `row_chunks(lengths, ...)`, in order.
+
+    An encoder with a full-length layer (`layers >= 2`) runs up to `_WORKERS`
+    chunks at once on the pool, each cut to its share of the budget; a
+    1-layer encoder's ops are too small to overlap well, so it runs in turn at
+    the whole budget. `fn` must not depend on which chunks ran before it, so
+    callers that sum the results in the order yielded get the same bits
+    either way. If a chunk raises, the chunks not started are cancelled and
+    the running ones finish before the error reaches the caller.
+    """
+    workers = _WORKERS if config.layers >= 2 else 1
+    parts = row_chunks(lengths, config.d_model, workers)
+    if workers == 1:
+        for part in parts:
+            yield part, fn(part)
+        return
+    pending = deque()
+    try:
+        for part in itertools.islice(parts, workers):
+            pending.append((part, _POOL.submit(fn, part)))
+        while pending:
+            part, future = pending.popleft()
+            result = future.result()
+            nxt = next(parts, None)
+            if nxt is not None:
+                pending.append((nxt, _POOL.submit(fn, nxt)))
+            yield part, result
+    finally:
+        for _, future in pending:
+            future.cancel()
+        wait([future for _, future in pending])
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -304,15 +349,22 @@ def _disentangled_scores_backward(dscores, q, k_content, qr, kr, onehot, params:
 
 
 def _key_mask_bias(mask):
-    """Additive score bias (B, 1, 1, L) from a (B, L) key mask: 0 = attend, -inf = not."""
+    """Additive score bias (B, 1, 1, L) from a (B, L) key mask: 0 = attend,
+    -inf = not; None when every key is attended."""
+    if np.all(mask > 0):
+        return None
     return np.where(mask[:, None, None, :] > 0, 0.0, -np.inf)
 
 
 def _masked_softmax(scores, bias):
     # a row with an attended key (CLS always is) has a finite max, so the
-    # -inf entries of masked keys exponentiate to exactly 0
-    s = scores + bias
-    s -= s.max(axis=-1, keepdims=True)
+    # -inf entries of masked keys exponentiate to exactly 0; an all-zero
+    # bias changes no bit of the result, so None skips that pass
+    if bias is None:
+        s = scores - scores.max(axis=-1, keepdims=True)
+    else:
+        s = scores + bias
+        s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     return s

@@ -76,15 +76,14 @@ def _loss_rows(
     return -(wl * logp[rows, labels]), grad / batch_size
 
 
-def _stack(examples: list[TokenizedExample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A batch's ids, mask and labels, padded to its longest example with
-    the PAD id (0) and mask 0."""
+def _stack(examples: list[TokenizedExample]) -> tuple[np.ndarray, np.ndarray]:
+    """A batch's ids and mask, padded to its longest example with the PAD id
+    (0) and mask 0."""
     lengths = np.array([len(e.ids) for e in examples])
     mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
     ids = np.zeros(mask.shape, dtype=np.int64)
     ids[mask > 0] = np.concatenate([e.ids for e in examples])
-    labels = np.array([e.label.value for e in examples], dtype=np.int64)
-    return ids, mask, labels
+    return ids, mask
 
 
 def evaluate_examples(
@@ -93,20 +92,23 @@ def evaluate_examples(
     examples: list[TokenizedExample],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode logits and predicted class indices (the argmax, ties to the
-    lower index) for a list of examples, in input order.
+    lower index) for a list of examples, labeled or not, in input order.
 
     Chunks are cut from the examples stably sorted by length, as many rows
     as the encoder's budget takes at a chunk's longest example (see
-    `encoder.row_chunks`), so each chunk, padded to that example (see
+    `encoder.map_chunks`), so each chunk, padded to that example (see
     `_stack`), carries almost no padding.
     """
     lengths = np.array([len(e.ids) for e in examples])
     order = np.argsort(lengths, kind="stable")
+
+    def chunk_logits(part):
+        ids, mask = _stack([examples[i] for i in order[part]])
+        return encoder.forward_batch(params, config, ids, mask)[0]
+
     logits = np.empty((len(examples), config.n_classes))
-    for part in encoder.row_chunks(lengths[order], config.d_model):
-        sel = order[part]
-        ids, mask, _ = _stack([examples[i] for i in sel])
-        logits[sel], _ = encoder.forward_batch(params, config, ids, mask)
+    for part, chunk in encoder.map_chunks(chunk_logits, lengths[order], config):
+        logits[order[part]] = chunk
     return logits, logits.argmax(axis=1)
 
 
@@ -120,20 +122,23 @@ def _batch_grads(
     dropout: encoder.Dropout | None,
 ) -> tuple[float, Params]:
     """One batch's mean loss and parameter gradients, in encoder row chunks
-    (see `encoder.row_chunks`). A chunk takes its rows of the batch's dlogits
-    (divided by the batch's row count) and of its dropout masks, so the sum
-    over chunks differs from one whole-batch call by rounding only; one
-    chunk's trace is alive at a time."""
+    (see `encoder.map_chunks`). A chunk takes its rows of the batch's dlogits
+    (divided by the batch's row count) and of its dropout masks and builds
+    its own gradients, which are added here in chunk order, so the sum
+    differs from one whole-batch call by rounding only."""
     B, L = ids.shape
-    losses = np.empty(B)
-    grads = encoder.zero_grads_like(params)
-    for part in encoder.row_chunks([L] * B, config.d_model):
+
+    def chunk_grads(part):
         drop = None if dropout is None else [(a[part], f[part]) for a, f in dropout]
         logits, trace = encoder.forward_batch(params, config, ids[part], mask[part], drop)
-        losses[part], dlogits = _loss_rows(logits, labels[part], w, B)
-        chunk_grads, demb = encoder.backward(params, trace, dlogits)
-        del trace
-        for k, g in chunk_grads.items():
+        losses, dlogits = _loss_rows(logits, labels[part], w, B)
+        return (losses, *encoder.backward(params, trace, dlogits))
+
+    losses = np.empty(B)
+    grads = encoder.zero_grads_like(params)
+    for part, (chunk_losses, chunk, demb) in encoder.map_chunks(chunk_grads, [L] * B, config):
+        losses[part] = chunk_losses
+        for k, g in chunk.items():
             grads[k] += g
         encoder.accumulate_embedding_grads(grads, config, ids[part], demb)
     return float(losses.mean()), grads
@@ -180,7 +185,8 @@ def train(
         n_batches = 0
         for start in range(0, n, train_config.batch_size):
             sel = order[start : start + train_config.batch_size]
-            ids, mask, labels = _stack([train_examples[i] for i in sel])
+            ids, mask = _stack([train_examples[i] for i in sel])
+            labels = np.array([train_examples[i].label.value for i in sel], dtype=np.int64)
             dropout = encoder.dropout_masks(dropout_rng, config, *ids.shape)
             loss, grads = _batch_grads(params, config, ids, mask, labels, w_arr, dropout)
             if not math.isfinite(loss):

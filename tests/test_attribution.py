@@ -201,6 +201,11 @@ class TestChunkedPath:
     after one forward-only call for F(x) and F(x') (one per row once two rows
     do not fit); the result must not depend on the chunking."""
 
+    @pytest.fixture(autouse=True)
+    def _one_worker(self, monkeypatch):
+        # the call counts below are those of the whole budget in one call
+        monkeypatch.setattr(encoder, "_WORKERS", 1)
+
     @pytest.mark.parametrize("case", ["divides", "remainder", "one-chunk", "row-per-call"])
     @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
     def test_matches_one_call(self, monkeypatch, vocab, schema, variant, case):

@@ -4,6 +4,8 @@ import math
 import re
 import shutil
 import struct
+import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -824,3 +826,55 @@ def test_allocator_setting_skips_a_libc_without_mallopt(monkeypatch, tmp_path):
     r = run("synthetic", "--out", tmp_path / "flows.csv", "--n", 3)
     assert r.exit_code == 0, r.output
     assert (tmp_path / "flows.csv").exists()
+
+    # with glibc's, every thread shares one arena (M_ARENA_MAX = -8)
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    r = run("synthetic", "--out", tmp_path / "more.csv", "--n", 3)
+    assert r.exit_code == 0, r.output
+    assert calls == [(-3, 8 << 20), (-1, 32 << 20), (-8, 1)]
+
+
+def test_numeric_error_in_a_chunk_worker(monkeypatch, tmp_path):
+    # a 2-layer encoder trains its batches on the pool; a chunk's NumericError
+    # ends the stage with exit 4 and one line, after the batch's other chunks
+    # have stopped
+    cfg = write_config(tmp_path, encoder={**SMALL_CONFIG["encoder"], "layers": 2})
+    assert run("synthetic", "--out", tmp_path / "flows.csv", "--n", 90).exit_code == 0
+    assert run("prepare", "--config", cfg).exit_code == 0
+    monkeypatch.setattr(encoder, "_WORKERS", 2)
+    monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 2 * 4 * 64 * 16)  # 4 rows per call
+    lock = threading.Lock()
+    calls, running = [], [0]
+    forward = encoder.forward_from_embeddings
+
+    def failing(*args, **kwargs):
+        with lock:
+            calls.append(threading.current_thread())
+            n = len(calls)
+            running[0] += 1
+        try:
+            if n == 2:
+                raise NumericError("non-finite values produced in encoder layer 1")
+            time.sleep(0.05)
+            return forward(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(encoder, "forward_from_embeddings", failing)
+    r = run("train", "--config", cfg)
+    assert r.exit_code == EXIT_NUMERIC
+    assert r.output.splitlines() == ["error: non-finite values produced in encoder layer 1"]
+    assert running[0] == 0
+    assert threading.main_thread() not in calls
+    n = len(calls)
+    time.sleep(0.1)
+    assert len(calls) == n  # no chunk was left queued
+    assert not (tmp_path / "work" / ".lock").exists()
+    assert not (tmp_path / "work" / "model_absolute.ckpt").exists()

@@ -254,6 +254,31 @@ class TestMaskedSoftmax:
         assert np.array_equal(got, _softmax_oracle(scores, mask))
         assert np.array_equal(scores, before)  # the input is not overwritten
 
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_all_attended_skips_the_bias(self, monkeypatch, variant):
+        # with every key attended there is no bias, and the attention is that
+        # of an all-zero bias, bit for bit
+        rng = np.random.default_rng(13)
+        scores = rng.normal(scale=20.0, size=(4, 2, 9, 9))
+        mask = np.ones((4, 9))
+        assert _key_mask_bias(mask) is None
+        before = scores.copy()
+        got = _masked_softmax(scores, None)
+        assert np.array_equal(got, _masked_softmax(scores, np.zeros((4, 1, 1, 9))))
+        assert np.array_equal(got, _softmax_oracle(scores, mask))
+        assert np.array_equal(scores, before)
+
+        cfg = small_config(20, variant, layers=3)
+        p = randomize_params(init_params(cfg), rng)
+        emb = rng.normal(size=(3, 16, 8))
+        logits, trace = forward_from_embeddings(p, cfg, emb, np.ones((3, 16)))
+        monkeypatch.setattr(encoder, "_key_mask_bias",
+                            lambda m: np.zeros((len(m), 1, 1, m.shape[1])))
+        want_logits, want = forward_from_embeddings(p, cfg, emb, np.ones((3, 16)))
+        assert np.array_equal(logits, want_logits)
+        for got_cache, want_cache in zip(trace.layer_caches, want.layer_caches, strict=True):
+            assert np.array_equal(got_cache["attn"], want_cache["attn"])
+
 
 class TestRelativePositions:
     def test_index_values(self):
@@ -491,7 +516,7 @@ class TestTrimmedTrainingStep:
             TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel.BENIGN)
             for n in (7, 10, 9)
         ]
-        ids, mask, _ = training._stack(examples)
+        ids, mask = training._stack(examples)
         assert ids.shape == (3, 10)
         pad = ((0, 0), (0, 6))
         return ids, mask, np.pad(ids, pad), np.pad(mask, pad)

@@ -49,6 +49,7 @@ def test_probes_read_a_mixed_length_pass(vocab, schema, monkeypatch):
     cfg = small_config(vocab.size, max_seq_len=128, d_model=16, d_ff=24)
     # 512 positions per encoder call, as the default budget gives at d_model 64
     monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 512 * cfg.d_model)
+    monkeypatch.setattr(encoder, "_WORKERS", 1)  # and one call at a time
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(4))
     rng = np.random.default_rng(6)
     records = [FlowRecord(tuple(float(rng.integers(1, 10 ** int(rng.integers(1, 5))))

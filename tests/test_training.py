@@ -186,14 +186,13 @@ class TestStack:
             TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel(i % 3))
             for i, n in enumerate(lengths)
         ]
-        ids, mask, labels = training._stack(examples)
+        ids, mask = training._stack(examples)
         want_ids, want_mask = _padded(examples, 16)
         n = _active_length(want_mask)
         assert n == max(lengths)
         assert ids.dtype == want_ids.dtype and mask.dtype == want_mask.dtype
         assert np.array_equal(ids, want_ids[:, :n])
         assert np.array_equal(mask, want_mask[:, :n])
-        assert labels.tolist() == [i % 3 for i in range(len(lengths))]
 
 
 class TestEvaluateExamples:
@@ -249,6 +248,23 @@ class TestEvaluateExamples:
         np.testing.assert_allclose(logits, want, rtol=1e-12, atol=0)
         assert np.array_equal(preds, want.argmax(axis=1))
 
+    @pytest.mark.parametrize("variant", [encoder.ABSOLUTE, encoder.DISENTANGLED])
+    def test_unlabeled_examples(self, vocab, schema, variant):
+        # examples tokenized without a label give the logits of labeled copies
+        rng = np.random.default_rng(4)
+        values = [[float(rng.integers(1, 10 ** int(rng.integers(1, 5)))) for _ in range(schema.d)]
+                  for _ in range(6)]
+        labeled = [make_example(vocab, schema, v, label=CoarseLabel(i % 3))
+                   for i, v in enumerate(values)]
+        unlabeled = [make_example(vocab, schema, v) for v in values]
+        assert all(e.label is None for e in unlabeled)
+        cfg = small_config(vocab.size, variant, max_seq_len=64, layers=2, d_model=16, d_ff=24)
+        params = randomize_params(encoder.init_params(cfg), rng)
+        logits, preds = training.evaluate_examples(params, cfg, unlabeled)
+        want, want_preds = training.evaluate_examples(params, cfg, labeled)
+        assert np.array_equal(logits, want)
+        assert np.array_equal(preds, want_preds)
+
     def test_untrained_model_predicts_index_0(self, vocab, schema):
         # init_params zeroes the head, so every logit ties and the tie goes
         # to the lowest class index
@@ -276,6 +292,11 @@ class TestChunkedStep:
     """A training batch runs through the encoder in row chunks, each with its
     rows of the batch's dropout masks and dlogits; Adam steps once per batch."""
 
+    @pytest.fixture(autouse=True)
+    def _one_worker(self, monkeypatch):
+        # the chunk counts below are those of the whole budget in one call
+        monkeypatch.setattr(encoder, "_WORKERS", 1)
+
     @pytest.mark.parametrize("variant", [encoder.ABSOLUTE, encoder.DISENTANGLED])
     def test_matches_whole_batch(self, variant, monkeypatch):
         rng = np.random.default_rng(23)
@@ -285,7 +306,8 @@ class TestChunkedStep:
             TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel(i % 3))
             for i, n in enumerate((7, 10, 9, 12, 5, 11, 8))
         ]
-        ids, mask, labels = training._stack(examples)
+        ids, mask = training._stack(examples)
+        labels = np.array([e.label.value for e in examples])
         w = np.array([0.7, 1.1, 1.4])
         dropout = encoder.dropout_masks(np.random.default_rng(4), cfg, *ids.shape)
         want_loss, want = _whole_batch_step(p, cfg, ids, mask, labels, w, dropout)
@@ -348,6 +370,7 @@ def test_every_encoder_call_fits_the_budget(vocab, corpus, monkeypatch, budget):
 
     monkeypatch.setattr(encoder, "forward_from_embeddings", recording)
     monkeypatch.setattr(encoder, "_CHUNK_FLOATS", budget)
+    monkeypatch.setattr(encoder, "_WORKERS", 1)
     params, _ = train(encoder.init_params(cfg), cfg, train_ex, val_ex, class_weights((8, 8, 8)),
                       TrainConfig(epochs=1, batch_size=8))
     training.evaluate_examples(params, cfg, train_ex)
@@ -357,8 +380,11 @@ def test_every_encoder_call_fits_the_budget(vocab, corpus, monkeypatch, budget):
     assert all(rows * L * D <= max(budget, L * D) for rows, L, D in calls), calls
 
 
-def test_evaluate_peak_memory_does_not_grow_with_rows(vocab, schema):
-    # same length and config; only the row count differs
+def test_evaluate_peak_memory_does_not_grow_with_rows(vocab, schema, monkeypatch):
+    # same length and config; only the row count differs. Chunks run in turn:
+    # on the pool the peak depends on how the chunks overlap in time, which
+    # `test_workers.py::test_peak_memory_stays_at_one_budget` bounds
+    monkeypatch.setattr(encoder, "_WORKERS", 1)
     cfg = small_config(vocab.size, max_seq_len=64, layers=2, d_model=16, d_ff=24)
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(5))
     one = make_example(vocab, schema, [float(100 + 37 * i) for i in range(schema.d)],

@@ -1,0 +1,283 @@
+"""The chunk workers of `encoder.map_chunks`.
+
+An encoder with `layers >= 2` runs the chunks of one call on `_WORKERS`
+threads at once, each cut to `_CHUNK_FLOATS / _WORKERS`, and the caller adds
+the chunks' results in chunk order; so the pool must give the same bits as
+the same chunks run one after another, and a 1-layer encoder never uses it.
+"""
+import os
+import sys
+import threading
+import time
+import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from flowig import attribution, encoder, training
+from flowig.errors import NumericError
+from flowig.flow_data import CoarseLabel
+from flowig.tokenizer import TokenizedExample
+from flowig.training import TrainConfig, class_weights, train
+
+from conftest import make_example, randomize_params, small_config
+
+
+class InTurn:
+    """Stands in for the pool: runs each chunk when it is submitted, in the
+    calling thread, and counts the chunks."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as e:
+            future.set_exception(e)
+        return future
+
+
+def _examples(vocab, schema, n, seed):
+    """n labeled examples whose values render to different token lengths."""
+    rng = np.random.default_rng(seed)
+    return [make_example(vocab, schema,
+                         [float(rng.integers(1, 10 ** int(rng.integers(1, 5))))
+                          for _ in range(schema.d)],
+                         label=CoarseLabel(i % 3))
+            for i in range(n)]
+
+
+def _record_threads(monkeypatch) -> list:
+    """Patch the encoder's forward to record the thread of each call."""
+    threads, forward = [], encoder.forward_from_embeddings
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(encoder, "forward_from_embeddings", recording)
+    return threads
+
+
+def _in_turn_and_on_pool(monkeypatch, workers, run):
+    """`run()` with chunks run in turn, then on the pool, at the same `workers`;
+    checks that the pool ran each chunk's forward off the calling thread."""
+    monkeypatch.setattr(encoder, "_WORKERS", workers)
+    pool = encoder._POOL
+    in_turn = InTurn()
+    monkeypatch.setattr(encoder, "_POOL", in_turn)
+    want = run()
+    assert in_turn.submitted > workers  # more chunks than run at once
+    monkeypatch.setattr(encoder, "_POOL", pool)
+    threads = _record_threads(monkeypatch)
+    got = run()
+    assert sum(t is not threading.current_thread() for t in threads) == in_turn.submitted
+    return got, want
+
+
+@pytest.mark.parametrize("variant", [encoder.ABSOLUTE, encoder.DISENTANGLED])
+@pytest.mark.parametrize("workers", [2, 3])
+class TestSameBitsAsInTurn:
+    def test_batch_grads(self, monkeypatch, workers, variant):
+        rng = np.random.default_rng(23)
+        cfg = small_config(20, variant, layers=2, dropout_rate=0.2)
+        p = randomize_params(encoder.init_params(cfg), rng)
+        examples = [
+            TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel(i % 3))
+            for i, n in enumerate((7, 10, 9, 12, 5, 11, 8))
+        ]
+        ids, mask = training._stack(examples)
+        labels = np.array([e.label.value for e in examples])
+        dropout = encoder.dropout_masks(np.random.default_rng(4), cfg, *ids.shape)
+        # 2 rows per call, so the 7 rows take 4
+        monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 2 * ids.shape[1] * cfg.d_model * workers)
+        (loss, grads), (want_loss, want) = _in_turn_and_on_pool(
+            monkeypatch, workers,
+            lambda: training._batch_grads(p, cfg, ids, mask, labels, np.array([0.7, 1.1, 1.4]),
+                                          dropout))
+        assert loss == want_loss
+        assert grads.keys() == want.keys()
+        for k in want:
+            assert np.array_equal(grads[k], want[k]), k
+
+    def test_integrated_gradients(self, monkeypatch, vocab, schema, workers, variant):
+        ex = make_example(vocab, schema, [float(100 + 37 * i) for i in range(schema.d)])
+        cfg = small_config(vocab.size, variant, max_seq_len=64, layers=2, d_model=16, d_ff=24)
+        p = randomize_params(encoder.init_params(cfg), np.random.default_rng(31))
+        monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 3 * len(ex.ids) * cfg.d_model * workers)
+        got, want = _in_turn_and_on_pool(
+            monkeypatch, workers,
+            lambda: attribution.integrated_gradients(p, cfg, ex, CoarseLabel.DDOS,
+                                                     attribution.IGConfig(steps=16)))
+        assert np.array_equal(got.token_attr, want.token_attr)
+        assert got.output_delta == want.output_delta
+        assert got.completeness_gap == want.completeness_gap
+
+    def test_evaluate_examples(self, monkeypatch, vocab, schema, workers, variant):
+        examples = _examples(vocab, schema, 12, seed=2)
+        assert len({len(e.ids) for e in examples}) > 1
+        cfg = small_config(vocab.size, variant, max_seq_len=64, layers=2, d_model=16, d_ff=24)
+        p = randomize_params(encoder.init_params(cfg), np.random.default_rng(5))
+        longest = max(len(e.ids) for e in examples)
+        monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 2 * longest * cfg.d_model * workers)
+        (logits, preds), (want, want_preds) = _in_turn_and_on_pool(
+            monkeypatch, workers, lambda: training.evaluate_examples(p, cfg, examples))
+        assert np.array_equal(logits, want)
+        assert np.array_equal(preds, want_preds)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("budget", [32768, 1500, 100])
+def test_calls_at_once_share_the_budget(vocab, schema, monkeypatch, workers, budget):
+    # train (with its validation passes), evaluate_examples and IG on a
+    # 2-layer encoder; at 100 float64 no row fits, so each call takes one row.
+    # IG's call for F(x) and F(x') runs alone, in the calling thread, so it
+    # keeps the whole budget
+    examples = _examples(vocab, schema, 24, seed=0)
+    cfg = small_config(vocab.size, max_seq_len=64, layers=2, d_model=16, d_ff=24,
+                       dropout_rate=0.1)
+    calls = []
+    forward = encoder.forward_from_embeddings
+
+    def recording(params, config, embeddings, *args, **kwargs):
+        calls.append((*embeddings.shape, threading.current_thread() is threading.main_thread()))
+        return forward(params, config, embeddings, *args, **kwargs)
+
+    monkeypatch.setattr(encoder, "forward_from_embeddings", recording)
+    monkeypatch.setattr(encoder, "_CHUNK_FLOATS", budget)
+    monkeypatch.setattr(encoder, "_WORKERS", workers)
+    params, _ = train(encoder.init_params(cfg), cfg, examples, examples[::3],
+                      class_weights((8, 8, 8)), TrainConfig(epochs=1, batch_size=8))
+    training.evaluate_examples(params, cfg, examples)
+    for e in examples[:2]:
+        attribution.integrated_gradients(params, cfg, e, e.label, attribution.IGConfig(steps=6))
+    alone = [(rows, L, D) for rows, L, D, main in calls if main]
+    at_once = [(rows, L, D) for rows, L, D, main in calls if not main]
+    assert alone and at_once
+    assert all(rows * L * D <= max(budget, L * D) for rows, L, D in alone), alone
+    assert all(rows * L * D * workers <= max(budget, L * D * workers)
+               for rows, L, D in at_once), at_once
+
+
+def test_more_workers_than_cores(monkeypatch, vocab, schema):
+    # threads switched as often as the interpreter allows; each chunk sleeps
+    # a random while, so they finish out of order, and the results must
+    # still come back complete and in chunk order, and IG's bits must not move
+    workers = (os.cpu_count() or 1) + 2
+    cfg = small_config(vocab.size, encoder.DISENTANGLED, max_seq_len=64, layers=2, d_model=16,
+                       d_ff=24)
+    p = randomize_params(encoder.init_params(cfg), np.random.default_rng(8))
+    ex = make_example(vocab, schema, [float(100 + 37 * i) for i in range(schema.d)])
+    delays = np.random.default_rng(9).random(200) * 1e-3
+
+    def chunk(part):
+        time.sleep(delays[part.start])
+        return part.start
+
+    def ig():
+        return attribution.integrated_gradients(p, cfg, ex, CoarseLabel.BENIGN,
+                                                attribution.IGConfig(steps=32)).token_attr
+
+    monkeypatch.setattr(encoder, "_WORKERS", workers)
+    monkeypatch.setattr(encoder, "_CHUNK_FLOATS", len(ex.ids) * cfg.d_model * workers)
+    monkeypatch.setattr(encoder, "_POOL", InTurn())
+    want = ig()
+    pool = ThreadPoolExecutor(max_workers=workers)
+    monkeypatch.setattr(encoder, "_POOL", pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = list(encoder.map_chunks(chunk, [len(ex.ids)] * 200, cfg))
+        attr = ig()
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=True)
+    assert got == [(slice(i, i + 1), i) for i in range(200)]
+    assert np.array_equal(attr, want)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_failed_chunk_stops_the_rest(monkeypatch, workers):
+    # one row per chunk; chunk 0 returns at once, so chunk 2 starts, and
+    # chunk 1 fails while chunk 2 is still running
+    cfg = small_config(20, layers=2)
+    monkeypatch.setattr(encoder, "_CHUNK_FLOATS", cfg.d_model * workers)
+    monkeypatch.setattr(encoder, "_WORKERS", workers)
+    lock = threading.Lock()
+    started, running = [], [0]
+
+    def chunk(part):
+        with lock:
+            started.append(part.start)
+            running[0] += 1
+        try:
+            if part.start == 0:
+                return 0
+            time.sleep(0.02 if part.start == 1 else 0.05)
+            if part.start == 1:
+                raise NumericError("non-finite values produced in encoder layer 0")
+            return part.start
+        finally:
+            with lock:
+                running[0] -= 1
+
+    got = []
+    with pytest.raises(NumericError, match=r"^non-finite values produced in encoder layer 0$"):
+        for part, result in encoder.map_chunks(chunk, [1] * 20, cfg):
+            got.append(result)
+    assert got == [0]
+    assert running[0] == 0  # no chunk of this call still runs
+    assert max(started) <= workers  # the window moved past chunk 0 only
+    time.sleep(0.1)
+    assert max(started) <= workers  # and nothing was left queued
+
+
+def test_one_layer_encoder_runs_in_turn(vocab, schema, monkeypatch):
+    # its ops are too small to overlap, so it never submits to the pool
+    # and keeps the whole budget
+    examples = _examples(vocab, schema, 24, seed=1)
+    cfg = small_config(vocab.size, max_seq_len=64, layers=1, d_model=16, d_ff=24,
+                       dropout_rate=0.1)
+    pool = InTurn()
+    monkeypatch.setattr(encoder, "_POOL", pool)
+    monkeypatch.setattr(encoder, "_WORKERS", 2)
+    monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 4 * 64 * cfg.d_model)
+    threads = _record_threads(monkeypatch)
+    params, _ = train(encoder.init_params(cfg), cfg, examples, examples[::3],
+                      class_weights((8, 8, 8)), TrainConfig(epochs=1, batch_size=8))
+    training.evaluate_examples(params, cfg, examples)
+    attribution.integrated_gradients(params, cfg, examples[0], examples[0].label,
+                                     attribution.IGConfig(steps=64))
+    assert pool.submitted == 0
+    assert threads and set(threads) == {threading.current_thread()}
+    lengths = sorted(len(e.ids) for e in examples)
+    parts = [part for part, _ in encoder.map_chunks(lambda part: None, lengths, cfg)]
+    assert parts == list(encoder.row_chunks(lengths, cfg.d_model))
+    assert parts != list(encoder.row_chunks(lengths, cfg.d_model, 2))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_peak_memory_stays_at_one_budget(vocab, schema, monkeypatch, workers):
+    # the chunks that run at once together hold no more than one chunk of
+    # the whole budget held in turn
+    cfg = small_config(vocab.size, max_seq_len=64, layers=2, d_model=16, d_ff=24)
+    params = randomize_params(encoder.init_params(cfg), np.random.default_rng(5))
+    one = make_example(vocab, schema, [float(100 + 37 * i) for i in range(schema.d)],
+                       label=CoarseLabel.BENIGN)
+    assert 512 * len(one.ids) * cfg.d_model > 8 * encoder._CHUNK_FLOATS
+
+    def peak(n, w):
+        monkeypatch.setattr(encoder, "_WORKERS", w)
+        tracemalloc.start()
+        try:
+            training.evaluate_examples(params, cfg, [one] * n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64, 1)  # warm-up
+    assert peak(512, workers) <= 1.25 * peak(64, 1)
