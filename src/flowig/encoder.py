@@ -11,7 +11,6 @@ dimension is also how integration-path gradient evaluations are vectorized.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -279,19 +278,11 @@ def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-@functools.lru_cache(maxsize=4)
-def _rel_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rel_idx (n, n) and its one-hot (n, n, 2k+1) for a batch of
-    length n, so the one-hot never outgrows the batch; rel_idx depends only
-    on i - j, so the tables for any L <= n are their [:L, :L] slices."""
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    idx = np.clip(i - j, -k, k) + k
-    onehot = np.zeros((n, n, 2 * k + 1))
-    onehot[i, j, idx] = 1.0
-    idx.setflags(write=False)
-    onehot.setflags(write=False)
-    return idx, onehot
+def _rel_index(n: int, k: int) -> np.ndarray:
+    """The (n, n) clipped relative distance i - j, shifted into [0, 2k]; it
+    depends only on i - j, so the index for any L <= n is its [:L, :L] slice."""
+    i = np.arange(n)
+    return np.clip(i[:, None] - i[None, :], -k, k) + k
 
 
 def attention_scores_disentangled(q, k_content, qr, kr, rel_idx):
@@ -316,23 +307,26 @@ def attention_scores_disentangled(q, k_content, qr, kr, rel_idx):
     return scores
 
 
-def _disentangled_scores_backward(dscores, q, k_content, qr, kr, onehot, params: Params,
+def _disentangled_scores_backward(dscores, q, k_content, qr, kr, rel_idx, params: Params,
                                   grads: Params | None, pre: str):
     """The q and k_content gradients of `attention_scores_disentangled`, given
-    the (L, L, R) one-hot of its rel_idx. Unless `grads` is None, also adds the
-    gradients through qr = rel_emb @ wq and kr = rel_emb @ wk of layer `pre`."""
+    its rel_idx. Unless `grads` is None, also adds the gradients through
+    qr = rel_emb @ wq and kr = rel_emb @ wk of layer `pre`."""
     B, H, Lq, dh = q.shape
     L, R = k_content.shape[2], kr.shape[1]
     ds = dscores * (1.0 / math.sqrt(3.0 * dh))
     dq = ds @ k_content
     dk = ds.swapaxes(-1, -2) @ q
-    # content-to-position: score += q[i] . kr[rel(i,j)]
-    dqkr = ds.transpose(2, 0, 1, 3).reshape(Lq, B * H, L) @ onehot[:Lq]
-    dqkr = dqkr.reshape(Lq, B, H, R).transpose(1, 2, 0, 3)  # (B,H,Lq,R)
+    # the adjoint of the forward's gathers: each score gradient is added back
+    # into the bin it was read from, flat[:Lq] of qkr (c2p) and flat.T[:Lq] of
+    # kqr (p2c), each batch-head row's bins offset past the row before
+    flat = np.arange(L)[:, None] * R + rel_idx
+    rows = np.arange(B * H)[:, None, None]
+    c2p = rows * (Lq * R) + flat[:Lq]
+    dqkr = np.bincount(c2p.ravel(), ds.ravel(), minlength=B * H * Lq * R).reshape(B, H, Lq, R)
     dq += dqkr @ kr
-    # position-to-content: score += k[j] . qr[rel(j,i)]
-    dkqr = ds.transpose(3, 0, 1, 2).reshape(L, B * H, Lq) @ onehot[:, :Lq]
-    dkqr = dkqr.reshape(L, B, H, R).transpose(1, 2, 0, 3)  # (B,H,L,R)
+    p2c = rows * (L * R) + np.ascontiguousarray(flat.T[:Lq])  # a contiguous operand adds faster
+    dkqr = np.bincount(p2c.ravel(), ds.ravel(), minlength=B * H * L * R).reshape(B, H, L, R)
     dk += dkqr @ qr
     if grads is not None:
         dkr = (dqkr.transpose(1, 3, 0, 2).reshape(H, R, B * Lq)
@@ -420,7 +414,7 @@ def forward_from_embeddings(
     H, dh = config.heads, config.d_head
     bias = _key_mask_bias(mask)
     if config.attention_variant == DISENTANGLED:
-        rel_idx = _rel_tables(L, config.rel_window)[0]
+        rel_idx = _rel_index(L, config.rel_window)
 
     for li in range(config.layers):
         pre = f"layers.{li}."
@@ -555,9 +549,9 @@ def backward(
         dv = attn.swapaxes(-1, -2) @ do_h
         dscores = _softmax_backward(attn, dattn)
         if config.attention_variant == DISENTANGLED:
-            onehot = _rel_tables(L, config.rel_window)[1]
             dq, dk = _disentangled_scores_backward(dscores, q, k, cache["qr"], cache["kr"],
-                                                   onehot, params, grads, pre)
+                                                   _rel_index(L, config.rel_window), params,
+                                                   grads, pre)
         else:
             ds = dscores / math.sqrt(config.d_head)
             dq, dk = ds @ k, ds.swapaxes(-1, -2) @ q

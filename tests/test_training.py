@@ -402,3 +402,33 @@ def test_evaluate_peak_memory_does_not_grow_with_rows(vocab, schema, monkeypatch
 
     peak(64)  # warm-up
     assert peak(512) <= 1.25 * peak(64)
+
+
+@pytest.mark.parametrize("call", ["evaluate_examples", "_batch_grads"])
+def test_disentangled_peak_memory_below_one_distance_table(monkeypatch, call):
+    # the relative term reads and writes its scores through an (L, L) index:
+    # neither a forward nor a backward call holds anything the size of an
+    # (L, L, 2k+1) float64 table, 23.8 MB at L = 300 and k = 16. Chunks run
+    # in turn, as in the test above
+    monkeypatch.setattr(encoder, "_WORKERS", 1)
+    cfg = small_config(40, encoder.DISENTANGLED, max_seq_len=320, layers=2, d_model=64,
+                       d_ff=64, rel_window=16)
+    params = randomize_params(encoder.init_params(cfg), np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    L = 300
+    rows = [TokenizedExample(tuple(rng.integers(1, 40, n).tolist()), (1,) * n, ())
+            for n in range(L - 10, L)]
+    ids = rng.integers(1, 40, size=(4, L))
+    dropout = encoder.dropout_masks(rng, cfg, 4, L)
+
+    tracemalloc.start()
+    try:
+        if call == "evaluate_examples":
+            training.evaluate_examples(params, cfg, rows)
+        else:
+            training._batch_grads(params, cfg, ids, np.ones((4, L)), np.array([0, 1, 2, 0]),
+                                  np.ones(3), dropout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < L * L * cfg.rel_size * 8, peak
