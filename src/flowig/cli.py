@@ -385,6 +385,7 @@ _VARIANT = click.Option(["--variant"], type=click.Choice(VARIANTS), default=None
 def main():
     """Explainable flow-level intrusion detection pipeline."""
     _reuse_freed_memory()
+    _one_blas_thread()
 
 
 def _reuse_freed_memory() -> None:
@@ -403,6 +404,21 @@ def _reuse_freed_memory() -> None:
     mallopt(-3, 8 << 20)   # M_MMAP_THRESHOLD
     mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
     mallopt(-8, 1)         # M_ARENA_MAX
+
+
+def _one_blas_thread() -> None:
+    """Cap numpy's bundled OpenBLAS at one thread. The chunk workers (see
+    `encoder.map_chunks`) already keep every usable CPU busy, and OpenBLAS's
+    own threads, one per CPU by default, would compete with them for those
+    CPUs. The library is reached through numpy's core extension, which links
+    it. A no-op where numpy does not bundle scipy-openblas."""
+    try:
+        from numpy._core import _multiarray_umath
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (AttributeError, ImportError, OSError, TypeError):
+        return
+    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+    set_threads(1)
 
 
 def _stage(run, *options) -> None:

@@ -75,13 +75,14 @@ class EncoderConfig:
 Params = dict[str, np.ndarray]
 Dropout = list[tuple[np.ndarray, np.ndarray]]
 
-# float64 per encoder call (rows x length x d_model), shared by the calls
-# that run at once. IG's path, training batches and evaluation all go through
-# the encoder in row chunks of this size, so each layer's cached activations
-# stay near L2-sized and memory does not grow with the batch. It is 512
-# positions at d_model 64: on 2 vCPUs (1 BLAS thread) IG's best chunks held
-# 500-800 positions at every length, and training and evaluation calls ran
-# fastest at about 25k-90k float64
+# float64 per encoder call (rows x length x d_model), whichever thread makes
+# it: one chunk per worker, as L2 is per core. IG's path, training batches and
+# evaluation all go through the encoder in row chunks of this size, so each
+# layer's cached activations stay near L2-sized and memory does not grow with
+# the batch. It is 512 positions at d_model 64: on 2 vCPUs (1 BLAS thread)
+# IG's best chunks held 500-800 positions at every length, and training and
+# evaluation calls ran fastest at about 25k-90k float64. The cut does not
+# depend on the worker count, so neither do the sums' rounding and the bits
 _CHUNK_FLOATS = 32768
 
 # one worker per usable CPU; numpy and BLAS release the GIL inside each op
@@ -90,14 +91,14 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="flowig-chunk")
 
 
-def row_chunks(lengths, d_model: int, workers: int = 1):
+def row_chunks(lengths, d_model: int):
     """Slices that cut rows of nondecreasing `lengths` into encoder calls, each
-    as many rows as fit `_CHUNK_FLOATS / workers` at its longest (last) row,
-    at least one."""
+    as many rows as fit `_CHUNK_FLOATS` at its longest (last) row, at least
+    one."""
     lo, n = 0, len(lengths)
     while lo < n:
         hi = lo + 1
-        while hi < n and (hi + 1 - lo) * lengths[hi] * d_model * workers <= _CHUNK_FLOATS:
+        while hi < n and (hi + 1 - lo) * lengths[hi] * d_model <= _CHUNK_FLOATS:
             hi += 1
         yield slice(lo, hi)
         lo = hi
@@ -107,15 +108,15 @@ def map_chunks(fn, lengths, config: EncoderConfig):
     """Yield `(part, fn(part))` for each of `row_chunks(lengths, ...)`, in order.
 
     An encoder with a full-length layer (`layers >= 2`) runs up to `_WORKERS`
-    chunks at once on the pool, each cut to its share of the budget; a
-    1-layer encoder's ops are too small to overlap well, so it runs in turn at
-    the whole budget. `fn` must not depend on which chunks ran before it, so
+    chunks at once on the pool; a 1-layer encoder's ops are too small to
+    overlap well, so it runs them in turn. Either way each chunk fits the
+    whole budget. `fn` must not depend on which chunks ran before it, so
     callers that sum the results in the order yielded get the same bits
     either way. If a chunk raises, the chunks not started are cancelled and
     the running ones finish before the error reaches the caller.
     """
     workers = _WORKERS if config.layers >= 2 else 1
-    parts = row_chunks(lengths, config.d_model, workers)
+    parts = row_chunks(lengths, config.d_model)
     if workers == 1:
         for part in parts:
             yield part, fn(part)
@@ -187,8 +188,8 @@ def zero_grads_like(params: Params) -> Params:
 def dropout_masks(
     rng: np.random.Generator, config: EncoderConfig, B: int, L: int
 ) -> Dropout | None:
-    """A training batch's inverted-dropout masks (None at rate 0): per layer,
-    an (attention, FFN) pair of (B, Lq, D) arrays, Lq = L, or 1 in the
+    """A training batch's dropout keep-masks (None at rate 0): per layer, an
+    (attention, FFN) pair of (B, Lq, D) bool arrays, Lq = L, or 1 in the
     CLS-only last layer. Each is the first Lq rows of a (B, max_seq_len, D)
     uniform draw; only those rows are drawn and the generator skips the rest
     (PCG64 spends one step per float64), so the stream does not depend on L
@@ -206,9 +207,15 @@ def dropout_masks(
             for row in u:
                 rng.random(out=row)
                 rng.bit_generator.advance((S - Lq) * D)
-            pair.append((u >= rate) / (1.0 - rate))
+            pair.append(u >= rate)
         masks.append(tuple(pair))
     return masks
+
+
+def _dropout(x, keep, rate: float):
+    """Inverted dropout: x / (1 - rate) where `keep`, a zero of x's sign
+    elsewhere; x itself when `keep` is None."""
+    return x if keep is None else x * (1 / (1 - rate)) * keep
 
 
 # ---------------------------------------------------------------------------
@@ -307,26 +314,29 @@ def attention_scores_disentangled(q, k_content, qr, kr, rel_idx):
     return scores
 
 
-def _disentangled_scores_backward(dscores, q, k_content, qr, kr, rel_idx, params: Params,
+def _disentangled_scores_backward(ds, q, k_content, qr, kr, rel_idx, params: Params,
                                   grads: Params | None, pre: str):
     """The q and k_content gradients of `attention_scores_disentangled`, given
-    its rel_idx. Unless `grads` is None, also adds the gradients through
-    qr = rel_emb @ wq and kr = rel_emb @ wk of layer `pre`."""
+    its rel_idx and the score gradient `ds`, which is scaled in place. Unless
+    `grads` is None, also adds the gradients through qr = rel_emb @ wq and
+    kr = rel_emb @ wk of layer `pre`."""
     B, H, Lq, dh = q.shape
     L, R = k_content.shape[2], kr.shape[1]
-    ds = dscores * (1.0 / math.sqrt(3.0 * dh))
+    ds *= 1.0 / math.sqrt(3.0 * dh)
     dq = ds @ k_content
     dk = ds.swapaxes(-1, -2) @ q
     # the adjoint of the forward's gathers: each score gradient is added back
     # into the bin it was read from, flat[:Lq] of qkr (c2p) and flat.T[:Lq] of
-    # kqr (p2c), each batch-head row's bins offset past the row before
+    # kqr (p2c), each batch-head row's bins offset past the row before. Each
+    # (B, H, Lq, L) bin index lives only for its own bincount
     flat = np.arange(L)[:, None] * R + rel_idx
     rows = np.arange(B * H)[:, None, None]
-    c2p = rows * (Lq * R) + flat[:Lq]
-    dqkr = np.bincount(c2p.ravel(), ds.ravel(), minlength=B * H * Lq * R).reshape(B, H, Lq, R)
+    dqkr = np.bincount((rows * (Lq * R) + flat[:Lq]).ravel(), ds.ravel(),
+                       minlength=B * H * Lq * R).reshape(B, H, Lq, R)
     dq += dqkr @ kr
-    p2c = rows * (L * R) + np.ascontiguousarray(flat.T[:Lq])  # a contiguous operand adds faster
-    dkqr = np.bincount(p2c.ravel(), ds.ravel(), minlength=B * H * L * R).reshape(B, H, L, R)
+    p2c = np.ascontiguousarray(flat.T[:Lq])  # a contiguous operand adds faster
+    dkqr = np.bincount((rows * (L * R) + p2c).ravel(), ds.ravel(),
+                       minlength=B * H * L * R).reshape(B, H, L, R)
     dk += dkqr @ qr
     if grads is not None:
         dkr = (dqkr.transpose(1, 3, 0, 2).reshape(H, R, B * Lq)
@@ -365,8 +375,11 @@ def _masked_softmax(scores, bias):
 
 
 def _softmax_backward(attn, dattn):
+    """The score gradient, written over `dattn`."""
     # masked columns have attn == 0, so their score gradients vanish
-    return attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
+    dattn *= attn
+    return dattn
 
 
 @dataclass
@@ -440,19 +453,15 @@ def forward_from_embeddings(
         o = _merge_heads(attn @ v)
         cache["o"] = o
         out = _linear(params, pre + "attn.", "o", o)
-        if dropout:
-            cache["attn_drop"], cache["ffn_drop"] = dropout[li]
-            out = out * cache["attn_drop"]
-        x = x[:, :Lq] + out
+        cache["attn_drop"], cache["ffn_drop"] = dropout[li] if dropout else (None, None)
+        x = x[:, :Lq] + _dropout(out, cache["attn_drop"], config.dropout_rate)
         h2, cache["ln2"] = _ln_forward(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
         cache["h2"] = h2
         a = _linear(params, pre + "ffn.", "1", h2)
         g, phi = _gelu_forward(a)
         cache["a"], cache["phi"], cache["g"] = a, phi, g
         y = _linear(params, pre + "ffn.", "2", g)
-        if dropout:
-            y = y * cache["ffn_drop"]
-        x = x + y
+        x = x + _dropout(y, cache["ffn_drop"], config.dropout_rate)
         _check_finite(x, f"encoder layer {li}")
         trace.layer_caches.append(cache)
 
@@ -517,53 +526,62 @@ def backward(
 
     With param_grads=False only the embedding gradient is built and the
     parameter gradients come back as None; the embedding gradient is
-    bit-identical either way.
+    bit-identical either way. The trace is spent: each layer's cache is
+    dropped once its last reader has run, and a second call on the same
+    trace raises ConfigError.
     """
     config = trace.config
+    if "cls" not in trace.final:
+        raise ConfigError("forward trace already backpropagated; run the forward pass again")
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != trace.logits.shape:
         raise ConfigError(
             f"dlogits shape {dlogits.shape} does not match logits {trace.logits.shape}"
         )
     grads = zero_grads_like(params) if param_grads else None
-    L = trace.mask.shape[1]
+    L, rate = trace.mask.shape[1], config.dropout_rate
+    if config.attention_variant == DISENTANGLED:
+        rel_idx = _rel_index(L, config.rel_window)
 
-    dhf = _linear_backward(params, grads, "head.", "", trace.final["cls"], dlogits)[:, None, :]
-    dx = _ln_backward(dhf, trace.final["ln_f"], grads, "ln_f.") if config.use_final_norm else dhf
+    dhf = _linear_backward(params, grads, "head.", "", trace.final.pop("cls"), dlogits)[:, None, :]
+    dx = (_ln_backward(dhf, trace.final.pop("ln_f"), grads, "ln_f.") if config.use_final_norm
+          else dhf)
 
-    for cache in reversed(trace.layer_caches):
+    while trace.layer_caches:
+        cache = trace.layer_caches.pop()
         pre = cache["pre"]
         # FFN block
-        dy = dx * cache["ffn_drop"] if "ffn_drop" in cache else dx
-        dg_act = _linear_backward(params, grads, pre + "ffn.", "2", cache["g"], dy)
-        da = _gelu_backward(dg_act, cache["a"], cache["phi"])
-        dh2 = _linear_backward(params, grads, pre + "ffn.", "1", cache["h2"], da)
-        dx = dx + _ln_backward(dh2, cache["ln2"], grads, pre + "ln2.")  # residual
+        d = _dropout(dx, cache.pop("ffn_drop"), rate)
+        d = _linear_backward(params, grads, pre + "ffn.", "2", cache.pop("g"), d)
+        d = _gelu_backward(d, cache.pop("a"), cache.pop("phi"))
+        d = _linear_backward(params, grads, pre + "ffn.", "1", cache.pop("h2"), d)
+        dx = dx + _ln_backward(d, cache.pop("ln2"), grads, pre + "ln2.")  # residual
 
         # attention block
-        dout = dx * cache["attn_drop"] if "attn_drop" in cache else dx
-        do = _linear_backward(params, grads, pre + "attn.", "o", cache["o"], dout)
-        do_h = _split_heads(do, config.heads)
-        attn, q, k, v = cache["attn"], cache["q"], cache["k"], cache["v"]
-        dattn = do_h @ v.swapaxes(-1, -2)
-        dv = attn.swapaxes(-1, -2) @ do_h
-        dscores = _softmax_backward(attn, dattn)
+        d = _dropout(dx, cache.pop("attn_drop"), rate)
+        do = _split_heads(_linear_backward(params, grads, pre + "attn.", "o", cache.pop("o"), d),
+                          config.heads)
+        attn = cache.pop("attn")
+        dv = attn.swapaxes(-1, -2) @ do
+        dscores = _softmax_backward(attn, do @ cache.pop("v").swapaxes(-1, -2))
+        del attn, do
+        q, k = cache.pop("q"), cache.pop("k")
         if config.attention_variant == DISENTANGLED:
-            dq, dk = _disentangled_scores_backward(dscores, q, k, cache["qr"], cache["kr"],
-                                                   _rel_index(L, config.rel_window), params,
-                                                   grads, pre)
+            dq, dk = _disentangled_scores_backward(dscores, q, k, cache.pop("qr"), cache.pop("kr"),
+                                                   rel_idx, params, grads, pre)
         else:
-            ds = dscores / math.sqrt(config.d_head)
-            dq, dk = ds @ k, ds.swapaxes(-1, -2) @ q
+            dscores /= math.sqrt(config.d_head)
+            dq, dk = dscores @ k, dscores.swapaxes(-1, -2) @ q
+        del dscores
 
         # wq and wk take their relative terms (above) before their content terms,
         # an order that fixes how the gradient sums round
-        h1, Lq = cache["h1"], q.shape[2]
+        h1, Lq = cache.pop("h1"), q.shape[2]
         dh1 = _linear_backward(params, grads, pre + "attn.", "k", h1, _merge_heads(dk))
         dh1 += _linear_backward(params, grads, pre + "attn.", "v", h1, _merge_heads(dv))
         dh1[:, :Lq] += _linear_backward(params, grads, pre + "attn.", "q", h1[:, :Lq],
                                         _merge_heads(dq))
-        dx1 = _ln_backward(dh1, cache["ln1"], grads, pre + "ln1.")
+        dx1 = _ln_backward(dh1, cache.pop("ln1"), grads, pre + "ln1.")
         dx1[:, :Lq] += dx  # residual
         dx = dx1
 

@@ -840,6 +840,30 @@ def test_allocator_setting_skips_a_libc_without_mallopt(monkeypatch, tmp_path):
     assert calls == [(-3, 8 << 20), (-1, 32 << 20), (-8, 1)]
 
 
+def test_blas_setting_caps_the_bundled_openblas(monkeypatch, tmp_path):
+    # every command caps numpy's OpenBLAS at one thread, so that its threads
+    # do not compete with the chunk workers; a library without the setter
+    # (another BLAS) is left as it is
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=lambda p, v: 1))
+    r = run("synthetic", "--out", tmp_path / "flows.csv", "--n", 3)
+    assert r.exit_code == 0, r.output
+
+    opened, threads = [], []
+
+    def set_threads(n):
+        threads.append(n)
+
+    def library(name):
+        opened.append(name)
+        return SimpleNamespace(mallopt=lambda p, v: 1, scipy_openblas_set_num_threads64_=set_threads)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", library)
+    r = run("synthetic", "--out", tmp_path / "more.csv", "--n", 3)
+    assert r.exit_code == 0, r.output
+    assert threads == [1]
+    assert "_multiarray_umath" in opened[-1]
+
+
 def test_numeric_error_in_a_chunk_worker(monkeypatch, tmp_path):
     # a 2-layer encoder trains its batches on the pool; a chunk's NumericError
     # ends the stage with exit 4 and one line, after the batch's other chunks
@@ -848,7 +872,7 @@ def test_numeric_error_in_a_chunk_worker(monkeypatch, tmp_path):
     assert run("synthetic", "--out", tmp_path / "flows.csv", "--n", 90).exit_code == 0
     assert run("prepare", "--config", cfg).exit_code == 0
     monkeypatch.setattr(encoder, "_WORKERS", 2)
-    monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 2 * 4 * 64 * 16)  # 4 rows per call
+    monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 4 * 64 * 16)  # 4 rows per call
     lock = threading.Lock()
     calls, running = [], [0]
     forward = encoder.forward_from_embeddings

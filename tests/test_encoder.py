@@ -1,5 +1,6 @@
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,13 +368,55 @@ class TestBackward:
         mask = np.ones((3, 16))
         mask[1, 11:] = 0
         dlog = rng.normal(size=(3, 3))
-        _, trace = forward_from_embeddings(
-            p, cfg, emb, mask, dropout_masks(np.random.default_rng(1), cfg, 3, 16)
-        )
-        grads, demb = backward(p, trace, dlog)
-        no_grads, demb_only = backward(p, trace, dlog, param_grads=False)
+        dropout = dropout_masks(np.random.default_rng(1), cfg, 3, 16)
+        # backward spends its trace, so each call gets its own forward
+        grads, demb = backward(p, forward_from_embeddings(p, cfg, emb, mask, dropout)[1], dlog)
+        no_grads, demb_only = backward(p, forward_from_embeddings(p, cfg, emb, mask, dropout)[1],
+                                       dlog, param_grads=False)
         assert no_grads is None
         assert np.array_equal(demb_only, demb)
+
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    @pytest.mark.parametrize("layers", [0, 2])
+    def test_spent_trace_refused(self, variant, layers):
+        # backward drops each cached array once read, so a second call on
+        # the same trace has nothing to read and must refuse, not guess
+        rng = np.random.default_rng(12)
+        cfg = small_config(20, variant, layers=layers)
+        p = randomize_params(init_params(cfg), rng)
+        _, trace = forward_from_embeddings(p, cfg, rng.normal(size=(2, 9, 8)), np.ones((2, 9)))
+        dlog = rng.normal(size=(2, 3))
+        backward(p, trace, dlog, param_grads=False)
+        assert trace.layer_caches == []
+        for param_grads in (True, False):
+            with pytest.raises(ConfigError, match=r"^forward trace already backpropagated;"
+                                                  r" run the forward pass again$"):
+                backward(p, trace, dlog, param_grads)
+
+    @pytest.mark.parametrize("param_grads", [True, False])
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_peak_memory_over_the_trace(self, variant, param_grads):
+        # one row at L = 300, where each (B, H, L, L) float64 array is 2.9 MB.
+        # backward frees each layer's cache as it goes and scales the score
+        # gradient in place, so beyond the trace it holds at most about two
+        # such arrays at once; holding dattn, the scaled copy and the whole
+        # trace to the end took 3.7 (absolute) to 6.6 (disentangled)
+        rng = np.random.default_rng(3)
+        cfg = small_config(40, variant, max_seq_len=320, layers=2, heads=4, d_model=64, d_ff=64,
+                           rel_window=16)
+        p = randomize_params(init_params(cfg), rng)
+        L = 300
+        tracemalloc.start()
+        try:
+            _, trace = forward_from_embeddings(p, cfg, rng.normal(size=(1, L, 64)), np.ones((1, L)))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(p, trace, rng.normal(size=(1, 3)), param_grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scores = cfg.heads * L * L * 8
+        assert peak - held < 3 * scores, (peak - held) / scores
 
     def test_batched_grad_is_sum_of_singles(self):
         rng = np.random.default_rng(7)
@@ -569,7 +612,7 @@ class TestTrimmedTrainingStep:
         for li, (c_full, c_trim) in enumerate(zip(full.layer_caches, trim.layer_caches)):
             last = li == cfg.layers - 1
             for name in ("attn_drop", "ffn_drop"):
-                want = (replay.random((3, 16, 8)) >= cfg.dropout_rate) / (1.0 - cfg.dropout_rate)
+                want = replay.random((3, 16, 8)) >= cfg.dropout_rate
                 assert np.array_equal(c_full[name], want[:, :1] if last else want)
                 assert np.array_equal(c_trim[name], want[:, :1] if last else want[:, :10])
 
@@ -726,11 +769,11 @@ class TestClsOnlyLastLayer:
 
         want, state = _full_length_forward(p, cfg, emb, mask, rng_or_none())
         want_grads, want_demb = _full_length_backward(p, cfg, state, dlog)
-        got, trace = forward_from_embeddings(
-            p, cfg, emb, mask, dropout_masks(np.random.default_rng(5), cfg, 3, 12)
-        )
+        dropout = dropout_masks(np.random.default_rng(5), cfg, 3, 12)
+        got, trace = forward_from_embeddings(p, cfg, emb, mask, dropout)
         grads, demb = backward(p, trace, dlog)
-        _, demb_only = backward(p, trace, dlog, param_grads=False)
+        _, demb_only = backward(p, forward_from_embeddings(p, cfg, emb, mask, dropout)[1], dlog,
+                                param_grads=False)
 
         # the default-window cases were set on draws where every entry agrees
         # to 1e-12 relative; on other draws an entry that nearly cancels can
