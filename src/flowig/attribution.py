@@ -33,7 +33,7 @@ class IGConfig:
 
 @dataclass(frozen=True)
 class AttributionResult:
-    token_attr: np.ndarray         # (max_seq_len,), signed, 0 past the example's length
+    token_attr: np.ndarray         # (n,) at the example's length, signed
     feature_attr: np.ndarray       # (d,), signed, span sums
     structural_residue: float      # attribution on CLS/SEP/PAD positions
     target_class: CoarseLabel
@@ -74,8 +74,8 @@ def integrated_gradients(
 
     F(x) and F(x') (the input and the baseline) come from a forward-only
     call; only the `steps` path points go through the backward pass. Both
-    run at the example's own length, since examples carry no padding;
-    `token_attr` is 0 past it. Each encoder call takes as many rows as the
+    run at the example's own length, since examples carry no padding, and so
+    does `token_attr`. Each encoder call takes as many rows as the
     encoder's budget allows (see `encoder.row_chunks`), and the path's
     chunks may run at once (see `encoder.map_chunks`); with
     `param_grads=False` every op works row by row, so the chunking moves the
@@ -112,10 +112,7 @@ def integrated_gradients(
     if not np.all(np.isfinite(path_grads)):
         bad = int(np.where(~np.isfinite(path_grads).all(axis=(1, 2)))[0][0])
         raise NumericError(f"non-finite gradient at integration step {bad}")
-    # full width: numpy's pairwise sum rounds by array length, and
-    # completeness_gap sums this array
-    token_attr = np.zeros(config.max_seq_len)
-    token_attr[:n] = (delta * path_grads.mean(axis=0)).sum(axis=-1)
+    token_attr = (delta * path_grads.mean(axis=0)).sum(axis=-1)
 
     feature_attr, residue = aggregate_to_features(
         token_attr, example.feature_token_spans

@@ -141,8 +141,8 @@ def _load_split(work: Path, name: str, cfg: RunConfig) -> LabeledDataset:
 def _examples(records, cfg: RunConfig, max_seq_len: int):
     """Each (record, label)'s tokenized example; a row's text lives only
     while that row is tokenized."""
-    schema, policy = cfg.feature_schema(), cfg.format_policy()
-    return [tokenizer.tokenize(textualize.serialize(rec, schema, policy), cfg.vocab,
+    schema = cfg.feature_schema()
+    return [tokenizer.tokenize(textualize.serialize(rec, schema), cfg.vocab,
                                max_seq_len, label) for rec, label in records]
 
 
@@ -190,11 +190,10 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
     if cfg.input_csv is None:
         raise ConfigError("no input_csv configured")
     schema = cfg.feature_schema()
-    policy = cfg.format_policy()
     dataset, parse_report = flow_data.parse_flow_csv(
         cfg.input_csv, schema, cfg.label_column
     )
-    deduped, dedup_report, hashes = flow_data.deduplicate(dataset, policy)
+    deduped, dedup_report, hashes = flow_data.deduplicate(dataset)
     parts = dict(zip(flow_data.SPLITS, flow_data.stratified_split(deduped, cfg.ratios, cfg.seed)))
     overlap = flow_data.audit_overlap(
         {name: [hashes[i] for i in part] for name, part in parts.items()})
@@ -269,9 +268,9 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
     chosen = _select_examples([label for _, label in test_ds.records], cfg.ig_max_examples)
     # only the attributed rows are serialized, once each: the text is both
     # what IG reads and the hash that ties each line to its manifest row
-    schema, policy = cfg.feature_schema(), cfg.format_policy()
+    schema = cfg.feature_schema()
     rows = [test_ds.records[i] for i in chosen]
-    flows = [textualize.serialize(rec, schema, policy) for rec, _ in rows]
+    flows = [textualize.serialize(rec, schema) for rec, _ in rows]
     examples = [tokenizer.tokenize(flow, cfg.vocab, enc_cfg.max_seq_len, label)
                 for flow, (_, label) in zip(flows, rows)]
     matrix, results = attribution.class_attribution_matrix(

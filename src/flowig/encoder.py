@@ -190,26 +190,13 @@ def dropout_masks(
 ) -> Dropout | None:
     """A training batch's dropout keep-masks (None at rate 0): per layer, an
     (attention, FFN) pair of (B, Lq, D) bool arrays, Lq = L, or 1 in the
-    CLS-only last layer. Each is the first Lq rows of a (B, max_seq_len, D)
-    uniform draw; only those rows are drawn and the generator skips the rest
-    (PCG64 spends one step per float64), so the stream does not depend on L
-    and any row range of a mask is those rows' mask in a whole-batch call."""
+    CLS-only last layer, each from one uniform draw, in layer order."""
     rate = config.dropout_rate
     if rate == 0:
         return None
-    D, S = config.d_model, config.max_seq_len
-    masks = []
-    for li in range(config.layers):
-        Lq = 1 if li == config.layers - 1 else L
-        pair = []
-        for _ in range(2):
-            u = np.empty((B, Lq, D))
-            for row in u:
-                rng.random(out=row)
-                rng.bit_generator.advance((S - Lq) * D)
-            pair.append(u >= rate)
-        masks.append(tuple(pair))
-    return masks
+    return [tuple(rng.random((B, 1 if li == config.layers - 1 else L, config.d_model)) >= rate
+                  for _ in range(2))
+            for li in range(config.layers)]
 
 
 def _dropout(x, keep, rate: float):

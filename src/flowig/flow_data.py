@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, SchemaError, UnknownLabelError, DataError
-from .textualize import ValueFormatPolicy, serialize, text_hash
+from .textualize import serialize, text_hash
 
 
 class CoarseLabel(Enum):
@@ -174,13 +174,11 @@ def parse_flow_csv(
         stream.close()
 
 
-def record_hash(record: FlowRecord, schema: FeatureSchema, policy: ValueFormatPolicy) -> str:
-    return text_hash(serialize(record, schema, policy).text)
+def record_hash(record: FlowRecord, schema: FeatureSchema) -> str:
+    return text_hash(serialize(record, schema).text)
 
 
-def deduplicate(
-    dataset: LabeledDataset, policy: ValueFormatPolicy = ValueFormatPolicy()
-) -> tuple[LabeledDataset, DedupReport, list[str]]:
+def deduplicate(dataset: LabeledDataset) -> tuple[LabeledDataset, DedupReport, list[str]]:
     """Keep the first occurrence of each serialization hash, in input order.
 
     Also returns `hashes`, where `hashes[i]` is the hash of kept record i: its
@@ -191,7 +189,7 @@ def deduplicate(
     kept: list[tuple[FlowRecord, CoarseLabel]] = []
     conflicts = 0
     for rec, label in dataset.records:
-        h = record_hash(rec, dataset.schema, policy)
+        h = record_hash(rec, dataset.schema)
         if h in seen:
             if seen[h] != label:
                 conflicts += 1

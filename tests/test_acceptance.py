@@ -177,7 +177,7 @@ def test_criterion_3_ig_linear_exactness(vocab, schema):
                 pad_id=vocab.pad_id,
             )
             # linear model: only the CLS row reaches the logit, with weight w_c
-            expected = np.zeros(cfg.max_seq_len)
+            expected = np.zeros(len(ex.ids))
             expected[0] = (emb[0] - base[0]) @ params["head.w"][:, c]
             worst = max(worst, float(np.abs(res.token_attr - expected).max()))
             worst = max(worst, abs(res.completeness_gap))

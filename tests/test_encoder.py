@@ -570,17 +570,21 @@ class TestTrimmedTrainingStep:
         ids_trim, mask_trim, ids, mask = self._batch(rng)
         n = ids_trim.shape[1]
         dlog = rng.normal(size=(3, 3))
+        # the padded step keeps the trimmed masks, padded along L; the last
+        # layer's masks hold the CLS row only
+        drop_trim = dropout_masks(np.random.default_rng(3), cfg, *ids_trim.shape)
+        drop_pad = [pair if li == cfg.layers - 1
+                    else tuple(np.pad(m, ((0, 0), (0, ids.shape[1] - n), (0, 0))) for m in pair)
+                    for li, pair in enumerate(drop_trim)]
 
-        def step(ids, mask):
-            logits, trace = forward_batch(
-                p, cfg, ids, mask, dropout_masks(np.random.default_rng(3), cfg, *ids.shape)
-            )
+        def step(ids, mask, dropout):
+            logits, trace = forward_batch(p, cfg, ids, mask, dropout)
             grads, demb = backward(p, trace, dlog)
             accumulate_embedding_grads(grads, cfg, ids, demb)
             return logits, grads, demb
 
-        logits_pad, g_pad, d_pad = step(ids, mask)
-        logits_trim, g_trim, d_trim = step(ids_trim, mask_trim)
+        logits_pad, g_pad, d_pad = step(ids, mask, drop_pad)
+        logits_trim, g_trim, d_trim = step(ids_trim, mask_trim, drop_trim)
         np.testing.assert_allclose(logits_trim, logits_pad, rtol=1e-12, atol=0)
         scale = max(np.abs(g).max() for g in g_pad.values())
         for k in g_pad:
@@ -594,27 +598,24 @@ class TestTrimmedTrainingStep:
 
     @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
     def test_dropout_stream_unchanged(self, variant):
-        # masks are drawn at (B, max_seq_len, D) in layer order, attention then
-        # FFN; a trimmed batch keeps the first L positions of each, and the
-        # last layer, which computes the CLS row only, keeps its first row
+        # each mask is the next (B, Lq, D) draw in layer order, attention then
+        # FFN, with Lq = L, or 1 in the last layer, which computes the CLS row
+        # only; the forward pass caches the masks it was given
         rng = np.random.default_rng(16)
         cfg = small_config(20, variant, layers=2, dropout_rate=0.3)
         p = randomize_params(init_params(cfg), rng)
         ids_trim, mask_trim, ids, mask = self._batch(rng)
-        _, full = forward_batch(
-            p, cfg, ids, mask, dropout_masks(np.random.default_rng(4), cfg, *ids.shape)
-        )
-        _, trim = forward_batch(
-            p, cfg, ids_trim, mask_trim,
-            dropout_masks(np.random.default_rng(4), cfg, *ids_trim.shape)
-        )
-        replay = np.random.default_rng(4)
-        for li, (c_full, c_trim) in enumerate(zip(full.layer_caches, trim.layer_caches)):
-            last = li == cfg.layers - 1
-            for name in ("attn_drop", "ffn_drop"):
-                want = replay.random((3, 16, 8)) >= cfg.dropout_rate
-                assert np.array_equal(c_full[name], want[:, :1] if last else want)
-                assert np.array_equal(c_trim[name], want[:, :1] if last else want[:, :10])
+        for ids, mask in ((ids_trim, mask_trim), (ids, mask)):
+            B, L = ids.shape
+            _, trace = forward_batch(
+                p, cfg, ids, mask, dropout_masks(np.random.default_rng(4), cfg, B, L)
+            )
+            replay = np.random.default_rng(4)
+            for li, cache in enumerate(trace.layer_caches):
+                Lq = 1 if li == cfg.layers - 1 else L
+                for name in ("attn_drop", "ffn_drop"):
+                    want = replay.random((B, Lq, 8)) >= cfg.dropout_rate
+                    assert np.array_equal(cache[name], want)
 
 
 # ---------------------------------------------------------------------------
@@ -623,18 +624,19 @@ class TestTrimmedTrainingStep:
 # norm at all L positions, and the backward pass starts from a zero-filled
 # (B, L, D) gradient with the CLS row set.
 
-def _full_length_forward(p, cfg, emb, mask, dropout_rng=None):
+def _full_length_forward(p, cfg, emb, mask, dropout=None):
+    """`dropout` holds each layer's (attention, FFN) keep-masks at (B, L, D)."""
     x = np.asarray(emb, dtype=np.float64)
-    B, L, D = x.shape
+    L = x.shape[1]
     H, dh = cfg.heads, cfg.d_head
     bias = _key_mask_bias(mask)
     rel_idx = _rel_index(cfg.max_seq_len, cfg.rel_window)[:L, :L]
+    keeps = iter([m for pair in dropout for m in pair] if dropout else [])
 
-    def dropout(y):
-        if dropout_rng is None:
+    def drop(y):
+        if dropout is None:
             return y, None
-        dm = (dropout_rng.random((B, cfg.max_seq_len, D))[:, :L] >= cfg.dropout_rate)
-        dm = dm / (1.0 - cfg.dropout_rate)
+        dm = next(keeps) / (1.0 - cfg.dropout_rate)
         return y * dm, dm
 
     caches = []
@@ -655,12 +657,12 @@ def _full_length_forward(p, cfg, emb, mask, dropout_rng=None):
             scores = q @ k.swapaxes(-1, -2) / math.sqrt(dh)
         c["attn"] = _masked_softmax(scores, bias)
         c["o"] = encoder._merge_heads(c["attn"] @ v)
-        out, c["attn_drop"] = dropout(c["o"] @ p[pre + "attn.wo"] + p[pre + "attn.bo"])
+        out, c["attn_drop"] = drop(c["o"] @ p[pre + "attn.wo"] + p[pre + "attn.bo"])
         x = x + out
         c["h2"], c["ln2"] = encoder._ln_forward(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
         c["a"] = c["h2"] @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"]
         c["g"], c["phi"] = encoder._gelu_forward(c["a"])
-        y, c["ffn_drop"] = dropout(c["g"] @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"])
+        y, c["ffn_drop"] = drop(c["g"] @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"])
         x = x + y
         caches.append(c)
     final = None
@@ -734,10 +736,11 @@ def _randomize_with_key_bias_draws(params, rng, scale=0.3):
     """randomize_params, plus a discarded draw after each attn.bq of a layout without attn.bk.
 
     Both variants then draw every tensor as if each layer had a key bias. The
-    exact comparison below was set on those draws: the two paths sum the same
-    terms in different orders, and on the draws without the discarded ones one
-    absolute entry of layers.1.ffn.w2 cancels to 1.9e-6 in a tensor of scale 0.2
-    and differs by 3.4e-12 relative, as it does with a zero key bias too.
+    comparison below was first set, at atol 0, on those draws: the two paths
+    sum the same terms in different orders, and on the draws without the
+    discarded ones one absolute entry of layers.1.ffn.w2 cancels to 1.9e-6 in
+    a tensor of scale 0.2 and differs by 3.4e-12 relative, as it does with a
+    zero key bias too.
     """
     out = {}
     for k, v in params.items():
@@ -764,24 +767,26 @@ class TestClsOnlyLastLayer:
         mask[2, 10:] = 0
         dlog = rng.normal(size=(3, 3))
 
-        def rng_or_none():
-            return np.random.default_rng(5) if training else None
+        # full-length masks for the reference; the CLS-only last layer keeps
+        # its first row of them
+        drop_rng = np.random.default_rng(5)
+        full = [tuple(drop_rng.random((3, 12, 8)) >= cfg.dropout_rate for _ in range(2))
+                for _ in range(layers)] if training else None
+        dropout = [pair if li < layers - 1 else tuple(m[:, :1] for m in pair)
+                   for li, pair in enumerate(full)] if training else None
 
-        want, state = _full_length_forward(p, cfg, emb, mask, rng_or_none())
+        want, state = _full_length_forward(p, cfg, emb, mask, full)
         want_grads, want_demb = _full_length_backward(p, cfg, state, dlog)
-        dropout = dropout_masks(np.random.default_rng(5), cfg, 3, 12)
         got, trace = forward_from_embeddings(p, cfg, emb, mask, dropout)
         grads, demb = backward(p, trace, dlog)
         _, demb_only = backward(p, forward_from_embeddings(p, cfg, emb, mask, dropout)[1], dlog,
                                 param_grads=False)
 
-        # the default-window cases were set on draws where every entry agrees
-        # to 1e-12 relative; on other draws an entry that nearly cancels can
-        # differ by a few 1e-12 of itself, a few 1e-15 of its tensor's largest
-        # entry, so the other windows also allow 1e-14 of that entry
+        # an entry that nearly cancels can differ by a few 1e-12 of itself, a
+        # few 1e-15 of its tensor's largest entry, so 1e-14 of that entry is
+        # allowed too
         def close(a, b, **kwargs):
-            atol = 0 if rel_window == 4 else 1e-14 * np.abs(b).max()
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=atol, **kwargs)
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14 * np.abs(b).max(), **kwargs)
 
         close(got, want)
         assert demb.shape == emb.shape

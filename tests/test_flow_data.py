@@ -23,7 +23,6 @@ from flowig.flow_data import (
     record_hash,
     stratified_split,
 )
-from flowig.textualize import ValueFormatPolicy
 
 SCHEMA = FeatureSchema(("A", "B"))
 
@@ -142,7 +141,7 @@ class TestDeduplicate:
             deduped, report, hashes = deduplicate(ds)
             assert len(hashes) == len(deduped) == report.after == after
             for i, (rec, _) in enumerate(deduped.records):
-                assert hashes[i] == record_hash(rec, SCHEMA, ValueFormatPolicy())
+                assert hashes[i] == record_hash(rec, SCHEMA)
 
     def test_empty(self):
         deduped, report, hashes = deduplicate(LabeledDataset(SCHEMA, []))
@@ -262,7 +261,7 @@ class TestStratifiedSplit:
 
 def split_hashes(ds, parts):
     return {
-        name: [record_hash(ds.records[i][0], ds.schema, ValueFormatPolicy()) for i in part]
+        name: [record_hash(ds.records[i][0], ds.schema) for i in part]
         for name, part in zip(SPLITS, parts)
     }
 
@@ -319,5 +318,4 @@ class TestSplitCsvRoundTrip:
         ds = make_dataset([(values, "BENIGN")])
         (rec, _), = csv_round_trip(csv_file, ds).records
         assert rec.features == tuple(values)
-        policy = ValueFormatPolicy()
-        assert record_hash(rec, SCHEMA, policy) == record_hash(ds.records[0][0], SCHEMA, policy)
+        assert record_hash(rec, SCHEMA) == record_hash(ds.records[0][0], SCHEMA)

@@ -324,7 +324,8 @@ class TestChunkedStep:
         loss, grads = training._batch_grads(p, cfg, ids, mask, labels, w, dropout)
 
         assert calls == [2, 2, 2, 1]
-        assert loss == want_loss
+        # BLAS blocks the matmuls by row count, so the loss may round apart
+        np.testing.assert_allclose(loss, want_loss, rtol=1e-12, atol=0)
         assert grads.keys() == want.keys()
         scale = max(np.abs(g).max() for g in want.values())
         for k in want:
