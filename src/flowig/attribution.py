@@ -7,7 +7,9 @@ completeness identity: attributions must sum to F(input) - F(baseline).
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -76,43 +78,46 @@ def integrated_gradients(
     call; only the `steps` path points go through the backward pass. Both
     run at the example's own length, since examples carry no padding, and so
     does `token_attr`. Each encoder call takes as many rows as the
-    encoder's budget allows (see `encoder.row_chunks`), and the path's
-    chunks may run at once (see `encoder.map_chunks`); with
-    `param_grads=False` every op works row by row, so the chunking moves the
-    embedding gradients and logits by rounding at most.
+    encoder's budget allows (see `encoder.row_chunks`). The F(x), F(x') job
+    and the path's chunks run as one stream of jobs (see
+    `encoder.map_chunks`); each path job checks its rows' gradients and
+    returns their sum, which are added in job order, so memory does not grow
+    with `steps`. With `param_grads=False` every op works row by row, so the
+    chunking moves the embedding gradients and logits by rounding at most.
     """
     emb = encoder.embed(params, config, example)
     n = len(example.ids)
     base = baseline_embeddings(params, config, pad_id)[:n]
     t = target_class.value
-
-    def forward(chunk):
-        return encoder.forward_from_embeddings(params, config, chunk, np.ones(chunk.shape[:2]))
-
-    # F(x) and F(x'): one call, or one per row when two rows do not fit
-    ends = np.stack([emb, base])
-    f = np.concatenate([forward(ends[part])[0][:, t]
-                        for part in encoder.row_chunks([n, n], config.d_model)])
-    output_delta = float(f[0] - f[1])
-
     steps = cfg.steps
     delta = emb - base
     alphas = (np.arange(steps) + 0.5) / steps
 
-    def path_chunk(part):
+    def forward(chunk):
+        return encoder.forward_from_embeddings(params, config, chunk, np.ones(chunk.shape[:2]))
+
+    def job(part):
+        if part is None:  # F(x) and F(x'): one call, or one per row when two rows do not fit
+            ends = np.stack([emb, base])
+            return np.concatenate([forward(ends[rows])[0][:, t]
+                                   for rows in encoder.row_chunks([n, n], config.d_model)])
         points = base[None] + alphas[part, None, None] * delta[None]
         _, trace = forward(points)
         dlogits = np.zeros((len(points), config.n_classes))
         dlogits[:, t] = 1.0
-        return encoder.backward(params, trace, dlogits, param_grads=False)[1]
+        grads = encoder.backward(params, trace, dlogits, param_grads=False)[1]
+        finite = np.isfinite(grads).all(axis=(1, 2))
+        if not finite.all():
+            bad = part.start + int(np.argmin(finite))
+            raise NumericError(f"non-finite gradient at integration step {bad}")
+        return grads.sum(axis=0)
 
-    path_grads = np.empty((steps, n, config.d_model))
-    for part, grads in encoder.map_chunks(path_chunk, [n] * steps, config):
-        path_grads[part] = grads
-    if not np.all(np.isfinite(path_grads)):
-        bad = int(np.where(~np.isfinite(path_grads).all(axis=(1, 2)))[0][0])
-        raise NumericError(f"non-finite gradient at integration step {bad}")
-    token_attr = (delta * path_grads.mean(axis=0)).sum(axis=-1)
+    parts = itertools.chain([None], encoder.row_chunks([n] * steps, config.d_model))
+    results = (result for _, result in encoder.map_chunks(job, parts, config))
+    f = next(results)
+    output_delta = float(f[0] - f[1])
+    grad_sum = functools.reduce(np.add, results)
+    token_attr = (delta * (grad_sum / steps)).sum(axis=-1)
 
     feature_attr, residue = aggregate_to_features(
         token_attr, example.feature_token_spans

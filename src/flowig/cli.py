@@ -107,6 +107,9 @@ class RunConfig:
 
 @contextmanager
 def _work_dir_lock(work_dir: Path):
+    """Hold `<work_dir>/.lock`, which names this process's PID, while the
+    block runs. A lock held by another run is never removed here; the
+    refusal says it is stale when the PID it names is not running."""
     try:
         work_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -115,14 +118,31 @@ def _work_dir_lock(work_dir: Path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise FlowigError(
-            f"work dir {work_dir} is locked by another run (remove {lock} if stale)"
-        )
+        raise FlowigError(_held_lock(work_dir, lock)) from None
     try:
-        os.close(fd)
+        with os.fdopen(fd, "w", encoding="ascii") as f:
+            f.write(f"{os.getpid()}\n")
         yield
     finally:
         lock.unlink(missing_ok=True)
+
+
+def _held_lock(work_dir: Path, lock: Path) -> str:
+    """The refusal for a lock that another run holds; a lock without a PID
+    comes from a run that wrote none."""
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        pid = 0
+    if pid <= 0:
+        return f"work dir {work_dir} is locked by another run (remove {lock} if stale)"
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return f"work dir {work_dir} has a stale lock: PID {pid} is not running (remove {lock})"
+    except PermissionError:  # running as another user
+        pass
+    return f"work dir {work_dir} is locked by another run, PID {pid} (remove {lock} if stale)"
 
 
 def _fail(exc: FlowigError) -> None:

@@ -104,19 +104,20 @@ def row_chunks(lengths, d_model: int):
         lo = hi
 
 
-def map_chunks(fn, lengths, config: EncoderConfig):
-    """Yield `(part, fn(part))` for each of `row_chunks(lengths, ...)`, in order.
+def map_chunks(fn, parts, config: EncoderConfig):
+    """Yield `(part, fn(part))` for each of `parts`, in order.
 
     An encoder with a full-length layer (`layers >= 2`) runs up to `_WORKERS`
-    chunks at once on the pool; a 1-layer encoder's ops are too small to
-    overlap well, so it runs them in turn. Either way each chunk fits the
-    whole budget. `fn` must not depend on which chunks ran before it, so
+    parts at once on the pool; a 1-layer encoder's ops are too small to
+    overlap well, so it runs them in turn. A part is usually one of
+    `row_chunks(...)`, and each encoder call that `fn` makes must fit the
+    whole budget. `fn` must not depend on which parts ran before it, so
     callers that sum the results in the order yielded get the same bits
-    either way. If a chunk raises, the chunks not started are cancelled and
+    either way. If a part raises, the parts not started are cancelled and
     the running ones finish before the error reaches the caller.
     """
     workers = _WORKERS if config.layers >= 2 else 1
-    parts = row_chunks(lengths, config.d_model)
+    parts = iter(parts)
     if workers == 1:
         for part in parts:
             yield part, fn(part)
@@ -128,8 +129,7 @@ def map_chunks(fn, lengths, config: EncoderConfig):
         while pending:
             part, future = pending.popleft()
             result = future.result()
-            nxt = next(parts, None)
-            if nxt is not None:
+            for nxt in itertools.islice(parts, 1):  # any value, None too, is a part
                 pending.append((nxt, _POOL.submit(fn, nxt)))
             yield part, result
     finally:
@@ -208,13 +208,25 @@ def _dropout(x, keep, rate: float):
 # ---------------------------------------------------------------------------
 # primitive layers
 
+def _row_means(x):
+    """The means over x's last axis, (..., 1), as one BLAS product with a
+    column of 1/D: on rows of a few dozen floats it takes a fraction of the
+    time of `x.mean(axis=-1)`, and differs from it by rounding only."""
+    D = x.shape[-1]
+    return (x.reshape(-1, D) @ np.full((D, 1), 1.0 / D)).reshape(*x.shape[:-1], 1)
+
+
 def _ln_forward(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * ivar
-    return g * xhat + b, (xhat, ivar, g)
+    xhat = x - _row_means(x)
+    y = xhat * xhat
+    ivar = _row_means(y)
+    ivar += _LN_EPS
+    np.sqrt(ivar, out=ivar)
+    np.divide(1.0, ivar, out=ivar)
+    xhat *= ivar
+    np.multiply(xhat, g, out=y)
+    y += b
+    return y, (xhat, ivar, g)
 
 
 def _ln_backward(dy, cache, grads: Params | None = None, prefix: str = ""):
@@ -224,11 +236,12 @@ def _ln_backward(dy, cache, grads: Params | None = None, prefix: str = ""):
         grads[prefix + "g"] += (dy * xhat).sum(axis=axes)
         grads[prefix + "b"] += dy.sum(axis=axes)
     dxhat = dy * g
-    return ivar * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    t = dxhat * xhat
+    np.multiply(xhat, _row_means(t), out=t)
+    dxhat -= _row_means(dxhat)
+    dxhat -= t
+    dxhat *= ivar
+    return dxhat
 
 
 def _linear(params: Params, pre: str, n: str, x):
@@ -236,7 +249,9 @@ def _linear(params: Params, pre: str, n: str, x):
     layout has none."""
     y = x @ params[f"{pre}w{n}"]
     b = params.get(f"{pre}b{n}")
-    return y if b is None else y + b
+    if b is not None:
+        y += b
+    return y
 
 
 def _linear_backward(params: Params, grads: Params | None, pre: str, n: str, x, dy):
@@ -249,12 +264,22 @@ def _linear_backward(params: Params, grads: Params | None, pre: str, n: str, x, 
 
 
 def _gelu_forward(a):
-    phi = 0.5 * (1.0 + erf(a * _INV_SQRT2))
+    phi = a * _INV_SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     return a * phi, phi
 
 
 def _gelu_backward(da_out, a, phi):
-    return da_out * (phi + a * np.exp(-0.5 * a * a) * _INV_SQRT2PI)
+    d = a * a
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= a
+    d *= _INV_SQRT2PI
+    d += phi
+    d *= da_out
+    return d
 
 
 def _split_heads(x, heads):
@@ -364,7 +389,7 @@ def _masked_softmax(scores, bias):
 def _softmax_backward(attn, dattn):
     """The score gradient, written over `dattn`."""
     # masked columns have attn == 0, so their score gradients vanish
-    dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
+    dattn -= np.einsum("...j,...j->...", dattn, attn)[..., None]
     dattn *= attn
     return dattn
 

@@ -107,7 +107,8 @@ def evaluate_examples(
         return encoder.forward_batch(params, config, ids, mask)[0]
 
     logits = np.empty((len(examples), config.n_classes))
-    for part, chunk in encoder.map_chunks(chunk_logits, lengths[order], config):
+    parts = encoder.row_chunks(lengths[order], config.d_model)
+    for part, chunk in encoder.map_chunks(chunk_logits, parts, config):
         logits[order[part]] = chunk
     return logits, logits.argmax(axis=1)
 
@@ -136,7 +137,8 @@ def _batch_grads(
 
     losses = np.empty(B)
     grads = encoder.zero_grads_like(params)
-    for part, (chunk_losses, chunk, demb) in encoder.map_chunks(chunk_grads, [L] * B, config):
+    parts = encoder.row_chunks([L] * B, config.d_model)
+    for part, (chunk_losses, chunk, demb) in encoder.map_chunks(chunk_grads, parts, config):
         losses[part] = chunk_losses
         for k, g in chunk.items():
             grads[k] += g

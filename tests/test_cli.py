@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -562,16 +565,46 @@ class TestFailureModes:
         assert r.exit_code == EXIT_DATA
         assert "flowig train" in r.output
 
-    def test_lock_contention(self, tmp_path):
+    def test_lock_names_its_pid(self, tmp_path):
+        work = tmp_path / "work"
+        with cli._work_dir_lock(work):
+            assert (work / ".lock").read_text(encoding="ascii") == f"{os.getpid()}\n"
+        assert not (work / ".lock").exists()
+
+    @staticmethod
+    def _refusal(tmp_path, content):
+        """The one-line refusal of `prepare` while `.lock` holds `content`,
+        which it must leave in place."""
         cfg = write_config(tmp_path)
-        run("synthetic", "--out", tmp_path / "flows.csv", "--n", 30)
         work = tmp_path / "work"
         work.mkdir()
-        (work / ".lock").touch()
+        (work / ".lock").write_text(content, encoding="ascii")
         r = run("prepare", "--config", cfg)
-        assert r.exit_code != 0
-        assert "locked" in r.output
-        (work / ".lock").unlink()
+        assert r.exit_code == 1
+        assert (work / ".lock").read_text(encoding="ascii") == content
+        assert not (work / "split_train.csv").exists()
+        lines = r.output.splitlines()
+        assert len(lines) == 1
+        return lines[0], work / ".lock"
+
+    def test_lock_of_a_running_pid(self, tmp_path):
+        line, lock = self._refusal(tmp_path, f"{os.getpid()}\n")
+        assert line == (f"error: work dir {lock.parent} is locked by another run,"
+                        f" PID {os.getpid()} (remove {lock} if stale)")
+
+    def test_lock_of_an_exited_pid_is_stale(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        assert child.wait(timeout=60) == 0
+        line, lock = self._refusal(tmp_path, f"{child.pid}\n")
+        assert line == (f"error: work dir {lock.parent} has a stale lock:"
+                        f" PID {child.pid} is not running (remove {lock})")
+
+    def test_lock_contention(self, tmp_path):
+        # an empty lock, as written before locks held a PID
+        run("synthetic", "--out", tmp_path / "flows.csv", "--n", 30)
+        line, lock = self._refusal(tmp_path, "")
+        assert line == (f"error: work dir {lock.parent} is locked by another run"
+                        f" (remove {lock} if stale)")
 
     def test_lock_released_after_run(self, pipeline):
         tmp, _ = pipeline
@@ -902,3 +935,31 @@ def test_numeric_error_in_a_chunk_worker(monkeypatch, tmp_path):
     assert len(calls) == n  # no chunk was left queued
     assert not (tmp_path / "work" / ".lock").exists()
     assert not (tmp_path / "work" / "model_absolute.ckpt").exists()
+
+
+def test_non_finite_ig_gradient_through_explain(monkeypatch, tmp_path):
+    # a 2-layer encoder explains on the pool, 3 path rows a call; a NaN in
+    # row 1 of each path job's gradient ends explain with exit 4 and one
+    # line naming step 1 of the first example, and writes no attribution
+    cfg = write_config(tmp_path, encoder={**SMALL_CONFIG["encoder"], "layers": 2},
+                       train={"epochs": 1, "batch_size": 16})
+    assert run("synthetic", "--out", tmp_path / "flows.csv", "--n", 60).exit_code == 0
+    for stage in ("prepare", "train"):
+        assert run(stage, "--config", cfg).exit_code == 0
+    monkeypatch.setattr(encoder, "_WORKERS", 2)
+    monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 3 * 64 * 16)
+    backward = encoder.backward
+
+    def injecting(*args, **kwargs):
+        grads, demb = backward(*args, **kwargs)
+        if len(demb) > 1:
+            demb[1, 0, 0] = np.nan
+        return grads, demb
+
+    monkeypatch.setattr(encoder, "backward", injecting)
+    r = run("explain", "--config", cfg)
+    assert r.exit_code == EXIT_NUMERIC
+    assert r.output.splitlines() == ["error: non-finite gradient at integration step 1"]
+    work = tmp_path / "work"
+    assert not (work / ".lock").exists()
+    assert not list(work.glob("attributions_*")) and not list(work.glob("heatmap_*"))

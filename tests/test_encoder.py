@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from flowig import encoder, training
 from flowig.encoder import (
@@ -815,3 +816,149 @@ class TestClsOnlyLastLayer:
         assert last["attn"].shape == (3, cfg.heads, 1, 12)
         assert last["g"].shape == (3, 1, cfg.d_ff)
         assert trace.final["ln_f"][0].shape == (3, 1, cfg.d_model)
+
+
+# ---------------------------------------------------------------------------
+# Layer norm, GELU, the linear map and the softmax backward as written before
+# layer norm took its row means as BLAS products and the ops reused their
+# temporaries. Only the means' and the softmax backward's row sums changed
+# their order of summation; the rest is the same arithmetic in the same order.
+
+def _ln_forward_oracle(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    ivar = 1.0 / np.sqrt(var + encoder._LN_EPS)
+    xhat = xc * ivar
+    return g * xhat + b, (xhat, ivar, g)
+
+
+def _ln_backward_oracle(dy, cache, grads=None, prefix=""):
+    xhat, ivar, g = cache
+    if grads is not None:
+        axes = tuple(range(dy.ndim - 1))
+        grads[prefix + "g"] += (dy * xhat).sum(axis=axes)
+        grads[prefix + "b"] += dy.sum(axis=axes)
+    dxhat = dy * g
+    return ivar * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+
+
+def _linear_oracle(params, pre, n, x):
+    y = x @ params[f"{pre}w{n}"]
+    b = params.get(f"{pre}b{n}")
+    return y if b is None else y + b
+
+
+def _gelu_forward_oracle(a):
+    phi = 0.5 * (1.0 + erf(a * encoder._INV_SQRT2))
+    return a * phi, phi
+
+
+def _gelu_backward_oracle(da_out, a, phi):
+    return da_out * (phi + a * np.exp(-0.5 * a * a) * encoder._INV_SQRT2PI)
+
+
+def _softmax_backward_oracle(attn, dattn):
+    dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
+    dattn *= attn
+    return dattn
+
+
+_ORACLE_OPS = {"_ln_forward": _ln_forward_oracle, "_ln_backward": _ln_backward_oracle,
+               "_linear": _linear_oracle, "_gelu_forward": _gelu_forward_oracle,
+               "_gelu_backward": _gelu_backward_oracle,
+               "_softmax_backward": _softmax_backward_oracle}
+
+
+def _close(got, want):
+    """Equal to rounding: rtol 1e-12, and an atol of 1e-14 times the largest
+    entry for entries that cancel to near zero."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
+class TestOpsMatchOracle:
+    @pytest.mark.parametrize("Lq", [9, 1])
+    def test_each_op(self, Lq):
+        rng = np.random.default_rng(41)
+        x = rng.normal(loc=3.0, scale=2.0, size=(4, Lq, 16))
+        g, b = rng.normal(size=16), rng.normal(size=16)
+        dy = rng.normal(size=x.shape)
+        a, da = rng.normal(scale=3.0, size=(2, 4, Lq, 24))
+        attn = _masked_softmax(rng.normal(scale=4.0, size=(4, 2, Lq, 9)), None)
+        dattn = rng.normal(size=attn.shape)
+        inputs = [x, g, b, dy, a, da, attn]
+        before = [v.copy() for v in inputs]
+
+        y, cache = encoder._ln_forward(x, g, b)
+        want_y, want_cache = _ln_forward_oracle(x, g, b)
+        for got, want in zip((y, *cache), (want_y, *want_cache), strict=True):
+            _close(got, want)
+        grads = {"ln.g": np.zeros(16), "ln.b": np.zeros(16)}
+        want_grads = {k: v.copy() for k, v in grads.items()}
+        _close(encoder._ln_backward(dy, want_cache, grads, "ln."),
+               _ln_backward_oracle(dy, want_cache, want_grads, "ln."))
+        assert all(np.array_equal(grads[k], want_grads[k]) for k in grads)
+
+        p = {"l.w1": rng.normal(size=(16, 24)), "l.b1": rng.normal(size=24)}
+        assert np.array_equal(encoder._linear(p, "l.", "1", x), _linear_oracle(p, "l.", "1", x))
+        got_g, got_phi = encoder._gelu_forward(a)
+        want_g, want_phi = _gelu_forward_oracle(a)
+        assert np.array_equal(got_g, want_g) and np.array_equal(got_phi, want_phi)
+        assert np.array_equal(encoder._gelu_backward(da, a, want_phi),
+                              _gelu_backward_oracle(da, a, want_phi))
+
+        _close(encoder._softmax_backward(attn, dattn.copy()),
+               _softmax_backward_oracle(attn, dattn.copy()))
+        # only the softmax backward writes over an input, its dattn
+        assert all(np.array_equal(v, w) for v, w in zip(inputs, before, strict=True))
+
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_encoder_matches_oracle_ops(self, monkeypatch, variant):
+        # a training step with dropout and a padded row, and an IG path call
+        rng = np.random.default_rng(43)
+        cfg = small_config(20, variant, layers=2, dropout_rate=0.2)
+        p = randomize_params(init_params(cfg), rng)
+        ids = rng.integers(1, 20, size=(3, 10))
+        mask = np.ones((3, 10))
+        mask[1, 7:] = 0
+        dlog = rng.normal(size=(3, 3))
+        drop = dropout_masks(np.random.default_rng(3), cfg, *ids.shape)
+        path = rng.normal(size=(6, 10, 8))
+        dlog_ig = np.zeros((6, 3))
+        dlog_ig[:, 1] = 1.0
+
+        def run():
+            logits, trace = forward_batch(p, cfg, ids, mask, drop)
+            grads, demb = backward(p, trace, dlog)
+            path_logits, trace = forward_from_embeddings(p, cfg, path, np.ones((6, 10)))
+            return logits, grads, demb, path_logits, backward(p, trace, dlog_ig, False)[1]
+
+        got = run()
+        for name, op in _ORACLE_OPS.items():
+            monkeypatch.setattr(encoder, name, op)
+        want = run()
+        for i in (0, 2, 3, 4):
+            _close(got[i], want[i])
+        assert got[1].keys() == want[1].keys()
+        for k in want[1]:
+            _close(got[1][k], want[1][k])
+
+
+def test_softmax_backward_holds_no_score_sized_temporary():
+    # one row at L = 300 and 4 heads, where each (B, H, Lq, L) array is 2.9
+    # MB: the row sums are row dots, so beyond its inputs the call holds
+    # less than one such array (the product dattn * attn was one)
+    rng = np.random.default_rng(5)
+    attn = _masked_softmax(rng.normal(size=(1, 4, 300, 300)), None)
+    dattn = rng.normal(size=attn.shape)
+    tracemalloc.start()
+    try:
+        encoder._softmax_backward(attn, dattn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < attn.nbytes, peak / attn.nbytes

@@ -136,8 +136,8 @@ class TestSameBitsAsInTurn:
 def test_every_call_fits_the_whole_budget(vocab, schema, monkeypatch, workers, budget):
     # train (with its validation passes), evaluate_examples and IG on a
     # 2-layer encoder; at 100 float64 no row fits, so each call takes one row.
-    # The chunks that run at once on the pool and IG's call for F(x) and
-    # F(x'), which runs alone in the calling thread, are cut alike
+    # Every call runs on the pool, IG's calls for F(x) and F(x') too, and
+    # each is cut to the whole budget
     examples = _examples(vocab, schema, 24, seed=0)
     cfg = small_config(vocab.size, max_seq_len=64, layers=2, d_model=16, d_ff=24,
                        dropout_rate=0.1)
@@ -156,7 +156,7 @@ def test_every_call_fits_the_whole_budget(vocab, schema, monkeypatch, workers, b
     training.evaluate_examples(params, cfg, examples)
     for e in examples[:2]:
         attribution.integrated_gradients(params, cfg, e, e.label, attribution.IGConfig(steps=6))
-    assert any(main for *_, main in calls) and not all(main for *_, main in calls)
+    assert calls and not any(main for *_, main in calls)
     assert all(rows * L * D <= max(budget, L * D) for rows, L, D, _ in calls), calls
     if budget == 32768:  # the whole budget takes more than one row at once
         assert max(rows for rows, *_ in calls) > 1
@@ -190,7 +190,8 @@ def test_more_workers_than_cores(monkeypatch, vocab, schema):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = list(encoder.map_chunks(chunk, [len(ex.ids)] * 200, cfg))
+        got = list(encoder.map_chunks(chunk, encoder.row_chunks([len(ex.ids)] * 200,
+                                                                cfg.d_model), cfg))
         attr = ig()
     finally:
         sys.setswitchinterval(interval)
@@ -226,13 +227,23 @@ def test_a_failed_chunk_stops_the_rest(monkeypatch, workers):
 
     got = []
     with pytest.raises(NumericError, match=r"^non-finite values produced in encoder layer 0$"):
-        for part, result in encoder.map_chunks(chunk, [1] * 20, cfg):
+        for part, result in encoder.map_chunks(chunk, encoder.row_chunks([1] * 20, cfg.d_model),
+                                               cfg):
             got.append(result)
     assert got == [0]
     assert running[0] == 0  # no chunk of this call still runs
     assert max(started) <= workers  # the window moved past chunk 0 only
     time.sleep(0.1)
     assert max(started) <= workers  # and nothing was left queued
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_any_value_is_a_part(monkeypatch, workers):
+    # IG's stream opens with None, its F(x), F(x') job; no part ends the stream
+    cfg = small_config(20, layers=2)
+    monkeypatch.setattr(encoder, "_WORKERS", workers)
+    parts = [None, 0, None, 1, None]
+    assert list(encoder.map_chunks(lambda part: part, iter(parts), cfg)) == [(p, p) for p in parts]
 
 
 def test_one_layer_encoder_runs_in_turn(vocab, schema, monkeypatch):
@@ -253,8 +264,9 @@ def test_one_layer_encoder_runs_in_turn(vocab, schema, monkeypatch):
     assert pool.submitted == 0
     assert threads and set(threads) == {threading.current_thread()}
     lengths = sorted(len(e.ids) for e in examples)
-    parts = [part for part, _ in encoder.map_chunks(lambda part: None, lengths, cfg)]
-    assert parts == list(encoder.row_chunks(lengths, cfg.d_model))
+    want = list(encoder.row_chunks(lengths, cfg.d_model))
+    parts = [part for part, _ in encoder.map_chunks(lambda part: None, iter(want), cfg)]
+    assert parts == want
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -301,3 +313,59 @@ def test_bits_do_not_depend_on_the_worker_count(vocab, schema, monkeypatch):
     want = run(1)
     for workers in (2, 3):
         assert run(workers) == want, workers
+
+
+def test_ig_memory_does_not_grow_with_steps(vocab, schema, monkeypatch):
+    # each path job returns its rows' gradient sum, so no (steps, n, D)
+    # array is built; 4 rows a call, so both runs take more calls than workers
+    cfg = small_config(vocab.size, max_seq_len=64, layers=2, d_model=16, d_ff=24)
+    p = randomize_params(encoder.init_params(cfg), np.random.default_rng(6))
+    ex = make_example(vocab, schema, [float(100 + 37 * i) for i in range(schema.d)])
+    monkeypatch.setattr(encoder, "_WORKERS", 2)
+    monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 4 * len(ex.ids) * cfg.d_model)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            attribution.integrated_gradients(p, cfg, ex, CoarseLabel.DDOS,
+                                             attribution.IGConfig(steps=steps))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(32)  # warm-up
+    assert peak(256) <= 1.25 * peak(32)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_gradient_names_its_step(vocab, schema, monkeypatch, workers):
+    # NaN in one row of steps 9 and 13, which fall in different path jobs of
+    # 3 rows; the error names the first, whichever job finished first
+    steps = 16
+    cfg = small_config(vocab.size, max_seq_len=64, layers=2, d_model=16, d_ff=24)
+    p = randomize_params(encoder.init_params(cfg), np.random.default_rng(7))
+    ex = make_example(vocab, schema, [float(100 + 37 * i) for i in range(schema.d)])
+    monkeypatch.setattr(encoder, "_WORKERS", workers)
+    monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 3 * len(ex.ids) * cfg.d_model)
+    emb = encoder.embed(p, cfg, ex)
+    base = attribution.baseline_embeddings(p, cfg)[:len(ex.ids)]
+    bad = [base + (step + 0.5) / steps * (emb - base) for step in (13, 9)]
+    forward, backward = encoder.forward_from_embeddings, encoder.backward
+
+    def keeping_points(params, config, embeddings, *args, **kwargs):
+        logits, trace = forward(params, config, embeddings, *args, **kwargs)
+        trace.points = embeddings
+        return logits, trace
+
+    def injecting(params, trace, dlogits, *args, **kwargs):
+        grads, demb = backward(params, trace, dlogits, *args, **kwargs)
+        for row, point in enumerate(trace.points):
+            if any(np.array_equal(point, b) for b in bad):
+                demb[row, 2, 1] = np.nan
+        return grads, demb
+
+    monkeypatch.setattr(encoder, "forward_from_embeddings", keeping_points)
+    monkeypatch.setattr(encoder, "backward", injecting)
+    with pytest.raises(NumericError, match=r"^non-finite gradient at integration step 9$"):
+        attribution.integrated_gradients(p, cfg, ex, CoarseLabel.DDOS,
+                                         attribution.IGConfig(steps=steps))
