@@ -29,6 +29,10 @@ def write_artifact(path, data: bytes | str) -> None:
     try:
         tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
+    except OSError as e:
+        if e.filename is None:  # ENOSPC, EDQUOT, EIO name no file
+            e.filename = path
+        raise
     finally:
         tmp.unlink(missing_ok=True)
 

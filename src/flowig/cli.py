@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import fcntl
 import itertools
 import json
 import os
@@ -107,42 +108,30 @@ class RunConfig:
 
 @contextmanager
 def _work_dir_lock(work_dir: Path):
-    """Hold `<work_dir>/.lock`, which names this process's PID, while the
-    block runs. A lock held by another run is never removed here; the
-    refusal says it is stale when the PID it names is not running."""
+    """Hold an exclusive `flock` on `<work_dir>/.lock` while the block runs.
+    The kernel drops it when this process exits, however it exits, so a
+    `.lock` that no run holds is simply taken; the holder unlinks it on release."""
     try:
         work_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create work dir {work_dir}: {e.strerror}") from None
     lock = work_dir / ".lock"
+    fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise FlowigError(_held_lock(work_dir, lock)) from None
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as f:
-            f.write(f"{os.getpid()}\n")
-        yield
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a holder that released in between has unlinked the file we locked
+            held = os.path.samestat(os.stat(lock), os.fstat(fd))
+        except (BlockingIOError, FileNotFoundError):
+            held = False
+        if not held:
+            raise FlowigError(f"work dir {work_dir} is locked by another run")
+        try:
+            yield
+        finally:
+            lock.unlink(missing_ok=True)
     finally:
-        lock.unlink(missing_ok=True)
-
-
-def _held_lock(work_dir: Path, lock: Path) -> str:
-    """The refusal for a lock that another run holds; a lock without a PID
-    comes from a run that wrote none."""
-    try:
-        pid = int(lock.read_text(encoding="ascii"))
-    except (OSError, ValueError):
-        pid = 0
-    if pid <= 0:
-        return f"work dir {work_dir} is locked by another run (remove {lock} if stale)"
-    try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, OverflowError):
-        return f"work dir {work_dir} has a stale lock: PID {pid} is not running (remove {lock})"
-    except PermissionError:  # running as another user
-        pass
-    return f"work dir {work_dir} is locked by another run, PID {pid} (remove {lock} if stale)"
+        os.close(fd)
 
 
 def _fail(exc: FlowigError) -> None:

@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import fcntl
 import json
 import math
 import os
@@ -548,6 +550,24 @@ class TestFailureModes:
         assert not (work / ".lock").exists()
         assert {p.name: p.read_bytes() for p in work.iterdir() if p.is_file()} == before
 
+    def test_failed_write_names_its_artifact(self, tmp_path, monkeypatch):
+        # a full disk names no file: the line names the artifact being written
+        prepare, work = self._prepare(tmp_path)
+        write_bytes = Path.write_bytes
+
+        def disk_full(path, data):
+            if path.name == "split_train.csv.tmp":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
+        r = prepare()
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [
+            f"error: cannot access {work / 'split_train.csv'}: No space left on device"
+        ]
+        assert os.listdir(work) == []
+
     def test_input_csv_is_a_directory(self, tmp_path):
         cfg = write_config(tmp_path, input_csv=str(tmp_path))
         r = run("prepare", "--config", cfg)
@@ -565,46 +585,83 @@ class TestFailureModes:
         assert r.exit_code == EXIT_DATA
         assert "flowig train" in r.output
 
-    def test_lock_names_its_pid(self, tmp_path):
-        work = tmp_path / "work"
-        with cli._work_dir_lock(work):
-            assert (work / ".lock").read_text(encoding="ascii") == f"{os.getpid()}\n"
-        assert not (work / ".lock").exists()
-
     @staticmethod
-    def _refusal(tmp_path, content):
-        """The one-line refusal of `prepare` while `.lock` holds `content`,
-        which it must leave in place."""
+    def _prepare(tmp_path):
+        """A 30-flow corpus and its config; returns `prepare` and the work dir, made."""
         cfg = write_config(tmp_path)
+        run("synthetic", "--out", tmp_path / "flows.csv", "--n", 30)
         work = tmp_path / "work"
         work.mkdir()
-        (work / ".lock").write_text(content, encoding="ascii")
-        r = run("prepare", "--config", cfg)
-        assert r.exit_code == 1
-        assert (work / ".lock").read_text(encoding="ascii") == content
-        assert not (work / "split_train.csv").exists()
-        lines = r.output.splitlines()
-        assert len(lines) == 1
-        return lines[0], work / ".lock"
-
-    def test_lock_of_a_running_pid(self, tmp_path):
-        line, lock = self._refusal(tmp_path, f"{os.getpid()}\n")
-        assert line == (f"error: work dir {lock.parent} is locked by another run,"
-                        f" PID {os.getpid()} (remove {lock} if stale)")
-
-    def test_lock_of_an_exited_pid_is_stale(self, tmp_path):
-        child = subprocess.Popen([sys.executable, "-c", ""])
-        assert child.wait(timeout=60) == 0
-        line, lock = self._refusal(tmp_path, f"{child.pid}\n")
-        assert line == (f"error: work dir {lock.parent} has a stale lock:"
-                        f" PID {child.pid} is not running (remove {lock})")
+        return (lambda: run("prepare", "--config", cfg)), work
 
     def test_lock_contention(self, tmp_path):
-        # an empty lock, as written before locks held a PID
-        run("synthetic", "--out", tmp_path / "flows.csv", "--n", 30)
-        line, lock = self._refusal(tmp_path, "")
-        assert line == (f"error: work dir {lock.parent} is locked by another run"
-                        f" (remove {lock} if stale)")
+        # another run holds the lock: one line, exit 1, nothing written
+        prepare, work = self._prepare(tmp_path)
+        with open(work / ".lock", "wb") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            r = prepare()
+            assert os.listdir(work) == [".lock"]
+        assert r.exit_code == 1
+        assert r.output.splitlines() == [f"error: work dir {work} is locked by another run"]
+
+    def test_lock_of_a_killed_holder_is_taken(self, tmp_path):
+        prepare, work = self._prepare(tmp_path)
+        code = ("import sys, time; from pathlib import Path; from flowig import cli\n"
+                "with cli._work_dir_lock(Path(sys.argv[1])):\n"
+                "    print('ready', flush=True)\n"
+                "    time.sleep(120)\n")
+        path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+        child = subprocess.Popen([sys.executable, "-c", code, str(work)], text=True,
+                                 stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+        try:
+            assert child.stdout.readline() == "ready\n"
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+            child.stdout.close()
+        assert (work / ".lock").exists()
+        r = prepare()
+        assert r.exit_code == 0, r.output
+        assert not (work / ".lock").exists()
+
+    @pytest.mark.parametrize("content", ["", "12345\n"], ids=["empty", "pid"])
+    def test_unheld_lock_file_is_taken(self, tmp_path, content):
+        # as a killed run, or an earlier flowig that wrote its PID, left it
+        prepare, work = self._prepare(tmp_path)
+        (work / ".lock").write_text(content, encoding="ascii")
+        r = prepare()
+        assert r.exit_code == 0, r.output
+        assert not (work / ".lock").exists()
+
+    @pytest.mark.parametrize("recreate", [False, True], ids=["unlinked", "replaced"])
+    def test_lock_released_while_taking_it(self, tmp_path, monkeypatch, recreate):
+        # the holder releases, and unlinks .lock, between our open and our
+        # flock: the file we lock is no longer the lock, so the stage refuses
+        prepare, work = self._prepare(tmp_path)
+        flock = fcntl.flock
+
+        def release_first(fd, op):
+            (work / ".lock").unlink()
+            if recreate:  # and the next run has made a new one
+                (work / ".lock").touch()
+            return flock(fd, op)
+
+        monkeypatch.setattr(cli.fcntl, "flock", release_first)
+        r = prepare()
+        assert r.exit_code == 1
+        assert r.output.splitlines() == [f"error: work dir {work} is locked by another run"]
+        assert os.listdir(work) == ([".lock"] if recreate else [])
+
+    def test_lock_is_held_while_the_block_runs(self, tmp_path):
+        work = tmp_path / "work"
+        with cli._work_dir_lock(work):
+            other = open(work / ".lock", "wb")
+            with pytest.raises(BlockingIOError):
+                fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert not (work / ".lock").exists()
+        with other:  # the same open file gets the lock once the block has ended
+            fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
 
     def test_lock_released_after_run(self, pipeline):
         tmp, _ = pipeline
