@@ -66,7 +66,7 @@ class RunConfig:
         self.ratios = flow_data.check_split_ratios(self.ratios)
         if self.schema == "synthetic":
             self._schema = synthetic.SYNTHETIC_SCHEMA
-        elif isinstance(self.schema, (list, tuple)):
+        elif isinstance(self.schema, (list, tuple)) and all(isinstance(n, str) for n in self.schema):
             self._schema = FeatureSchema(names=tuple(self.schema))
         else:
             raise ConfigError('schema must be "synthetic" or an explicit list of feature names')
@@ -86,7 +86,7 @@ class RunConfig:
         if path is not None:
             try:
                 data = json.loads(Path(path).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as e:
+            except (OSError, ValueError) as e:  # ValueError: not UTF-8, or not JSON
                 raise ConfigError(f"cannot read config {path}: {e}")
             _check_keys("config", data, cls)
             # the run itself sets the vocabulary size, the variant and the seed
@@ -445,6 +445,8 @@ def _stage(run, *options) -> None:
                 run(cfg, work)
         except FlowigError as e:
             _fail(e)
+        except MemoryError as e:
+            _fail(FlowigError(f"out of memory: {e}"))
         except OSError as e:
             # a write fails at its rename, whose target is filename2
             _fail(DataError(f"cannot access {e.filename2 or e.filename}: {e.strerror}"))

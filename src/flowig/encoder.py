@@ -1,9 +1,9 @@
 """Small encoder-only transformer with exact analytical gradients.
 
 Everything runs in float64 numpy so finite-difference checks and the
-attribution completeness identity are meaningful. Two attention variants:
-standard scaled dot-product with absolute position embeddings, and a
-disentangled variant that scores content-content, content-position and
+attribution completeness identity are meaningful. Both attention variants
+add absolute position embeddings at the input and score scaled dot
+products; the disentangled one also scores content-position and
 position-content terms over clipped relative distances.
 
 Every function takes and returns batched (B, ...) arrays; the batch
@@ -141,10 +141,8 @@ def map_chunks(fn, parts, config: EncoderConfig):
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in initialization order."""
     D, F, C = config.d_model, config.d_ff, config.n_classes
-    shapes = {"tok_emb": (config.vocab_size, D)}
-    if config.attention_variant == ABSOLUTE:
-        shapes["pos_emb"] = (config.max_seq_len, D)
-    else:
+    shapes = {"tok_emb": (config.vocab_size, D), "pos_emb": (config.max_seq_len, D)}
+    if config.attention_variant == DISENTANGLED:
         shapes["rel_emb"] = (config.rel_size, D)
     for i in range(config.layers):
         pre = f"layers.{i}."
@@ -495,14 +493,12 @@ def embed(params: Params, config: EncoderConfig, example: TokenizedExample) -> n
 
 
 def embed_ids(params: Params, config: EncoderConfig, ids: np.ndarray) -> np.ndarray:
-    """Token embedding lookup for an id batch (B, L); absolute positions added here."""
+    """Token embedding lookup for an id batch (B, L), plus the position
+    embeddings, which both variants add here."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ConfigError("token id out of vocabulary range")
-    x = params["tok_emb"][ids]
-    if config.attention_variant == ABSOLUTE:
-        x = x + params["pos_emb"][None, : ids.shape[1], :]
-    return x
+    return params["tok_emb"][ids] + params["pos_emb"][None, : ids.shape[1], :]
 
 
 def forward(
@@ -602,10 +598,7 @@ def backward(
     return grads, dx
 
 
-def accumulate_embedding_grads(
-    grads: Params, config: EncoderConfig, ids: np.ndarray, demb: np.ndarray
-) -> None:
+def accumulate_embedding_grads(grads: Params, ids: np.ndarray, demb: np.ndarray) -> None:
     """Scatter (B, L, D) embedding gradients back to the lookup tables."""
     np.add.at(grads["tok_emb"], np.asarray(ids, dtype=np.int64), demb)
-    if config.attention_variant == ABSOLUTE:
-        grads["pos_emb"][: demb.shape[1]] += demb.sum(axis=0)
+    grads["pos_emb"][: demb.shape[1]] += demb.sum(axis=0)

@@ -50,7 +50,7 @@ def build_vocab(schema: FeatureSchema) -> Vocab:
     for tok in SPECIALS:
         id_of[tok] = len(id_of)
     for name in schema.names:
-        if name in id_of:
+        if name in id_of or name in NUMBER_TOKENS:  # a shared id would merge two tokens
             raise ConfigError(f"feature name collides with a reserved token: {name!r}")
         id_of[name] = len(id_of)
     for tok in NUMBER_TOKENS:

@@ -142,7 +142,7 @@ def _batch_grads(
         losses[part] = chunk_losses
         for k, g in chunk.items():
             grads[k] += g
-        encoder.accumulate_embedding_grads(grads, config, ids[part], demb)
+        encoder.accumulate_embedding_grads(grads, ids[part], demb)
     return float(losses.mean()), grads
 
 

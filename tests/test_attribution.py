@@ -36,11 +36,13 @@ def trained_like(vocab):
 
 class TestBaseline:
     def test_all_pad_keeps_positions(self, vocab):
-        cfg = small_config(vocab.size, ABSOLUTE, max_seq_len=64, d_model=16, d_ff=24)
-        p = init_params(cfg)
-        base = baseline_embeddings(p, cfg, vocab.pad_id)
-        want = p["tok_emb"][vocab.pad_id][None] + p["pos_emb"][:64]
-        np.testing.assert_allclose(base, want)
+        # one rule for both variants
+        for variant in (ABSOLUTE, DISENTANGLED):
+            cfg = small_config(vocab.size, variant, max_seq_len=64, d_model=16, d_ff=24)
+            p = init_params(cfg)
+            base = baseline_embeddings(p, cfg, vocab.pad_id)
+            want = p["tok_emb"][vocab.pad_id][None] + p["pos_emb"][:64]
+            np.testing.assert_allclose(base, want)
 
 
 class TestIntegratedGradients:

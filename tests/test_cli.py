@@ -74,6 +74,10 @@ LOAD_REFUSALS = [
     ({"schema": []}, "schema must have at least one feature"),
     ({"schema": ["a", "a"]}, "schema feature names must be unique"),
     ({"schema": ["[PAD]"]}, "feature name collides with a reserved token: '[PAD]'"),
+    # a name equal to a value character would share that character's token id
+    ({"schema": ["0", "x"]}, "feature name collides with a reserved token: '0'"),
+    ({"schema": ["a", ["b"]]}, 'schema must be "synthetic" or an explicit list of feature names'),
+    ({"schema": ["a", 5]}, 'schema must be "synthetic" or an explicit list of feature names'),
     ({"ratios": [0.5, 0.6, 0.1]},
      "split ratios must be three numbers >= 0 summing to 1, got (0.5, 0.6, 0.1)"),
     # json.dumps writes these as the raw JSON text NaN and Infinity, which json.loads reads
@@ -82,7 +86,8 @@ LOAD_REFUSALS = [
 ]
 LOAD_REFUSAL_IDS = ["ig-steps-zero", "train-epochs-zero", "encoder-heads-zero",
                     "ig-max-examples-two", "variant-bogus", "schema-empty", "schema-repeated-name",
-                    "schema-reserved-name", "ratios-bad-sum", "learning-rate-nan",
+                    "schema-reserved-name", "schema-number-token-name", "schema-nested-list",
+                    "schema-number-entry", "ratios-bad-sum", "learning-rate-nan",
                     "learning-rate-infinity"]
 
 
@@ -354,6 +359,16 @@ class TestFailureModes:
             f"error: {ckpt}: corrupt checkpoint header: encoder layers must be int, got 1.5"
         ]
 
+    def test_config_not_utf8(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff" + json.dumps(SMALL_CONFIG).encode("utf-8"))
+        r = run("prepare", "--config", cfg)
+        assert r.exit_code == EXIT_CONFIG
+        assert r.output.splitlines() == [
+            f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte"
+        ]
+
     def test_config_not_an_object(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps([SMALL_CONFIG]))
@@ -466,6 +481,40 @@ class TestFailureModes:
             f" token {len(tokenizer.SPECIALS)} is {names[0]!r}, this run's is {names[-1]!r}"
         ]
         assert not any(p.exists() for p in outputs)
+        assert not (work / ".lock").exists()
+
+    def test_disentangled_checkpoint_without_positions(self, pipeline, tmp_path):
+        # the layout before both variants embedded positions: no pos_emb
+        tmp, cfg = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        enc_cfg, _ = load_checkpoint(work / "model_absolute.ckpt")
+        enc_cfg = dataclasses.replace(enc_cfg, attention_variant=encoder.DISENTANGLED)
+        params = encoder.init_params(enc_cfg)
+        del params["pos_emb"]
+        ckpt = work / "model_disentangled.ckpt"
+        save_checkpoint(ckpt, enc_cfg, params, SYNTHETIC_TOKENS)
+        r = run("evaluate", "--config", cfg, "--work-dir", work, "--variant", "disentangled")
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [
+            f"error: {ckpt}: tensors do not match the checkpoint's config: pos_emb"
+        ]
+        assert not (work / "metrics_disentangled.txt").exists()
+        assert not (work / ".lock").exists()
+
+    @pytest.mark.parametrize("variant", ["absolute", "disentangled"])
+    def test_out_of_memory(self, pipeline, tmp_path, variant):
+        # a position table past any address space: the allocation fails at
+        # once, so this uses no memory
+        tmp, _ = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        cfg = write_config(tmp_path, encoder={**SMALL_CONFIG["encoder"], "max_seq_len": 10**15})
+        r = run("train", "--config", cfg, "--variant", variant)
+        assert r.exit_code == 1
+        lines = r.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), r.output
+        assert not list(work.glob("*.tmp"))
         assert not (work / ".lock").exists()
 
     def test_checkpoint_without_a_token_list(self, pipeline, tmp_path):

@@ -67,10 +67,8 @@ def _init_oracle(config):
     def mat(fan_in, shape):
         return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
 
-    p = {"tok_emb": mat(D, (config.vocab_size, D))}
-    if config.attention_variant == ABSOLUTE:
-        p["pos_emb"] = mat(D, (config.max_seq_len, D))
-    else:
+    p = {"tok_emb": mat(D, (config.vocab_size, D)), "pos_emb": mat(D, (config.max_seq_len, D))}
+    if config.attention_variant == DISENTANGLED:
         p["rel_emb"] = mat(D, (config.rel_size, D))
     for i in range(config.layers):
         pre = f"layers.{i}."
@@ -115,10 +113,13 @@ class TestInit:
             np.testing.assert_array_equal(a[k], b[k])
 
     def test_variant_tables(self):
-        assert "pos_emb" in init_params(small_config(20, ABSOLUTE))
-        p = init_params(small_config(20, DISENTANGLED))
-        assert "rel_emb" in p and "pos_emb" not in p
-        assert p["rel_emb"].shape == (9, 8)
+        # both variants embed positions; only the disentangled one has a relative table
+        pa = init_params(small_config(20, ABSOLUTE))
+        pd = init_params(small_config(20, DISENTANGLED))
+        assert pa["pos_emb"].shape == pd["pos_emb"].shape == (16, 8)
+        assert "rel_emb" not in pa
+        assert pd["rel_emb"].shape == (9, 8)
+        assert set(pd) == set(pa) | {"rel_emb", "layers.0.attn.bk"}
 
     def test_head_zeroed(self):
         p = init_params(small_config(20))
@@ -131,15 +132,14 @@ class TestInit:
 
 
 class TestEmbed:
-    def test_position_only_for_absolute(self):
-        ids = np.array([[1, 5, 0, 0]])
-        cfg_a = small_config(20, ABSOLUTE, max_seq_len=4)
-        cfg_d = small_config(20, DISENTANGLED, max_seq_len=4)
-        pa, pd = init_params(cfg_a), init_params(cfg_d)
-        xa = embed_ids(pa, cfg_a, ids)
-        xd = embed_ids(pd, cfg_d, ids)
-        np.testing.assert_allclose(xa[0], pa["tok_emb"][ids[0]] + pa["pos_emb"][:4])
-        np.testing.assert_array_equal(xd[0], pd["tok_emb"][ids[0]])
+    def test_positions_added_for_both_variants(self):
+        ids = np.array([[1, 5, 0], [2, 0, 0]])
+        for variant in (ABSOLUTE, DISENTANGLED):
+            cfg = small_config(20, variant, max_seq_len=4)
+            p = init_params(cfg)
+            # a batch shorter than max_seq_len takes the table's first rows
+            np.testing.assert_array_equal(embed_ids(p, cfg, ids),
+                                          p["tok_emb"][ids] + p["pos_emb"][None, :3])
 
     def test_out_of_range_id(self):
         cfg = small_config(20, max_seq_len=4)
@@ -314,7 +314,6 @@ class TestRelativePositions:
         cfg_d = small_config(20, DISENTANGLED)
         shared = randomize_params(init_params(cfg_a), rng)
         pd = dict(shared)
-        pd.pop("pos_emb")
         pd["rel_emb"] = np.zeros((cfg_d.rel_size, cfg_d.d_model))
         emb = rng.normal(size=(1, 16, 8))
         mask = np.ones((1, 16))
@@ -581,7 +580,7 @@ class TestTrimmedTrainingStep:
         def step(ids, mask, dropout):
             logits, trace = forward_batch(p, cfg, ids, mask, dropout)
             grads, demb = backward(p, trace, dlog)
-            accumulate_embedding_grads(grads, cfg, ids, demb)
+            accumulate_embedding_grads(grads, ids, demb)
             return logits, grads, demb
 
         logits_pad, g_pad, d_pad = step(ids, mask, drop_pad)

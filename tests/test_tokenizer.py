@@ -35,6 +35,12 @@ class TestBuildVocab:
         with pytest.raises(ConfigError, match="reserved token: '\\[CLS\\]'"):
             build_vocab(FeatureSchema(("[CLS]",)))
 
+    @pytest.mark.parametrize("name", tokenizer.NUMBER_TOKENS)
+    def test_number_token_name_collision(self, name):
+        # such a name would share its id with the value character
+        with pytest.raises(ConfigError, match=f"reserved token: {re.escape(repr(name))}"):
+            build_vocab(FeatureSchema(("x", name)))
+
     def test_ids_follow_token_order(self, vocab):
         # a checkpoint header lists `tuple(vocab.id_of)` as the tokens in id order
         assert list(vocab.id_of.values()) == list(range(vocab.size))
