@@ -147,12 +147,11 @@ def _load_split(work: Path, name: str, cfg: RunConfig) -> LabeledDataset:
     return ds
 
 
-def _examples(records, cfg: RunConfig, max_seq_len: int):
-    """Each (record, label)'s tokenized example; a row's text lives only
-    while that row is tokenized."""
+def _tokenized(records, cfg: RunConfig, max_seq_len: int) -> tokenizer.TokenBatch:
+    """The (record, label) rows serialized and tokenized as one batch."""
     schema = cfg.feature_schema()
-    return [tokenizer.tokenize(textualize.serialize(rec, schema), cfg.vocab,
-                               max_seq_len, label) for rec, label in records]
+    flows = [textualize.serialize(rec, schema) for rec, _ in records]
+    return tokenizer.tokenize_rows(flows, cfg.vocab, max_seq_len, [label for _, label in records])
 
 
 def _ckpt_path(work: Path, variant: str) -> Path:
@@ -241,13 +240,13 @@ def _run_train(cfg: RunConfig, work: Path) -> None:
     enc_cfg = cfg.encoder_cfg
     train_ds = _load_split(work, "train", cfg)
     val_ds = _load_split(work, "validation", cfg)
-    train_ex = _examples(train_ds.records, cfg, enc_cfg.max_seq_len)
-    val_ex = _examples(val_ds.records, cfg, enc_cfg.max_seq_len)
+    train_rows = _tokenized(train_ds.records, cfg, enc_cfg.max_seq_len)
+    val_rows = _tokenized(val_ds.records, cfg, enc_cfg.max_seq_len)
 
     counts = train_ds.class_counts()
     weights = training.class_weights(tuple(counts[c] for c in COARSE_LABELS))
     params = encoder.init_params(enc_cfg)
-    best, log = training.train(params, enc_cfg, train_ex, val_ex, weights, cfg.train_cfg)
+    best, log = training.train(params, enc_cfg, train_rows, val_rows, weights, cfg.train_cfg)
     checkpoint.save_checkpoint(_ckpt_path(work, cfg.variant), enc_cfg, best,
                                tuple(cfg.vocab.id_of))
     log_lines = [
@@ -263,9 +262,9 @@ def _run_train(cfg: RunConfig, work: Path) -> None:
 def _run_evaluate(cfg: RunConfig, work: Path) -> None:
     """Compute the metrics report on the test split."""
     enc_cfg, params, test_ds = _load_model_and_test(cfg, work)
-    test_ex = _examples(test_ds.records, cfg, enc_cfg.max_seq_len)
-    _, preds = training.evaluate_examples(params, enc_cfg, test_ex)
-    counts = evaluation.confusion(preds, [e.label.value for e in test_ex])
+    test_rows = _tokenized(test_ds.records, cfg, enc_cfg.max_seq_len)
+    _, preds = training.evaluate_examples(params, enc_cfg, test_rows)
+    counts = evaluation.confusion(preds, test_rows.labels)
     text = evaluation.metrics(counts).format()
     write_artifact(work / f"metrics_{cfg.variant}.txt", text)
     click.echo(text.rstrip("\n"))

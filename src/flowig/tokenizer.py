@@ -6,10 +6,15 @@ attributions can be mapped back to features without heuristics.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, TruncationError, DataError
-from .flow_data import CoarseLabel, FeatureSchema
+from .flow_data import COARSE_LABELS, CoarseLabel, FeatureSchema
 from .textualize import TextFlow, clause_prefixes
 
 PAD = "[PAD]"
@@ -35,6 +40,13 @@ class Vocab:
     def pad_id(self) -> int:
         return self.id_of[PAD]
 
+    @functools.cached_property
+    def value_ids(self) -> np.ndarray:
+        """Each ASCII character's number-token id, or -1 if it is none."""
+        table = np.full(128, -1, np.int64)
+        table[[ord(c) for c in NUMBER_TOKENS]] = [self.id_of[c] for c in NUMBER_TOKENS]
+        return table
+
 
 @dataclass(frozen=True)
 class TokenizedExample:
@@ -43,6 +55,35 @@ class TokenizedExample:
     # (feature_index, tok_start, tok_end) end exclusive; covers [FEAT][IS][value...]
     feature_token_spans: tuple[tuple[int, int, int], ...]
     label: CoarseLabel | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class TokenBatch:
+    """Examples as one id matrix: row i is `ids[i, :lengths[i]]`, laid out
+    as `tokenize` lays out one example, then PAD (id 0) up to the longest
+    row. Feature f's value takes `value_lengths[i, f]` tokens, which fixes
+    each feature's span; `labels` holds class indices, or is None."""
+    ids: np.ndarray            # (N, L_max) int64
+    lengths: np.ndarray        # (N,) int64
+    value_lengths: np.ndarray  # (N, features) int64
+    labels: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def example(self, i: int) -> TokenizedExample:
+        """Row i, unpadded."""
+        n = int(self.lengths[i])
+        spans, start = [], 1
+        for fi, v in enumerate(self.value_lengths[i].tolist()):
+            spans.append((fi, start, start + 2 + v))
+            start += 3 + v
+        return TokenizedExample(
+            ids=tuple(self.ids[i, :n].tolist()),
+            attention_mask=(1,) * n,
+            feature_token_spans=tuple(spans),
+            label=None if self.labels is None else COARSE_LABELS[self.labels[i]],
+        )
 
 
 def build_vocab(schema: FeatureSchema) -> Vocab:
@@ -58,41 +99,88 @@ def build_vocab(schema: FeatureSchema) -> Vocab:
     return Vocab(id_of=id_of, feature_names=schema.names)
 
 
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices start, start + 1, ..., start + length - 1 of each run, in
+    one array, runs in order."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+
+
+def tokenize_rows(
+    flows: Sequence[TextFlow],
+    vocab: Vocab,
+    max_seq_len: int,
+    labels: Sequence[CoarseLabel] | None = None,
+) -> TokenBatch:
+    """Every flow laid out as `tokenize` lays one out, in one padded batch.
+
+    The split's characters are checked and mapped to ids in a few whole-array
+    steps: the clauses are joined into one string and read as code points,
+    and each value's characters are cut from it by index. The error names
+    the first bad flow in input order: a clause without its feature's
+    "name is " prefix, a value character that is not a number token, or a
+    flow longer than `max_seq_len`, whose length is named only if none of
+    its clauses is bad.
+    """
+    names, id_of = vocab.feature_names, vocab.id_of
+    d, n = len(names), len(flows)
+    clauses = list(itertools.chain.from_iterable(flow.clauses for flow in flows))
+    if len(clauses) != n * d:
+        r = next(r for r, flow in enumerate(flows) if len(flow.clauses) != d)
+        raise DataError(f"flow {r} has {len(flows[r].clauses)} clauses, the schema {d} features")
+    prefixes = clause_prefixes(names)
+    # the first bad clause's error, and how many clauses come before it
+    data_error, limit = None, len(clauses)
+    if not all(map(str.startswith, clauses, itertools.cycle(prefixes))):
+        limit = list(map(str.startswith, clauses, itertools.cycle(prefixes))).index(False)
+        data_error = DataError(f"span {limit % d} does not match schema feature"
+                               f" {names[limit % d]!r}")
+        clauses = clauses[:limit]  # the ones past it are not read
+
+    codes = np.frombuffer("".join(clauses).encode("utf-32-le", "surrogatepass"), "<u4")
+    clause_lens = np.fromiter(map(len, clauses), np.int64, limit)
+    value_lens = clause_lens - np.resize([len(p) for p in prefixes], limit)
+    chars = codes[_runs(np.cumsum(clause_lens) - value_lens, value_lens)]
+    value_ids = vocab.value_ids[np.minimum(chars, 127)]
+    if (value_ids < 0).any():
+        k = int(np.argmax(value_ids < 0))
+        limit = int(np.searchsorted(np.cumsum(value_lens), k, side="right"))
+        data_error = DataError(f"value character {chr(chars[k])!r} not in vocabulary")
+
+    rows = limit // d  # the rows before the first data error
+    value_lens = value_lens[: rows * d].reshape(rows, d)
+    ends = np.cumsum(3 + value_lens, axis=1)  # each feature's [SEP] position
+    lengths = ends[:, -1] + 1
+    too_long = np.flatnonzero(lengths > max_seq_len)
+    if too_long.size:
+        r = too_long[0]
+        fi = int(np.argmax(ends[r] >= max_seq_len))  # its first [SEP] past the limit
+        raise TruncationError(f"sequence of {lengths[r]} tokens exceeds max_seq_len={max_seq_len}"
+                              f" (first past it: feature {names[fi]!r})")
+    if data_error is not None:
+        raise data_error
+
+    starts = ends - 2 - value_lens  # each feature's name position
+    ids = np.zeros((n, lengths.max(initial=0)), np.int64)
+    at = np.arange(n)[:, None]
+    ids[:, :1] = id_of[CLS]
+    ids[at, starts] = [id_of[name] for name in names]
+    ids[at, starts + 1] = id_of[IS]
+    ids[at, ends] = id_of[SEP]
+    np.put(ids, _runs((at * ids.shape[1] + starts + 2).ravel(), value_lens.ravel()), value_ids)
+    if labels is not None:
+        labels = np.fromiter((label.value for label in labels), np.int64, n)
+    return TokenBatch(ids, lengths, value_lens, labels)
+
+
 def tokenize(
     flow: TextFlow,
     vocab: Vocab,
     max_seq_len: int,
     label: CoarseLabel | None = None,
 ) -> TokenizedExample:
-    """[CLS] then per feature [FEAT][IS][value chars...][SEP], unpadded;
-    batches are padded where they are built (`training._stack`)."""
-    id_of = vocab.id_of
-    is_id, sep_id = id_of[IS], id_of[SEP]
-    prefixes = clause_prefixes(vocab.feature_names)
-    ids = [id_of[CLS]]
-    spans = []
-    for fi, clause in enumerate(flow.clauses):
-        name, prefix = vocab.feature_names[fi], prefixes[fi]
-        if not clause.startswith(prefix):
-            raise DataError(f"span {fi} does not match schema feature {name!r}")
-        tok_start = len(ids)
-        ids += (id_of[name], is_id)
-        try:
-            ids += map(id_of.__getitem__, clause[len(prefix):])
-        except KeyError as e:
-            raise DataError(f"value character {e.args[0]!r} not in vocabulary") from None
-        spans.append((fi, tok_start, len(ids)))
-        ids.append(sep_id)
-    if len(ids) > max_seq_len:
-        fi = next(fi for fi, _, end in spans if end >= max_seq_len)  # first [SEP] past it
-        raise TruncationError(f"sequence of {len(ids)} tokens exceeds max_seq_len={max_seq_len}"
-                              f" (first past it: feature {vocab.feature_names[fi]!r})")
-    return TokenizedExample(
-        ids=tuple(ids),
-        attention_mask=(1,) * len(ids),
-        feature_token_spans=tuple(spans),
-        label=label,
-    )
+    """[CLS] then per feature [FEAT][IS][value chars...][SEP], unpadded: row 0
+    of `tokenize_rows`, so one flow and a split follow the same rules."""
+    return tokenize_rows([flow], vocab, max_seq_len, None if label is None else [label]).example(0)
 
 
 def reconstruct_values(example: TokenizedExample, vocab: Vocab) -> list[tuple[str, str]]:

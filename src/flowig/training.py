@@ -11,7 +11,7 @@ from .encoder import EncoderConfig, Params
 from .errors import ConfigError, DataError, NumericError, check_fields
 from .evaluation import confusion, metrics
 from .flow_data import COARSE_LABELS
-from .tokenizer import TokenizedExample
+from .tokenizer import TokenBatch
 
 # Adam's moment decay rates and denominator epsilon
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -76,38 +76,35 @@ def _loss_rows(
     return -(wl * logp[rows, labels]), grad / batch_size
 
 
-def _stack(examples: list[TokenizedExample]) -> tuple[np.ndarray, np.ndarray]:
-    """A batch's ids and mask, padded to its longest example with the PAD id
-    (0) and mask 0."""
-    lengths = np.array([len(e.ids) for e in examples])
+def _rows(batch: TokenBatch, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and mask of the batch's `rows`, cut to the longest of them,
+    with the PAD id (0) and mask 0 past each row's end."""
+    lengths = batch.lengths[rows]
     mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
-    ids = np.zeros(mask.shape, dtype=np.int64)
-    ids[mask > 0] = np.concatenate([e.ids for e in examples])
-    return ids, mask
+    return batch.ids[rows, : mask.shape[1]], mask
 
 
 def evaluate_examples(
     params: Params,
     config: EncoderConfig,
-    examples: list[TokenizedExample],
+    batch: TokenBatch,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode logits and predicted class indices (the argmax, ties to the
-    lower index) for a list of examples, labeled or not, in input order.
+    lower index) for a batch's rows, labeled or not, in row order.
 
-    Chunks are cut from the examples stably sorted by length, as many rows
-    as the encoder's budget takes at a chunk's longest example (see
-    `encoder.map_chunks`), so each chunk, padded to that example (see
-    `_stack`), carries almost no padding.
+    Chunks are cut from the rows stably sorted by length, as many rows as
+    the encoder's budget takes at a chunk's longest row (see
+    `encoder.map_chunks`), so each chunk, cut to that row (see `_rows`),
+    carries almost no padding.
     """
-    lengths = np.array([len(e.ids) for e in examples])
-    order = np.argsort(lengths, kind="stable")
+    order = np.argsort(batch.lengths, kind="stable")
 
     def chunk_logits(part):
-        ids, mask = _stack([examples[i] for i in order[part]])
+        ids, mask = _rows(batch, order[part])
         return encoder.forward_batch(params, config, ids, mask)[0]
 
-    logits = np.empty((len(examples), config.n_classes))
-    parts = encoder.row_chunks(lengths[order], config.d_model)
+    logits = np.empty((len(batch), config.n_classes))
+    parts = encoder.row_chunks(batch.lengths[order].tolist(), config.d_model)
     for part, chunk in encoder.map_chunks(chunk_logits, parts, config):
         logits[order[part]] = chunk
     return logits, logits.argmax(axis=1)
@@ -149,19 +146,19 @@ def _batch_grads(
 def train(
     params: Params,
     config: EncoderConfig,
-    train_examples: list[TokenizedExample],
-    val_examples: list[TokenizedExample],
+    train_batch: TokenBatch,
+    val_batch: TokenBatch,
     weights: tuple[float, float, float],
     train_config: TrainConfig = TrainConfig(),
 ) -> tuple[Params, TrainingLog]:
     """Adam training; returns the checkpoint with best validation macro-F1.
 
     Class weights enter the loss only; validation metrics are unweighted.
-    Each batch is padded to its longest example (see `_stack`).
+    Each batch is cut to its longest row (see `_rows`).
     """
-    if not train_examples:
+    if not train_batch:
         raise DataError("training split is empty")
-    if not val_examples:
+    if not val_batch:
         raise DataError("validation split is empty")
     params = {k: v.copy() for k, v in params.items()}
     w_arr = np.asarray(weights)
@@ -175,8 +172,7 @@ def train(
     best_params = {k: v.copy() for k, v in params.items()}
     since_best = 0
 
-    n = len(train_examples)
-    val_labels = [e.label.value for e in val_examples]
+    n = len(train_batch)
 
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(n)
@@ -187,8 +183,8 @@ def train(
         n_batches = 0
         for start in range(0, n, train_config.batch_size):
             sel = order[start : start + train_config.batch_size]
-            ids, mask = _stack([train_examples[i] for i in sel])
-            labels = np.array([train_examples[i].label.value for i in sel], dtype=np.int64)
+            ids, mask = _rows(train_batch, sel)
+            labels = train_batch.labels[sel]
             dropout = encoder.dropout_masks(dropout_rng, config, *ids.shape)
             loss, grads = _batch_grads(params, config, ids, mask, labels, w_arr, dropout)
             if not math.isfinite(loss):
@@ -207,8 +203,8 @@ def train(
             epoch_loss += loss
             n_batches += 1
 
-        _, preds = evaluate_examples(params, config, val_examples)
-        report = metrics(confusion(preds, val_labels))
+        _, preds = evaluate_examples(params, config, val_batch)
+        report = metrics(confusion(preds, val_batch.labels))
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / max(n_batches, 1),

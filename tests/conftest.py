@@ -36,6 +36,40 @@ def make_example(vocab, schema, values, max_seq_len=64, label=None):
     return tokenizer.tokenize(flow, vocab, max_seq_len, label)
 
 
+def make_batch(vocab, schema, rows, max_seq_len=64, labels=None):
+    """Rows of feature values, serialized and tokenized as one batch."""
+    flows = [textualize.serialize(FlowRecord(tuple(values), "BENIGN"), schema)
+             for values in rows]
+    return tokenizer.tokenize_rows(flows, vocab, max_seq_len, labels)
+
+
+def take(batch, rows):
+    """The batch's `rows`, cut to the longest of them."""
+    lengths = batch.lengths[rows]
+    labels = None if batch.labels is None else batch.labels[rows]
+    return tokenizer.TokenBatch(batch.ids[rows, :lengths.max()], lengths,
+                                batch.value_lengths[rows], labels)
+
+
+def stack(examples):
+    """Examples' ids padded to the longest with the PAD id (0), and their
+    mask, 0 past each end: built row by row, the layout of a TokenBatch's
+    ids that the batched paths must match."""
+    lengths = np.array([len(e.ids) for e in examples])
+    mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    ids[mask > 0] = np.concatenate([e.ids for e in examples])
+    return ids, mask
+
+
+def batch_of(examples):
+    """Hand-built examples, spans left out, as a TokenBatch."""
+    ids, _ = stack(examples)
+    labels = None if examples[0].label is None else np.array([e.label.value for e in examples])
+    return tokenizer.TokenBatch(ids, np.array([len(e.ids) for e in examples]),
+                                np.zeros((len(examples), 0), np.int64), labels)
+
+
 def small_config(vocab_size, variant=encoder.ABSOLUTE, **kw):
     defaults = dict(
         vocab_size=vocab_size,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from flowig import encoder, training
+from flowig import encoder
 from flowig.encoder import (
     ABSOLUTE,
     DISENTANGLED,
@@ -30,7 +30,7 @@ from flowig.errors import ConfigError
 from flowig.flow_data import CoarseLabel
 from flowig.tokenizer import TokenizedExample
 
-from conftest import finite_diff_check, make_example, randomize_params, small_config
+from conftest import finite_diff_check, make_example, randomize_params, small_config, stack
 
 
 def _window_cases(unclipped):
@@ -551,13 +551,13 @@ class TestTrimmedTrainingStep:
 
     @staticmethod
     def _batch(rng):
-        """Examples of lengths 7, 10 and 9 as `training._stack` pads them
-        (to 10), and padded on to max_seq_len (16)."""
+        """Examples of lengths 7, 10 and 9 padded as a batch pads them (to
+        10), and padded on to max_seq_len (16)."""
         examples = [
             TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel.BENIGN)
             for n in (7, 10, 9)
         ]
-        ids, mask = training._stack(examples)
+        ids, mask = stack(examples)
         assert ids.shape == (3, 10)
         pad = ((0, 0), (0, 6))
         return ids, mask, np.pad(ids, pad), np.pad(mask, pad)

@@ -1,15 +1,19 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowig import tokenizer, textualize
-from flowig.errors import ConfigError, TruncationError
+from flowig.errors import ConfigError, DataError, TruncationError
 from flowig.flow_data import CoarseLabel, FeatureSchema, FlowRecord
-from flowig.tokenizer import CLS, IS, PAD, SEP, build_vocab, reconstruct_values, tokenize
+from flowig.textualize import TextFlow
+from flowig.tokenizer import (
+    CLS, IS, PAD, SEP, TokenizedExample, build_vocab, reconstruct_values, tokenize, tokenize_rows,
+)
 
-from conftest import make_example
+from conftest import make_example, stack
 
 
 class TestBuildVocab:
@@ -113,3 +117,114 @@ class TestTokenize:
         a = make_example(vocab, schema, [123.0] * schema.d)
         b = make_example(vocab, schema, [123.0] * schema.d)
         assert a == b
+
+
+def reference_row(flow, vocab, label=None) -> TokenizedExample:
+    """One flow walked clause by clause and character by character."""
+    id_of = vocab.id_of
+    ids, spans = [id_of[CLS]], []
+    for fi, clause in enumerate(flow.clauses):
+        name = vocab.feature_names[fi]
+        start = len(ids)
+        ids += (id_of[name], id_of[IS])
+        ids += map(id_of.__getitem__, clause[len(f"{name} is "):])
+        spans.append((fi, start, len(ids)))
+        ids.append(id_of[SEP])
+    return TokenizedExample(tuple(ids), (1,) * len(ids), tuple(spans), label)
+
+
+# integers of any sign, fractions that render with an exponent, and values
+# of 1e16 or more, which render with one even when integral
+values = st.one_of(
+    st.integers(-10**9, 10**9).map(float),
+    st.floats(-1e-3, 1e-3, allow_nan=False),
+    st.floats(1e16, 1e300).flatmap(lambda x: st.sampled_from([x, -x, float(int(x))])),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestTokenizeRows:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_character_reference(self, data):
+        d = data.draw(st.sampled_from([1, 3, 11]))
+        schema = FeatureSchema(tuple(f"F{i}" for i in range(d)))
+        vocab = build_vocab(schema)
+        rows = data.draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=1,
+                                  max_size=8))
+        labels = [CoarseLabel(i % 3) for i in range(len(rows))]
+        flows = [textualize.serialize(FlowRecord(tuple(r), "x"), schema) for r in rows]
+        batch = tokenize_rows(flows, vocab, 10_000, labels)
+        want = [reference_row(flow, vocab, label) for flow, label in zip(flows, labels)]
+        assert batch.ids.dtype == np.int64 and batch.ids.shape[1] == max(len(w.ids) for w in want)
+        for i, w in enumerate(want):
+            n = len(w.ids)
+            assert batch.lengths[i] == n
+            assert tuple(batch.ids[i, :n].tolist()) == w.ids
+            assert not batch.ids[i, n:].any()  # PAD after the row's end
+            assert batch.example(i) == w
+        assert batch.labels.tolist() == [label.value for label in labels]
+        # the matrix the batched paths read: the examples stacked row by row
+        ids, mask = stack(want)
+        assert np.array_equal(batch.ids, ids)
+        assert np.array_equal(mask, np.arange(ids.shape[1]) < batch.lengths[:, None])
+
+    def test_mixed_lengths_match_stacked_rows(self, schema, vocab):
+        rng = np.random.default_rng(0)
+        rows = [[float(rng.integers(1, 10 ** k)) for _ in range(schema.d)] for k in (1, 9, 4, 1)]
+        flows = [textualize.serialize(FlowRecord(tuple(r), "x"), schema) for r in rows]
+        batch = tokenize_rows(flows, vocab, 1000)
+        assert len(set(batch.lengths.tolist())) == 3
+        ids, _ = stack([reference_row(flow, vocab) for flow in flows])
+        assert np.array_equal(batch.ids, ids)
+        assert batch.labels is None
+
+    def test_zero_rows(self, vocab):
+        batch = tokenize_rows([], vocab, 64, [])
+        assert len(batch) == 0
+        assert batch.ids.shape == (0, 0) and batch.lengths.shape == (0,)
+        assert batch.labels.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [([("A is 1", "B is 2"), ("A is 1", "C is 2")],
+          "span 1 does not match schema feature 'B'"),
+         ([("A is 1", "B is 2"), ("A is 12", "B is 1x5")],
+          "value character 'x' not in vocabulary"),
+         ([("A is 1", "B is 2"), ("A is 1", "B is \u00e9")],
+          "value character '\u00e9' not in vocabulary"),
+         # of several bad rows, the first in input order is named
+         ([("A is 1", "B is 123456"), ("A is 1", "C is 2")],
+          "sequence of 14 tokens exceeds max_seq_len=12 (first past it: feature 'B')"),
+         ([("A is 1", "C is 2"), ("A is 1", "B is 123456")],
+          "span 1 does not match schema feature 'B'"),
+         ([("A is 123456789", "B is 2"), ("A is x", "B is 2")],
+          "sequence of 17 tokens exceeds max_seq_len=12 (first past it: feature 'A')"),
+         ([("A is 1", "B is 2"), ("A is 123456789", "B is 2"), ("A is 1", "B is 1234567")],
+          "sequence of 17 tokens exceeds max_seq_len=12 (first past it: feature 'A')"),
+         # within one row, a data error comes before its length
+         ([("A is 123456789", "B is 1x")], "value character 'x' not in vocabulary"),
+         ([("A is 1x", "C is 2")], "value character 'x' not in vocabulary"),
+         ([("A is 1", "B is 2", "A is 3")], "flow 0 has 3 clauses, the schema 2 features")],
+        ids=["feature-name", "value-character", "non-ascii-character", "long-then-bad",
+             "bad-then-long", "long-then-bad-character", "first-long-row", "bad-inside-long-row", "value-before-name",
+             "clause-count"],
+    )
+    def test_first_bad_row_named(self, rows, message):
+        vocab = build_vocab(FeatureSchema(("A", "B")))
+        with pytest.raises(DataError) as info:
+            tokenize_rows([TextFlow(r) for r in rows], vocab, 12)
+        assert str(info.value) == message
+
+    def test_ids_past_the_surrogate_range(self):
+        # ids are never carried as code points, so a vocabulary past 0xD800 works
+        d = 0xD800
+        schema = FeatureSchema(tuple(f"F{i}" for i in range(d)))
+        vocab = build_vocab(schema)
+        assert vocab.id_of["F0"] < 0xD800 < vocab.id_of[f"F{d - 1}"]
+        flow = textualize.serialize(FlowRecord((7.0,) * d, "x"), schema)
+        batch = tokenize_rows([flow], vocab, 4 * d + 1)
+        assert batch.ids[0, -5:].tolist() == [
+            vocab.id_of[SEP], vocab.id_of[f"F{d - 1}"], vocab.id_of[IS], vocab.id_of["7"],
+            vocab.id_of[SEP]]
+        assert batch.lengths[0] == 1 + 4 * d

@@ -41,10 +41,11 @@ def test_traced_name_resolves(module, name):
 
 
 def test_probes_read_a_mixed_length_pass(vocab, schema, monkeypatch):
-    # tokenize -> evaluate_examples -> integrated_gradients under the tracer,
-    # on flows whose values render to different token lengths; the last one
-    # is long enough that its IG path takes more than one encoder call after
-    # the one for F(x) and F(x')
+    # tokenize_rows -> evaluate_examples, then tokenize -> integrated_gradients
+    # for two of the flows, as `evaluate` and `explain` run them, under the
+    # tracer, on flows whose values render to different token lengths; the
+    # last one is long enough that its IG path takes more than one encoder
+    # call after the one for F(x) and F(x')
     tracing = _tracing()
     cfg = small_config(vocab.size, max_seq_len=128, d_model=16, d_ff=24)
     # 512 positions per encoder call, as the default budget gives at d_model 64
@@ -58,24 +59,26 @@ def test_probes_read_a_mixed_length_pass(vocab, schema, monkeypatch):
     steps = 7
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
-        examples = [tokenizer.tokenize(textualize.serialize(rec, schema), vocab, 128,
-                                       COARSE_LABELS[i % 3])
-                    for i, rec in enumerate(records)]
-        training.evaluate_examples(params, cfg, examples)
-        for e in (examples[0], examples[-1]):
+        flows = [textualize.serialize(rec, schema) for rec in records]
+        batch = tokenizer.tokenize_rows(flows, vocab, 128,
+                                        [COARSE_LABELS[i % 3] for i in range(len(flows))])
+        training.evaluate_examples(params, cfg, batch)
+        examples = [tokenizer.tokenize(flows[i], vocab, 128, COARSE_LABELS[i % 3])
+                    for i in (0, len(flows) - 1)]
+        for e in examples:
             attribution.integrated_gradients(params, cfg, e, e.label,
                                              attribution.IGConfig(steps=steps))
     metrics = tracing.layer_metrics(tracer.spans)
 
     assert all(math.isfinite(v) for v in metrics.values()), metrics
     assert metrics["tokenizer.pad_share"] == 0
-    assert len({len(e.ids) for e in examples}) > 1
-    # evaluate_examples chunks the examples in stable length order
-    by_length = sorted(examples, key=lambda e: len(e.ids))
-    parts = encoder.row_chunks([len(e.ids) for e in by_length], cfg.d_model)
-    masks = [training._stack(by_length[part])[1] for part in parts]
+    assert len(set(batch.lengths.tolist())) > 1
+    # evaluate_examples chunks the rows in stable length order
+    order = np.argsort(batch.lengths, kind="stable")
+    parts = encoder.row_chunks(batch.lengths[order], cfg.d_model)
+    masks = [training._rows(batch, order[part])[1] for part in parts]
     masked = sum(m.size - m.sum() for m in masks)
-    ig_lengths = [len(examples[0].ids), len(examples[-1].ids)]
+    ig_lengths = [len(e.ids) for e in examples]
     positions = sum(m.size for m in masks) + sum((steps + 2) * n for n in ig_lengths)
     assert masked > 0
     assert metrics["encoder.pad_share"] == pytest.approx(masked / positions, rel=1e-12)

@@ -13,10 +13,10 @@ from flowig.cli import main
 from flowig.errors import DataError, NumericError
 from flowig.evaluation import confusion, metrics
 from flowig.flow_data import CoarseLabel
-from flowig.tokenizer import TokenizedExample
+from flowig.tokenizer import TokenizedExample, tokenize_rows
 from flowig.training import TrainConfig, _loss_rows, class_weights, train
 
-from conftest import make_example, randomize_params, small_config
+from conftest import batch_of, make_batch, make_example, randomize_params, small_config, stack, take
 
 
 class TestClassWeights:
@@ -102,7 +102,7 @@ class TestWeightedCrossEntropy:
 def tiny_corpus(vocab, schema, n_per_class=8):
     """Separable toy set: first feature high for DDoS, low otherwise."""
     rng = np.random.default_rng(0)
-    examples = []
+    rows, labels = [], []
     for label in (CoarseLabel.BENIGN, CoarseLabel.DDOS, CoarseLabel.WEB_ATTACK):
         for _ in range(n_per_class):
             values = [float(rng.integers(100, 200)) for _ in range(schema.d)]
@@ -110,14 +110,15 @@ def tiny_corpus(vocab, schema, n_per_class=8):
                 values[0] = float(rng.integers(900, 1000))
             elif label is CoarseLabel.WEB_ATTACK:
                 values[1] = float(rng.integers(900, 1000))
-            examples.append(make_example(vocab, schema, values, label=label))
-    return examples
+            rows.append(values)
+            labels.append(label)
+    return make_batch(vocab, schema, rows, labels=labels)
 
 
 @pytest.fixture(scope="module")
 def corpus(vocab, schema):
-    ex = tiny_corpus(vocab, schema)
-    return ex, ex[::3]
+    batch = tiny_corpus(vocab, schema)
+    return batch, take(batch, slice(None, None, 3))
 
 
 class TestTrain:
@@ -150,6 +151,14 @@ class TestTrain:
         else:
             assert len(log.epochs) <= 10
 
+    @pytest.mark.parametrize("empty", ["training", "validation"])
+    def test_empty_split_refused(self, vocab, corpus, empty):
+        batches = dict(zip(("training", "validation"), corpus))
+        batches[empty] = tokenize_rows([], vocab, 64, [])
+        cfg = small_config(vocab.size, max_seq_len=64)
+        with pytest.raises(DataError, match=f"^{empty} split is empty$"):
+            train(encoder.init_params(cfg), cfg, *batches.values(), (1.0, 1.0, 1.0))
+
     def test_best_params_kept(self, vocab, corpus):
         best, log = self.run_train(vocab, corpus)
         assert log.best_epoch >= 1
@@ -157,7 +166,7 @@ class TestTrain:
         train_ex, val_ex = corpus
         cfg = small_config(vocab.size, max_seq_len=64, d_model=16, d_ff=24, dropout_rate=0.1)
         _, preds = training.evaluate_examples(best, cfg, val_ex)
-        cm = confusion(preds, [e.label.value for e in val_ex])
+        cm = confusion(preds, val_ex.labels)
         assert abs(metrics(cm).macro_f1 - log.best_val_macro_f1) < 1e-12
 
 
@@ -179,6 +188,9 @@ def _active_length(mask):
 
 
 class TestStack:
+    """A batch's rows as `training._rows` cuts them for one encoder call: all
+    but the first, in reverse order."""
+
     @pytest.mark.parametrize(
         "lengths", [(3, 5, 1), (3,), (7, 10, 9), (4, 4), (16, 2)],
         ids=["mixed", "single", "mixed-longest-inside", "equal", "full-width"],
@@ -189,10 +201,11 @@ class TestStack:
             TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel(i % 3))
             for i, n in enumerate(lengths)
         ]
-        ids, mask = training._stack(examples)
-        want_ids, want_mask = _padded(examples, 16)
+        rows = np.arange(len(lengths))[:0:-1] if len(lengths) > 1 else np.array([0])
+        ids, mask = training._rows(batch_of(examples), rows)
+        want_ids, want_mask = _padded([examples[i] for i in rows], 16)
         n = _active_length(want_mask)
-        assert n == max(lengths)
+        assert n == max(lengths[i] for i in rows)
         assert ids.dtype == want_ids.dtype and mask.dtype == want_mask.dtype
         assert np.array_equal(ids, want_ids[:, :n])
         assert np.array_equal(mask, want_mask[:, :n])
@@ -202,15 +215,10 @@ class TestEvaluateExamples:
     @pytest.mark.parametrize("variant", [encoder.ABSOLUTE, encoder.DISENTANGLED])
     def test_trimmed_chunks_match_untrimmed(self, vocab, schema, variant, monkeypatch):
         rng = np.random.default_rng(1)
-        examples = [
-            make_example(
-                vocab,
-                schema,
-                [float(rng.integers(1, 10 ** int(rng.integers(1, 5)))) for _ in range(schema.d)],
-                label=CoarseLabel.BENIGN,
-            )
-            for _ in range(10)
-        ]
+        rows = [[float(rng.integers(1, 10 ** int(rng.integers(1, 5)))) for _ in range(schema.d)]
+                for _ in range(10)]
+        batch = make_batch(vocab, schema, rows, labels=[CoarseLabel.BENIGN] * 10)
+        examples = [make_example(vocab, schema, values) for values in rows]
         lengths = {len(e.ids) for e in examples}
         assert len(lengths) > 1 and max(lengths) < 64
         cfg = small_config(vocab.size, variant, max_seq_len=64, d_model=16, d_ff=24)
@@ -219,7 +227,7 @@ class TestEvaluateExamples:
         want, _ = encoder.forward_batch(params, cfg, ids, mask)
         # at most 3 rows per call, so the 10 examples take 4 calls or more
         monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 3 * min(lengths) * cfg.d_model)
-        logits, preds = training.evaluate_examples(params, cfg, examples)
+        logits, preds = training.evaluate_examples(params, cfg, batch)
         np.testing.assert_allclose(logits, want, rtol=1e-12, atol=0)
         assert np.array_equal(preds, want.argmax(axis=1))
 
@@ -227,12 +235,11 @@ class TestEvaluateExamples:
     def test_length_sorted_chunks_keep_input_order(self, vocab, schema, variant, monkeypatch):
         rng = np.random.default_rng(2)
         digits = [1, 8, 2, 7, 1, 6, 3, 8, 2]
-        examples = [
-            make_example(vocab, schema,
-                         [float(rng.integers(10 ** (k - 1), 10 ** k)) for _ in range(schema.d)],
-                         max_seq_len=128, label=CoarseLabel(i % 3))
-            for i, k in enumerate(digits)
-        ]
+        rows = [[float(rng.integers(10 ** (k - 1), 10 ** k)) for _ in range(schema.d)]
+                for k in digits]
+        batch = make_batch(vocab, schema, rows, max_seq_len=128,
+                           labels=[CoarseLabel(i % 3) for i in range(len(rows))])
+        examples = [make_example(vocab, schema, values, max_seq_len=128) for values in rows]
         lengths = np.array([len(e.ids) for e in examples])
         order = np.argsort(lengths, kind="stable")
         cfg = small_config(vocab.size, variant, max_seq_len=128, d_model=16, d_ff=24)
@@ -242,7 +249,7 @@ class TestEvaluateExamples:
         by_length = {frozenset(order[part].tolist()) for part in parts}
         assert len(parts) > 1 and in_order != by_length
         params = randomize_params(encoder.init_params(cfg), rng)
-        logits, preds = training.evaluate_examples(params, cfg, examples)
+        logits, preds = training.evaluate_examples(params, cfg, batch)
         want = np.concatenate([
             encoder.forward_batch(params, cfg, np.array([e.ids]), np.ones((1, len(e.ids))))[0]
             for e in examples
@@ -257,10 +264,9 @@ class TestEvaluateExamples:
         rng = np.random.default_rng(4)
         values = [[float(rng.integers(1, 10 ** int(rng.integers(1, 5)))) for _ in range(schema.d)]
                   for _ in range(6)]
-        labeled = [make_example(vocab, schema, v, label=CoarseLabel(i % 3))
-                   for i, v in enumerate(values)]
-        unlabeled = [make_example(vocab, schema, v) for v in values]
-        assert all(e.label is None for e in unlabeled)
+        labeled = make_batch(vocab, schema, values, labels=[CoarseLabel(i % 3) for i in range(6)])
+        unlabeled = make_batch(vocab, schema, values)
+        assert unlabeled.labels is None
         cfg = small_config(vocab.size, variant, max_seq_len=64, layers=2, d_model=16, d_ff=24)
         params = randomize_params(encoder.init_params(cfg), rng)
         logits, preds = training.evaluate_examples(params, cfg, unlabeled)
@@ -272,10 +278,11 @@ class TestEvaluateExamples:
         # init_params zeroes the head, so every logit ties and the tie goes
         # to the lowest class index
         rng = np.random.default_rng(3)
-        examples = [make_example(vocab, schema, [float(v) for v in rng.integers(0, 100, schema.d)],
-                                 label=CoarseLabel(i % 3)) for i in range(5)]
+        batch = make_batch(vocab, schema,
+                           [[float(v) for v in rng.integers(0, 100, schema.d)] for _ in range(5)],
+                           labels=[CoarseLabel(i % 3) for i in range(5)])
         cfg = small_config(vocab.size, max_seq_len=64)
-        logits, preds = training.evaluate_examples(encoder.init_params(cfg), cfg, examples)
+        logits, preds = training.evaluate_examples(encoder.init_params(cfg), cfg, batch)
         assert (logits == 0).all()
         assert preds.dtype == np.int64
         assert preds.tolist() == [0] * 5
@@ -309,7 +316,7 @@ class TestChunkedStep:
             TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel(i % 3))
             for i, n in enumerate((7, 10, 9, 12, 5, 11, 8))
         ]
-        ids, mask = training._stack(examples)
+        ids, mask = stack(examples)
         labels = np.array([e.label.value for e in examples])
         w = np.array([0.7, 1.1, 1.4])
         dropout = encoder.dropout_masks(np.random.default_rng(4), cfg, *ids.shape)
@@ -378,7 +385,7 @@ def test_every_encoder_call_fits_the_budget(vocab, corpus, monkeypatch, budget):
     params, _ = train(encoder.init_params(cfg), cfg, train_ex, val_ex, class_weights((8, 8, 8)),
                       TrainConfig(epochs=1, batch_size=8))
     training.evaluate_examples(params, cfg, train_ex)
-    for e in val_ex[:2]:
+    for e in map(val_ex.example, range(2)):
         attribution.integrated_gradients(params, cfg, e, e.label, attribution.IGConfig(steps=6))
     assert calls
     assert all(rows * L * D <= max(budget, L * D) for rows, L, D in calls), calls
@@ -391,15 +398,15 @@ def test_evaluate_peak_memory_does_not_grow_with_rows(vocab, schema, monkeypatch
     monkeypatch.setattr(encoder, "_WORKERS", 1)
     cfg = small_config(vocab.size, max_seq_len=64, layers=2, d_model=16, d_ff=24)
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(5))
-    one = make_example(vocab, schema, [float(100 + 37 * i) for i in range(schema.d)],
-                       label=CoarseLabel.BENIGN)
+    values = [float(100 + 37 * i) for i in range(schema.d)]
+    one = make_example(vocab, schema, values, label=CoarseLabel.BENIGN)
     assert 512 * len(one.ids) * cfg.d_model > 8 * encoder._CHUNK_FLOATS
 
     def peak(n):
-        examples = [one] * n
+        batch = make_batch(vocab, schema, [values] * n, labels=[CoarseLabel.BENIGN] * n)
         tracemalloc.start()
         try:
-            training.evaluate_examples(params, cfg, examples)
+            training.evaluate_examples(params, cfg, batch)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -420,8 +427,8 @@ def test_disentangled_peak_memory_below_one_distance_table(monkeypatch, call):
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(3))
     rng = np.random.default_rng(4)
     L = 300
-    rows = [TokenizedExample(tuple(rng.integers(1, 40, n).tolist()), (1,) * n, ())
-            for n in range(L - 10, L)]
+    rows = batch_of([TokenizedExample(tuple(rng.integers(1, 40, n).tolist()), (1,) * n, ())
+                     for n in range(L - 10, L)])
     ids = rng.integers(1, 40, size=(4, L))
     dropout = encoder.dropout_masks(rng, cfg, 4, L)
 

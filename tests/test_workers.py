@@ -22,7 +22,7 @@ from flowig.flow_data import CoarseLabel
 from flowig.tokenizer import TokenizedExample
 from flowig.training import TrainConfig, class_weights, train
 
-from conftest import make_example, randomize_params, small_config
+from conftest import make_batch, make_example, randomize_params, small_config, stack, take
 
 
 class InTurn:
@@ -42,14 +42,12 @@ class InTurn:
         return future
 
 
-def _examples(vocab, schema, n, seed):
-    """n labeled examples whose values render to different token lengths."""
+def _batch(vocab, schema, n, seed):
+    """n labeled rows whose values render to different token lengths."""
     rng = np.random.default_rng(seed)
-    return [make_example(vocab, schema,
-                         [float(rng.integers(1, 10 ** int(rng.integers(1, 5))))
-                          for _ in range(schema.d)],
-                         label=CoarseLabel(i % 3))
-            for i in range(n)]
+    rows = [[float(rng.integers(1, 10 ** int(rng.integers(1, 5)))) for _ in range(schema.d)]
+            for _ in range(n)]
+    return make_batch(vocab, schema, rows, labels=[CoarseLabel(i % 3) for i in range(n)])
 
 
 def _record_threads(monkeypatch) -> list:
@@ -91,7 +89,7 @@ class TestSameBitsAsInTurn:
             TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel(i % 3))
             for i, n in enumerate((7, 10, 9, 12, 5, 11, 8))
         ]
-        ids, mask = training._stack(examples)
+        ids, mask = stack(examples)
         labels = np.array([e.label.value for e in examples])
         dropout = encoder.dropout_masks(np.random.default_rng(4), cfg, *ids.shape)
         # 2 rows per call, so the 7 rows take 4
@@ -119,14 +117,14 @@ class TestSameBitsAsInTurn:
         assert got.completeness_gap == want.completeness_gap
 
     def test_evaluate_examples(self, monkeypatch, vocab, schema, workers, variant):
-        examples = _examples(vocab, schema, 12, seed=2)
-        assert len({len(e.ids) for e in examples}) > 1
+        batch = _batch(vocab, schema, 12, seed=2)
+        assert len(set(batch.lengths.tolist())) > 1
         cfg = small_config(vocab.size, variant, max_seq_len=64, layers=2, d_model=16, d_ff=24)
         p = randomize_params(encoder.init_params(cfg), np.random.default_rng(5))
-        longest = max(len(e.ids) for e in examples)
+        longest = int(batch.lengths.max())
         monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 2 * longest * cfg.d_model)
         (logits, preds), (want, want_preds) = _in_turn_and_on_pool(
-            monkeypatch, workers, lambda: training.evaluate_examples(p, cfg, examples))
+            monkeypatch, workers, lambda: training.evaluate_examples(p, cfg, batch))
         assert np.array_equal(logits, want)
         assert np.array_equal(preds, want_preds)
 
@@ -138,7 +136,7 @@ def test_every_call_fits_the_whole_budget(vocab, schema, monkeypatch, workers, b
     # 2-layer encoder; at 100 float64 no row fits, so each call takes one row.
     # Every call runs on the pool, IG's calls for F(x) and F(x') too, and
     # each is cut to the whole budget
-    examples = _examples(vocab, schema, 24, seed=0)
+    batch = _batch(vocab, schema, 24, seed=0)
     cfg = small_config(vocab.size, max_seq_len=64, layers=2, d_model=16, d_ff=24,
                        dropout_rate=0.1)
     calls = []
@@ -151,10 +149,10 @@ def test_every_call_fits_the_whole_budget(vocab, schema, monkeypatch, workers, b
     monkeypatch.setattr(encoder, "forward_from_embeddings", recording)
     monkeypatch.setattr(encoder, "_CHUNK_FLOATS", budget)
     monkeypatch.setattr(encoder, "_WORKERS", workers)
-    params, _ = train(encoder.init_params(cfg), cfg, examples, examples[::3],
+    params, _ = train(encoder.init_params(cfg), cfg, batch, take(batch, slice(None, None, 3)),
                       class_weights((8, 8, 8)), TrainConfig(epochs=1, batch_size=8))
-    training.evaluate_examples(params, cfg, examples)
-    for e in examples[:2]:
+    training.evaluate_examples(params, cfg, batch)
+    for e in map(batch.example, range(2)):
         attribution.integrated_gradients(params, cfg, e, e.label, attribution.IGConfig(steps=6))
     assert calls and not any(main for *_, main in calls)
     assert all(rows * L * D <= max(budget, L * D) for rows, L, D, _ in calls), calls
@@ -248,7 +246,7 @@ def test_any_value_is_a_part(monkeypatch, workers):
 
 def test_one_layer_encoder_runs_in_turn(vocab, schema, monkeypatch):
     # its ops are too small to overlap, so it never submits to the pool
-    examples = _examples(vocab, schema, 24, seed=1)
+    batch = _batch(vocab, schema, 24, seed=1)
     cfg = small_config(vocab.size, max_seq_len=64, layers=1, d_model=16, d_ff=24,
                        dropout_rate=0.1)
     pool = InTurn()
@@ -256,14 +254,15 @@ def test_one_layer_encoder_runs_in_turn(vocab, schema, monkeypatch):
     monkeypatch.setattr(encoder, "_WORKERS", 2)
     monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 4 * 64 * cfg.d_model)
     threads = _record_threads(monkeypatch)
-    params, _ = train(encoder.init_params(cfg), cfg, examples, examples[::3],
+    params, _ = train(encoder.init_params(cfg), cfg, batch, take(batch, slice(None, None, 3)),
                       class_weights((8, 8, 8)), TrainConfig(epochs=1, batch_size=8))
-    training.evaluate_examples(params, cfg, examples)
-    attribution.integrated_gradients(params, cfg, examples[0], examples[0].label,
+    training.evaluate_examples(params, cfg, batch)
+    first = batch.example(0)
+    attribution.integrated_gradients(params, cfg, first, first.label,
                                      attribution.IGConfig(steps=64))
     assert pool.submitted == 0
     assert threads and set(threads) == {threading.current_thread()}
-    lengths = sorted(len(e.ids) for e in examples)
+    lengths = sorted(batch.lengths.tolist())
     want = list(encoder.row_chunks(lengths, cfg.d_model))
     parts = [part for part, _ in encoder.map_chunks(lambda part: None, iter(want), cfg)]
     assert parts == want
@@ -275,15 +274,16 @@ def test_peak_memory_stays_at_one_chunk_per_worker(vocab, schema, monkeypatch, w
     # turn, and no more than `workers` chunks are in flight
     cfg = small_config(vocab.size, max_seq_len=64, layers=2, d_model=16, d_ff=24)
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(5))
-    one = make_example(vocab, schema, [float(100 + 37 * i) for i in range(schema.d)],
-                       label=CoarseLabel.BENIGN)
+    values = [float(100 + 37 * i) for i in range(schema.d)]
+    one = make_example(vocab, schema, values, label=CoarseLabel.BENIGN)
     assert 512 * len(one.ids) * cfg.d_model > 8 * encoder._CHUNK_FLOATS
 
     def peak(n, w):
         monkeypatch.setattr(encoder, "_WORKERS", w)
+        batch = make_batch(vocab, schema, [values] * n, labels=[CoarseLabel.BENIGN] * n)
         tracemalloc.start()
         try:
-            training.evaluate_examples(params, cfg, [one] * n)
+            training.evaluate_examples(params, cfg, batch)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -296,18 +296,18 @@ def test_bits_do_not_depend_on_the_worker_count(vocab, schema, monkeypatch):
     # a small 2-layer run, trained with dropout and then explained: every
     # call is cut to the whole budget whatever `_WORKERS` is, so the chunk
     # sums round alike and the parameters and attributions keep their bytes
-    examples = _examples(vocab, schema, 40, seed=3)
+    batch = _batch(vocab, schema, 40, seed=3)
     cfg = small_config(vocab.size, encoder.DISENTANGLED, max_seq_len=64, layers=2, d_model=16,
                        d_ff=24, dropout_rate=0.1)
     monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 3 * 64 * cfg.d_model)  # 3 or more rows a call
 
     def run(workers):
         monkeypatch.setattr(encoder, "_WORKERS", workers)
-        params, _ = train(encoder.init_params(cfg), cfg, examples, examples[::4],
+        params, _ = train(encoder.init_params(cfg), cfg, batch, take(batch, slice(None, None, 4)),
                           class_weights((14, 13, 13)), TrainConfig(epochs=2, batch_size=16))
         attrs = [attribution.integrated_gradients(params, cfg, e, e.label,
                                                   attribution.IGConfig(steps=16)).token_attr
-                 for e in examples[:3]]
+                 for e in map(batch.example, range(3))]
         return [params[k].tobytes() for k in sorted(params)] + [a.tobytes() for a in attrs]
 
     want = run(1)
