@@ -148,9 +148,10 @@ def _load_split(work: Path, name: str, cfg: RunConfig) -> LabeledDataset:
 
 
 def _tokenized(records, cfg: RunConfig, max_seq_len: int) -> tokenizer.TokenBatch:
-    """The (record, label) rows serialized and tokenized as one batch."""
+    """The (record, label) rows serialized and tokenized as one batch; a
+    row's text lives only while its block of rows is tokenized."""
     schema = cfg.feature_schema()
-    flows = [textualize.serialize(rec, schema) for rec, _ in records]
+    flows = (textualize.serialize(rec, schema) for rec, _ in records)
     return tokenizer.tokenize_rows(flows, cfg.vocab, max_seq_len, [label for _, label in records])
 
 
@@ -279,8 +280,9 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
     schema = cfg.feature_schema()
     rows = [test_ds.records[i] for i in chosen]
     flows = [textualize.serialize(rec, schema) for rec, _ in rows]
-    examples = [tokenizer.tokenize(flow, cfg.vocab, enc_cfg.max_seq_len, label)
-                for flow, (_, label) in zip(flows, rows)]
+    batch = tokenizer.tokenize_rows(flows, cfg.vocab, enc_cfg.max_seq_len,
+                                    [label for _, label in rows])
+    examples = [batch.example(i) for i in range(len(batch))]
     matrix, results = attribution.class_attribution_matrix(
         params, enc_cfg, examples, schema, cfg.ig_cfg, cfg.top_k, pad_id=cfg.vocab.pad_id,
     )

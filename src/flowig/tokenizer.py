@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,28 +105,24 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
 
 
-def tokenize_rows(
-    flows: Sequence[TextFlow],
-    vocab: Vocab,
-    max_seq_len: int,
-    labels: Sequence[CoarseLabel] | None = None,
-) -> TokenBatch:
-    """Every flow laid out as `tokenize` lays one out, in one padded batch.
+# rows checked and mapped to ids at a time, so that only one block's text
+# and per-character index arrays are alive at once
+_BLOCK_ROWS = 1024
 
-    The split's characters are checked and mapped to ids in a few whole-array
-    steps: the clauses are joined into one string and read as code points,
-    and each value's characters are cut from it by index. The error names
-    the first bad flow in input order: a clause without its feature's
-    "name is " prefix, a value character that is not a number token, or a
-    flow longer than `max_seq_len`, whose length is named only if none of
-    its clauses is bad.
-    """
-    names, id_of = vocab.feature_names, vocab.id_of
-    d, n = len(names), len(flows)
+
+def _value_tokens(
+    flows: list[TextFlow], first: int, vocab: Vocab, max_seq_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The flows' value lengths (rows, features) and their value characters'
+    ids in one array, rows in order. Raises for the first bad flow, which
+    is flow `first + r` of the split for the r-th flow here."""
+    names = vocab.feature_names
+    d = len(names)
+    r = next((r for r, flow in enumerate(flows) if len(flow.clauses) != d), None)
+    if r is not None:
+        raise DataError(f"flow {first + r} has {len(flows[r].clauses)} clauses,"
+                        f" the schema {d} features")
     clauses = list(itertools.chain.from_iterable(flow.clauses for flow in flows))
-    if len(clauses) != n * d:
-        r = next(r for r, flow in enumerate(flows) if len(flow.clauses) != d)
-        raise DataError(f"flow {r} has {len(flows[r].clauses)} clauses, the schema {d} features")
     prefixes = clause_prefixes(names)
     # the first bad clause's error, and how many clauses come before it
     data_error, limit = None, len(clauses)
@@ -149,16 +145,45 @@ def tokenize_rows(
     rows = limit // d  # the rows before the first data error
     value_lens = value_lens[: rows * d].reshape(rows, d)
     ends = np.cumsum(3 + value_lens, axis=1)  # each feature's [SEP] position
-    lengths = ends[:, -1] + 1
-    too_long = np.flatnonzero(lengths > max_seq_len)
+    too_long = np.flatnonzero(ends[:, -1] + 1 > max_seq_len)
     if too_long.size:
         r = too_long[0]
         fi = int(np.argmax(ends[r] >= max_seq_len))  # its first [SEP] past the limit
-        raise TruncationError(f"sequence of {lengths[r]} tokens exceeds max_seq_len={max_seq_len}"
-                              f" (first past it: feature {names[fi]!r})")
+        raise TruncationError(f"sequence of {ends[r, -1] + 1} tokens exceeds"
+                              f" max_seq_len={max_seq_len} (first past it: feature {names[fi]!r})")
     if data_error is not None:
         raise data_error
+    return value_lens, value_ids.astype(np.min_scalar_type(vocab.size))
 
+
+def tokenize_rows(
+    flows: Iterable[TextFlow],
+    vocab: Vocab,
+    max_seq_len: int,
+    labels: Iterable[CoarseLabel] | None = None,
+) -> TokenBatch:
+    """Every flow laid out as `tokenize` lays one out, in one padded batch.
+
+    The flows are read in blocks of rows, and each block's characters are
+    checked and mapped to ids in a few whole-array steps: its clauses are
+    joined into one string and read as code points, and each value's
+    characters are cut from it by index. The error names the first bad
+    flow in input order: one with another number of clauses than the
+    schema has features, a clause without its feature's "name is " prefix,
+    a value character that is not a number token, or a flow longer than
+    `max_seq_len`, whose length is named only if none of its clauses is bad.
+    """
+    names, id_of = vocab.feature_names, vocab.id_of
+    flows = iter(flows)
+    blocks = [_value_tokens(part, k * _BLOCK_ROWS, vocab, max_seq_len)
+              for k, part in enumerate(iter(lambda: list(itertools.islice(flows, _BLOCK_ROWS)), []))]
+    value_lens = np.concatenate([np.zeros((0, len(names)), np.int64), *(v for v, _ in blocks)])
+    value_ids = np.concatenate([np.zeros(0, np.uint8), *(v for _, v in blocks)])
+    del blocks
+
+    n = len(value_lens)
+    ends = np.cumsum(3 + value_lens, axis=1)  # each feature's [SEP] position
+    lengths = ends[:, -1] + 1
     starts = ends - 2 - value_lens  # each feature's name position
     ids = np.zeros((n, lengths.max(initial=0)), np.int64)
     at = np.arange(n)[:, None]
@@ -166,7 +191,8 @@ def tokenize_rows(
     ids[at, starts] = [id_of[name] for name in names]
     ids[at, starts + 1] = id_of[IS]
     ids[at, ends] = id_of[SEP]
-    np.put(ids, _runs((at * ids.shape[1] + starts + 2).ravel(), value_lens.ravel()), value_ids)
+    # the positions still PAD before each row's end are its values', in order
+    ids[(ids == 0) & (np.arange(ids.shape[1]) < lengths[:, None])] = value_ids
     if labels is not None:
         labels = np.fromiter((label.value for label in labels), np.int64, n)
     return TokenBatch(ids, lengths, value_lens, labels)

@@ -205,16 +205,34 @@ class TestTokenizeRows:
          # within one row, a data error comes before its length
          ([("A is 123456789", "B is 1x")], "value character 'x' not in vocabulary"),
          ([("A is 1x", "C is 2")], "value character 'x' not in vocabulary"),
-         ([("A is 1", "B is 2", "A is 3")], "flow 0 has 3 clauses, the schema 2 features")],
+         ([("A is 1", "B is 2", "A is 3")], "flow 0 has 3 clauses, the schema 2 features"),
+         # a short flow and a long one whose clause counts add up to two rows'
+         ([("A is 1",), ("B is 2", "A is 3", "B is 4")],
+          "flow 0 has 1 clauses, the schema 2 features"),
+         ([("A is 1", "B is 2")] * 3 + [("A is 1",)], "flow 3 has 1 clauses, the schema 2 features")],
         ids=["feature-name", "value-character", "non-ascii-character", "long-then-bad",
              "bad-then-long", "long-then-bad-character", "first-long-row", "bad-inside-long-row", "value-before-name",
-             "clause-count"],
+             "clause-count", "clause-counts-compensate", "clause-count-late"],
     )
-    def test_first_bad_row_named(self, rows, message):
+    # a block of one row puts each row of a case in a block of its own
+    @pytest.mark.parametrize("block_rows", [tokenizer._BLOCK_ROWS, 1], ids=["one-block", "row-blocks"])
+    def test_first_bad_row_named(self, rows, message, block_rows, monkeypatch):
+        monkeypatch.setattr(tokenizer, "_BLOCK_ROWS", block_rows)
         vocab = build_vocab(FeatureSchema(("A", "B")))
         with pytest.raises(DataError) as info:
             tokenize_rows([TextFlow(r) for r in rows], vocab, 12)
         assert str(info.value) == message
+
+    def test_blocks_of_rows_make_one_batch(self, schema, vocab, monkeypatch):
+        rng = np.random.default_rng(3)
+        rows = [[float(rng.integers(1, 10 ** k)) for _ in range(schema.d)] for k in (2, 9, 1, 5, 3)]
+        flows = [textualize.serialize(FlowRecord(tuple(r), "x"), schema) for r in rows]
+        labels = [CoarseLabel(i % 3) for i in range(len(rows))]
+        whole = tokenize_rows(flows, vocab, 1000, labels)
+        monkeypatch.setattr(tokenizer, "_BLOCK_ROWS", 2)
+        blocks = tokenize_rows(iter(flows), vocab, 1000, iter(labels))  # read in one pass
+        for field in ("ids", "lengths", "value_lengths", "labels"):
+            assert np.array_equal(getattr(blocks, field), getattr(whole, field)), field
 
     def test_ids_past_the_surrogate_range(self):
         # ids are never carried as code points, so a vocabulary past 0xD800 works

@@ -41,11 +41,11 @@ def test_traced_name_resolves(module, name):
 
 
 def test_probes_read_a_mixed_length_pass(vocab, schema, monkeypatch):
-    # tokenize_rows -> evaluate_examples, then tokenize -> integrated_gradients
-    # for two of the flows, as `evaluate` and `explain` run them, under the
-    # tracer, on flows whose values render to different token lengths; the
-    # last one is long enough that its IG path takes more than one encoder
-    # call after the one for F(x) and F(x')
+    # tokenize_rows -> evaluate_examples, then tokenize_rows ->
+    # integrated_gradients for two of the flows, as `evaluate` and `explain`
+    # run them, under the tracer, on flows whose values render to different
+    # token lengths; the last one is long enough that its IG path takes more
+    # than one encoder call after the one for F(x) and F(x')
     tracing = _tracing()
     cfg = small_config(vocab.size, max_seq_len=128, d_model=16, d_ff=24)
     # 512 positions per encoder call, as the default budget gives at d_model 64
@@ -63,8 +63,9 @@ def test_probes_read_a_mixed_length_pass(vocab, schema, monkeypatch):
         batch = tokenizer.tokenize_rows(flows, vocab, 128,
                                         [COARSE_LABELS[i % 3] for i in range(len(flows))])
         training.evaluate_examples(params, cfg, batch)
-        examples = [tokenizer.tokenize(flows[i], vocab, 128, COARSE_LABELS[i % 3])
-                    for i in (0, len(flows) - 1)]
+        chosen = tokenizer.tokenize_rows([flows[0], flows[-1]], vocab, 128,
+                                         [COARSE_LABELS[0], COARSE_LABELS[(len(flows) - 1) % 3]])
+        examples = [chosen.example(i) for i in range(len(chosen))]
         for e in examples:
             attribution.integrated_gradients(params, cfg, e, e.label,
                                              attribution.IGConfig(steps=steps))

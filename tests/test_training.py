@@ -188,20 +188,19 @@ def _active_length(mask):
 
 
 class TestStack:
-    """A batch's rows as `training._rows` cuts them for one encoder call: all
-    but the first, in reverse order."""
+    """A batch's rows as `training._rows` cuts them for one encoder call."""
 
-    @pytest.mark.parametrize(
+    LENGTHS = pytest.mark.parametrize(
         "lengths", [(3, 5, 1), (3,), (7, 10, 9), (4, 4), (16, 2)],
         ids=["mixed", "single", "mixed-longest-inside", "equal", "full-width"],
     )
-    def test_matches_padded_then_cut(self, lengths):
+
+    def check(self, lengths, rows):
         rng = np.random.default_rng(len(lengths))
         examples = [
             TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel(i % 3))
             for i, n in enumerate(lengths)
         ]
-        rows = np.arange(len(lengths))[:0:-1] if len(lengths) > 1 else np.array([0])
         ids, mask = training._rows(batch_of(examples), rows)
         want_ids, want_mask = _padded([examples[i] for i in rows], 16)
         n = _active_length(want_mask)
@@ -209,6 +208,15 @@ class TestStack:
         assert ids.dtype == want_ids.dtype and mask.dtype == want_mask.dtype
         assert np.array_equal(ids, want_ids[:, :n])
         assert np.array_equal(mask, want_mask[:, :n])
+
+    @LENGTHS
+    def test_matches_padded_then_cut(self, lengths):
+        self.check(lengths, np.arange(len(lengths)))
+
+    @LENGTHS
+    def test_some_rows_reordered_cut_to_their_longest(self, lengths):
+        # all rows but the first, in reverse order
+        self.check(lengths, np.arange(len(lengths))[:0:-1] if len(lengths) > 1 else np.arange(1))
 
 
 class TestEvaluateExamples:
