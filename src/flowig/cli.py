@@ -148,8 +148,8 @@ def _load_split(work: Path, name: str, cfg: RunConfig) -> LabeledDataset:
 
 
 def _tokenized(records, cfg: RunConfig, max_seq_len: int) -> tokenizer.TokenBatch:
-    """The (record, label) rows serialized and tokenized as one batch; a
-    row's text lives only while its block of rows is tokenized."""
+    """The (record, label) rows serialized and tokenized as one batch; no
+    row's text is built, and its values live only while its block is read."""
     schema = cfg.feature_schema()
     flows = (textualize.serialize(rec, schema) for rec, _ in records)
     return tokenizer.tokenize_rows(flows, cfg.vocab, max_seq_len, [label for _, label in records])
@@ -275,8 +275,8 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
     """Build the class x feature attribution heatmap and per-example dump."""
     enc_cfg, params, test_ds = _load_model_and_test(cfg, work)
     chosen = _select_examples([label for _, label in test_ds.records], cfg.ig_max_examples)
-    # only the attributed rows are serialized, once each: the text is both
-    # what IG reads and the hash that ties each line to its manifest row
+    # only the attributed rows are serialized, once each: IG reads their values,
+    # and their text is the hash that ties each line to its manifest row
     schema = cfg.feature_schema()
     rows = [test_ds.records[i] for i in chosen]
     flows = [textualize.serialize(rec, schema) for rec, _ in rows]

@@ -30,13 +30,21 @@ class ValueFormatPolicy:
 
 @dataclass(frozen=True)
 class TextFlow:
-    """A flow's "name is value" clauses in schema order. `text` is derived
-    on each access, so no row's text outlives its one use."""
-    clauses: tuple[str, ...]
+    """A flow's feature names and formatted values, in schema order. `text`,
+    its "name is value" clauses joined, is derived on each access, so no
+    row's text outlives its one use."""
+    names: tuple[str, ...]
+    values: tuple[str, ...]
 
     @property
     def text(self) -> str:
-        return CLAUSE_SEPARATOR.join(self.clauses)
+        return _clause_template(self.names) % self.values
+
+
+@functools.lru_cache(maxsize=64)
+def _clause_template(names: tuple[str, ...]) -> str:
+    """The text with a `%s` for each value, built once per schema."""
+    return CLAUSE_SEPARATOR.join(f"{name.replace('%', '%%')} is %s" for name in names)
 
 
 # Values whose integral rendering is exact in float64.
@@ -58,20 +66,13 @@ def format_value(x: float, policy: ValueFormatPolicy = ValueFormatPolicy()) -> s
     return s
 
 
-@functools.lru_cache(maxsize=64)
-def clause_prefixes(names: tuple[str, ...]) -> tuple[str, ...]:
-    """Each feature's "name is " clause prefix, built once per schema."""
-    return tuple(f"{name} is " for name in names)
-
-
 def serialize(record, schema, policy: ValueFormatPolicy = ValueFormatPolicy()) -> TextFlow:
-    """Render a record as clause_1 ; clause_2 ; ... in schema feature order."""
+    """A record's values rendered by `format_value`, in schema feature order."""
     if len(record.features) != schema.d:
         raise ValueError(
             f"record has {len(record.features)} features, schema expects {schema.d}"
         )
-    return TextFlow(tuple([prefix + format_value(value, policy) for prefix, value
-                           in zip(clause_prefixes(schema.names), record.features)]))
+    return TextFlow(schema.names, tuple([format_value(value, policy) for value in record.features]))
 
 
 def text_hash(text: str) -> str:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, TruncationError, DataError
 from .flow_data import COARSE_LABELS, CoarseLabel, FeatureSchema
-from .textualize import TextFlow, clause_prefixes
+from .textualize import TextFlow
 
 PAD = "[PAD]"
 CLS = "[CLS]"
@@ -99,14 +99,8 @@ def build_vocab(schema: FeatureSchema) -> Vocab:
     return Vocab(id_of=id_of, feature_names=schema.names)
 
 
-def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The indices start, start + 1, ..., start + length - 1 of each run, in
-    one array, runs in order."""
-    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-
-
-# rows checked and mapped to ids at a time, so that only one block's text
-# and per-character index arrays are alive at once
+# rows checked and mapped to ids at a time, so that only one block's joined
+# values and per-character arrays are alive at once
 _BLOCK_ROWS = 1024
 
 
@@ -114,36 +108,21 @@ def _value_tokens(
     flows: list[TextFlow], first: int, vocab: Vocab, max_seq_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The flows' value lengths (rows, features) and their value characters'
-    ids in one array, rows in order. Raises for the first bad flow, which
-    is flow `first + r` of the split for the r-th flow here."""
+    ids in one array, rows in order; flow r here is flow `first + r` of the
+    split."""
     names = vocab.feature_names
     d = len(names)
-    r = next((r for r, flow in enumerate(flows) if len(flow.clauses) != d), None)
+    r = next((r for r, f in enumerate(flows) if f.names != names or len(f.values) != d), None)
     if r is not None:
-        raise DataError(f"flow {first + r} has {len(flows[r].clauses)} clauses,"
-                        f" the schema {d} features")
-    clauses = list(itertools.chain.from_iterable(flow.clauses for flow in flows))
-    prefixes = clause_prefixes(names)
-    # the first bad clause's error, and how many clauses come before it
-    data_error, limit = None, len(clauses)
-    if not all(map(str.startswith, clauses, itertools.cycle(prefixes))):
-        limit = list(map(str.startswith, clauses, itertools.cycle(prefixes))).index(False)
-        data_error = DataError(f"span {limit % d} does not match schema feature"
-                               f" {names[limit % d]!r}")
-        clauses = clauses[:limit]  # the ones past it are not read
-
-    codes = np.frombuffer("".join(clauses).encode("utf-32-le", "surrogatepass"), "<u4")
-    clause_lens = np.fromiter(map(len, clauses), np.int64, limit)
-    value_lens = clause_lens - np.resize([len(p) for p in prefixes], limit)
-    chars = codes[_runs(np.cumsum(clause_lens) - value_lens, value_lens)]
+        raise DataError(f"flow {first + r} does not hold one value for each of the"
+                        f" schema's {d} features")
+    values = list(itertools.chain.from_iterable(flow.values for flow in flows))
+    chars = np.frombuffer("".join(values).encode("utf-32-le", "surrogatepass"), "<u4")
     value_ids = vocab.value_ids[np.minimum(chars, 127)]
     if (value_ids < 0).any():
-        k = int(np.argmax(value_ids < 0))
-        limit = int(np.searchsorted(np.cumsum(value_lens), k, side="right"))
-        data_error = DataError(f"value character {chr(chars[k])!r} not in vocabulary")
-
-    rows = limit // d  # the rows before the first data error
-    value_lens = value_lens[: rows * d].reshape(rows, d)
+        raise DataError(f"value character {chr(chars[np.argmax(value_ids < 0)])!r}"
+                        " not in vocabulary")
+    value_lens = np.fromiter(map(len, values), np.int64, len(values)).reshape(-1, d)
     ends = np.cumsum(3 + value_lens, axis=1)  # each feature's [SEP] position
     too_long = np.flatnonzero(ends[:, -1] + 1 > max_seq_len)
     if too_long.size:
@@ -151,8 +130,6 @@ def _value_tokens(
         fi = int(np.argmax(ends[r] >= max_seq_len))  # its first [SEP] past the limit
         raise TruncationError(f"sequence of {ends[r, -1] + 1} tokens exceeds"
                               f" max_seq_len={max_seq_len} (first past it: feature {names[fi]!r})")
-    if data_error is not None:
-        raise data_error
     return value_lens, value_ids.astype(np.min_scalar_type(vocab.size))
 
 
@@ -165,13 +142,12 @@ def tokenize_rows(
     """Every flow laid out as `tokenize` lays one out, in one padded batch.
 
     The flows are read in blocks of rows, and each block's characters are
-    checked and mapped to ids in a few whole-array steps: its clauses are
-    joined into one string and read as code points, and each value's
-    characters are cut from it by index. The error names the first bad
-    flow in input order: one with another number of clauses than the
-    schema has features, a clause without its feature's "name is " prefix,
-    a value character that is not a number token, or a flow longer than
-    `max_seq_len`, whose length is named only if none of its clauses is bad.
+    checked and mapped to ids in a few whole-array steps: its values are
+    joined into one string and read as code points. A block is refused at
+    its first flow whose names are not the vocabulary's features or whose
+    value count differs, then at a value character that is not a number
+    token, then at its first flow longer than `max_seq_len`; blocks are
+    read in input order, so the first too-long flow is the one named.
     """
     names, id_of = vocab.feature_names, vocab.id_of
     flows = iter(flows)

@@ -570,6 +570,22 @@ class TestFailureModes:
         assert r.output.splitlines() == ["error: validation split is empty"]
         assert not (tmp_path / "work" / ".lock").exists()
 
+    def test_flow_longer_than_max_seq_len(self, tmp_path):
+        # the one tokenizer error that a parsed split can reach: 8 features of
+        # 3 digits make 49 tokens
+        cfg = write_config(tmp_path, encoder={**SMALL_CONFIG["encoder"], "max_seq_len": 30})
+        run("synthetic", "--out", tmp_path / "flows.csv", "--n", 60)
+        assert run("prepare", "--config", cfg).exit_code == 0
+        work = tmp_path / "work"
+        r = run("train", "--config", cfg)
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [
+            "error: sequence of 49 tokens exceeds max_seq_len=30"
+            " (first past it: feature 'Flow Packets/s')"
+        ]
+        assert not list(work.glob("*.ckpt")) and not list(work.glob("*.tmp"))
+        assert not (work / ".lock").exists()
+
     def test_work_dir_not_creatable(self, tmp_path):
         (tmp_path / "file").write_text("")
         work = tmp_path / "file" / "work"

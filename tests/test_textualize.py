@@ -64,18 +64,25 @@ class TestSerialize:
         schema = FeatureSchema(("Flow Duration",))
         flow = serialize(FlowRecord((120.0,), "BENIGN"), schema)
         assert flow.text == "Flow Duration is 120"
-        assert flow.clauses == (flow.text,)
+        assert (flow.names, flow.values) == (("Flow Duration",), ("120",))
 
     def test_two_features_separator(self):
         schema = FeatureSchema(("A", "B"))
         flow = serialize(FlowRecord((1.5, 0.0), "BENIGN"), schema)
         assert flow.text == "A is 1.5 ; B is 0"
 
+    def test_names_with_format_characters(self):
+        # the text is built from a per-schema %-template; a name is kept verbatim
+        schema = FeatureSchema(("100% a", "b %s", "{c}"))
+        flow = serialize(FlowRecord((1.0, 2.0, 3.0), "x"), schema)
+        assert flow.text == "100% a is 1 ; b %s is 2 ; {c} is 3"
+
     def test_clause_fidelity(self):
         schema = FeatureSchema(("A", "B", "C"))
         flow = serialize(FlowRecord((1.0, 22.5, -3.0), "x"), schema)
-        assert len(flow.clauses) == schema.d
-        for fi, clause in enumerate(flow.clauses):
+        assert flow.names == schema.names
+        assert flow.values == ("1", "22.5", "-3")
+        for fi, clause in enumerate(flow.text.split(" ; ")):
             name, value = clause.split(" is ")
             assert name == schema.names[fi]
             assert value == format_value((1.0, 22.5, -3.0)[fi])
@@ -91,8 +98,8 @@ class TestSerialize:
     def test_clauses_partition_text(self, values):
         schema = FeatureSchema(tuple(f"F{i}" for i in range(len(values))))
         flow = serialize(FlowRecord(tuple(values), "x"), schema)
-        assert tuple(flow.text.split(" ; ")) == flow.clauses
-        assert flow.clauses == tuple(f"F{i} is {format_value(v)}" for i, v in enumerate(values))
+        assert flow.values == tuple(format_value(v) for v in values)
+        assert flow.text.split(" ; ") == [f"F{i} is {format_value(v)}" for i, v in enumerate(values)]
 
     def test_hash_stability(self):
         schema = FeatureSchema(("A",))

@@ -1,9 +1,9 @@
 """`format_value`, `serialize` and `tokenize` against their earlier bodies.
 
 The bodies below are the per-value renderings the data path used before it
-moved to clause tuples and C-level calls. They are kept as references: the
-fast path must give the same string, clauses and token ids for every input,
-and the same error for every refused one.
+moved to name and value tuples and C-level calls. They are kept as
+references: the fast path must give the same text, values and token ids for
+every input, and the same error for every refused value.
 """
 import math
 
@@ -51,11 +51,14 @@ def reference_serialize(record, schema, policy=ValueFormatPolicy()):
                            for name, value in zip(schema.names, record.features)])
 
 
-def assert_matches_reference(flow, reference):
-    """`flow`'s text, and its clauses as the reference's spans cut them from it."""
+def assert_matches_reference(flow, schema, reference):
+    """`flow`'s names, its text, and its values as the reference's spans cut
+    them from that text, each past its "name is " prefix."""
     text, spans = reference
+    assert flow.names == schema.names
     assert flow.text == text
-    assert flow.clauses == tuple(text[s:e] for _, s, e in spans)
+    assert flow.values == tuple(text[s + len(f"{name} is ") : e]
+                                for name, (_, s, e) in zip(schema.names, spans))
 
 
 def reference_tokenize(text, spans, vocab, max_seq_len, label=None) -> TokenizedExample:
@@ -133,7 +136,7 @@ class TestSerialize:
         for start in range(0, len(SPECIAL_VALUES), schema.d):
             values = (SPECIAL_VALUES * 3)[start : start + schema.d]
             flow = serialize(_record(values), schema)
-            assert_matches_reference(flow, reference_serialize(_record(values), schema))
+            assert_matches_reference(flow, schema, reference_serialize(_record(values), schema))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -143,7 +146,7 @@ class TestSerialize:
         record = _record(data.draw(st.lists(finite_floats, min_size=d, max_size=d)))
         policy = data.draw(policies)
         flow = serialize(record, schema, policy)
-        assert_matches_reference(flow, reference_serialize(record, schema, policy))
+        assert_matches_reference(flow, schema, reference_serialize(record, schema, policy))
 
     def test_non_finite_refused(self):
         with pytest.raises(NumericError, match="cannot format non-finite value nan"):
@@ -172,18 +175,21 @@ class TestTokenize:
             assert tokenize(flow, vocab, max_seq_len, label) == expected
 
     @pytest.mark.parametrize(
-        "clauses, message",
-        [(("A is 1", "C is 2"), "span 1 does not match schema feature 'B'"),
-         (("A is 12", "B is 1x5"), "value character 'x' not in vocabulary"),
-         (("A is 1", "B is  2"), "value character ' ' not in vocabulary")],
+        "names, values, reference_message, message",
+        [(("A", "C"), ("1", "2"), "span 1 does not match schema feature 'B'",
+          "flow 0 does not hold one value for each of the schema's 2 features"),
+         (("A", "B"), ("12", "1x5"), "value character 'x' not in vocabulary", None),
+         (("A", "B"), ("1", " 2"), "value character ' ' not in vocabulary", None)],
         ids=["feature-name", "value-character", "value-space"],
     )
-    def test_data_errors_unchanged(self, clauses, message):
+    def test_data_errors_unchanged(self, names, values, reference_message, message):
+        # a flow of another schema's names is refused as a whole flow, not
+        # at its first clause; a value character's error is the reference's
         vocab = build_vocab(FeatureSchema(("A", "B")))
-        flow = TextFlow(clauses)
+        clauses = [f"{name} is {value}" for name, value in zip(names, values)]
         with pytest.raises(DataError) as reference:
             reference_tokenize(*reference_join(clauses), vocab, 64)
-        assert str(reference.value) == message
+        assert str(reference.value) == reference_message
         with pytest.raises(DataError) as fast:
-            tokenize(flow, vocab, 64)
-        assert str(fast.value) == message
+            tokenize(TextFlow(names, values), vocab, 64)
+        assert str(fast.value) == (message or reference_message)

@@ -120,14 +120,13 @@ class TestTokenize:
 
 
 def reference_row(flow, vocab, label=None) -> TokenizedExample:
-    """One flow walked clause by clause and character by character."""
+    """One flow walked value by value and character by character."""
     id_of = vocab.id_of
     ids, spans = [id_of[CLS]], []
-    for fi, clause in enumerate(flow.clauses):
-        name = vocab.feature_names[fi]
+    for fi, (name, value) in enumerate(zip(vocab.feature_names, flow.values)):
         start = len(ids)
         ids += (id_of[name], id_of[IS])
-        ids += map(id_of.__getitem__, clause[len(f"{name} is "):])
+        ids += map(id_of.__getitem__, value)
         spans.append((fi, start, len(ids)))
         ids.append(id_of[SEP])
     return TokenizedExample(tuple(ids), (1,) * len(ids), tuple(spans), label)
@@ -141,6 +140,13 @@ values = st.one_of(
     st.floats(1e16, 1e300).flatmap(lambda x: st.sampled_from([x, -x, float(int(x))])),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+
+
+OFF_SCHEMA = "flow {} does not hold one value for each of the schema's 2 features"
+
+
+def ab(*values, names=("A", "B")):
+    return TextFlow(names, values)
 
 
 class TestTokenizeRows:
@@ -187,40 +193,39 @@ class TestTokenizeRows:
 
     @pytest.mark.parametrize(
         "rows, message",
-        [([("A is 1", "B is 2"), ("A is 1", "C is 2")],
-          "span 1 does not match schema feature 'B'"),
-         ([("A is 1", "B is 2"), ("A is 12", "B is 1x5")],
-          "value character 'x' not in vocabulary"),
-         ([("A is 1", "B is 2"), ("A is 1", "B is \u00e9")],
-          "value character '\u00e9' not in vocabulary"),
-         # of several bad rows, the first in input order is named
-         ([("A is 1", "B is 123456"), ("A is 1", "C is 2")],
-          "sequence of 14 tokens exceeds max_seq_len=12 (first past it: feature 'B')"),
-         ([("A is 1", "C is 2"), ("A is 1", "B is 123456")],
-          "span 1 does not match schema feature 'B'"),
-         ([("A is 123456789", "B is 2"), ("A is x", "B is 2")],
+        [([ab("1", "2"), ab("1", "2", names=("A", "C"))], OFF_SCHEMA.format(1)),
+         ([ab("1", "2"), ab("12", "1x5")], "value character 'x' not in vocabulary"),
+         ([ab("1", "2"), ab("1", "\u00e9")], "value character '\u00e9' not in vocabulary"),
+         # a block refuses a bad flow before a too-long one; blocks go in input order
+         ([ab("1", "123456"), ab("1", "2", names=("A", "C"))],
+          {"one-block": OFF_SCHEMA.format(1),
+           "row-blocks": "sequence of 14 tokens exceeds max_seq_len=12 (first past it: feature 'B')"}),
+         ([ab("1", "2", names=("A", "C")), ab("1", "123456")], OFF_SCHEMA.format(0)),
+         ([ab("123456789", "2"), ab("x", "2")],
+          {"one-block": "value character 'x' not in vocabulary",
+           "row-blocks": "sequence of 17 tokens exceeds max_seq_len=12 (first past it: feature 'A')"}),
+         # of several too-long rows, the first is named
+         ([ab("1", "2"), ab("123456789", "2"), ab("1", "1234567")],
           "sequence of 17 tokens exceeds max_seq_len=12 (first past it: feature 'A')"),
-         ([("A is 1", "B is 2"), ("A is 123456789", "B is 2"), ("A is 1", "B is 1234567")],
-          "sequence of 17 tokens exceeds max_seq_len=12 (first past it: feature 'A')"),
-         # within one row, a data error comes before its length
-         ([("A is 123456789", "B is 1x")], "value character 'x' not in vocabulary"),
-         ([("A is 1x", "C is 2")], "value character 'x' not in vocabulary"),
-         ([("A is 1", "B is 2", "A is 3")], "flow 0 has 3 clauses, the schema 2 features"),
-         # a short flow and a long one whose clause counts add up to two rows'
-         ([("A is 1",), ("B is 2", "A is 3", "B is 4")],
-          "flow 0 has 1 clauses, the schema 2 features"),
-         ([("A is 1", "B is 2")] * 3 + [("A is 1",)], "flow 3 has 1 clauses, the schema 2 features")],
+         ([ab("123456789", "1x")], "value character 'x' not in vocabulary"),
+         ([ab("1x", "2", names=("A", "C"))], OFF_SCHEMA.format(0)),
+         ([ab("1", "2", "3")], OFF_SCHEMA.format(0)),
+         # a short flow and a long one whose value counts add up to two rows'
+         ([ab("1"), ab("2", "3", "4")], OFF_SCHEMA.format(0)),
+         ([ab("1", "2")] * 3 + [ab("1")], OFF_SCHEMA.format(3))],
         ids=["feature-name", "value-character", "non-ascii-character", "long-then-bad",
-             "bad-then-long", "long-then-bad-character", "first-long-row", "bad-inside-long-row", "value-before-name",
-             "clause-count", "clause-counts-compensate", "clause-count-late"],
+             "bad-then-long", "long-then-bad-character", "first-long-row", "bad-inside-long-row",
+             "name-before-value", "clause-count", "clause-counts-compensate", "clause-count-late"],
     )
     # a block of one row puts each row of a case in a block of its own
     @pytest.mark.parametrize("block_rows", [tokenizer._BLOCK_ROWS, 1], ids=["one-block", "row-blocks"])
     def test_first_bad_row_named(self, rows, message, block_rows, monkeypatch):
         monkeypatch.setattr(tokenizer, "_BLOCK_ROWS", block_rows)
+        if isinstance(message, dict):
+            message = message["row-blocks" if block_rows == 1 else "one-block"]
         vocab = build_vocab(FeatureSchema(("A", "B")))
         with pytest.raises(DataError) as info:
-            tokenize_rows([TextFlow(r) for r in rows], vocab, 12)
+            tokenize_rows(rows, vocab, 12)
         assert str(info.value) == message
 
     def test_blocks_of_rows_make_one_batch(self, schema, vocab, monkeypatch):
