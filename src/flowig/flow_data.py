@@ -56,10 +56,8 @@ class LabeledDataset:
         return len(self.records)
 
     def class_counts(self) -> dict[CoarseLabel, int]:
-        counts = {c: 0 for c in COARSE_LABELS}
-        for _, label in self.records:
-            counts[label] += 1
-        return counts
+        labels = [label for _, label in self.records]
+        return {c: labels.count(c) for c in COARSE_LABELS}
 
 
 @dataclass

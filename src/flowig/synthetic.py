@@ -15,6 +15,7 @@ import io
 import numpy as np
 
 from .flow_data import COARSE_LABELS, CoarseLabel, FeatureSchema, FlowRecord, LabeledDataset
+from .textualize import render_row
 
 SYNTHETIC_SCHEMA = FeatureSchema(
     names=(
@@ -56,17 +57,18 @@ def generate_synthetic_dataset(n: int = 3000, seed: int = 0) -> LabeledDataset:
     return LabeledDataset(SYNTHETIC_SCHEMA, records)
 
 
-def _csv_value(v: float) -> str:
-    """A rendering that parses back to the same float64: integral values as
-    integers, every other value as its shortest round-trip repr."""
-    return str(int(v)) if v.is_integer() else repr(v)
+def _csv_line(cells) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()
 
 
 def dataset_to_csv_bytes(dataset: LabeledDataset, label_column: str = "Label") -> bytes:
-    """The dataset as a flow CSV that `parse_flow_csv` reads back losslessly."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow([*dataset.schema.names, label_column])
-    writer.writerows([*map(_csv_value, rec.features), rec.raw_label]
-                     for rec, _ in dataset.records)
-    return buf.getvalue().encode("utf-8")
+    """The dataset as a flow CSV that `parse_flow_csv` reads back losslessly:
+    integral values as integers, every other value as its shortest
+    round-trip repr. No value cell needs quoting, so only the header and
+    each distinct label's cell (with its comma and the line end) go
+    through `csv.writer`."""
+    ends = {label: _csv_line(("", label)) for label in {rec.raw_label for rec, _ in dataset.records}}
+    rows = [render_row(rec.features, "r", ",") + ends[rec.raw_label] for rec, _ in dataset.records]
+    return "".join([_csv_line([*dataset.schema.names, label_column]), *rows]).encode("utf-8")

@@ -1,3 +1,8 @@
+import csv
+import io
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -319,3 +324,94 @@ class TestSplitCsvRoundTrip:
         (rec, _), = csv_round_trip(csv_file, ds).records
         assert rec.features == tuple(values)
         assert record_hash(rec, SCHEMA) == record_hash(ds.records[0][0], SCHEMA)
+
+
+def reference_csv_value(v: float) -> str:
+    """The per-cell rendering the split CSVs used before a row's value cells
+    were rendered with one `%` call: integral values as integers, every
+    other value as its shortest round-trip repr."""
+    return str(int(v)) if v.is_integer() else repr(v)
+
+
+def reference_csv_bytes(dataset: LabeledDataset, label_column: str = "Label") -> bytes:
+    """Every cell, the label's too, written by `csv.writer`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow([*dataset.schema.names, label_column])
+    writer.writerows([*map(reference_csv_value, rec.features), rec.raw_label]
+                     for rec, _ in dataset.records)
+    return buf.getvalue().encode("utf-8")
+
+
+CSV_VALUES = [
+    0.0, -0.0, 1.0, -1.0, 0.5, 999999.0, 1e6, 1000001.0, -999999.0, -1e6, 1234567.0,
+    999999.5, 1e6 + 0.5, 2.0**53, 2.0**53 + 2, math.nextafter(1e16, 0.0), 1e16,
+    math.nextafter(1e16, math.inf), -1e16, math.nextafter(-1e16, 0.0), 1e17, -1e17,
+    2.0**64, 1e300, -1.7976931348623157e308, 5e-324, -5e-324, 2.2250738585072014e-308,
+    math.nextafter(2.2250738585072014e-308, 0.0), 1e-5, 0.1 + 0.2,
+    math.inf, -math.inf, math.nan,
+]
+CSV_LABELS = ["BENIGN", "", "a,b", 'say "hi"', "cr\rlf\n", "line\nbreak", " edge spaces ",
+              "Web Attack \u2013 Brute Force", '",\r\n"', " "]
+
+
+def csv_dataset(names, rows) -> LabeledDataset:
+    return LabeledDataset(FeatureSchema(tuple(names)), [
+        (FlowRecord(tuple(values), label), CoarseLabel.BENIGN) for values, label in rows])
+
+
+class TestSplitCsvWriter:
+    """`dataset_to_csv_bytes` against `csv.writer` over `reference_csv_value`."""
+
+    @pytest.mark.parametrize("x", CSV_VALUES, ids=repr)
+    def test_special_values(self, x):
+        ds = csv_dataset(["A", "B"], [((x, 1.0), "BENIGN"), ((-2.5, x), "DDoS")])
+        assert synthetic.dataset_to_csv_bytes(ds) == reference_csv_bytes(ds)
+
+    @pytest.mark.parametrize("label", CSV_LABELS, ids=repr)
+    def test_labels_quoted_as_csv_writer_quotes_them(self, label):
+        ds = csv_dataset(["Flow Duration"], [((80.0,), label), ((0.25,), "BENIGN"), ((1.0,), label)])
+        assert synthetic.dataset_to_csv_bytes(ds) == reference_csv_bytes(ds)
+
+    def test_header_quoted(self):
+        ds = csv_dataset(["a,b", 'q"', " s "], [((1.0, 2.5, -0.0), "BENIGN")])
+        assert synthetic.dataset_to_csv_bytes(ds, label_column="L,abel") == \
+            reference_csv_bytes(ds, label_column="L,abel")
+
+    def test_no_rows(self):
+        ds = csv_dataset(["A", "B"], [])
+        assert synthetic.dataset_to_csv_bytes(ds) == reference_csv_bytes(ds) == b"A,B,Label\r\n"
+
+    def test_every_integrality_pattern_twice(self):
+        # 2**11 integrality patterns, more than the template cache holds, so
+        # the second pass meets each pattern after its template was evicted
+        rows = [(tuple(float(i) if (p >> i) & 1 else i + 0.5 for i in range(11)), "BENIGN")
+                for p in itertools.chain(range(2**11), range(2**11))]
+        ds = csv_dataset([f"F{i}" for i in range(11)], rows)
+        assert synthetic.dataset_to_csv_bytes(ds) == reference_csv_bytes(ds)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, data):
+        d = data.draw(st.sampled_from([1, 2, 11, 77]))
+        values = st.one_of(st.floats(), st.sampled_from(CSV_VALUES),
+                           st.integers(-10**7, 10**7).map(float))
+        labels = st.one_of(st.sampled_from(CSV_LABELS),
+                           st.text(st.sampled_from(list('ab ,"\r\n\t\u2013')), max_size=6))
+        rows = data.draw(st.lists(st.tuples(st.lists(values, min_size=d, max_size=d), labels),
+                                  max_size=6))
+        ds = csv_dataset([f"F{i}" for i in range(d)], rows)
+        assert synthetic.dataset_to_csv_bytes(ds) == reference_csv_bytes(ds)
+
+
+class TestClassCounts:
+    def test_counts_each_class_in_label_order(self):
+        labels = [CoarseLabel.DDOS, CoarseLabel.BENIGN, CoarseLabel.DDOS, CoarseLabel.DDOS]
+        ds = LabeledDataset(SCHEMA, [(FlowRecord((float(i), 0.0), "x"), c)
+                                     for i, c in enumerate(labels)])
+        counts = ds.class_counts()
+        assert list(counts) == list(COARSE_LABELS)
+        assert counts == {**{c: 0 for c in COARSE_LABELS}, **Counter(labels)}
+
+    def test_empty(self):
+        assert LabeledDataset(SCHEMA, []).class_counts() == {c: 0 for c in COARSE_LABELS}

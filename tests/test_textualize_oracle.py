@@ -7,6 +7,7 @@ every input, and the same error for every refused value.
 """
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,3 +194,66 @@ class TestTokenize:
         with pytest.raises(DataError) as fast:
             tokenize(TextFlow(names, values), vocab, 64)
         assert str(fast.value) == (message or reference_message)
+
+
+BOUNDARY_VALUES = [
+    1e16, -1e16, math.nextafter(1e16, 0.0), math.nextafter(-1e16, 0.0),
+    math.nextafter(1e16, math.inf), math.nextafter(-1e16, -math.inf),
+    9999999999999998.0, -9999999999999998.0, 1e16 + 2, -(1e16 + 2), 1e17, -1e17,
+]
+WIDE_77 = FeatureSchema(tuple(f"Feature {i}" for i in range(77)))
+
+
+class TestFormatValueEdges:
+    @pytest.mark.parametrize("x", BOUNDARY_VALUES, ids=repr)
+    @pytest.mark.parametrize("digits", [1, 6, 17])
+    def test_integral_limit_both_signs(self, x, digits):
+        policy = ValueFormatPolicy(significant_digits=digits)
+        assert format_value(x, policy) == reference_format_value(x, policy)
+
+    def test_integral_limit_renders_below_it_as_integer(self):
+        assert format_value(9999999999999998.0) == "9999999999999998"
+        assert format_value(-9999999999999998.0) == "-9999999999999998"
+        assert format_value(1e16) == "1e16"
+        assert format_value(-1e16) == "-1e16"
+
+    def test_negative_zero_is_zero(self):
+        assert format_value(-0.0) == format_value(0.0) == "0"
+        flow = serialize(_record((-0.0, 0.0, -0.0)), FeatureSchema(("A", "B", "C")))
+        assert flow.values == ("0", "0", "0")
+
+    @pytest.mark.parametrize("x, expected", [
+        (1234567.891, "1.23457e6"), (-1234567.891, "-1.23457e6"), (1e-5, "1e-5"),
+        (1.5e-10, "1.5e-10"), (-2.5e-100, "-2.5e-100"), (1.25e100, "1.25e100"),
+        (1e300, "1e300"), (123456789012345678.0, "1.23457e17"), (5e-324, "4.94066e-324"),
+        (99999.95, "99999.9"), (999999.5, "1e6"), (0.0001, "0.0001"), (0.00001, "1e-5"),
+    ], ids=repr)
+    def test_exponent_forms(self, x, expected):
+        assert format_value(x) == reference_format_value(x) == expected
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("position", [0, 5, 76])
+    def test_non_finite_in_a_row_refused_as_the_reference_refuses(self, x, position):
+        values = [float(i) + 0.5 * (i % 2) for i in range(77)]
+        values[position] = x
+        values[-1 if position != 76 else 0] = math.nan   # a later or earlier second one
+        with pytest.raises(NumericError) as fast:
+            serialize(_record(values), WIDE_77)
+        with pytest.raises(NumericError) as reference:
+            reference_serialize(_record(values), WIDE_77)
+        assert str(fast.value) == str(reference.value)
+
+
+def test_77_feature_rows_whose_integrality_varies():
+    # each row draws its zeros, integers and fractions anew, so almost every
+    # row has its own pattern of integral cells; magnitudes below 10**14.5
+    # keep a row on the one-template path, and every tenth row reaches 1e17
+    rng = np.random.default_rng(77)
+    for row in range(300):
+        kind = rng.integers(0, 4, size=77)
+        magnitude = 10.0 ** rng.uniform(-6, 17 if row % 10 == 0 else 14.5, size=77)
+        values = np.where(kind == 0, 0.0, np.where(kind == 1, np.round(magnitude), magnitude))
+        values[rng.random(77) < 0.1] *= -1
+        record = _record(values.tolist())
+        assert_matches_reference(serialize(record, WIDE_77), WIDE_77,
+                                 reference_serialize(record, WIDE_77))
