@@ -10,12 +10,12 @@ same token length.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 
 import numpy as np
 
 from .flow_data import COARSE_LABELS, CoarseLabel, FeatureSchema, FlowRecord, LabeledDataset
-from .textualize import render_row
 
 SYNTHETIC_SCHEMA = FeatureSchema(
     names=(
@@ -57,6 +57,18 @@ def generate_synthetic_dataset(n: int = 3000, seed: int = 0) -> LabeledDataset:
     return LabeledDataset(SYNTHETIC_SCHEMA, records)
 
 
+_CELL_CODES = bytes.maketrans(b"\0\1", b"rd")
+
+
+@functools.lru_cache(maxsize=1024)
+def _row_template(pattern: bytes) -> str:
+    """The value cells of a row whose cells `pattern` marks integral (1) or
+    not (0) as one `%` template: `%d` writes an integral float with all its
+    digits, `%r` any other (`inf` and `nan` too) as its shortest round-trip
+    repr."""
+    return "%" + ",%".join(pattern.translate(_CELL_CODES).decode())
+
+
 def _csv_line(cells) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\r\n").writerow(cells)
@@ -66,9 +78,10 @@ def _csv_line(cells) -> str:
 def dataset_to_csv_bytes(dataset: LabeledDataset, label_column: str = "Label") -> bytes:
     """The dataset as a flow CSV that `parse_flow_csv` reads back losslessly:
     integral values as integers, every other value as its shortest
-    round-trip repr. No value cell needs quoting, so only the header and
-    each distinct label's cell (with its comma and the line end) go
-    through `csv.writer`."""
+    round-trip repr. No value cell needs quoting, so a row's value cells are
+    one `%` call, and only the header and each distinct label's cell (with
+    its comma and the line end) go through `csv.writer`."""
     ends = {label: _csv_line(("", label)) for label in {rec.raw_label for rec, _ in dataset.records}}
-    rows = [render_row(rec.features, "r", ",") + ends[rec.raw_label] for rec, _ in dataset.records]
+    rows = [_row_template(bytes(map(float.is_integer, rec.features))) % rec.features
+            + ends[rec.raw_label] for rec, _ in dataset.records]
     return "".join([_csv_line([*dataset.schema.names, label_column]), *rows]).encode("utf-8")

@@ -49,31 +49,6 @@ def _clause_template(names: tuple[str, ...]) -> str:
 
 # Values whose integral rendering is exact in float64.
 _INT_PASSTHROUGH_LIMIT = 1e16
-# `math.hypot` errs by under an ulp, so a row whose norm is below this holds
-# only finite values below the limit in magnitude
-_ROW_NORM_LIMIT = 0.9 * _INT_PASSTHROUGH_LIMIT
-_CELL_CODES = bytes.maketrans(b"\0\1", b"gd")
-
-
-@functools.lru_cache(maxsize=1024)
-def _row_template(pattern: bytes, spec: str, sep: str) -> str:
-    """A `%` template for one row: `%d` for each cell `pattern` marks
-    integral (1), `%<spec>` for every other, joined by `sep` (which holds
-    no "g")."""
-    codes = pattern.translate(_CELL_CODES).decode()    # a "d" or a "g" per cell
-    return ("%" + (sep + "%").join(codes)).replace("g", spec)
-
-
-def render_row(values: tuple[float, ...], spec: str, sep: str) -> str:
-    """The values joined by `sep` with one `%` call: each integral one with
-    all its digits, every other one by `spec`."""
-    return _row_template(bytes(map(float.is_integer, values)), spec, sep) % values
-
-
-def _canonical_exponents(s: str) -> str:
-    # `g` writes an exponent with a sign and at least two digits:
-    # 1.23457e+06 -> 1.23457e6, 1e-05 -> 1e-5, 1e+100 -> 1e100
-    return s.replace("e+0", "e").replace("e-0", "e-").replace("e+", "e")
 
 
 def format_value(x: float, policy: ValueFormatPolicy = ValueFormatPolicy()) -> str:
@@ -84,27 +59,20 @@ def format_value(x: float, policy: ValueFormatPolicy = ValueFormatPolicy()) -> s
     elif not math.isfinite(x):
         raise NumericError(f"cannot format non-finite value {x!r}")
     s = format(x, policy.spec)
-    return _canonical_exponents(s) if "e" in s else s
+    if "e" in s:
+        # canonicalize the exponent, which `g` writes with a sign and at least
+        # two digits: 1.23457e+06 -> 1.23457e6, 1e-05 -> 1e-5, 1e+100 -> 1e100
+        s = s.replace("e+0", "e").replace("e-0", "e-").replace("e+", "e")
+    return s
 
 
 def serialize(record, schema, policy: ValueFormatPolicy = ValueFormatPolicy()) -> TextFlow:
-    """A record's values rendered by `format_value`, in schema feature order.
-
-    A row whose norm is below `_ROW_NORM_LIMIT`, so that its values are
-    finite and below the integral limit, renders with one `%` call and has
-    its exponents canonicalized once; any other row renders value by value,
-    so a non-finite value is refused as `format_value` refuses it."""
-    values = record.features
-    if len(values) != schema.d:
+    """A record's values rendered by `format_value`, in schema feature order."""
+    if len(record.features) != schema.d:
         raise ValueError(
-            f"record has {len(values)} features, schema expects {schema.d}"
+            f"record has {len(record.features)} features, schema expects {schema.d}"
         )
-    if math.hypot(*values) < _ROW_NORM_LIMIT:
-        s = render_row(values, policy.spec, " ")
-        if "e" in s:
-            s = _canonical_exponents(s)
-        return TextFlow(schema.names, tuple(s.split(" ")))
-    return TextFlow(schema.names, tuple([format_value(x, policy) for x in values]))
+    return TextFlow(schema.names, tuple([format_value(value, policy) for value in record.features]))
 
 
 def text_hash(text: str) -> str:

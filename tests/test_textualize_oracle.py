@@ -246,8 +246,7 @@ class TestFormatValueEdges:
 
 def test_77_feature_rows_whose_integrality_varies():
     # each row draws its zeros, integers and fractions anew, so almost every
-    # row has its own pattern of integral cells; magnitudes below 10**14.5
-    # keep a row on the one-template path, and every tenth row reaches 1e17
+    # row has its own pattern of integral cells; every tenth row reaches 1e17
     rng = np.random.default_rng(77)
     for row in range(300):
         kind = rng.integers(0, 4, size=77)
