@@ -20,7 +20,7 @@ from .encoder import EncoderConfig, Params
 from .errors import ConfigError, DataError, NumericError, check_fields
 from .flow_data import COARSE_LABELS, CoarseLabel, FeatureSchema
 from .textualize import format_value
-from .tokenizer import TokenizedExample
+from .tokenizer import TokenBatch, TokenizedExample, feature_spans
 
 # an example whose relative completeness gap exceeds this is flagged
 COMPLETENESS_TOLERANCE = 0.01
@@ -119,9 +119,7 @@ def integrated_gradients(
     grad_sum = functools.reduce(np.add, results)
     token_attr = (delta * (grad_sum / steps)).sum(axis=-1)
 
-    feature_attr, residue = aggregate_to_features(
-        token_attr, example.feature_token_spans
-    )
+    feature_attr, residue = aggregate_to_features(token_attr, example.value_lengths)
     return AttributionResult(
         token_attr=token_attr,
         feature_attr=feature_attr,
@@ -132,30 +130,21 @@ def integrated_gradients(
     )
 
 
-def aggregate_to_features(
-    token_attr: np.ndarray, spans: tuple[tuple[int, int, int], ...]
-) -> tuple[np.ndarray, float]:
-    """Sum token attribution over each feature span; remainder is structural residue."""
-    if not spans:
-        raise DataError("example has no feature spans")
-    d = max(fi for fi, _, _ in spans) + 1
-    feature_attr = np.zeros(d)
-    covered = np.zeros(len(token_attr), dtype=bool)
-    for fi, start, end in spans:
-        if end > len(token_attr) or start < 1:
-            raise DataError(f"feature span {fi} out of range")
-        if covered[start:end].any():
-            raise DataError("feature spans overlap")
-        covered[start:end] = True
-        feature_attr[fi] = token_attr[start:end].sum()
-    residue = float(token_attr[~covered].sum())
+def aggregate_to_features(token_attr: np.ndarray,
+                          value_lengths: np.ndarray) -> tuple[np.ndarray, float]:
+    """Sum token attribution over each feature's span (see
+    `tokenizer.feature_spans`); the rest, CLS, each SEP and any position past
+    the last SEP, is the structural residue."""
+    starts, ends = feature_spans(np.asarray(value_lengths))
+    feature_attr = np.array([token_attr[s:e].sum() for s, e in zip(starts.tolist(), ends.tolist())])
+    residue = float(token_attr[np.r_[0, ends, ends[-1] + 1 : len(token_attr)]].sum())
     return feature_attr, residue
 
 
 def class_attribution_matrix(
     params: Params,
     config: EncoderConfig,
-    examples: list[TokenizedExample],
+    batch: TokenBatch,
     schema: FeatureSchema,
     cfg: IGConfig = IGConfig(),
     top_k: int = 15,
@@ -163,17 +152,14 @@ def class_attribution_matrix(
 ) -> tuple[ClassAttributionMatrix, list[AttributionResult]]:
     """Per-class mean |attribution| over the top-K globally ranked features.
 
-    Each example is attributed toward its true label.
+    Each row of `batch` is attributed toward its true label.
     """
-    labels = np.array([e.label.value for e in examples])
-    empty = [c.name for c in COARSE_LABELS if c.value not in labels]
+    empty = [c.name for c in COARSE_LABELS if c.value not in batch.labels]
     if empty:
         raise DataError(f"no examples for class: {', '.join(empty)}")
 
-    results = [
-        integrated_gradients(params, config, e, e.label, cfg, pad_id)
-        for e in examples
-    ]
+    results = [integrated_gradients(params, config, e, e.label, cfg, pad_id)
+               for e in map(batch.example, range(len(batch)))]
 
     abs_attr = np.abs(np.stack([r.feature_attr for r in results]))  # (N, d)
     global_score = abs_attr.mean(axis=0)
@@ -183,7 +169,7 @@ def class_attribution_matrix(
 
     matrix = ClassAttributionMatrix(
         feature_names=tuple(schema.names[i] for i in order),
-        values=np.stack([abs_attr[labels == c.value][:, order].mean(axis=0)
+        values=np.stack([abs_attr[batch.labels == c.value][:, order].mean(axis=0)
                          for c in COARSE_LABELS]),
     )
     return matrix, results

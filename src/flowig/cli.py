@@ -206,6 +206,11 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
     parts = dict(zip(flow_data.SPLITS, flow_data.stratified_split(deduped, cfg.ratios, cfg.seed)))
     overlap = flow_data.audit_overlap(
         {name: [hashes[i] for i in part] for name, part in parts.items()})
+    if any(overlap.values()):
+        raise AuditError(f"split overlap detected: {overlap}")
+    # an earlier run's splits go first, so that a failed write cannot mix two runs
+    for name in [*(f"split_{name}.csv" for name in parts), "manifest.tsv"]:
+        (work / name).unlink(missing_ok=True)
 
     manifest_lines = []
     for name, part in parts.items():
@@ -232,8 +237,6 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
     counts = deduped.class_counts()
     click.echo("class counts: " + ", ".join(f"{c.name}={counts[c]}" for c in COARSE_LABELS))
     click.echo("overlap audit: " + audit_text.replace("\n", "; ").rstrip("; "))
-    if any(overlap.values()):
-        raise AuditError(f"split overlap detected: {overlap}")
 
 
 def _run_train(cfg: RunConfig, work: Path) -> None:
@@ -282,9 +285,8 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
     flows = [textualize.serialize(rec, schema) for rec, _ in rows]
     batch = tokenizer.tokenize_rows(flows, cfg.vocab, enc_cfg.max_seq_len,
                                     [label for _, label in rows])
-    examples = [batch.example(i) for i in range(len(batch))]
     matrix, results = attribution.class_attribution_matrix(
-        params, enc_cfg, examples, schema, cfg.ig_cfg, cfg.top_k, pad_id=cfg.vocab.pad_id,
+        params, enc_cfg, batch, schema, cfg.ig_cfg, cfg.top_k, pad_id=cfg.vocab.pad_id,
     )
     for fmt in HEATMAP_FORMATS:
         data = attribution.export_heatmap(matrix, fmt)

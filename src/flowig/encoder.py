@@ -508,9 +508,7 @@ def forward(
     dropout: Dropout | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """One example as a batch of one: logits (1, 3)."""
-    ids = np.array([example.ids], dtype=np.int64)
-    mask = np.array([example.attention_mask], dtype=np.float64)
-    return forward_batch(params, config, ids, mask, dropout)
+    return forward_batch(params, config, example.ids[None], np.ones((1, len(example.ids))), dropout)
 
 
 def forward_batch(

@@ -48,13 +48,17 @@ class Vocab:
         return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TokenizedExample:
-    ids: tuple[int, ...]
-    attention_mask: tuple[int, ...]
-    # (feature_index, tok_start, tok_end) end exclusive; covers [FEAT][IS][value...]
-    feature_token_spans: tuple[tuple[int, int, int], ...]
+    """One `TokenBatch` row, unpadded; its value lengths fix its `feature_spans`."""
+    ids: np.ndarray            # (n,) int64
+    value_lengths: np.ndarray  # (features,) int64
     label: CoarseLabel | None = None
+
+    @property
+    def attention_mask(self) -> tuple[int, ...]:
+        """All ones: a row carries no padding."""
+        return (1,) * len(self.ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,18 +76,18 @@ class TokenBatch:
         return len(self.lengths)
 
     def example(self, i: int) -> TokenizedExample:
-        """Row i, unpadded."""
-        n = int(self.lengths[i])
-        spans, start = [], 1
-        for fi, v in enumerate(self.value_lengths[i].tolist()):
-            spans.append((fi, start, start + 2 + v))
-            start += 3 + v
-        return TokenizedExample(
-            ids=tuple(self.ids[i, :n].tolist()),
-            attention_mask=(1,) * n,
-            feature_token_spans=tuple(spans),
-            label=None if self.labels is None else COARSE_LABELS[self.labels[i]],
-        )
+        """Row i, unpadded: views into the batch's arrays."""
+        return TokenizedExample(self.ids[i, :self.lengths[i]], self.value_lengths[i],
+                                None if self.labels is None else COARSE_LABELS[self.labels[i]])
+
+
+def feature_spans(value_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's [FEAT][IS][value...] span, as its start and its end
+    (exclusive, at the feature's [SEP]), from value lengths (..., features):
+    a span starts at 1 + the sum of 3 + v over the features before it and
+    takes 2 + v tokens. A row's length is its last end + 1."""
+    ends = np.cumsum(3 + value_lengths, axis=-1)
+    return ends - 2 - value_lengths, ends
 
 
 def build_vocab(schema: FeatureSchema) -> Vocab:
@@ -123,7 +127,7 @@ def _value_tokens(
         raise DataError(f"value character {chr(chars[np.argmax(value_ids < 0)])!r}"
                         " not in vocabulary")
     value_lens = np.fromiter(map(len, values), np.int64, len(values)).reshape(-1, d)
-    ends = np.cumsum(3 + value_lens, axis=1)  # each feature's [SEP] position
+    _, ends = feature_spans(value_lens)
     too_long = np.flatnonzero(ends[:, -1] + 1 > max_seq_len)
     if too_long.size:
         r = too_long[0]
@@ -158,9 +162,8 @@ def tokenize_rows(
     del blocks
 
     n = len(value_lens)
-    ends = np.cumsum(3 + value_lens, axis=1)  # each feature's [SEP] position
+    starts, ends = feature_spans(value_lens)  # each feature's name and [SEP] positions
     lengths = ends[:, -1] + 1
-    starts = ends - 2 - value_lens  # each feature's name position
     ids = np.zeros((n, lengths.max(initial=0)), np.int64)
     at = np.arange(n)[:, None]
     ids[:, :1] = id_of[CLS]
@@ -188,10 +191,9 @@ def tokenize(
 def reconstruct_values(example: TokenizedExample, vocab: Vocab) -> list[tuple[str, str]]:
     """Recover (feature name, formatted value string) per span; the round-trip check."""
     inverse = {tid: tok for tok, tid in vocab.id_of.items()}
+    tokens = [inverse[t] for t in example.ids.tolist()]
     out = []
-    for fi, start, end in example.feature_token_spans:
-        name = inverse[example.ids[start]]
-        value = "".join(inverse[t] for t in example.ids[start + 2 : end])
-        assert name == vocab.feature_names[fi]
-        out.append((name, value))
+    for name, start, end in zip(vocab.feature_names, *feature_spans(example.value_lengths)):
+        assert tokens[start] == name
+        out.append((name, "".join(tokens[start + 2 : end])))
     return out

@@ -36,6 +36,18 @@ def make_example(vocab, schema, values, max_seq_len=64, label=None):
     return tokenizer.tokenize(flow, vocab, max_seq_len, label)
 
 
+def spans_of(value_lengths):
+    """`feature_spans` of one row as (feature, start, end) triples, end exclusive."""
+    starts, ends = tokenizer.feature_spans(value_lengths)
+    return tuple((fi, s, e) for fi, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())))
+
+
+def row_form(example):
+    """An example as plain values that compare with `==`: its ids, its
+    `spans_of` its value lengths, and its label."""
+    return tuple(example.ids.tolist()), spans_of(example.value_lengths), example.label
+
+
 def make_batch(vocab, schema, rows, max_seq_len=64, labels=None):
     """Rows of feature values, serialized and tokenized as one batch."""
     flows = [textualize.serialize(FlowRecord(tuple(values), "BENIGN"), schema)
@@ -51,23 +63,24 @@ def take(batch, rows):
                                 batch.value_lengths[rows], labels)
 
 
-def stack(examples):
-    """Examples' ids padded to the longest with the PAD id (0), and their
+def stack(rows):
+    """Rows of token ids padded to the longest with the PAD id (0), and their
     mask, 0 past each end: built row by row, the layout of a TokenBatch's
     ids that the batched paths must match."""
-    lengths = np.array([len(e.ids) for e in examples])
+    lengths = np.array([len(r) for r in rows])
     mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
     ids = np.zeros(mask.shape, dtype=np.int64)
-    ids[mask > 0] = np.concatenate([e.ids for e in examples])
+    ids[mask > 0] = np.concatenate(rows)
     return ids, mask
 
 
-def batch_of(examples):
-    """Hand-built examples, spans left out, as a TokenBatch."""
-    ids, _ = stack(examples)
-    labels = None if examples[0].label is None else np.array([e.label.value for e in examples])
-    return tokenizer.TokenBatch(ids, np.array([len(e.ids) for e in examples]),
-                                np.zeros((len(examples), 0), np.int64), labels)
+def batch_of(rows, labels=None):
+    """Hand-built rows of token ids, value lengths left out, as a TokenBatch;
+    `labels` are CoarseLabels, or None."""
+    ids, _ = stack(rows)
+    labels = None if labels is None else np.array([label.value for label in labels])
+    return tokenizer.TokenBatch(ids, np.array([len(r) for r in rows]),
+                                np.zeros((len(rows), 0), np.int64), labels)
 
 
 def small_config(vocab_size, variant=encoder.ABSOLUTE, **kw):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowig import attribution, encoder
 from flowig.attribution import (
@@ -20,10 +22,15 @@ from flowig.attribution import (
 )
 from flowig.encoder import ABSOLUTE, DISENTANGLED, init_params
 from flowig.errors import ConfigError, DataError
-from flowig.flow_data import CoarseLabel, FeatureSchema
-from flowig.tokenizer import build_vocab
+from flowig.flow_data import CoarseLabel, FeatureSchema, FlowRecord
+from flowig.textualize import ValueFormatPolicy, serialize
+from flowig.tokenizer import build_vocab, tokenize_rows
 
-from conftest import make_example, randomize_params, small_config
+from conftest import (
+    make_batch, make_example, randomize_params, row_form, small_config, spans_of, take,
+)
+from test_textualize_oracle import reference_serialize, reference_tokenize
+from test_tokenizer import reference_row
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +145,7 @@ def _reference_ig(params, cfg, ex, target, ig_cfg, pad_id):
     f_x, _ = encoder.forward_from_embeddings(params, cfg, emb[None], mask[None])
     f_b, _ = encoder.forward_from_embeddings(params, cfg, base[None], mask[None])
     output_delta = float(f_x[0, target.value] - f_b[0, target.value])
-    feature_attr, _ = aggregate_to_features(token_attr, ex.feature_token_spans)
+    feature_attr, _ = reference_aggregate(token_attr, row_form(ex)[1])
     return {
         "token_attr": token_attr,
         "feature_attr": feature_attr,
@@ -279,31 +286,78 @@ class TestRelativeGap:
         assert self._result(-0.5, 2.0).relative_gap == 0.25
 
 
+def reference_aggregate(token_attr, spans):
+    """The span walk: each (feature, start, end) span's sum, and the sum of
+    the positions no span covers."""
+    d = max(fi for fi, _, _ in spans) + 1
+    feature_attr = np.zeros(d)
+    covered = np.zeros(len(token_attr), dtype=bool)
+    for fi, start, end in spans:
+        covered[start:end] = True
+        feature_attr[fi] = token_attr[start:end].sum()
+    residue = float(token_attr[~covered].sum())
+    return feature_attr, residue
+
+
+# values that render to 1 to 17 digits, with a sign, a point or an exponent
+span_values = st.one_of(
+    st.integers(0, 9).map(float),
+    st.integers(-10**16 + 1, 10**16 - 1).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestAggregate:
     def test_one_hot_spans(self):
-        token_attr = np.array([0.5, 1.0, 2.0, 3.0, -1.0, 0.25])
-        spans = ((0, 1, 3), (1, 3, 5))
-        feat, residue = aggregate_to_features(token_attr, spans)
-        np.testing.assert_allclose(feat, [3.0, 2.0])
-        assert residue == pytest.approx(0.75)
+        # CLS, [F0 IS 9], SEP, [F1 IS], SEP
+        token_attr = np.array([0.5, 1.0, 2.0, 3.0, -1.0, 0.25, 0.5, 0.125])
+        feat, residue = aggregate_to_features(token_attr, np.array([1, 0]))
+        np.testing.assert_allclose(feat, [6.0, 0.75])
+        assert residue == pytest.approx(-0.375)
 
-    def test_overlap_rejected(self):
-        with pytest.raises(DataError, match="overlap"):
-            aggregate_to_features(np.zeros(6), ((0, 1, 3), (1, 2, 5)))
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_span_walk(self, data):
+        # rows of mixed lengths in one batch; the attributions cover each
+        # row's own length, or run on past it as a padded row's do
+        d = data.draw(st.integers(1, 24))
+        schema = FeatureSchema(tuple(f"F{i}" for i in range(d)))
+        policy = ValueFormatPolicy(data.draw(st.integers(1, 17)))
+        rows = data.draw(st.lists(st.lists(span_values, min_size=d, max_size=d), min_size=1,
+                                  max_size=4))
+        flows = [serialize(FlowRecord(tuple(r), "x"), schema, policy) for r in rows]
+        vocab = build_vocab(schema)
+        batch = tokenize_rows(flows, vocab, 10_000)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for i, flow in enumerate(flows):
+            ex = batch.example(i)
+            token_attr = rng.normal(size=len(ex.ids) + data.draw(st.sampled_from([0, 5])))
+            feat, residue = aggregate_to_features(token_attr, ex.value_lengths)
+            want_feat, want_residue = reference_aggregate(token_attr,
+                                                          reference_row(flow, vocab)[1])
+            assert np.array_equal(feat, want_feat)
+            assert residue == want_residue
 
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            aggregate_to_features(np.zeros(6), ())
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_feature_spans_match_the_reference_walks(self, data):
+        d = data.draw(st.integers(1, 12))
+        schema = FeatureSchema(tuple(f"F{i}" for i in range(d)))
+        vocab = build_vocab(schema)
+        record = FlowRecord(tuple(data.draw(st.lists(span_values, min_size=d, max_size=d))), "x")
+        flow = serialize(record, schema)
+        spans = spans_of(np.array([len(v) for v in flow.values]))
+        assert spans == reference_row(flow, vocab)[1]
+        assert spans == reference_tokenize(*reference_serialize(record, schema), vocab, 10_000)[1]
 
 
 @pytest.fixture(scope="module")
 def examples(vocab, schema):
+    """Two rows of each class, as one batch."""
     rng = np.random.default_rng(5)
-    out = []
-    for label in [CoarseLabel.BENIGN, CoarseLabel.DDOS, CoarseLabel.WEB_ATTACK] * 2:
-        values = [float(rng.integers(100, 1000)) for _ in range(schema.d)]
-        out.append(make_example(vocab, schema, values, label=label))
-    return out
+    labels = [CoarseLabel.BENIGN, CoarseLabel.DDOS, CoarseLabel.WEB_ATTACK] * 2
+    rows = [[float(rng.integers(100, 1000)) for _ in range(schema.d)] for _ in labels]
+    return make_batch(vocab, schema, rows, labels=labels)
 
 
 class TestClassMatrix:
@@ -328,7 +382,7 @@ class TestClassMatrix:
 
     def test_missing_class_rejected(self, vocab, schema, trained_like, examples):
         cfg, p = trained_like
-        only_benign = [e for e in examples if e.label is CoarseLabel.BENIGN]
+        only_benign = take(examples, examples.labels == CoarseLabel.BENIGN.value)
         with pytest.raises(DataError, match="DDOS"):
             class_attribution_matrix(p, cfg, only_benign, schema, IGConfig(steps=2))
 
@@ -338,7 +392,7 @@ class TestClassMatrix:
             p, cfg, examples, schema, IGConfig(steps=4), top_k=4
         )
         m2, _ = class_attribution_matrix(
-            p, cfg, examples + examples, schema, IGConfig(steps=4), top_k=4
+            p, cfg, take(examples, np.r_[:6, :6]), schema, IGConfig(steps=4), top_k=4
         )
         assert m1.feature_names == m2.feature_names
         np.testing.assert_allclose(m1.values, m2.values, atol=1e-12)

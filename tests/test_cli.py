@@ -633,6 +633,54 @@ class TestFailureModes:
         ]
         assert os.listdir(work) == []
 
+    def test_failed_prepare_leaves_no_split_that_trains(self, tmp_path, monkeypatch):
+        # a seed-1 `prepare` whose validation write fails must not leave seed
+        # 0's validation and test splits beside its own training split, whose
+        # rows they share: `train` refuses the work dir instead of reading both
+        cfg = write_config(tmp_path)
+        run("synthetic", "--out", tmp_path / "flows.csv", "--n", 300)
+        assert run("prepare", "--config", cfg).exit_code == 0
+        work = tmp_path / "work"
+        seed_0_train = (work / "split_train.csv").read_bytes()
+        write_bytes = Path.write_bytes
+
+        def disk_full(path, data):
+            if path.name == "split_validation.csv.tmp":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
+        r = run("prepare", "--config", write_config(tmp_path, seed=1))
+        monkeypatch.undo()
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [
+            f"error: cannot access {work / 'split_validation.csv'}: No space left on device"
+        ]
+        assert (work / "split_train.csv").read_bytes() != seed_0_train
+        assert not (work / "split_test.csv").exists() and not (work / "manifest.tsv").exists()
+        r = run("train", "--config", cfg)
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [
+            f"error: missing artifact {work / 'split_validation.csv'}; run `flowig prepare` first"
+        ]
+        assert not list(work.glob("*.ckpt"))
+
+    def test_audit_failure_writes_no_split(self, tmp_path, monkeypatch):
+        # the audit refuses the splits before any of them is written
+        prepare, work = self._prepare(tmp_path)
+        audit = flow_data.audit_overlap
+        monkeypatch.setattr(flow_data, "audit_overlap",
+                            lambda splits: {**audit(splits), ("train", "test"): 1})
+        r = prepare()
+        assert r.exit_code == EXIT_AUDIT
+        assert r.output.splitlines()[-1].startswith("error: split overlap detected: ")
+        assert not list(work.glob("split_*")) and not (work / "manifest.tsv").exists()
+        r = run("train", "--config", tmp_path / "config.json")
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == [
+            f"error: missing artifact {work / 'split_train.csv'}; run `flowig prepare` first"
+        ]
+
     def test_input_csv_is_a_directory(self, tmp_path):
         cfg = write_config(tmp_path, input_csv=str(tmp_path))
         r = run("prepare", "--config", cfg)

@@ -27,8 +27,6 @@ from flowig.encoder import (
     zero_grads_like,
 )
 from flowig.errors import ConfigError
-from flowig.flow_data import CoarseLabel
-from flowig.tokenizer import TokenizedExample
 
 from conftest import finite_diff_check, make_example, randomize_params, small_config, stack
 
@@ -553,11 +551,7 @@ class TestTrimmedTrainingStep:
     def _batch(rng):
         """Examples of lengths 7, 10 and 9 padded as a batch pads them (to
         10), and padded on to max_seq_len (16)."""
-        examples = [
-            TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel.BENIGN)
-            for n in (7, 10, 9)
-        ]
-        ids, mask = stack(examples)
+        ids, mask = stack([rng.integers(1, 20, size=n) for n in (7, 10, 9)])
         assert ids.shape == (3, 10)
         pad = ((0, 0), (0, 6))
         return ids, mask, np.pad(ids, pad), np.pad(mask, pad)

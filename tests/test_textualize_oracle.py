@@ -17,7 +17,9 @@ from flowig.flow_data import CoarseLabel, FeatureSchema, FlowRecord
 from flowig.textualize import (
     CLAUSE_SEPARATOR, TextFlow, ValueFormatPolicy, format_value, serialize,
 )
-from flowig.tokenizer import CLS, IS, SEP, TokenizedExample, build_vocab, tokenize
+from flowig.tokenizer import CLS, IS, SEP, build_vocab, tokenize
+
+from conftest import row_form
 
 
 def reference_format_value(x: float, policy: ValueFormatPolicy = ValueFormatPolicy()) -> str:
@@ -62,8 +64,9 @@ def assert_matches_reference(flow, schema, reference):
                                 for name, (_, s, e) in zip(schema.names, spans))
 
 
-def reference_tokenize(text, spans, vocab, max_seq_len, label=None) -> TokenizedExample:
-    """Tokenize by slicing each clause out of the text through its span."""
+def reference_tokenize(text, spans, vocab, max_seq_len, label=None):
+    """Tokenize by slicing each clause out of the text through its span: the
+    ids, (feature, start, end) token spans and label, as `row_form` gives them."""
     ids = [vocab.id_of[CLS]]
     token_spans = []
     for fi, start, end in spans:
@@ -85,7 +88,7 @@ def reference_tokenize(text, spans, vocab, max_seq_len, label=None) -> Tokenized
         fi = next(fi for fi, _, end in token_spans if end >= max_seq_len)
         raise TruncationError(f"sequence of {len(ids)} tokens exceeds max_seq_len={max_seq_len}"
                               f" (first past it: feature {vocab.feature_names[fi]!r})")
-    return TokenizedExample(tuple(ids), (1,) * len(ids), tuple(token_spans), label)
+    return tuple(ids), tuple(token_spans), label
 
 
 SPECIAL_VALUES = [
@@ -173,7 +176,7 @@ class TestTokenize:
                 tokenize(flow, vocab, max_seq_len, label)
             assert str(fast.value) == str(e)
         else:
-            assert tokenize(flow, vocab, max_seq_len, label) == expected
+            assert row_form(tokenize(flow, vocab, max_seq_len, label)) == expected
 
     @pytest.mark.parametrize(
         "names, values, reference_message, message",

@@ -10,10 +10,10 @@ from flowig.errors import ConfigError, DataError, TruncationError
 from flowig.flow_data import CoarseLabel, FeatureSchema, FlowRecord
 from flowig.textualize import TextFlow
 from flowig.tokenizer import (
-    CLS, IS, PAD, SEP, TokenizedExample, build_vocab, reconstruct_values, tokenize, tokenize_rows,
+    CLS, IS, PAD, SEP, build_vocab, feature_spans, reconstruct_values, tokenize, tokenize_rows,
 )
 
-from conftest import make_example, stack
+from conftest import make_example, row_form, spans_of, stack
 
 
 class TestBuildVocab:
@@ -58,7 +58,8 @@ class TestTokenize:
         flow = textualize.serialize(FlowRecord((0.0,), "x"), schema)
         ex = tokenize(flow, v, max_seq_len=8)
         # unpadded: batches pad to their longest example
-        assert ex.ids == (v.id_of[CLS], v.id_of["A"], v.id_of[IS], v.id_of["0"], v.id_of[SEP])
+        assert ex.ids.tolist() == [v.id_of[CLS], v.id_of["A"], v.id_of[IS], v.id_of["0"],
+                                   v.id_of[SEP]]
         assert ex.attention_mask == (1, 1, 1, 1, 1)
 
     def test_span_covers_feat_is_value(self):
@@ -66,7 +67,7 @@ class TestTokenize:
         v = build_vocab(schema)
         flow = textualize.serialize(FlowRecord((120.0,), "x"), schema)
         ex = tokenize(flow, v, max_seq_len=16)
-        assert ex.feature_token_spans == ((0, 1, 6),)
+        assert spans_of(ex.value_lengths) == ((0, 1, 6),)
         assert ex.ids[1] == v.id_of["Flow Duration"]
         assert list(ex.ids[3:6]) == [v.id_of[c] for c in "120"]
 
@@ -75,7 +76,7 @@ class TestTokenize:
         ex = make_example(vocab, schema, [float(100 + i) for i in range(schema.d)])
         n = sum(ex.attention_mask)
         covered = [0] * n
-        for _, s, e in ex.feature_token_spans:
+        for s, e in zip(*feature_spans(ex.value_lengths)):
             for p in range(s, e):
                 covered[p] += 1
         specials = {vocab.id_of[CLS], vocab.id_of[SEP]}
@@ -116,11 +117,12 @@ class TestTokenize:
     def test_deterministic(self, schema, vocab):
         a = make_example(vocab, schema, [123.0] * schema.d)
         b = make_example(vocab, schema, [123.0] * schema.d)
-        assert a == b
+        assert row_form(a) == row_form(b)
 
 
-def reference_row(flow, vocab, label=None) -> TokenizedExample:
-    """One flow walked value by value and character by character."""
+def reference_row(flow, vocab, label=None):
+    """One flow walked value by value and character by character: its ids,
+    its (feature, start, end) spans and its label, as `row_form` gives them."""
     id_of = vocab.id_of
     ids, spans = [id_of[CLS]], []
     for fi, (name, value) in enumerate(zip(vocab.feature_names, flow.values)):
@@ -129,7 +131,7 @@ def reference_row(flow, vocab, label=None) -> TokenizedExample:
         ids += map(id_of.__getitem__, value)
         spans.append((fi, start, len(ids)))
         ids.append(id_of[SEP])
-    return TokenizedExample(tuple(ids), (1,) * len(ids), tuple(spans), label)
+    return tuple(ids), tuple(spans), label
 
 
 # integers of any sign, fractions that render with an exponent, and values
@@ -162,16 +164,16 @@ class TestTokenizeRows:
         flows = [textualize.serialize(FlowRecord(tuple(r), "x"), schema) for r in rows]
         batch = tokenize_rows(flows, vocab, 10_000, labels)
         want = [reference_row(flow, vocab, label) for flow, label in zip(flows, labels)]
-        assert batch.ids.dtype == np.int64 and batch.ids.shape[1] == max(len(w.ids) for w in want)
+        assert batch.ids.dtype == np.int64 and batch.ids.shape[1] == max(len(w[0]) for w in want)
         for i, w in enumerate(want):
-            n = len(w.ids)
+            n = len(w[0])
             assert batch.lengths[i] == n
-            assert tuple(batch.ids[i, :n].tolist()) == w.ids
+            assert tuple(batch.ids[i, :n].tolist()) == w[0]
             assert not batch.ids[i, n:].any()  # PAD after the row's end
-            assert batch.example(i) == w
+            assert row_form(batch.example(i)) == w
         assert batch.labels.tolist() == [label.value for label in labels]
         # the matrix the batched paths read: the examples stacked row by row
-        ids, mask = stack(want)
+        ids, mask = stack([w[0] for w in want])
         assert np.array_equal(batch.ids, ids)
         assert np.array_equal(mask, np.arange(ids.shape[1]) < batch.lengths[:, None])
 
@@ -181,7 +183,7 @@ class TestTokenizeRows:
         flows = [textualize.serialize(FlowRecord(tuple(r), "x"), schema) for r in rows]
         batch = tokenize_rows(flows, vocab, 1000)
         assert len(set(batch.lengths.tolist())) == 3
-        ids, _ = stack([reference_row(flow, vocab) for flow in flows])
+        ids, _ = stack([reference_row(flow, vocab)[0] for flow in flows])
         assert np.array_equal(batch.ids, ids)
         assert batch.labels is None
 

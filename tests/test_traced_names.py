@@ -87,3 +87,17 @@ def test_probes_read_a_mixed_length_pass(vocab, schema, monkeypatch):
     assert calls[0] == 2 and calls[1] > 2
     assert metrics["attribution.forward_calls_per_example"] == sum(calls) / 2
     assert metrics["attribution.forward_rows_per_example"] == steps + 2
+
+
+def test_tokenize_probe_reads_a_row(vocab, schema):
+    # no stage calls `tokenize`, so only this test sees its probe read the
+    # row it returns: every position counted, none of them padding
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    flow = textualize.serialize(FlowRecord(tuple(float(10 ** i) for i in range(schema.d)),
+                                           "BENIGN"), schema)
+    with tracing.installed(tracer):
+        ex = tokenizer.tokenize(flow, vocab, 128, COARSE_LABELS[1])
+    [span] = [s for s in tracer.spans if s.name == "tokenizer.tokenize"]
+    assert span.attrs == {"positions": len(ex.ids), "masked": 0}
+    assert tracing.layer_metrics(tracer.spans)["tokenizer.pad_share"] == 0

@@ -13,7 +13,7 @@ from flowig.cli import main
 from flowig.errors import DataError, NumericError
 from flowig.evaluation import confusion, metrics
 from flowig.flow_data import CoarseLabel
-from flowig.tokenizer import TokenizedExample, tokenize_rows
+from flowig.tokenizer import tokenize_rows
 from flowig.training import TrainConfig, _loss_rows, class_weights, train
 
 from conftest import batch_of, make_batch, make_example, randomize_params, small_config, stack, take
@@ -170,13 +170,13 @@ class TestTrain:
         assert abs(metrics(cm).macro_f1 - log.best_val_macro_f1) < 1e-12
 
 
-def _padded(examples, max_seq_len):
-    """ids and mask with every example padded to max_seq_len (PAD id 0)."""
-    ids = np.zeros((len(examples), max_seq_len), dtype=np.int64)
-    mask = np.zeros((len(examples), max_seq_len))
-    for row, e in enumerate(examples):
-        ids[row, : len(e.ids)] = e.ids
-        mask[row, : len(e.ids)] = e.attention_mask
+def _padded(rows, max_seq_len):
+    """ids and mask with every row of token ids padded to max_seq_len (PAD id 0)."""
+    ids = np.zeros((len(rows), max_seq_len), dtype=np.int64)
+    mask = np.zeros((len(rows), max_seq_len))
+    for row, r in enumerate(rows):
+        ids[row, : len(r)] = r
+        mask[row, : len(r)] = 1
     return ids, mask
 
 
@@ -197,11 +197,9 @@ class TestStack:
 
     def check(self, lengths, rows):
         rng = np.random.default_rng(len(lengths))
-        examples = [
-            TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel(i % 3))
-            for i, n in enumerate(lengths)
-        ]
-        ids, mask = training._rows(batch_of(examples), rows)
+        examples = [rng.integers(1, 20, size=n) for n in lengths]
+        batch = batch_of(examples, [CoarseLabel(i % 3) for i in range(len(lengths))])
+        ids, mask = training._rows(batch, rows)
         want_ids, want_mask = _padded([examples[i] for i in rows], 16)
         n = _active_length(want_mask)
         assert n == max(lengths[i] for i in rows)
@@ -226,8 +224,8 @@ class TestEvaluateExamples:
         rows = [[float(rng.integers(1, 10 ** int(rng.integers(1, 5)))) for _ in range(schema.d)]
                 for _ in range(10)]
         batch = make_batch(vocab, schema, rows, labels=[CoarseLabel.BENIGN] * 10)
-        examples = [make_example(vocab, schema, values) for values in rows]
-        lengths = {len(e.ids) for e in examples}
+        examples = [make_example(vocab, schema, values).ids for values in rows]
+        lengths = {len(e) for e in examples}
         assert len(lengths) > 1 and max(lengths) < 64
         cfg = small_config(vocab.size, variant, max_seq_len=64, d_model=16, d_ff=24)
         params = randomize_params(encoder.init_params(cfg), rng)
@@ -320,12 +318,8 @@ class TestChunkedStep:
         rng = np.random.default_rng(23)
         cfg = small_config(20, variant, layers=2, dropout_rate=0.2)
         p = randomize_params(encoder.init_params(cfg), rng)
-        examples = [
-            TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel(i % 3))
-            for i, n in enumerate((7, 10, 9, 12, 5, 11, 8))
-        ]
-        ids, mask = stack(examples)
-        labels = np.array([e.label.value for e in examples])
+        ids, mask = stack([rng.integers(1, 20, size=n) for n in (7, 10, 9, 12, 5, 11, 8)])
+        labels = np.arange(7) % 3
         w = np.array([0.7, 1.1, 1.4])
         dropout = encoder.dropout_masks(np.random.default_rng(4), cfg, *ids.shape)
         want_loss, want = _whole_batch_step(p, cfg, ids, mask, labels, w, dropout)
@@ -435,8 +429,7 @@ def test_disentangled_peak_memory_below_one_distance_table(monkeypatch, call):
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(3))
     rng = np.random.default_rng(4)
     L = 300
-    rows = batch_of([TokenizedExample(tuple(rng.integers(1, 40, n).tolist()), (1,) * n, ())
-                     for n in range(L - 10, L)])
+    rows = batch_of([rng.integers(1, 40, n) for n in range(L - 10, L)])
     ids = rng.integers(1, 40, size=(4, L))
     dropout = encoder.dropout_masks(rng, cfg, 4, L)
 

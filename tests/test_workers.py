@@ -19,7 +19,6 @@ import pytest
 from flowig import attribution, encoder, training
 from flowig.errors import NumericError
 from flowig.flow_data import CoarseLabel
-from flowig.tokenizer import TokenizedExample
 from flowig.training import TrainConfig, class_weights, train
 
 from conftest import make_batch, make_example, randomize_params, small_config, stack, take
@@ -85,12 +84,8 @@ class TestSameBitsAsInTurn:
         rng = np.random.default_rng(23)
         cfg = small_config(20, variant, layers=2, dropout_rate=0.2)
         p = randomize_params(encoder.init_params(cfg), rng)
-        examples = [
-            TokenizedExample(tuple(rng.integers(1, 20, size=n)), (1,) * n, (), CoarseLabel(i % 3))
-            for i, n in enumerate((7, 10, 9, 12, 5, 11, 8))
-        ]
-        ids, mask = stack(examples)
-        labels = np.array([e.label.value for e in examples])
+        ids, mask = stack([rng.integers(1, 20, size=n) for n in (7, 10, 9, 12, 5, 11, 8)])
+        labels = np.arange(7) % 3
         dropout = encoder.dropout_masks(np.random.default_rng(4), cfg, *ids.shape)
         # 2 rows per call, so the 7 rows take 4
         monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 2 * ids.shape[1] * cfg.d_model)
