@@ -18,7 +18,7 @@ import numpy as np
 from . import encoder
 from .encoder import EncoderConfig, Params
 from .errors import ConfigError, DataError, NumericError, check_fields
-from .flow_data import COARSE_LABELS, CoarseLabel, FeatureSchema
+from .flow_data import CLASS_NAMES, FeatureSchema
 from .textualize import format_value
 from .tokenizer import TokenBatch, TokenizedExample, feature_spans
 
@@ -38,7 +38,7 @@ class AttributionResult:
     token_attr: np.ndarray         # (n,) at the example's length, signed
     feature_attr: np.ndarray       # (d,), signed, span sums
     structural_residue: float      # attribution on CLS/SEP/PAD positions
-    target_class: CoarseLabel
+    target_class: int              # the class index
     completeness_gap: float        # sum(token_attr) - (F(x) - F(x'))
     output_delta: float            # F(x) - F(x')
 
@@ -68,7 +68,7 @@ def integrated_gradients(
     params: Params,
     config: EncoderConfig,
     example: TokenizedExample,
-    target_class: CoarseLabel,
+    target_class: int,
     cfg: IGConfig = IGConfig(),
     pad_id: int = 0,
 ) -> AttributionResult:
@@ -88,7 +88,6 @@ def integrated_gradients(
     emb = encoder.embed(params, config, example)
     n = len(example.ids)
     base = baseline_embeddings(params, config, pad_id)[:n]
-    t = target_class.value
     steps = cfg.steps
     delta = emb - base
     alphas = (np.arange(steps) + 0.5) / steps
@@ -99,12 +98,12 @@ def integrated_gradients(
     def job(part):
         if part is None:  # F(x) and F(x'): one call, or one per row when two rows do not fit
             ends = np.stack([emb, base])
-            return np.concatenate([forward(ends[rows])[0][:, t]
+            return np.concatenate([forward(ends[rows])[0][:, target_class]
                                    for rows in encoder.row_chunks([n, n], config.d_model)])
         points = base[None] + alphas[part, None, None] * delta[None]
         _, trace = forward(points)
         dlogits = np.zeros((len(points), config.n_classes))
-        dlogits[:, t] = 1.0
+        dlogits[:, target_class] = 1.0
         grads = encoder.backward(params, trace, dlogits, param_grads=False)[1]
         finite = np.isfinite(grads).all(axis=(1, 2))
         if not finite.all():
@@ -154,7 +153,7 @@ def class_attribution_matrix(
 
     Each row of `batch` is attributed toward its true label.
     """
-    empty = [c.name for c in COARSE_LABELS if c.value not in batch.labels]
+    empty = [name for c, name in enumerate(CLASS_NAMES) if c not in batch.labels]
     if empty:
         raise DataError(f"no examples for class: {', '.join(empty)}")
 
@@ -169,8 +168,8 @@ def class_attribution_matrix(
 
     matrix = ClassAttributionMatrix(
         feature_names=tuple(schema.names[i] for i in order),
-        values=np.stack([abs_attr[batch.labels == c.value][:, order].mean(axis=0)
-                         for c in COARSE_LABELS]),
+        values=np.stack([abs_attr[batch.labels == c][:, order].mean(axis=0)
+                         for c in range(len(CLASS_NAMES))]),
     )
     return matrix, results
 
@@ -182,10 +181,8 @@ def export_heatmap_csv(matrix: ClassAttributionMatrix) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["class", *matrix.feature_names])
-    for c in COARSE_LABELS:
-        writer.writerow(
-            [c.name, *(format_value(float(v)) for v in matrix.values[c.value])]
-        )
+    for name, row in zip(CLASS_NAMES, matrix.values):
+        writer.writerow([name, *(format_value(float(v)) for v in row)])
     return buf.getvalue().encode("utf-8")
 
 
@@ -221,13 +218,13 @@ def export_heatmap_svg(matrix: ClassAttributionMatrix) -> bytes:
             f'<text x="{x}" y="{top - 8}" text-anchor="start" '
             f'transform="rotate(-60 {x} {top - 8})">{_escape(name)}</text>'
         )
-    for c in COARSE_LABELS:
-        y = top + c.value * cell_h
+    for c, name in enumerate(CLASS_NAMES):
+        y = top + c * cell_h
         parts.append(
-            f'<text x="{left - 8}" y="{y + cell_h // 2 + 4}" text-anchor="end">{c.name}</text>'
+            f'<text x="{left - 8}" y="{y + cell_h // 2 + 4}" text-anchor="end">{name}</text>'
         )
         for j in range(k):
-            v = float(matrix.values[c.value, j])
+            v = float(matrix.values[c, j])
             x = left + j * cell_w
             fill = _color(v / vmax)
             txt = "#000000" if v / vmax > 0.6 else "#ffffff"

@@ -23,7 +23,7 @@ import click
 from . import attribution, checkpoint, encoder, evaluation, flow_data, synthetic, textualize, tokenizer, training
 from .checkpoint import write_artifact
 from .errors import AuditError, ConfigError, DataError, FlowigError, check_fields
-from .flow_data import COARSE_LABELS, FeatureSchema, LabeledDataset
+from .flow_data import CLASS_NAMES, FeatureSchema, LabeledDataset
 
 VARIANTS = (encoder.ABSOLUTE, encoder.DISENTANGLED)
 HEATMAP_FORMATS = ("csv", "svg")
@@ -62,7 +62,7 @@ class RunConfig:
 
     def __post_init__(self):
         # under one example per class, ig_max_examples's round-robin pick leaves a class out
-        check_fields(self, "", {"seed": 0, "top_k": 1, "ig_max_examples": len(COARSE_LABELS)})
+        check_fields(self, "", {"seed": 0, "top_k": 1, "ig_max_examples": len(CLASS_NAMES)})
         self.ratios = flow_data.check_split_ratios(self.ratios)
         if self.schema == "synthetic":
             self._schema = synthetic.SYNTHETIC_SCHEMA
@@ -170,8 +170,7 @@ def _load_model_and_test(cfg: RunConfig, work: Path):
         raise DataError(f"missing checkpoint {ckpt}; run `flowig train` first")
     enc_cfg, params = checkpoint.load_checkpoint(ckpt, tuple(cfg.vocab.id_of))
     test_ds = _load_split(work, "test", cfg)
-    counts = test_ds.class_counts()
-    missing = [c.name for c in COARSE_LABELS if counts[c] == 0]
+    missing = [name for name, n in zip(CLASS_NAMES, test_ds.class_counts()) if n == 0]
     if missing:
         raise DataError(f"class absent from test split: {', '.join(missing)}")
     return enc_cfg, params, test_ds
@@ -186,8 +185,8 @@ def _select_examples(labels, limit) -> list[int]:
     """
     if limit is None or limit >= len(labels):
         return list(range(len(labels)))
-    ranks = {c: itertools.count() for c in COARSE_LABELS}
-    keys = [(next(ranks[label]), label.value) for label in labels]
+    ranks = [itertools.count() for _ in CLASS_NAMES]
+    keys = [(next(ranks[label]), label) for label in labels]
     return sorted(range(len(labels)), key=keys.__getitem__)[: max(limit, 0)]
 
 
@@ -217,7 +216,7 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
         records = [deduped.records[i] for i in part]
         data = synthetic.dataset_to_csv_bytes(LabeledDataset(schema, records), cfg.label_column)
         write_artifact(work / f"split_{name}.csv", data)
-        manifest_lines += [f"{hashes[i]}\t{name}\t{label.name}\n"
+        manifest_lines += [f"{hashes[i]}\t{name}\t{CLASS_NAMES[label]}\n"
                            for i, (_, label) in zip(part, records)]
     write_artifact(work / "manifest.tsv", "".join(manifest_lines))
 
@@ -234,8 +233,8 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
     write_artifact(work / "overlap_audit.txt", audit_text)
 
     click.echo(f"{dedup_report.before} -> {dedup_report.after}")
-    counts = deduped.class_counts()
-    click.echo("class counts: " + ", ".join(f"{c.name}={counts[c]}" for c in COARSE_LABELS))
+    click.echo("class counts: " + ", ".join(
+        f"{name}={n}" for name, n in zip(CLASS_NAMES, deduped.class_counts())))
     click.echo("overlap audit: " + audit_text.replace("\n", "; ").rstrip("; "))
 
 
@@ -247,8 +246,7 @@ def _run_train(cfg: RunConfig, work: Path) -> None:
     train_rows = _tokenized(train_ds.records, cfg, enc_cfg.max_seq_len)
     val_rows = _tokenized(val_ds.records, cfg, enc_cfg.max_seq_len)
 
-    counts = train_ds.class_counts()
-    weights = training.class_weights(tuple(counts[c] for c in COARSE_LABELS))
+    weights = training.class_weights(train_ds.class_counts())
     params = encoder.init_params(enc_cfg)
     best, log = training.train(params, enc_cfg, train_rows, val_rows, weights, cfg.train_cfg)
     checkpoint.save_checkpoint(_ckpt_path(work, cfg.variant), enc_cfg, best,
@@ -297,7 +295,7 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
         json.dumps(
             {
                 "hash": h,
-                "class": res.target_class.name,
+                "class": CLASS_NAMES[res.target_class],
                 "feature_attr": [float(v) for v in res.feature_attr],
                 "completeness_gap": res.completeness_gap,
                 "relative_gap": res.relative_gap,
@@ -451,8 +449,10 @@ def _stage(run, *options) -> None:
         except MemoryError as e:
             _fail(FlowigError(f"out of memory: {e}"))
         except OSError as e:
-            # a write fails at its rename, whose target is filename2
-            _fail(DataError(f"cannot access {e.filename2 or e.filename}: {e.strerror}"))
+            # a write fails at its rename, whose target is filename2; a
+            # failed write to standard output names no file
+            path = e.filename2 or e.filename
+            _fail(DataError(f"cannot access {path}: {e.strerror}" if path else e.strerror))
 
     name = run.__name__.removeprefix("_run_")
     params = [*_COMMON, *options]

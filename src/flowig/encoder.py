@@ -164,11 +164,14 @@ def init_params(config: EncoderConfig) -> Params:
     """Seeded init: matrices ~ N(0, 1/fan_in), classifier zeroed for uniform logits.
 
     The fan-in of an embedding table is d_model, of a weight matrix its row
-    count; layer-norm gains start at 1 and every bias at 0.
+    count; layer-norm gains start at 1 and every bias at 0. A tensor whose
+    size numpy cannot represent is refused as out of memory.
     """
     rng = np.random.default_rng(config.seed)
     p: Params = {}
     for name, shape in param_shapes(config).items():
+        if math.prod(shape) > np.iinfo(np.intp).max // 8:  # float64 bytes past numpy's intp
+            raise MemoryError(f"{name} of shape {shape} is too big for numpy to represent")
         if name.endswith(".g"):
             p[name] = np.ones(shape)
         elif len(shape) == 1 or name == "head.w":

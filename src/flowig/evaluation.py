@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .flow_data import COARSE_LABELS
+from .flow_data import CLASS_NAMES
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,9 @@ class MetricsReport:
 
     def format(self) -> str:
         lines = ["class\tprecision\trecall\tf1\tsupport"]
-        for i, c in enumerate(COARSE_LABELS):
+        for i, name in enumerate(CLASS_NAMES):
             lines.append(
-                f"{c.name}\t{self.precision[i]:.6f}\t{self.recall[i]:.6f}"
+                f"{name}\t{self.precision[i]:.6f}\t{self.recall[i]:.6f}"
                 f"\t{self.f1[i]:.6f}\t{self.support[i]}"
             )
         lines.append(f"accuracy\t{self.accuracy:.6f}")
@@ -75,6 +75,6 @@ def metrics(counts) -> MetricsReport:
         weighted_f1=float((f1 * support).sum() / total),
         counts=tuple(map(tuple, arr.tolist())),
         zero_division_classes=tuple(
-            c.name for c, p, s in zip(COARSE_LABELS, pred_totals, support) if p == 0 or s == 0
+            name for name, p, s in zip(CLASS_NAMES, pred_totals, support) if p == 0 or s == 0
         ),
     )

@@ -8,7 +8,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -16,13 +15,9 @@ from .errors import ConfigError, SchemaError, UnknownLabelError, DataError
 from .textualize import serialize, text_hash
 
 
-class CoarseLabel(Enum):
-    BENIGN = 0
-    DDOS = 1
-    WEB_ATTACK = 2
-
-
-COARSE_LABELS = (CoarseLabel.BENIGN, CoarseLabel.DDOS, CoarseLabel.WEB_ATTACK)
+# a class is its index into CLASS_NAMES; the name is read only to write text
+CLASS_NAMES = ("BENIGN", "DDOS", "WEB_ATTACK")
+BENIGN, DDOS, WEB_ATTACK = range(len(CLASS_NAMES))
 SPLITS = ("train", "validation", "test")
 
 
@@ -50,14 +45,15 @@ class FlowRecord:
 @dataclass
 class LabeledDataset:
     schema: FeatureSchema
-    records: list[tuple[FlowRecord, CoarseLabel]]
+    records: list[tuple[FlowRecord, int]]
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def class_counts(self) -> dict[CoarseLabel, int]:
+    def class_counts(self) -> tuple[int, ...]:
+        """Each class's record count, in class order."""
         labels = [label for _, label in self.records]
-        return {c: labels.count(c) for c in COARSE_LABELS}
+        return tuple(map(labels.count, range(len(CLASS_NAMES))))
 
 
 @dataclass
@@ -91,11 +87,11 @@ class DedupReport:
 
 # Raw label -> coarse mapping, keys normalized by _normalize_label.
 _LABEL_MAP = {
-    "benign": CoarseLabel.BENIGN,
-    "ddos": CoarseLabel.DDOS,
-    "web attack - brute force": CoarseLabel.WEB_ATTACK,
-    "web attack - xss": CoarseLabel.WEB_ATTACK,
-    "web attack - sql injection": CoarseLabel.WEB_ATTACK,
+    "benign": BENIGN,
+    "ddos": DDOS,
+    "web attack - brute force": WEB_ATTACK,
+    "web attack - xss": WEB_ATTACK,
+    "web attack - sql injection": WEB_ATTACK,
 }
 
 _DASHES = re.compile(r"[‐‑‒–—―\ufffd]")
@@ -110,7 +106,7 @@ def _normalize_label(raw: str) -> str:
 
 
 @functools.lru_cache(maxsize=1024)   # a capture holds a handful of distinct raw labels
-def merge_labels(raw_label: str) -> CoarseLabel:
+def merge_labels(raw_label: str) -> int:
     key = _normalize_label(raw_label)
     if key not in _LABEL_MAP:
         raise UnknownLabelError(f"unknown raw label: {raw_label!r}")
@@ -147,7 +143,7 @@ def parse_flow_csv(
                                    header.index(label_column))
 
         report = ParseReport()
-        records: list[tuple[FlowRecord, CoarseLabel]] = []
+        records: list[tuple[FlowRecord, int]] = []
         for row in reader:
             if not any(map(str.strip, row)):
                 continue
@@ -182,9 +178,9 @@ def deduplicate(dataset: LabeledDataset) -> tuple[LabeledDataset, DedupReport, l
     Also returns `hashes`, where `hashes[i]` is the hash of kept record i: its
     identity in the audit and the manifest, so no later step serializes it again.
     """
-    seen: dict[str, CoarseLabel] = {}
+    seen: dict[str, int] = {}
     hashes: list[str] = []
-    kept: list[tuple[FlowRecord, CoarseLabel]] = []
+    kept: list[tuple[FlowRecord, int]] = []
     conflicts = 0
     for rec, label in dataset.records:
         h = record_hash(rec, dataset.schema)
@@ -234,16 +230,16 @@ def stratified_split(
 ) -> list[list[int]]:
     """Seeded per-class shuffle then largest-remainder partition: the train,
     validation and test lists of indices into `dataset.records`."""
-    by_class: dict[CoarseLabel, list[int]] = {c: [] for c in COARSE_LABELS}
+    by_class: list[list[int]] = [[] for _ in CLASS_NAMES]
     for i, (_, label) in enumerate(dataset.records):
         by_class[label].append(i)
-    for c, idxs in by_class.items():
+    for name, idxs in zip(CLASS_NAMES, by_class):
         if 0 < len(idxs) < 3:
-            raise DataError(f"class {c.name} has {len(idxs)} records; need >= 3 to split")
+            raise DataError(f"class {name} has {len(idxs)} records; need >= 3 to split")
     rng = np.random.default_rng(seed)
     parts: list[list[int]] = [[], [], []]
-    for c in COARSE_LABELS:
-        idxs = np.array(by_class[c], dtype=np.int64)
+    for idxs in by_class:
+        idxs = np.array(idxs, dtype=np.int64)
         if len(idxs) == 0:
             continue
         perm = idxs[rng.permutation(len(idxs))]

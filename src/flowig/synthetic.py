@@ -15,7 +15,7 @@ import io
 
 import numpy as np
 
-from .flow_data import COARSE_LABELS, CoarseLabel, FeatureSchema, FlowRecord, LabeledDataset
+from .flow_data import FeatureSchema, FlowRecord, LabeledDataset
 
 SYNTHETIC_SCHEMA = FeatureSchema(
     names=(
@@ -30,27 +30,19 @@ SYNTHETIC_SCHEMA = FeatureSchema(
     )
 )
 
-# planted discriminative feature per class (behavioral sketch: benign flows
+# planted discriminative feature in class order (behavioral sketch: benign flows
 # are long-lived, DDoS is high-rate, web attacks have extreme inter-arrival gaps)
-PLANTED_FEATURE = {
-    CoarseLabel.BENIGN: "Flow Duration",
-    CoarseLabel.DDOS: "Flow Packets/s",
-    CoarseLabel.WEB_ATTACK: "Flow IAT Min",
-}
+PLANTED_FEATURE = ("Flow Duration", "Flow Packets/s", "Flow IAT Min")
 
-_RAW_LABEL = {
-    CoarseLabel.BENIGN: "BENIGN",
-    CoarseLabel.DDOS: "DDoS",
-    CoarseLabel.WEB_ATTACK: "Web Attack – Brute Force",
-}
+_RAW_LABEL = ("BENIGN", "DDoS", "Web Attack – Brute Force")  # in class order
 
 
 def generate_synthetic_dataset(n: int = 3000, seed: int = 0) -> LabeledDataset:
     rng = np.random.default_rng(seed)
-    planted_idx = {c: SYNTHETIC_SCHEMA.names.index(PLANTED_FEATURE[c]) for c in COARSE_LABELS}
+    planted_idx = [SYNTHETIC_SCHEMA.names.index(name) for name in PLANTED_FEATURE]
     records = []
     for i in range(n):
-        label = COARSE_LABELS[i % 3]
+        label = i % 3
         values = rng.integers(100, 200, size=SYNTHETIC_SCHEMA.d).astype(np.float64)
         values[planted_idx[label]] = float(rng.integers(900, 1000))
         records.append((FlowRecord(tuple(values.tolist()), _RAW_LABEL[label]), label))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TruncationError, DataError
-from .flow_data import COARSE_LABELS, CoarseLabel, FeatureSchema
+from .flow_data import FeatureSchema
 from .textualize import TextFlow
 
 PAD = "[PAD]"
@@ -53,7 +53,7 @@ class TokenizedExample:
     """One `TokenBatch` row, unpadded; its value lengths fix its `feature_spans`."""
     ids: np.ndarray            # (n,) int64
     value_lengths: np.ndarray  # (features,) int64
-    label: CoarseLabel | None = None
+    label: int | None = None   # the class index
 
     @property
     def attention_mask(self) -> tuple[int, ...]:
@@ -78,7 +78,7 @@ class TokenBatch:
     def example(self, i: int) -> TokenizedExample:
         """Row i, unpadded: views into the batch's arrays."""
         return TokenizedExample(self.ids[i, :self.lengths[i]], self.value_lengths[i],
-                                None if self.labels is None else COARSE_LABELS[self.labels[i]])
+                                None if self.labels is None else int(self.labels[i]))
 
 
 def feature_spans(value_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +141,7 @@ def tokenize_rows(
     flows: Iterable[TextFlow],
     vocab: Vocab,
     max_seq_len: int,
-    labels: Iterable[CoarseLabel] | None = None,
+    labels: Iterable[int] | None = None,
 ) -> TokenBatch:
     """Every flow laid out as `tokenize` lays one out, in one padded batch.
 
@@ -173,7 +173,7 @@ def tokenize_rows(
     # the positions still PAD before each row's end are its values', in order
     ids[(ids == 0) & (np.arange(ids.shape[1]) < lengths[:, None])] = value_ids
     if labels is not None:
-        labels = np.fromiter((label.value for label in labels), np.int64, n)
+        labels = np.fromiter(labels, np.int64, n)
     return TokenBatch(ids, lengths, value_lens, labels)
 
 
@@ -181,7 +181,7 @@ def tokenize(
     flow: TextFlow,
     vocab: Vocab,
     max_seq_len: int,
-    label: CoarseLabel | None = None,
+    label: int | None = None,
 ) -> TokenizedExample:
     """[CLS] then per feature [FEAT][IS][value chars...][SEP], unpadded: row 0
     of `tokenize_rows`, so one flow and a split follow the same rules."""

@@ -10,7 +10,7 @@ from . import encoder
 from .encoder import EncoderConfig, Params
 from .errors import ConfigError, DataError, NumericError, check_fields
 from .evaluation import confusion, metrics
-from .flow_data import COARSE_LABELS
+from .flow_data import CLASS_NAMES
 from .tokenizer import TokenBatch
 
 # Adam's moment decay rates and denominator epsilon
@@ -54,7 +54,7 @@ def class_weights(
     """w_c proportional to 1/sqrt(n_c), mean-normalized to 1, then clipped."""
     arr = np.asarray(counts, dtype=np.float64)
     if (arr <= 0).any():
-        missing = [COARSE_LABELS[i].name for i in np.where(arr <= 0)[0]]
+        missing = [CLASS_NAMES[i] for i in np.where(arr <= 0)[0]]
         raise DataError(f"class absent from training data: {', '.join(missing)}")
     inv = 1.0 / np.sqrt(arr)
     return tuple(float(v) for v in np.clip(inv / inv.mean(), *clip))

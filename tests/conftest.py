@@ -76,9 +76,9 @@ def stack(rows):
 
 def batch_of(rows, labels=None):
     """Hand-built rows of token ids, value lengths left out, as a TokenBatch;
-    `labels` are CoarseLabels, or None."""
+    `labels` are class indices, or None."""
     ids, _ = stack(rows)
-    labels = None if labels is None else np.array([label.value for label in labels])
+    labels = None if labels is None else np.array(labels, np.int64)
     return tokenizer.TokenBatch(ids, np.array([len(r) for r in rows]),
                                 np.zeros((len(rows), 0), np.int64), labels)
 

@@ -173,7 +173,7 @@ def test_criterion_3_ig_linear_exactness(vocab, schema):
     for steps in (1, 4, 64):
         for c in range(3):
             res = integrated_gradients(
-                params, cfg, ex, flow_data.COARSE_LABELS[c], IGConfig(steps=steps),
+                params, cfg, ex, c, IGConfig(steps=steps),
                 pad_id=vocab.pad_id,
             )
             # linear model: only the CLS row reaches the logit, with weight w_c
@@ -217,7 +217,7 @@ def test_criterion_4_helper_matches_prepare(tmp_path):
                                     "input_csv": str(flows)}), encoding="utf-8")
     out = run_cli("prepare", "--config", cfg_path).output.splitlines()
     assert out[1] == "class counts: " + ", ".join(
-        f"{c.name}={counts[c]}" for c in flow_data.COARSE_LABELS)
+        f"{name}={n}" for name, n in zip(flow_data.CLASS_NAMES, counts))
     manifest = [line.split("\t") for line in
                 (tmp_path / "work" / "manifest.tsv").read_text().splitlines()]
     assert split_hashes == {name: [h for h, split, _ in manifest if split == name]
@@ -233,8 +233,7 @@ def test_criterion_4_protocol_numbers():
         )
         pytest.skip("CICIDS2017_CSV not set; protocol numbers not verifiable")
     t0 = time.monotonic()
-    report, counts, overlap, _ = _prepare_real_corpus(Path(csv_path))
-    got = tuple(counts[c] for c in flow_data.COARSE_LABELS)
+    report, got, overlap, _ = _prepare_real_corpus(Path(csv_path))
     elapsed = time.monotonic() - t0
     check(
         4, "protocol numbers",
@@ -326,7 +325,7 @@ def test_criterion_7_end_to_end_synthetic(pipeline_a):
             values = [float(v) for v in cells[1:]]
             order = sorted(range(len(values)), key=lambda i: -values[i])
             top3 = {columns[i] for i in order[:3]}
-            planted = PLANTED_FEATURE[flow_data.CoarseLabel[label]]
+            planted = PLANTED_FEATURE[flow_data.CLASS_NAMES.index(label)]
             ok = ok and planted in top3
             if planted not in top3:
                 details.append(f"{variant}/{label}: {planted} not in top3 {top3}")

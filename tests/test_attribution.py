@@ -22,7 +22,7 @@ from flowig.attribution import (
 )
 from flowig.encoder import ABSOLUTE, DISENTANGLED, init_params
 from flowig.errors import ConfigError, DataError
-from flowig.flow_data import CoarseLabel, FeatureSchema, FlowRecord
+from flowig.flow_data import BENIGN, DDOS, WEB_ATTACK, FeatureSchema, FlowRecord
 from flowig.textualize import ValueFormatPolicy, serialize
 from flowig.tokenizer import build_vocab, tokenize_rows
 
@@ -65,7 +65,7 @@ class TestIntegratedGradients:
         ex = make_example(vocab, schema, [float(100 + 7 * i) for i in range(schema.d)])
         for steps in (1, 4, 64):
             res = integrated_gradients(
-                p, cfg, ex, CoarseLabel.DDOS, IGConfig(steps=steps)
+                p, cfg, ex, DDOS, IGConfig(steps=steps)
             )
             assert abs(res.completeness_gap) <= 1e-10
             assert res.relative_gap <= COMPLETENESS_TOLERANCE
@@ -79,7 +79,7 @@ class TestIntegratedGradients:
         # force input == baseline by zeroing the token table difference
         p2 = dict(p)
         p2["tok_emb"] = np.tile(p["tok_emb"][0], (cfg.vocab_size, 1))
-        res = integrated_gradients(p2, cfg, ex, CoarseLabel.BENIGN, IGConfig(steps=4))
+        res = integrated_gradients(p2, cfg, ex, BENIGN, IGConfig(steps=4))
         assert res.output_delta == 0.0
         np.testing.assert_allclose(res.token_attr, 0.0, atol=1e-12)
         assert res.relative_gap == 0.0
@@ -88,7 +88,7 @@ class TestIntegratedGradients:
     def test_partition_identity(self, vocab, schema, trained_like):
         cfg, p = trained_like
         ex = make_example(vocab, schema, [float(100 + i) for i in range(schema.d)])
-        res = integrated_gradients(p, cfg, ex, CoarseLabel.WEB_ATTACK, IGConfig(steps=16))
+        res = integrated_gradients(p, cfg, ex, WEB_ATTACK, IGConfig(steps=16))
         lhs = res.feature_attr.sum() + res.structural_residue
         assert abs(lhs - res.token_attr.sum()) <= 1e-10
 
@@ -97,7 +97,7 @@ class TestIntegratedGradients:
         ex = make_example(vocab, schema, [float(100 + i) for i in range(schema.d)])
         gaps = []
         for steps in (4, 16, 64):
-            res = integrated_gradients(p, cfg, ex, CoarseLabel.DDOS, IGConfig(steps=steps))
+            res = integrated_gradients(p, cfg, ex, DDOS, IGConfig(steps=steps))
             gaps.append(abs(res.completeness_gap))
         assert gaps[2] <= gaps[0]
 
@@ -109,8 +109,8 @@ class TestIntegratedGradients:
         p2 = {k: v.copy() for k, v in p.items()}
         p2["head.w"][:, 1:] = 0.0
         p2["head.b"][1:] = 0.0
-        a = integrated_gradients(p, cfg, ex, CoarseLabel.BENIGN, IGConfig(steps=8))
-        b = integrated_gradients(p2, cfg, ex, CoarseLabel.BENIGN, IGConfig(steps=8))
+        a = integrated_gradients(p, cfg, ex, BENIGN, IGConfig(steps=8))
+        b = integrated_gradients(p2, cfg, ex, BENIGN, IGConfig(steps=8))
         np.testing.assert_allclose(a.token_attr, b.token_attr, atol=1e-12)
 
     @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
@@ -118,7 +118,7 @@ class TestIntegratedGradients:
         cfg = small_config(vocab.size, variant, max_seq_len=64, d_model=16, d_ff=24)
         p = randomize_params(init_params(cfg), np.random.default_rng(3))
         ex = make_example(vocab, schema, [float(100 + i) for i in range(schema.d)])
-        res = integrated_gradients(p, cfg, ex, CoarseLabel.DDOS, IGConfig(steps=32))
+        res = integrated_gradients(p, cfg, ex, DDOS, IGConfig(steps=32))
         assert res.relative_gap < 0.05
 
 
@@ -139,12 +139,12 @@ def _reference_ig(params, cfg, ex, target, ig_cfg, pad_id):
         params, cfg, points, np.tile(mask, (ig_cfg.steps, 1))
     )
     dlogits = np.zeros_like(logits)
-    dlogits[:, target.value] = 1.0
+    dlogits[:, target] = 1.0
     _, demb = encoder.backward(params, trace, dlogits)
     token_attr = (delta * demb.mean(axis=0)).sum(axis=-1)
     f_x, _ = encoder.forward_from_embeddings(params, cfg, emb[None], mask[None])
     f_b, _ = encoder.forward_from_embeddings(params, cfg, base[None], mask[None])
-    output_delta = float(f_x[0, target.value] - f_b[0, target.value])
+    output_delta = float(f_x[0, target] - f_b[0, target])
     feature_attr, _ = reference_aggregate(token_attr, row_form(ex)[1])
     return {
         "token_attr": token_attr,
@@ -170,8 +170,8 @@ class TestFastPathMatchesReference:
         ig_cfg = IGConfig(steps=16)
         pad_id = vocab.pad_id
 
-        res = integrated_gradients(p, cfg, ex, CoarseLabel.DDOS, ig_cfg, pad_id)
-        ref = _reference_ig(p, cfg, ex, CoarseLabel.DDOS, ig_cfg, pad_id)
+        res = integrated_gradients(p, cfg, ex, DDOS, ig_cfg, pad_id)
+        ref = _reference_ig(p, cfg, ex, DDOS, ig_cfg, pad_id)
         # relative 1e-12, with a floor at the scale of the attributions so
         # entries that cancel to near zero are held to the same absolute error
         floor = 1e-12 * max(1.0, np.abs(ref["token_attr"]).max(), abs(ref["output_delta"]))
@@ -198,10 +198,10 @@ def _one_call_ig(params, cfg, ex, target, steps):
                              emb[None], base[None]])
     logits, trace = encoder.forward_from_embeddings(params, cfg, points, np.ones((steps + 2, n)))
     dlogits = np.zeros_like(logits)
-    dlogits[:steps, target.value] = 1.0
+    dlogits[:steps, target] = 1.0
     _, demb = encoder.backward(params, trace, dlogits, param_grads=False)
     token_attr = (delta * demb[:steps].mean(axis=0)).sum(axis=-1)
-    return token_attr, float(logits[steps, target.value] - logits[steps + 1, target.value])
+    return token_attr, float(logits[steps, target] - logits[steps + 1, target])
 
 
 _WIDE = FeatureSchema(tuple(f"Feature {i}" for i in range(48)))
@@ -253,7 +253,7 @@ class TestChunkedPath:
 
         monkeypatch.setattr(encoder, "forward_from_embeddings", counting)
         monkeypatch.setattr(encoder, "backward", counting_backward)
-        res = integrated_gradients(p, cfg, ex, CoarseLabel.WEB_ATTACK, IGConfig(steps=steps))
+        res = integrated_gradients(p, cfg, ex, WEB_ATTACK, IGConfig(steps=steps))
         monkeypatch.undo()
 
         assert sum(b for b, _ in calls) == steps + 2
@@ -261,7 +261,7 @@ class TestChunkedPath:
         assert all(b * length * cfg.d_model <= max(budget, n * cfg.d_model) for b, length in calls)
         endpoint_calls = 1 if rows >= 2 else 2
         assert len(calls) == endpoint_calls + -(-steps // rows)
-        token_attr, output_delta = _one_call_ig(p, cfg, ex, CoarseLabel.WEB_ATTACK, steps)
+        token_attr, output_delta = _one_call_ig(p, cfg, ex, WEB_ATTACK, steps)
         floor = 1e-12 * max(1.0, np.abs(token_attr).max())
         np.testing.assert_allclose(res.token_attr, token_attr, rtol=1e-12, atol=floor)
         assert res.output_delta == pytest.approx(output_delta, rel=1e-12, abs=1e-12)
@@ -269,7 +269,7 @@ class TestChunkedPath:
 
 class TestRelativeGap:
     def _result(self, gap, output_delta):
-        return AttributionResult(np.zeros(4), np.zeros(1), 0.0, CoarseLabel.DDOS,
+        return AttributionResult(np.zeros(4), np.zeros(1), 0.0, DDOS,
                                  completeness_gap=gap, output_delta=output_delta)
 
     def test_gap_at_equal_outputs_is_infinite(self):
@@ -355,7 +355,7 @@ class TestAggregate:
 def examples(vocab, schema):
     """Two rows of each class, as one batch."""
     rng = np.random.default_rng(5)
-    labels = [CoarseLabel.BENIGN, CoarseLabel.DDOS, CoarseLabel.WEB_ATTACK] * 2
+    labels = [BENIGN, DDOS, WEB_ATTACK] * 2
     rows = [[float(rng.integers(100, 1000)) for _ in range(schema.d)] for _ in labels]
     return make_batch(vocab, schema, rows, labels=labels)
 
@@ -382,7 +382,7 @@ class TestClassMatrix:
 
     def test_missing_class_rejected(self, vocab, schema, trained_like, examples):
         cfg, p = trained_like
-        only_benign = take(examples, examples.labels == CoarseLabel.BENIGN.value)
+        only_benign = take(examples, examples.labels == BENIGN)
         with pytest.raises(DataError, match="DDOS"):
             class_attribution_matrix(p, cfg, only_benign, schema, IGConfig(steps=2))
 

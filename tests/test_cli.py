@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -31,7 +32,7 @@ from flowig.errors import (
     SchemaError,
     TruncationError,
 )
-from flowig.flow_data import COARSE_LABELS
+from flowig.flow_data import CLASS_NAMES
 from flowig.synthetic import SYNTHETIC_SCHEMA
 from flowig.training import TrainConfig
 
@@ -517,6 +518,24 @@ class TestFailureModes:
         assert not list(work.glob("*.tmp"))
         assert not (work / ".lock").exists()
 
+    @pytest.mark.parametrize("table, message", [
+        ({"max_seq_len": 10**18}, "pos_emb of shape (1000000000000000000, 16)"),
+        ({"d_model": 4 * 10**18, "heads": 1}, "tok_emb of shape (26, 4000000000000000000)"),
+        ({"d_ff": 4 * 10**18}, "layers.0.ffn.w1 of shape (16, 4000000000000000000)"),
+    ], ids=["max-seq-len", "d-model", "d-ff"])
+    def test_table_past_numpy_sizes(self, pipeline, tmp_path, table, message):
+        # numpy refuses such a table with a ValueError before it allocates
+        tmp, _ = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        cfg = write_config(tmp_path, encoder={**SMALL_CONFIG["encoder"], **table})
+        r = run("train", "--config", cfg)
+        assert r.exit_code == 1
+        assert r.output.splitlines() == [
+            f"error: out of memory: {message} is too big for numpy to represent"]
+        assert not list(work.glob("*.tmp"))
+        assert not (work / ".lock").exists()
+
     def test_checkpoint_without_a_token_list(self, pipeline, tmp_path):
         # written before checkpoint headers listed the vocabulary's tokens
         tmp, cfg = pipeline
@@ -614,6 +633,26 @@ class TestFailureModes:
         assert r.output.splitlines() == [f"error: cannot access {work / name}: Is a directory"]
         assert not (work / ".lock").exists()
         assert {p.name: p.read_bytes() for p in work.iterdir() if p.is_file()} == before
+
+    @pytest.mark.parametrize("stage", ["prepare", "evaluate"])
+    def test_broken_stdout(self, pipeline, tmp_path, monkeypatch, stage):
+        # `flowig <stage> | true`: the failed write to standard output names
+        # no file, so the line gives the system's reason alone
+        tmp, cfg = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(tmp / "work", work)
+        echo = click.echo
+
+        def broken_stdout(message=None, file=None, nl=True, err=False, color=None):
+            if not err:
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+            echo(message, file, nl, err, color)
+
+        monkeypatch.setattr(click, "echo", broken_stdout)
+        r = run(stage, "--config", cfg, "--work-dir", work)
+        assert r.exit_code == EXIT_DATA
+        assert r.output.splitlines() == ["error: Broken pipe"]
+        assert not (work / ".lock").exists()
 
     def test_failed_write_names_its_artifact(self, tmp_path, monkeypatch):
         # a full disk names no file: the line names the artifact being written
@@ -937,14 +976,14 @@ def _round_robin(pairs, limit):
     """The original round-robin loop, kept as the oracle for _select_examples."""
     if limit is None or limit >= len(pairs):
         return pairs
-    by_class = {c: [] for c in COARSE_LABELS}
+    by_class = {c: [] for c in range(len(CLASS_NAMES))}
     for pair in pairs:
         by_class[pair[1].label].append(pair)
     out = []
     i = 0
     while len(out) < limit:
         added = False
-        for c in COARSE_LABELS:
+        for c in range(len(CLASS_NAMES)):
             if i < len(by_class[c]) and len(out) < limit:
                 out.append(by_class[c][i])
                 added = True
@@ -960,7 +999,7 @@ def test_select_examples_matches_round_robin():
         n = int(rng.integers(0, 25))
         weights = rng.dirichlet(np.ones(3))
         labels = rng.choice(3, size=n, p=weights)
-        pairs = [(f"h{i}", SimpleNamespace(label=COARSE_LABELS[c])) for i, c in enumerate(labels)]
+        pairs = [(f"h{i}", SimpleNamespace(label=int(c))) for i, c in enumerate(labels)]
         for limit in (None, -1, 0, 1, 2, 3, n, n + 1, int(rng.integers(0, n + 1))):
             chosen = cli._select_examples([ex.label for _, ex in pairs], limit)
             assert [pairs[i] for i in chosen] == _round_robin(pairs, limit), (trial, limit)

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from flowig.errors import DataError
 from flowig.evaluation import confusion, metrics
-from flowig.flow_data import CoarseLabel
-
-BENIGN, DDOS, WEB_ATTACK = (c.value for c in CoarseLabel)
+from flowig.flow_data import BENIGN, DDOS, WEB_ATTACK
 
 
 def brute_force(cm):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowig.errors import DataError, NumericError, TruncationError
-from flowig.flow_data import CoarseLabel, FeatureSchema, FlowRecord
+from flowig.flow_data import DDOS, FeatureSchema, FlowRecord
 from flowig.textualize import (
     CLAUSE_SEPARATOR, TextFlow, ValueFormatPolicy, format_value, serialize,
 )
@@ -166,7 +166,7 @@ class TestTokenize:
         vocab = build_vocab(schema)
         record = _record(data.draw(st.lists(finite_floats, min_size=d, max_size=d)))
         max_seq_len = data.draw(st.integers(4, 2000))
-        label = data.draw(st.sampled_from([None, CoarseLabel.DDOS]))
+        label = data.draw(st.sampled_from([None, DDOS]))
         flow = serialize(record, schema)
         text, spans = reference_serialize(record, schema)
         try:

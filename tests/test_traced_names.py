@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from flowig import attribution, encoder, textualize, tokenizer, training
-from flowig.flow_data import COARSE_LABELS, FlowRecord
+from flowig.flow_data import FlowRecord
 
 from conftest import randomize_params, small_config
 
@@ -61,10 +61,10 @@ def test_probes_read_a_mixed_length_pass(vocab, schema, monkeypatch):
     with tracing.installed(tracer):
         flows = [textualize.serialize(rec, schema) for rec in records]
         batch = tokenizer.tokenize_rows(flows, vocab, 128,
-                                        [COARSE_LABELS[i % 3] for i in range(len(flows))])
+                                        [i % 3 for i in range(len(flows))])
         training.evaluate_examples(params, cfg, batch)
         chosen = tokenizer.tokenize_rows([flows[0], flows[-1]], vocab, 128,
-                                         [COARSE_LABELS[0], COARSE_LABELS[(len(flows) - 1) % 3]])
+                                         [0, (len(flows) - 1) % 3])
         examples = [chosen.example(i) for i in range(len(chosen))]
         for e in examples:
             attribution.integrated_gradients(params, cfg, e, e.label,
@@ -97,7 +97,7 @@ def test_tokenize_probe_reads_a_row(vocab, schema):
     flow = textualize.serialize(FlowRecord(tuple(float(10 ** i) for i in range(schema.d)),
                                            "BENIGN"), schema)
     with tracing.installed(tracer):
-        ex = tokenizer.tokenize(flow, vocab, 128, COARSE_LABELS[1])
+        ex = tokenizer.tokenize(flow, vocab, 128, 1)
     [span] = [s for s in tracer.spans if s.name == "tokenizer.tokenize"]
     assert span.attrs == {"positions": len(ex.ids), "masked": 0}
     assert tracing.layer_metrics(tracer.spans)["tokenizer.pad_share"] == 0

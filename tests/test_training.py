@@ -12,7 +12,7 @@ from flowig import attribution, encoder, training
 from flowig.cli import main
 from flowig.errors import DataError, NumericError
 from flowig.evaluation import confusion, metrics
-from flowig.flow_data import CoarseLabel
+from flowig.flow_data import BENIGN, DDOS, WEB_ATTACK
 from flowig.tokenizer import tokenize_rows
 from flowig.training import TrainConfig, _loss_rows, class_weights, train
 
@@ -71,7 +71,7 @@ class TestWeightedCrossEntropy:
 
     def test_weight_doubles_loss(self):
         z = np.array([[0.3, -1.2, 0.9]])
-        label = np.array([CoarseLabel.BENIGN.value])
+        label = np.array([BENIGN])
         l1, g1 = _batch_loss(z, label, np.array([1.0, 1.0, 1.0]))
         l2, g2 = _batch_loss(z, label, np.array([2.0, 1.0, 1.0]))
         assert abs(l2 - 2 * l1) < 1e-12
@@ -81,7 +81,7 @@ class TestWeightedCrossEntropy:
         rng = np.random.default_rng(0)
         w = np.asarray(class_weights((4, 1, 1)))
         z = rng.normal(size=(2, 3))
-        labels = np.array([CoarseLabel.DDOS.value, CoarseLabel.BENIGN.value])
+        labels = np.array([DDOS, BENIGN])
         _, grad = _batch_loss(z, labels, w)
         eps = 1e-6
         for idx in np.ndindex(z.shape):
@@ -94,7 +94,7 @@ class TestWeightedCrossEntropy:
     def test_grad_sums_to_zero(self):
         w = np.asarray(class_weights((3, 3, 3)))
         z = np.array([[5.0, -2.0, 0.1], [0.0, 1.0, -1.0]])
-        labels = np.array([CoarseLabel.WEB_ATTACK.value, CoarseLabel.DDOS.value])
+        labels = np.array([WEB_ATTACK, DDOS])
         _, grad = _batch_loss(z, labels, w)
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
 
@@ -103,12 +103,12 @@ def tiny_corpus(vocab, schema, n_per_class=8):
     """Separable toy set: first feature high for DDoS, low otherwise."""
     rng = np.random.default_rng(0)
     rows, labels = [], []
-    for label in (CoarseLabel.BENIGN, CoarseLabel.DDOS, CoarseLabel.WEB_ATTACK):
+    for label in (BENIGN, DDOS, WEB_ATTACK):
         for _ in range(n_per_class):
             values = [float(rng.integers(100, 200)) for _ in range(schema.d)]
-            if label is CoarseLabel.DDOS:
+            if label == DDOS:
                 values[0] = float(rng.integers(900, 1000))
-            elif label is CoarseLabel.WEB_ATTACK:
+            elif label == WEB_ATTACK:
                 values[1] = float(rng.integers(900, 1000))
             rows.append(values)
             labels.append(label)
@@ -198,7 +198,7 @@ class TestStack:
     def check(self, lengths, rows):
         rng = np.random.default_rng(len(lengths))
         examples = [rng.integers(1, 20, size=n) for n in lengths]
-        batch = batch_of(examples, [CoarseLabel(i % 3) for i in range(len(lengths))])
+        batch = batch_of(examples, [i % 3 for i in range(len(lengths))])
         ids, mask = training._rows(batch, rows)
         want_ids, want_mask = _padded([examples[i] for i in rows], 16)
         n = _active_length(want_mask)
@@ -223,7 +223,7 @@ class TestEvaluateExamples:
         rng = np.random.default_rng(1)
         rows = [[float(rng.integers(1, 10 ** int(rng.integers(1, 5)))) for _ in range(schema.d)]
                 for _ in range(10)]
-        batch = make_batch(vocab, schema, rows, labels=[CoarseLabel.BENIGN] * 10)
+        batch = make_batch(vocab, schema, rows, labels=[BENIGN] * 10)
         examples = [make_example(vocab, schema, values).ids for values in rows]
         lengths = {len(e) for e in examples}
         assert len(lengths) > 1 and max(lengths) < 64
@@ -244,7 +244,7 @@ class TestEvaluateExamples:
         rows = [[float(rng.integers(10 ** (k - 1), 10 ** k)) for _ in range(schema.d)]
                 for k in digits]
         batch = make_batch(vocab, schema, rows, max_seq_len=128,
-                           labels=[CoarseLabel(i % 3) for i in range(len(rows))])
+                           labels=[i % 3 for i in range(len(rows))])
         examples = [make_example(vocab, schema, values, max_seq_len=128) for values in rows]
         lengths = np.array([len(e.ids) for e in examples])
         order = np.argsort(lengths, kind="stable")
@@ -270,7 +270,7 @@ class TestEvaluateExamples:
         rng = np.random.default_rng(4)
         values = [[float(rng.integers(1, 10 ** int(rng.integers(1, 5)))) for _ in range(schema.d)]
                   for _ in range(6)]
-        labeled = make_batch(vocab, schema, values, labels=[CoarseLabel(i % 3) for i in range(6)])
+        labeled = make_batch(vocab, schema, values, labels=[i % 3 for i in range(6)])
         unlabeled = make_batch(vocab, schema, values)
         assert unlabeled.labels is None
         cfg = small_config(vocab.size, variant, max_seq_len=64, layers=2, d_model=16, d_ff=24)
@@ -286,7 +286,7 @@ class TestEvaluateExamples:
         rng = np.random.default_rng(3)
         batch = make_batch(vocab, schema,
                            [[float(v) for v in rng.integers(0, 100, schema.d)] for _ in range(5)],
-                           labels=[CoarseLabel(i % 3) for i in range(5)])
+                           labels=[i % 3 for i in range(5)])
         cfg = small_config(vocab.size, max_seq_len=64)
         logits, preds = training.evaluate_examples(encoder.init_params(cfg), cfg, batch)
         assert (logits == 0).all()
@@ -401,11 +401,11 @@ def test_evaluate_peak_memory_does_not_grow_with_rows(vocab, schema, monkeypatch
     cfg = small_config(vocab.size, max_seq_len=64, layers=2, d_model=16, d_ff=24)
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(5))
     values = [float(100 + 37 * i) for i in range(schema.d)]
-    one = make_example(vocab, schema, values, label=CoarseLabel.BENIGN)
+    one = make_example(vocab, schema, values, label=BENIGN)
     assert 512 * len(one.ids) * cfg.d_model > 8 * encoder._CHUNK_FLOATS
 
     def peak(n):
-        batch = make_batch(vocab, schema, [values] * n, labels=[CoarseLabel.BENIGN] * n)
+        batch = make_batch(vocab, schema, [values] * n, labels=[BENIGN] * n)
         tracemalloc.start()
         try:
             training.evaluate_examples(params, cfg, batch)

@@ -18,7 +18,7 @@ import pytest
 
 from flowig import attribution, encoder, training
 from flowig.errors import NumericError
-from flowig.flow_data import CoarseLabel
+from flowig.flow_data import BENIGN, DDOS
 from flowig.training import TrainConfig, class_weights, train
 
 from conftest import make_batch, make_example, randomize_params, small_config, stack, take
@@ -46,7 +46,7 @@ def _batch(vocab, schema, n, seed):
     rng = np.random.default_rng(seed)
     rows = [[float(rng.integers(1, 10 ** int(rng.integers(1, 5)))) for _ in range(schema.d)]
             for _ in range(n)]
-    return make_batch(vocab, schema, rows, labels=[CoarseLabel(i % 3) for i in range(n)])
+    return make_batch(vocab, schema, rows, labels=[i % 3 for i in range(n)])
 
 
 def _record_threads(monkeypatch) -> list:
@@ -105,7 +105,7 @@ class TestSameBitsAsInTurn:
         monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 3 * len(ex.ids) * cfg.d_model)
         got, want = _in_turn_and_on_pool(
             monkeypatch, workers,
-            lambda: attribution.integrated_gradients(p, cfg, ex, CoarseLabel.DDOS,
+            lambda: attribution.integrated_gradients(p, cfg, ex, DDOS,
                                                      attribution.IGConfig(steps=16)))
         assert np.array_equal(got.token_attr, want.token_attr)
         assert got.output_delta == want.output_delta
@@ -171,7 +171,7 @@ def test_more_workers_than_cores(monkeypatch, vocab, schema):
         return part.start
 
     def ig():
-        return attribution.integrated_gradients(p, cfg, ex, CoarseLabel.BENIGN,
+        return attribution.integrated_gradients(p, cfg, ex, BENIGN,
                                                 attribution.IGConfig(steps=32)).token_attr
 
     monkeypatch.setattr(encoder, "_WORKERS", workers)
@@ -270,12 +270,12 @@ def test_peak_memory_stays_at_one_chunk_per_worker(vocab, schema, monkeypatch, w
     cfg = small_config(vocab.size, max_seq_len=64, layers=2, d_model=16, d_ff=24)
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(5))
     values = [float(100 + 37 * i) for i in range(schema.d)]
-    one = make_example(vocab, schema, values, label=CoarseLabel.BENIGN)
+    one = make_example(vocab, schema, values, label=BENIGN)
     assert 512 * len(one.ids) * cfg.d_model > 8 * encoder._CHUNK_FLOATS
 
     def peak(n, w):
         monkeypatch.setattr(encoder, "_WORKERS", w)
-        batch = make_batch(vocab, schema, [values] * n, labels=[CoarseLabel.BENIGN] * n)
+        batch = make_batch(vocab, schema, [values] * n, labels=[BENIGN] * n)
         tracemalloc.start()
         try:
             training.evaluate_examples(params, cfg, batch)
@@ -322,7 +322,7 @@ def test_ig_memory_does_not_grow_with_steps(vocab, schema, monkeypatch):
     def peak(steps):
         tracemalloc.start()
         try:
-            attribution.integrated_gradients(p, cfg, ex, CoarseLabel.DDOS,
+            attribution.integrated_gradients(p, cfg, ex, DDOS,
                                              attribution.IGConfig(steps=steps))
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -362,5 +362,5 @@ def test_non_finite_gradient_names_its_step(vocab, schema, monkeypatch, workers)
     monkeypatch.setattr(encoder, "forward_from_embeddings", keeping_points)
     monkeypatch.setattr(encoder, "backward", injecting)
     with pytest.raises(NumericError, match=r"^non-finite gradient at integration step 9$"):
-        attribution.integrated_gradients(p, cfg, ex, CoarseLabel.DDOS,
+        attribution.integrated_gradients(p, cfg, ex, DDOS,
                                          attribution.IGConfig(steps=steps))
