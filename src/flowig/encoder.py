@@ -245,6 +245,12 @@ def _ln_backward(dy, cache, grads: Params | None = None, prefix: str = ""):
     return dxhat
 
 
+def _ln_output(params: Params, prefix: str, cache, grads: Params | None):
+    """`_ln_forward`'s output, the same bits, rebuilt from its cache for the
+    parameter gradients; None when `grads` is, as nothing else reads it."""
+    return None if grads is None else cache[0] * cache[2] + params[prefix + "b"]
+
+
 def _linear(params: Params, pre: str, n: str, x):
     """x @ W + b with W, b the parameters `{pre}w{n}`, `{pre}b{n}`; no b if the
     layout has none."""
@@ -437,7 +443,7 @@ def forward_from_embeddings(
         )
     B, L, D = x.shape
     trace = ForwardTrace(config, mask)
-    H, dh = config.heads, config.d_head
+    H, dh, rate = config.heads, config.d_head, config.dropout_rate
     bias = _key_mask_bias(mask)
     if config.attention_variant == DISENTANGLED:
         rel_idx = _rel_index(L, config.rel_window)
@@ -447,11 +453,10 @@ def forward_from_embeddings(
         Lq = 1 if li == config.layers - 1 else L  # query rows this layer computes
         cache: dict = {"pre": pre}
         h1, cache["ln1"] = _ln_forward(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        cache["h1"] = h1
-        q = _split_heads(_linear(params, pre + "attn.", "q", h1[:, :Lq]), H)
-        k = _split_heads(_linear(params, pre + "attn.", "k", h1), H)
-        v = _split_heads(_linear(params, pre + "attn.", "v", h1), H)
-        cache["q"], cache["k"], cache["v"] = q, k, v
+        cache["q"] = q = _split_heads(_linear(params, pre + "attn.", "q", h1[:, :Lq]), H)
+        cache["k"] = k = _split_heads(_linear(params, pre + "attn.", "k", h1), H)
+        cache["v"] = v = _split_heads(_linear(params, pre + "attn.", "v", h1), H)
+        del h1  # the backward rebuilds h1, h2 and g, for the parameter gradients alone
         if config.attention_variant == DISENTANGLED:
             rel = params["rel_emb"]
             # no bias on the positional projections so a zero table ablates cleanly
@@ -461,20 +466,17 @@ def forward_from_embeddings(
             scores = attention_scores_disentangled(q, k, qr, kr, rel_idx)
         else:
             scores = (q @ k.swapaxes(-1, -2)) / math.sqrt(dh)
-        attn = _masked_softmax(scores, bias)
-        cache["attn"] = attn
-        o = _merge_heads(attn @ v)
-        cache["o"] = o
-        out = _linear(params, pre + "attn.", "o", o)
+        cache["attn"] = attn = _masked_softmax(scores, bias)
+        del scores
+        cache["o"] = o = _merge_heads(attn @ v)
         cache["attn_drop"], cache["ffn_drop"] = dropout[li] if dropout else (None, None)
-        x = x[:, :Lq] + _dropout(out, cache["attn_drop"], config.dropout_rate)
+        x = x[:, :Lq] + _dropout(_linear(params, pre + "attn.", "o", o), cache["attn_drop"], rate)
         h2, cache["ln2"] = _ln_forward(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
-        cache["h2"] = h2
-        a = _linear(params, pre + "ffn.", "1", h2)
-        g, phi = _gelu_forward(a)
-        cache["a"], cache["phi"], cache["g"] = a, phi, g
-        y = _linear(params, pre + "ffn.", "2", g)
-        x = x + _dropout(y, cache["ffn_drop"], config.dropout_rate)
+        cache["a"] = a = _linear(params, pre + "ffn.", "1", h2)
+        del h2
+        g, cache["phi"] = _gelu_forward(a)
+        x = x + _dropout(_linear(params, pre + "ffn.", "2", g), cache["ffn_drop"], rate)
+        del g
         _check_finite(x, f"encoder layer {li}")
         trace.layer_caches.append(cache)
 
@@ -559,11 +561,13 @@ def backward(
     while trace.layer_caches:
         cache = trace.layer_caches.pop()
         pre = cache["pre"]
-        # FFN block
+        # FFN block; its input h2 and output g are rebuilt for the parameter gradients
         d = _dropout(dx, cache.pop("ffn_drop"), rate)
-        d = _linear_backward(params, grads, pre + "ffn.", "2", cache.pop("g"), d)
+        d = _linear_backward(params, grads, pre + "ffn.", "2",
+                             None if grads is None else cache["a"] * cache["phi"], d)
         d = _gelu_backward(d, cache.pop("a"), cache.pop("phi"))
-        d = _linear_backward(params, grads, pre + "ffn.", "1", cache.pop("h2"), d)
+        d = _linear_backward(params, grads, pre + "ffn.", "1",
+                             _ln_output(params, pre + "ln2.", cache["ln2"], grads), d)
         dx = dx + _ln_backward(d, cache.pop("ln2"), grads, pre + "ln2.")  # residual
 
         # attention block
@@ -585,12 +589,14 @@ def backward(
 
         # wq and wk take their relative terms (above) before their content terms,
         # an order that fixes how the gradient sums round
-        h1, Lq = cache.pop("h1"), q.shape[2]
+        h1, Lq = _ln_output(params, pre + "ln1.", cache["ln1"], grads), q.shape[2]
         dh1 = _linear_backward(params, grads, pre + "attn.", "k", h1, _merge_heads(dk))
         dh1 += _linear_backward(params, grads, pre + "attn.", "v", h1, _merge_heads(dv))
-        dh1[:, :Lq] += _linear_backward(params, grads, pre + "attn.", "q", h1[:, :Lq],
-                                        _merge_heads(dq))
+        dh1[:, :Lq] += _linear_backward(params, grads, pre + "attn.", "q",
+                                        h1 if h1 is None else h1[:, :Lq], _merge_heads(dq))
+        del d, dv, dq, dk, q, k, h1  # so none of them lives on into the next layer
         dx1 = _ln_backward(dh1, cache.pop("ln1"), grads, pre + "ln1.")
+        del dh1
         dx1[:, :Lq] += dx  # residual
         dx = dx1
 

@@ -807,8 +807,49 @@ class TestClsOnlyLastLayer:
         assert last["q"].shape == (3, cfg.heads, 1, cfg.d_head)
         assert last["k"].shape == last["v"].shape == first["k"].shape
         assert last["attn"].shape == (3, cfg.heads, 1, 12)
-        assert last["g"].shape == (3, 1, cfg.d_ff)
+        assert last["a"].shape == (3, 1, cfg.d_ff)
         assert trace.final["ln_f"][0].shape == (3, 1, cfg.d_model)
+
+
+class TestLeanTrace:
+    """The trace keeps only what the backward reads. The layer norms' outputs
+    h1 and h2 and the GELU output g feed only the parameter gradients, so the
+    backward rebuilds them from the layer-norm cache and from a and phi."""
+
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_caches_hold_no_rebuilt_activation(self, variant):
+        rng = np.random.default_rng(19)
+        cfg = small_config(20, variant, layers=3, dropout_rate=0.2)
+        p = randomize_params(init_params(cfg), rng)
+        _, trace = forward_from_embeddings(p, cfg, rng.normal(size=(2, 9, 8)), np.ones((2, 9)),
+                                           dropout_masks(rng, cfg, 2, 9))
+        assert len(trace.layer_caches) == 3
+        for cache in trace.layer_caches:
+            assert not {"h1", "h2", "g"} & cache.keys(), sorted(cache)
+
+    @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
+    def test_forward_peak_over_its_trace(self, variant):
+        # a 16-row training call at the acceptance shape (2 layers, d_model
+        # 64, d_ff 128, L 49). Beyond what it leaves allocated, its trace, the
+        # forward holds at most three (B, L, d_ff) float64 arrays at once;
+        # caching h1, h2 and g and keeping each layer's temporaries alive into
+        # the next layer read 3.5 (absolute) and 4.5 (disentangled)
+        B, L = 16, 49
+        rng = np.random.default_rng(20)
+        cfg = small_config(40, variant, max_seq_len=64, layers=2, heads=4, d_model=64, d_ff=128,
+                           rel_window=16, dropout_rate=0.1)
+        p = randomize_params(init_params(cfg), rng)
+        ids, mask = rng.integers(1, 40, size=(B, L)), np.ones((B, L))
+        dropout = dropout_masks(rng, cfg, B, L)
+        forward_batch(p, cfg, ids, mask, dropout)  # warm-up
+        tracemalloc.start()
+        try:
+            _, trace = forward_batch(p, cfg, ids, mask, dropout)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ffn = B * L * cfg.d_ff * 8
+        assert peak - held <= 3 * ffn, (peak - held) / ffn
 
 
 # ---------------------------------------------------------------------------
