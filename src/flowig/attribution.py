@@ -204,7 +204,7 @@ def export_heatmap_svg(matrix: ClassAttributionMatrix) -> bytes:
     left, top = 110, 130
     bar_h = 16
     width = left + k * cell_w + 20
-    height = top + 3 * cell_h + bar_h + 60
+    height = top + len(CLASS_NAMES) * cell_h + bar_h + 60
     vmax = float(matrix.values.max()) or 1.0
 
     parts = [
@@ -236,7 +236,7 @@ def export_heatmap_svg(matrix: ClassAttributionMatrix) -> bytes:
                 f'text-anchor="middle" fill="{txt}">{format_value(v)}</text>'
             )
     # color bar
-    bar_y = top + 3 * cell_h + 24
+    bar_y = top + len(CLASS_NAMES) * cell_h + 24
     bar_w = k * cell_w
     for s in range(100):
         x = left + s * bar_w / 100

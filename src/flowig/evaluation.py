@@ -11,10 +11,10 @@ from .flow_data import CLASS_NAMES
 
 @dataclass(frozen=True)
 class MetricsReport:
-    precision: tuple[float, float, float]
-    recall: tuple[float, float, float]
-    f1: tuple[float, float, float]
-    support: tuple[int, int, int]
+    precision: tuple[float, ...]
+    recall: tuple[float, ...]
+    f1: tuple[float, ...]
+    support: tuple[int, ...]
     accuracy: float
     macro_f1: float
     weighted_f1: float
@@ -41,30 +41,31 @@ class MetricsReport:
 
 
 def confusion(predictions, labels) -> np.ndarray:
-    """The (3, 3) count matrix of class indices: rows = true, columns = predicted."""
+    """The class x class count matrix of indices: rows = true, columns = predicted."""
     if len(predictions) != len(labels):
         raise DataError(
             f"length mismatch: {len(predictions)} predictions vs {len(labels)} labels"
         )
     true = np.asarray(labels, dtype=np.int64)
     pred = np.asarray(predictions, dtype=np.int64)
-    return np.bincount(3 * true + pred, minlength=9).reshape(3, 3)
+    C = len(CLASS_NAMES)
+    return np.bincount(C * true + pred, minlength=C * C).reshape(C, C)
 
 
 def metrics(counts) -> MetricsReport:
-    arr = np.asarray(counts, dtype=np.int64)
-    if arr.shape != (3, 3) or (arr < 0).any():
-        raise DataError("confusion matrix must be 3x3 with non-negative counts")
+    arr, C = np.asarray(counts, dtype=np.int64), len(CLASS_NAMES)
+    if arr.shape != (C, C) or (arr < 0).any():
+        raise DataError(f"confusion matrix must be {C}x{C} with non-negative counts")
     total = arr.sum()
     if total == 0:
         raise DataError("cannot compute metrics on an all-zero confusion matrix")
     tp = np.diag(arr).astype(np.float64)
     pred_totals = arr.sum(axis=0)
     support = arr.sum(axis=1)
-    precision = np.divide(tp, pred_totals, out=np.zeros(3), where=pred_totals > 0)
-    recall = np.divide(tp, support, out=np.zeros(3), where=support > 0)
+    precision = np.divide(tp, pred_totals, out=np.zeros(C), where=pred_totals > 0)
+    recall = np.divide(tp, support, out=np.zeros(C), where=support > 0)
     denom = precision + recall
-    f1 = np.divide(2 * precision * recall, denom, out=np.zeros(3), where=denom > 0)
+    f1 = np.divide(2 * precision * recall, denom, out=np.zeros(C), where=denom > 0)
     return MetricsReport(
         precision=tuple(precision),
         recall=tuple(recall),

@@ -49,8 +49,8 @@ class TrainingLog:
 
 
 def class_weights(
-    counts: tuple[int, int, int], clip: tuple[float, float] = (0.25, 10.0)
-) -> tuple[float, float, float]:
+    counts: tuple[int, ...], clip: tuple[float, float] = (0.25, 10.0)
+) -> tuple[float, ...]:
     """w_c proportional to 1/sqrt(n_c), mean-normalized to 1, then clipped."""
     arr = np.asarray(counts, dtype=np.float64)
     if (arr <= 0).any():
@@ -148,7 +148,7 @@ def train(
     config: EncoderConfig,
     train_batch: TokenBatch,
     val_batch: TokenBatch,
-    weights: tuple[float, float, float],
+    weights: tuple[float, ...],
     train_config: TrainConfig = TrainConfig(),
 ) -> tuple[Params, TrainingLog]:
     """Adam training; returns the checkpoint with best validation macro-F1.

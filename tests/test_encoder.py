@@ -1,9 +1,12 @@
 import collections
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from flowig import encoder
@@ -996,3 +999,36 @@ def test_softmax_backward_holds_no_score_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < attn.nbytes, peak / attn.nbytes
+
+
+# ---------------------------------------------------------------------------
+# The row cut that IG, training and evaluation share
+
+_LENGTHS = st.one_of(
+    st.lists(st.integers(1, 200), max_size=70).map(sorted),
+    st.tuples(st.integers(1, 200), st.integers(0, 200)).map(lambda t: [t[0]] * t[1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lengths=_LENGTHS, d_model=st.sampled_from([1, 8, 16, 64]),
+       budget=st.integers(1, 60000))
+def test_row_chunks_contract(lengths, d_model, budget):
+    cuts = []
+    for workers in (1, 2, 3):
+        with mock.patch.object(encoder, "_CHUNK_FLOATS", budget), \
+                mock.patch.object(encoder, "_WORKERS", workers):
+            cuts.append(list(encoder.row_chunks(lengths, d_model)))
+    parts = cuts[0]
+    assert cuts[1] == parts and cuts[2] == parts  # the worker count plays no part
+    # every row once, in order, and no chunk empty
+    assert [i for part in parts for i in range(len(lengths))[part]] == list(range(len(lengths)))
+    sizes = [part.stop - part.start for part in parts]
+    assert all(size >= 1 for size in sizes)
+    for part, size in zip(parts, sizes):
+        if size > 1:
+            assert size * lengths[part.stop - 1] * d_model <= budget, (part, lengths)
+    if lengths and lengths[0] == lengths[-1]:
+        cap = max(1, budget // (lengths[0] * d_model))
+        assert len(parts) == math.ceil(len(lengths) / cap)
+        assert max(sizes) - min(sizes) <= 1, sizes

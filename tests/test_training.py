@@ -335,7 +335,7 @@ class TestChunkedStep:
         monkeypatch.setattr(encoder, "_CHUNK_FLOATS", 2 * ids.shape[1] * cfg.d_model)
         loss, grads = training._batch_grads(p, cfg, ids, mask, labels, w, dropout)
 
-        assert calls == [2, 2, 2, 1]
+        assert calls == [1, 2, 2, 2]  # the fewest calls, cut evenly
         # BLAS blocks the matmuls by row count, so the loss may round apart
         np.testing.assert_allclose(loss, want_loss, rtol=1e-12, atol=0)
         assert grads.keys() == want.keys()
@@ -402,7 +402,7 @@ def test_evaluate_peak_memory_does_not_grow_with_rows(vocab, schema, monkeypatch
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(5))
     values = [float(100 + 37 * i) for i in range(schema.d)]
     one = make_example(vocab, schema, values, label=BENIGN)
-    assert 512 * len(one.ids) * cfg.d_model > 8 * encoder._CHUNK_FLOATS
+    assert 1024 * len(one.ids) * cfg.d_model > 8 * encoder._CHUNK_FLOATS
 
     def peak(n):
         batch = make_batch(vocab, schema, [values] * n, labels=[BENIGN] * n)
@@ -414,7 +414,7 @@ def test_evaluate_peak_memory_does_not_grow_with_rows(vocab, schema, monkeypatch
             tracemalloc.stop()
 
     peak(64)  # warm-up
-    assert peak(512) <= 1.25 * peak(64)
+    assert peak(1024) <= 1.25 * peak(64)
 
 
 @pytest.mark.parametrize("call", ["evaluate_examples", "_batch_grads"])

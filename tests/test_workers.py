@@ -271,7 +271,7 @@ def test_peak_memory_stays_at_one_chunk_per_worker(vocab, schema, monkeypatch, w
     params = randomize_params(encoder.init_params(cfg), np.random.default_rng(5))
     values = [float(100 + 37 * i) for i in range(schema.d)]
     one = make_example(vocab, schema, values, label=BENIGN)
-    assert 512 * len(one.ids) * cfg.d_model > 8 * encoder._CHUNK_FLOATS
+    assert 1024 * len(one.ids) * cfg.d_model > 8 * encoder._CHUNK_FLOATS
 
     def peak(n, w):
         monkeypatch.setattr(encoder, "_WORKERS", w)
@@ -284,7 +284,7 @@ def test_peak_memory_stays_at_one_chunk_per_worker(vocab, schema, monkeypatch, w
             tracemalloc.stop()
 
     peak(64, 1)  # warm-up
-    assert peak(512, workers) <= 1.25 * workers * peak(64, 1)
+    assert peak(1024, workers) <= 1.25 * workers * peak(64, 1)
 
 
 def test_bits_do_not_depend_on_the_worker_count(vocab, schema, monkeypatch):
