@@ -55,7 +55,7 @@ class AttributionResult:
 @dataclass(frozen=True)
 class ClassAttributionMatrix:
     feature_names: tuple[str, ...]          # top-K, global rank order
-    values: np.ndarray                      # (3, K) mean |feature_attr| per class
+    values: np.ndarray                      # (len(CLASS_NAMES), K) mean |feature_attr| per class
 
 
 def baseline_embeddings(params: Params, config: EncoderConfig, pad_id: int = 0) -> np.ndarray:

@@ -201,6 +201,10 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
     dataset, parse_report = flow_data.parse_flow_csv(
         cfg.input_csv, schema, cfg.label_column
     )
+    dropped = (f"{parse_report.rows_dropped} (non-finite {parse_report.rows_dropped_nonfinite},"
+               f" unparseable {parse_report.rows_dropped_unparseable})")
+    if not dataset.records:
+        raise DataError(f"{cfg.input_csv} keeps no row; rows dropped in parsing: {dropped}")
     deduped, dedup_report, hashes = flow_data.deduplicate(dataset)
     parts = dict(zip(flow_data.SPLITS, flow_data.stratified_split(deduped, cfg.ratios, cfg.seed)))
     overlap = flow_data.audit_overlap(
@@ -220,12 +224,7 @@ def _run_prepare(cfg: RunConfig, work: Path) -> None:
                            for i, (_, label) in zip(part, records)]
     write_artifact(work / "manifest.tsv", "".join(manifest_lines))
 
-    report_text = (
-        dedup_report.format()
-        + f"rows dropped in parsing: {parse_report.rows_dropped}"
-        f" (non-finite {parse_report.rows_dropped_nonfinite},"
-        f" unparseable {parse_report.rows_dropped_unparseable})\n"
-    )
+    report_text = dedup_report.format() + f"rows dropped in parsing: {dropped}\n"
     write_artifact(work / "dedup_report.txt", report_text)
     audit_text = "".join(
         f"{a} x {b}\t{n}\n" for (a, b), n in overlap.items()
@@ -290,7 +289,7 @@ def _run_explain(cfg: RunConfig, work: Path) -> None:
         data = attribution.export_heatmap(matrix, fmt)
         write_artifact(work / f"heatmap_{cfg.variant}.{fmt}", data)
 
-    hashes = [textualize.text_hash(flow.text) for flow in flows]
+    hashes = [textualize.text_hash(schema.names, flow) for flow in flows]
     dump = "".join(
         json.dumps(
             {

@@ -431,9 +431,9 @@ def forward_from_embeddings(
     """Pre-norm encoder stack from raw embeddings to class logits.
 
     Takes (B, L, D) embeddings and a (B, L) mask with L <= max_seq_len and
-    returns (B, 3) logits. A sequence shorter than max_seq_len runs as the
-    first L positions, so trailing padding can be trimmed off. Dropout runs
-    if and only if `dropout` holds the rows' masks (see `dropout_masks`).
+    returns (B, n_classes) logits. A sequence shorter than max_seq_len runs
+    as the first L positions, so trailing padding can be trimmed off. Dropout
+    runs if and only if `dropout` holds the rows' masks (see `dropout_masks`).
 
     The head reads only the CLS position, so the last layer computes keys
     and values at every position but its queries, attention row, FFN and
@@ -518,7 +518,7 @@ def forward(
     example: TokenizedExample,
     dropout: Dropout | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """One example as a batch of one: logits (1, 3)."""
+    """One example as a batch of one: logits (1, n_classes)."""
     return forward_batch(params, config, example.ids[None], np.ones((1, len(example.ids))), dropout)
 
 

@@ -169,7 +169,7 @@ def parse_flow_csv(
 
 
 def record_hash(record: FlowRecord, schema: FeatureSchema) -> str:
-    return text_hash(serialize(record, schema).text)
+    return text_hash(schema.names, serialize(record, schema))
 
 
 def deduplicate(dataset: LabeledDataset) -> tuple[LabeledDataset, DedupReport, list[str]]:

@@ -1,8 +1,8 @@
 """Deterministic rendering of flow records into "name is value" text.
 
-The rendered string is both the model input and the dedup key, so every
-choice here (separator, digit policy) must be byte-stable across runs and
-platforms.
+A flow's rendered values are the model input, and its text, their clauses
+joined, is the dedup key, so every choice here (separator, digit policy)
+must be byte-stable across runs and platforms.
 """
 from __future__ import annotations
 
@@ -26,19 +26,6 @@ class ValueFormatPolicy:
     @functools.cached_property
     def spec(self) -> str:   # of a non-integral value
         return f".{self.significant_digits}g"
-
-
-@dataclass(frozen=True)
-class TextFlow:
-    """A flow's feature names and formatted values, in schema order. `text`,
-    its "name is value" clauses joined, is derived on each access, so no
-    row's text outlives its one use."""
-    names: tuple[str, ...]
-    values: tuple[str, ...]
-
-    @property
-    def text(self) -> str:
-        return _clause_template(self.names) % self.values
 
 
 @functools.lru_cache(maxsize=64)
@@ -66,15 +53,16 @@ def format_value(x: float, policy: ValueFormatPolicy = ValueFormatPolicy()) -> s
     return s
 
 
-def serialize(record, schema, policy: ValueFormatPolicy = ValueFormatPolicy()) -> TextFlow:
+def serialize(record, schema, policy: ValueFormatPolicy = ValueFormatPolicy()) -> tuple[str, ...]:
     """A record's values rendered by `format_value`, in schema feature order."""
     if len(record.features) != schema.d:
         raise ValueError(
             f"record has {len(record.features)} features, schema expects {schema.d}"
         )
-    return TextFlow(schema.names, tuple([format_value(value, policy) for value in record.features]))
+    return tuple([format_value(value, policy) for value in record.features])
 
 
-def text_hash(text: str) -> str:
-    """SHA1 of the serialized text; the dedup and audit identity of a record."""
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()
+def text_hash(names: tuple[str, ...], values: tuple[str, ...]) -> str:
+    """SHA1 of the flow's "name is value" text; the dedup and audit identity
+    of a record. The text is built here and nowhere else."""
+    return hashlib.sha1((_clause_template(names) % values).encode("utf-8")).hexdigest()

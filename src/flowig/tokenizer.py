@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ConfigError, TruncationError, DataError
 from .flow_data import FeatureSchema
-from .textualize import TextFlow
 
 PAD = "[PAD]"
 CLS = "[CLS]"
@@ -109,18 +108,18 @@ _BLOCK_ROWS = 1024
 
 
 def _value_tokens(
-    flows: list[TextFlow], first: int, vocab: Vocab, max_seq_len: int
+    flows: list[tuple[str, ...]], first: int, vocab: Vocab, max_seq_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The flows' value lengths (rows, features) and their value characters'
     ids in one array, rows in order; flow r here is flow `first + r` of the
     split."""
     names = vocab.feature_names
     d = len(names)
-    r = next((r for r, f in enumerate(flows) if f.names != names or len(f.values) != d), None)
+    r = next((r for r, flow in enumerate(flows) if len(flow) != d), None)
     if r is not None:
         raise DataError(f"flow {first + r} does not hold one value for each of the"
                         f" schema's {d} features")
-    values = list(itertools.chain.from_iterable(flow.values for flow in flows))
+    values = list(itertools.chain.from_iterable(flows))
     chars = np.frombuffer("".join(values).encode("utf-32-le", "surrogatepass"), "<u4")
     value_ids = vocab.value_ids[np.minimum(chars, 127)]
     if (value_ids < 0).any():
@@ -138,18 +137,19 @@ def _value_tokens(
 
 
 def tokenize_rows(
-    flows: Iterable[TextFlow],
+    flows: Iterable[tuple[str, ...]],
     vocab: Vocab,
     max_seq_len: int,
     labels: Iterable[int] | None = None,
 ) -> TokenBatch:
     """Every flow laid out as `tokenize` lays one out, in one padded batch.
 
-    The flows are read in blocks of rows, and each block's characters are
-    checked and mapped to ids in a few whole-array steps: its values are
-    joined into one string and read as code points. A block is refused at
-    its first flow whose names are not the vocabulary's features or whose
-    value count differs, then at a value character that is not a number
+    A flow is its formatted values, as `serialize` returns them for the
+    schema that the vocabulary was built from. The flows are read in blocks
+    of rows, and each block's characters are checked and mapped to ids in a
+    few whole-array steps: its values are joined into one string and read
+    as code points. A block is refused at its first flow that does not hold
+    one value per feature, then at a value character that is not a number
     token, then at its first flow longer than `max_seq_len`; blocks are
     read in input order, so the first too-long flow is the one named.
     """
@@ -178,7 +178,7 @@ def tokenize_rows(
 
 
 def tokenize(
-    flow: TextFlow,
+    flow: tuple[str, ...],
     vocab: Vocab,
     max_seq_len: int,
     label: int | None = None,

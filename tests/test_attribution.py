@@ -346,7 +346,7 @@ class TestAggregate:
         vocab = build_vocab(schema)
         record = FlowRecord(tuple(data.draw(st.lists(span_values, min_size=d, max_size=d))), "x")
         flow = serialize(record, schema)
-        spans = spans_of(np.array([len(v) for v in flow.values]))
+        spans = spans_of(np.array([len(v) for v in flow]))
         assert spans == reference_row(flow, vocab)[1]
         assert spans == reference_tokenize(*reference_serialize(record, schema), vocab, 10_000)[1]
 

@@ -720,6 +720,24 @@ class TestFailureModes:
             f"error: missing artifact {work / 'split_train.csv'}; run `flowig prepare` first"
         ]
 
+    def test_input_that_keeps_no_row(self, tmp_path):
+        # the label column read as a feature makes every row unparseable:
+        # `prepare` refuses before it writes a split or removes an earlier one
+        flows = tmp_path / "flows.csv"
+        run("synthetic", "--out", flows, "--n", 60)
+        bad = write_config(tmp_path, schema=["Flow Duration", "Label"])
+        work = tmp_path / "work"
+        message = [f"error: {flows} keeps no row; rows dropped in parsing: 60"
+                   " (non-finite 0, unparseable 60)"]
+        r = run("prepare", "--config", bad)
+        assert (r.exit_code, r.output.splitlines()) == (EXIT_DATA, message)
+        assert not list(work.glob("split_*")) and not (work / "manifest.tsv").exists()
+        assert run("prepare", "--config", write_config(tmp_path)).exit_code == 0
+        earlier = {p.name: p.read_bytes() for p in work.iterdir()}
+        r = run("prepare", "--config", write_config(tmp_path, schema=["Flow Duration", "Label"]))
+        assert (r.exit_code, r.output.splitlines()) == (EXIT_DATA, message)
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == earlier
+
     def test_input_csv_is_a_directory(self, tmp_path):
         cfg = write_config(tmp_path, input_csv=str(tmp_path))
         r = run("prepare", "--config", cfg)

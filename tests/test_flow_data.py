@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -170,6 +171,29 @@ class TestDeduplicate:
         ds = make_dataset([((0.1 + 0.2, 1.0), "BENIGN"), ((0.3, 1.0), "BENIGN")])
         deduped, report, _ = deduplicate(ds)
         assert report.after == 1
+
+
+class TestRecordHashPinned:
+    """The row identity as literal digests. Manifests and attribution dumps
+    from earlier runs hold these hashes, so a change to the text they hash
+    (names, separator, value format) must fail here, not only between two
+    runs of the same code."""
+
+    def test_text_and_digest(self):
+        schema = FeatureSchema(("Destination Port", "Flow Bytes/s", "100% x", "y"))
+        record = FlowRecord((80.0, 1234567.891, 1e16, -0.0), "BENIGN")
+        text = "Destination Port is 80 ; Flow Bytes/s is 1.23457e6 ; 100% x is 1e16 ; y is 0"
+        digest = "e1f3f47b5459dc4496eddeb2d9988f6196ca1eb5"
+        assert hashlib.sha1(text.encode("utf-8")).hexdigest() == digest
+        assert record_hash(record, schema) == digest
+
+    def test_synthetic_rows(self):
+        ds = synthetic.generate_synthetic_dataset(n=3, seed=0)
+        assert [record_hash(rec, ds.schema) for rec, _ in ds.records] == [
+            "7910240cdd12e034e91c504d6aeb74eadae2ce08",
+            "d018245fd8604863e71580e8268b57b1733562f8",
+            "1dddb13a9c2ffdce43d2aa6306d25f29c737afa9",
+        ]
 
 
 class TestLargestRemainder:

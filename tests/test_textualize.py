@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -59,33 +60,34 @@ class TestFormatValue:
         assert once == sigfig_oracle(x, 6)
 
 
+def sha1(text: str) -> str:
+    return hashlib.sha1(text.encode("utf-8")).hexdigest()
+
+
 class TestSerialize:
     def test_single_feature(self):
         schema = FeatureSchema(("Flow Duration",))
         flow = serialize(FlowRecord((120.0,), "BENIGN"), schema)
-        assert flow.text == "Flow Duration is 120"
-        assert (flow.names, flow.values) == (("Flow Duration",), ("120",))
+        assert flow == ("120",)
+        assert text_hash(schema.names, flow) == sha1("Flow Duration is 120")
 
     def test_two_features_separator(self):
         schema = FeatureSchema(("A", "B"))
         flow = serialize(FlowRecord((1.5, 0.0), "BENIGN"), schema)
-        assert flow.text == "A is 1.5 ; B is 0"
+        assert text_hash(schema.names, flow) == sha1("A is 1.5 ; B is 0")
 
     def test_names_with_format_characters(self):
         # the text is built from a per-schema %-template; a name is kept verbatim
         schema = FeatureSchema(("100% a", "b %s", "{c}"))
         flow = serialize(FlowRecord((1.0, 2.0, 3.0), "x"), schema)
-        assert flow.text == "100% a is 1 ; b %s is 2 ; {c} is 3"
+        assert text_hash(schema.names, flow) == sha1("100% a is 1 ; b %s is 2 ; {c} is 3")
 
     def test_clause_fidelity(self):
         schema = FeatureSchema(("A", "B", "C"))
         flow = serialize(FlowRecord((1.0, 22.5, -3.0), "x"), schema)
-        assert flow.names == schema.names
-        assert flow.values == ("1", "22.5", "-3")
-        for fi, clause in enumerate(flow.text.split(" ; ")):
-            name, value = clause.split(" is ")
-            assert name == schema.names[fi]
-            assert value == format_value((1.0, 22.5, -3.0)[fi])
+        assert flow == ("1", "22.5", "-3")
+        assert text_hash(schema.names, flow) == sha1(" ; ".join(
+            f"{name} is {format_value(x)}" for name, x in zip(schema.names, (1.0, 22.5, -3.0))))
 
     @given(
         st.lists(
@@ -98,11 +100,13 @@ class TestSerialize:
     def test_clauses_partition_text(self, values):
         schema = FeatureSchema(tuple(f"F{i}" for i in range(len(values))))
         flow = serialize(FlowRecord(tuple(values), "x"), schema)
-        assert flow.values == tuple(format_value(v) for v in values)
-        assert flow.text.split(" ; ") == [f"F{i} is {format_value(v)}" for i, v in enumerate(values)]
+        assert flow == tuple(format_value(v) for v in values)
+        assert text_hash(schema.names, flow) == sha1(
+            " ; ".join(f"F{i} is {format_value(v)}" for i, v in enumerate(values)))
 
     def test_hash_stability(self):
         schema = FeatureSchema(("A",))
-        t = serialize(FlowRecord((3.25,), "x"), schema).text
-        assert text_hash(t) == text_hash(t)
-        assert text_hash(t) != text_hash(t + " ")
+        flow = serialize(FlowRecord((3.25,), "x"), schema)
+        assert text_hash(schema.names, flow) == text_hash(schema.names, flow)
+        assert text_hash(schema.names, flow) != text_hash(schema.names, (flow[0] + " ",))
+        assert text_hash(schema.names, flow) != text_hash(("A ",), flow)

@@ -1,10 +1,11 @@
 """`format_value`, `serialize` and `tokenize` against their earlier bodies.
 
 The bodies below are the per-value renderings the data path used before it
-moved to name and value tuples and C-level calls. They are kept as
-references: the fast path must give the same text, values and token ids for
-every input, and the same error for every refused value.
+moved to value tuples and C-level calls. They are kept as references: the
+fast path must give the same values, text hash and token ids for every
+input, and the same error for every refused value.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from flowig.errors import DataError, NumericError, TruncationError
 from flowig.flow_data import DDOS, FeatureSchema, FlowRecord
 from flowig.textualize import (
-    CLAUSE_SEPARATOR, TextFlow, ValueFormatPolicy, format_value, serialize,
+    CLAUSE_SEPARATOR, ValueFormatPolicy, format_value, serialize, text_hash,
 )
 from flowig.tokenizer import CLS, IS, SEP, build_vocab, tokenize
 
@@ -55,13 +56,12 @@ def reference_serialize(record, schema, policy=ValueFormatPolicy()):
 
 
 def assert_matches_reference(flow, schema, reference):
-    """`flow`'s names, its text, and its values as the reference's spans cut
-    them from that text, each past its "name is " prefix."""
+    """`flow`'s values as the reference's spans cut them from its text, each
+    past its "name is " prefix, and its hash, the SHA1 of that text."""
     text, spans = reference
-    assert flow.names == schema.names
-    assert flow.text == text
-    assert flow.values == tuple(text[s + len(f"{name} is ") : e]
-                                for name, (_, s, e) in zip(schema.names, spans))
+    assert flow == tuple(text[s + len(f"{name} is ") : e]
+                         for name, (_, s, e) in zip(schema.names, spans))
+    assert text_hash(schema.names, flow) == hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 
 def reference_tokenize(text, spans, vocab, max_seq_len, label=None):
@@ -179,24 +179,28 @@ class TestTokenize:
             assert row_form(tokenize(flow, vocab, max_seq_len, label)) == expected
 
     @pytest.mark.parametrize(
-        "names, values, reference_message, message",
-        [(("A", "C"), ("1", "2"), "span 1 does not match schema feature 'B'",
-          "flow 0 does not hold one value for each of the schema's 2 features"),
-         (("A", "B"), ("12", "1x5"), "value character 'x' not in vocabulary", None),
-         (("A", "B"), ("1", " 2"), "value character ' ' not in vocabulary", None)],
-        ids=["feature-name", "value-character", "value-space"],
+        "values, message",
+        [(("12", "1x5"), "value character 'x' not in vocabulary"),
+         (("1", " 2"), "value character ' ' not in vocabulary")],
+        ids=["value-character", "value-space"],
     )
-    def test_data_errors_unchanged(self, names, values, reference_message, message):
-        # a flow of another schema's names is refused as a whole flow, not
-        # at its first clause; a value character's error is the reference's
+    def test_data_errors_unchanged(self, values, message):
         vocab = build_vocab(FeatureSchema(("A", "B")))
-        clauses = [f"{name} is {value}" for name, value in zip(names, values)]
+        clauses = [f"{name} is {value}" for name, value in zip(vocab.feature_names, values)]
         with pytest.raises(DataError) as reference:
             reference_tokenize(*reference_join(clauses), vocab, 64)
-        assert str(reference.value) == reference_message
+        assert str(reference.value) == message
         with pytest.raises(DataError) as fast:
-            tokenize(TextFlow(names, values), vocab, 64)
-        assert str(fast.value) == (message or reference_message)
+            tokenize(values, vocab, 64)
+        assert str(fast.value) == message
+
+    @pytest.mark.parametrize("values", [("1",), ("1", "2", "3")], ids=["short", "long"])
+    def test_value_count_refused(self, values):
+        # the reference walks what clauses a text holds; a flow is refused
+        # whole unless it holds one value per feature
+        with pytest.raises(DataError) as fast:
+            tokenize(values, build_vocab(FeatureSchema(("A", "B"))), 64)
+        assert str(fast.value) == "flow 0 does not hold one value for each of the schema's 2 features"
 
 
 BOUNDARY_VALUES = [
@@ -223,7 +227,7 @@ class TestFormatValueEdges:
     def test_negative_zero_is_zero(self):
         assert format_value(-0.0) == format_value(0.0) == "0"
         flow = serialize(_record((-0.0, 0.0, -0.0)), FeatureSchema(("A", "B", "C")))
-        assert flow.values == ("0", "0", "0")
+        assert flow == ("0", "0", "0")
 
     @pytest.mark.parametrize("x, expected", [
         (1234567.891, "1.23457e6"), (-1234567.891, "-1.23457e6"), (1e-5, "1e-5"),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from flowig import tokenizer, textualize
 from flowig.errors import ConfigError, DataError, TruncationError
 from flowig.flow_data import DDOS, FeatureSchema, FlowRecord
-from flowig.textualize import TextFlow
 from flowig.tokenizer import (
     CLS, IS, PAD, SEP, build_vocab, feature_spans, reconstruct_values, tokenize, tokenize_rows,
 )
@@ -121,11 +120,12 @@ class TestTokenize:
 
 
 def reference_row(flow, vocab, label=None):
-    """One flow walked value by value and character by character: its ids,
-    its (feature, start, end) spans and its label, as `row_form` gives them."""
+    """One flow (its formatted values) walked value by value and character by
+    character: its ids, its (feature, start, end) spans and its label, as
+    `row_form` gives them."""
     id_of = vocab.id_of
     ids, spans = [id_of[CLS]], []
-    for fi, (name, value) in enumerate(zip(vocab.feature_names, flow.values)):
+    for fi, (name, value) in enumerate(zip(vocab.feature_names, flow)):
         start = len(ids)
         ids += (id_of[name], id_of[IS])
         ids += map(id_of.__getitem__, value)
@@ -144,11 +144,8 @@ values = st.one_of(
 )
 
 
+# flows below are of the schema ("A", "B"): tuples of formatted values
 OFF_SCHEMA = "flow {} does not hold one value for each of the schema's 2 features"
-
-
-def ab(*values, names=("A", "B")):
-    return TextFlow(names, values)
 
 
 class TestTokenizeRows:
@@ -195,29 +192,29 @@ class TestTokenizeRows:
 
     @pytest.mark.parametrize(
         "rows, message",
-        [([ab("1", "2"), ab("1", "2", names=("A", "C"))], OFF_SCHEMA.format(1)),
-         ([ab("1", "2"), ab("12", "1x5")], "value character 'x' not in vocabulary"),
-         ([ab("1", "2"), ab("1", "\u00e9")], "value character '\u00e9' not in vocabulary"),
+        [([("1", "2"), ("1", "2", "3")], OFF_SCHEMA.format(1)),
+         ([("1", "2"), ("12", "1x5")], "value character 'x' not in vocabulary"),
+         ([("1", "2"), ("1", "\u00e9")], "value character '\u00e9' not in vocabulary"),
          # a block refuses a bad flow before a too-long one; blocks go in input order
-         ([ab("1", "123456"), ab("1", "2", names=("A", "C"))],
+         ([("1", "123456"), ("1", "2", "3")],
           {"one-block": OFF_SCHEMA.format(1),
            "row-blocks": "sequence of 14 tokens exceeds max_seq_len=12 (first past it: feature 'B')"}),
-         ([ab("1", "2", names=("A", "C")), ab("1", "123456")], OFF_SCHEMA.format(0)),
-         ([ab("123456789", "2"), ab("x", "2")],
+         ([("1", "2", "3"), ("1", "123456")], OFF_SCHEMA.format(0)),
+         ([("123456789", "2"), ("x", "2")],
           {"one-block": "value character 'x' not in vocabulary",
            "row-blocks": "sequence of 17 tokens exceeds max_seq_len=12 (first past it: feature 'A')"}),
          # of several too-long rows, the first is named
-         ([ab("1", "2"), ab("123456789", "2"), ab("1", "1234567")],
+         ([("1", "2"), ("123456789", "2"), ("1", "1234567")],
           "sequence of 17 tokens exceeds max_seq_len=12 (first past it: feature 'A')"),
-         ([ab("123456789", "1x")], "value character 'x' not in vocabulary"),
-         ([ab("1x", "2", names=("A", "C"))], OFF_SCHEMA.format(0)),
-         ([ab("1", "2", "3")], OFF_SCHEMA.format(0)),
+         ([("123456789", "1x")], "value character 'x' not in vocabulary"),
+         ([("1x", "2", "3")], OFF_SCHEMA.format(0)),
+         ([("1", "2", "3")], OFF_SCHEMA.format(0)),
          # a short flow and a long one whose value counts add up to two rows'
-         ([ab("1"), ab("2", "3", "4")], OFF_SCHEMA.format(0)),
-         ([ab("1", "2")] * 3 + [ab("1")], OFF_SCHEMA.format(3))],
-        ids=["feature-name", "value-character", "non-ascii-character", "long-then-bad",
+         ([("1",), ("2", "3", "4")], OFF_SCHEMA.format(0)),
+         ([("1", "2")] * 3 + [("1",)], OFF_SCHEMA.format(3))],
+        ids=["second-flow-count", "value-character", "non-ascii-character", "long-then-bad",
              "bad-then-long", "long-then-bad-character", "first-long-row", "bad-inside-long-row",
-             "name-before-value", "clause-count", "clause-counts-compensate", "clause-count-late"],
+             "count-before-value", "clause-count", "clause-counts-compensate", "clause-count-late"],
     )
     # a block of one row puts each row of a case in a block of its own
     @pytest.mark.parametrize("block_rows", [tokenizer._BLOCK_ROWS, 1], ids=["one-block", "row-blocks"])
