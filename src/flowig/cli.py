@@ -70,6 +70,8 @@ class RunConfig:
             self._schema = FeatureSchema(names=tuple(self.schema))
         else:
             raise ConfigError('schema must be "synthetic" or an explicit list of feature names')
+        if self.label_column in self._schema.names:
+            raise ConfigError(f"schema lists the label column {self.label_column!r}")
         self.vocab = tokenizer.build_vocab(self._schema)
         self.encoder_cfg = encoder.EncoderConfig(
             vocab_size=self.vocab.size, attention_variant=self.variant, seed=self.seed,
@@ -415,11 +417,12 @@ def _reuse_freed_memory() -> None:
 
 
 def _one_blas_thread() -> None:
-    """Cap numpy's bundled OpenBLAS at one thread. The chunk workers (see
-    `encoder.map_chunks`) already keep every usable CPU busy, and OpenBLAS's
-    own threads, one per CPU by default, would compete with them for those
-    CPUs. The library is reached through numpy's core extension, which links
-    it. A no-op where numpy does not bundle scipy-openblas."""
+    """Cap numpy's bundled OpenBLAS, the one BLAS that flowig loads, at one
+    thread. The chunk workers (see `encoder.map_chunks`) already keep every
+    usable CPU busy, and OpenBLAS's own threads, one per CPU by default,
+    would compete with them for those CPUs. The library is reached through
+    numpy's core extension, which links it. A no-op where numpy links
+    another BLAS (its wheels bundle OpenBLAS built as scipy-openblas)."""
     try:
         from numpy._core import _multiarray_umath
         set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_

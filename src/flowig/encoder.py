@@ -8,6 +8,10 @@ position-content terms over clipped relative distances.
 
 Every function takes and returns batched (B, ...) arrays; the batch
 dimension is also how integration-path gradient evaluations are vectorized.
+
+The FFN's GELU is the exact a·Φ(a). Φ is numpy arithmetic on Cephes' ndtr.c
+coefficients (W. J. Cody's rational forms for erf and erfc), within 2⁻⁵² of
+½(1 + `math.erf`(a/√2)); see `_normal_cdf`.
 """
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, NumericError, check_fields
 from .flow_data import CLASS_NAMES
@@ -31,6 +34,32 @@ DISENTANGLED = "disentangled"
 _LN_EPS = 1e-5
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Cephes ndtr.c, highest power first, with the monic U's and Q's leading 1:
+# erf(x) = x·T(x²)/U(x²) for |x| <= 1, erfc(x) = exp(-x²)·P(x)/Q(x) beyond
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _folded(coeffs, halvings: float, scale: float = 1.0) -> tuple[float, ...]:
+    """A polynomial in x = v·2^-halvings as one in v, times `scale`."""
+    top = len(coeffs) - 1
+    return tuple(scale * c * 0.5 ** (halvings * (top - i)) for i, c in enumerate(coeffs))
+
+
+# Φ(a) - ½ = a·T/U over v = a², and ½·erfc(|a|/√2) = exp(-a²/2)·P/Q over v = |a|
+_PHI_T, _PHI_U = _folded(_ERF_T, 1.0, 0.5 * _INV_SQRT2), _folded(_ERF_U, 1.0)
+_PHI_P, _PHI_Q = _folded(_ERFC_P, 0.5, 0.5), _folded(_ERFC_Q, 0.5)
+# Φ is exactly 0 or 1 well inside |a| = 12; the cap keeps a² and the polynomials finite
+_PHI_CAP = 12.0
 
 
 @dataclass(frozen=True)
@@ -276,11 +305,50 @@ def _linear_backward(params: Params, grads: Params | None, pre: str, n: str, x, 
     return dy @ params[f"{pre}w{n}"].T
 
 
+def _horner(v, coeffs):
+    """The polynomial in v with `coeffs`, highest power first."""
+    y = v * coeffs[0]
+    for c in coeffs[1:-1]:
+        y += c
+        y *= v
+    y += coeffs[-1]
+    return y
+
+
+def _normal_cdf(a):
+    """Φ(a) = ½(1 + erf(a/√2)), within 2⁻⁵² of that formula with `math.erf`.
+
+    With x = a/√2, the |x| <= 1 form runs over the whole array, and the erfc
+    form overwrites the entries beyond it as ½ ± (½ - ½·erfc(|x|)), with a's
+    sign: erf = 1 - erfc there, as in Cephes, so Φ is exactly 0 or 1 once
+    erfc falls below the rounding of 1.
+    """
+    x = np.clip(a, -_PHI_CAP, _PHI_CAP).ravel()
+    # a tiny |a| underflows a² and a·T/U, which leaves Φ = ½ as it should be
+    with np.errstate(under="ignore"):
+        z = x * x
+        phi = _horner(z, _PHI_T)
+        phi /= _horner(z, _PHI_U)
+        phi *= x
+    phi += 0.5
+    tail = np.flatnonzero(z > 2.0)
+    t = x[tail]
+    s = np.abs(t)
+    c = _horner(s, _PHI_P)
+    c /= _horner(s, _PHI_Q)
+    s *= s
+    s *= -0.5
+    np.exp(s, out=s)
+    c *= s
+    np.subtract(0.5, c, out=c)
+    np.copysign(c, t, out=c)
+    c += 0.5
+    phi[tail] = c
+    return phi.reshape(a.shape)
+
+
 def _gelu_forward(a):
-    phi = a * _INV_SQRT2
-    erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
+    phi = _normal_cdf(a)
     return a * phi, phi
 
 

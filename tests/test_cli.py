@@ -79,6 +79,8 @@ LOAD_REFUSALS = [
     ({"schema": ["0", "x"]}, "feature name collides with a reserved token: '0'"),
     ({"schema": ["a", ["b"]]}, 'schema must be "synthetic" or an explicit list of feature names'),
     ({"schema": ["a", 5]}, 'schema must be "synthetic" or an explicit list of feature names'),
+    # parsing would read every row's label cell as a number and drop the row
+    ({"schema": ["Flow Duration", "Label"]}, "schema lists the label column 'Label'"),
     ({"ratios": [0.5, 0.6, 0.1]},
      "split ratios must be three numbers >= 0 summing to 1, got (0.5, 0.6, 0.1)"),
     # json.dumps writes these as the raw JSON text NaN and Infinity, which json.loads reads
@@ -88,8 +90,8 @@ LOAD_REFUSALS = [
 LOAD_REFUSAL_IDS = ["ig-steps-zero", "train-epochs-zero", "encoder-heads-zero",
                     "ig-max-examples-two", "variant-bogus", "schema-empty", "schema-repeated-name",
                     "schema-reserved-name", "schema-number-token-name", "schema-nested-list",
-                    "schema-number-entry", "ratios-bad-sum", "learning-rate-nan",
-                    "learning-rate-infinity"]
+                    "schema-number-entry", "schema-label-column", "ratios-bad-sum",
+                    "learning-rate-nan", "learning-rate-infinity"]
 
 
 def run(*args):
@@ -721,20 +723,23 @@ class TestFailureModes:
         ]
 
     def test_input_that_keeps_no_row(self, tmp_path):
-        # the label column read as a feature makes every row unparseable:
+        # a word in every row's first feature cell makes every row unparseable:
         # `prepare` refuses before it writes a split or removes an earlier one
-        flows = tmp_path / "flows.csv"
+        flows, bad_flows = tmp_path / "flows.csv", tmp_path / "bad.csv"
         run("synthetic", "--out", flows, "--n", 60)
-        bad = write_config(tmp_path, schema=["Flow Duration", "Label"])
+        header, *rows = flows.read_text(encoding="utf-8").splitlines()
+        bad_rows = ["idle" + row[row.index(","):] for row in rows]
+        bad_flows.write_text("\n".join([header, *bad_rows]) + "\n", encoding="utf-8")
+        bad = write_config(tmp_path, input_csv=str(bad_flows))
         work = tmp_path / "work"
-        message = [f"error: {flows} keeps no row; rows dropped in parsing: 60"
+        message = [f"error: {bad_flows} keeps no row; rows dropped in parsing: 60"
                    " (non-finite 0, unparseable 60)"]
         r = run("prepare", "--config", bad)
         assert (r.exit_code, r.output.splitlines()) == (EXIT_DATA, message)
         assert not list(work.glob("split_*")) and not (work / "manifest.tsv").exists()
         assert run("prepare", "--config", write_config(tmp_path)).exit_code == 0
         earlier = {p.name: p.read_bytes() for p in work.iterdir()}
-        r = run("prepare", "--config", write_config(tmp_path, schema=["Flow Duration", "Label"]))
+        r = run("prepare", "--config", write_config(tmp_path, input_csv=str(bad_flows)))
         assert (r.exit_code, r.output.splitlines()) == (EXIT_DATA, message)
         assert {p.name: p.read_bytes() for p in work.iterdir()} == earlier
 
@@ -1122,6 +1127,37 @@ def test_blas_setting_caps_the_bundled_openblas(monkeypatch, tmp_path):
     assert r.exit_code == 0, r.output
     assert threads == [1]
     assert "_multiarray_umath" in opened[-1]
+
+
+def test_runs_without_scipy():
+    # with every scipy import refused, the CLI loads and the encoder runs a
+    # forward and backward pass: numpy's OpenBLAS is the one BLAS flowig loads
+    code = ("import importlib.abc, sys\n"
+            "class NoScipy(importlib.abc.MetaPathFinder):\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.startswith('scipy'):\n"
+            "            raise ModuleNotFoundError(f'no module named {name!r}', name=name)\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "import numpy as np\n"
+            "from flowig import cli, encoder\n"
+            "from conftest import small_config\n"
+            "try:\n"
+            "    cli.main(['--help'])\n"
+            "except SystemExit as e:\n"
+            "    assert e.code == 0, e.code\n"
+            "cfg = small_config(20)\n"
+            "ids = np.random.default_rng(0).integers(1, 20, size=(2, 6))\n"
+            "params = encoder.init_params(cfg)\n"
+            "logits, trace = encoder.forward_batch(params, cfg, ids, np.ones(ids.shape))\n"
+            "encoder.backward(params, trace, np.ones(logits.shape))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                         str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": path})
+    assert r.returncode == 0, r.stderr
+    assert "Explainable flow-level intrusion detection pipeline." in r.stdout
+    assert r.stdout.splitlines()[-1] == "[]"
 
 
 def test_numeric_error_in_a_chunk_worker(monkeypatch, tmp_path):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
 from flowig import encoder
 from flowig.encoder import (
@@ -891,7 +890,8 @@ def _linear_oracle(params, pre, n, x):
 
 
 def _gelu_forward_oracle(a):
-    phi = 0.5 * (1.0 + erf(a * encoder._INV_SQRT2))
+    phi = np.array([0.5 * (1.0 + math.erf(v * encoder._INV_SQRT2)) for v in a.ravel().tolist()])
+    phi = phi.reshape(a.shape)
     return a * phi, phi
 
 
@@ -943,8 +943,9 @@ class TestOpsMatchOracle:
         p = {"l.w1": rng.normal(size=(16, 24)), "l.b1": rng.normal(size=24)}
         assert np.array_equal(encoder._linear(p, "l.", "1", x), _linear_oracle(p, "l.", "1", x))
         got_g, got_phi = encoder._gelu_forward(a)
-        want_g, want_phi = _gelu_forward_oracle(a)
-        assert np.array_equal(got_g, want_g) and np.array_equal(got_phi, want_phi)
+        want_phi = _gelu_forward_oracle(a)[1]
+        assert np.abs(got_phi - want_phi).max() <= 2.0 ** -52
+        assert np.array_equal(got_g, a * got_phi)
         assert np.array_equal(encoder._gelu_backward(da, a, want_phi),
                               _gelu_backward_oracle(da, a, want_phi))
 
@@ -952,6 +953,20 @@ class TestOpsMatchOracle:
                _softmax_backward_oracle(attn, dattn.copy()))
         # only the softmax backward writes over an input, its dattn
         assert all(np.array_equal(v, w) for v, w in zip(inputs, before, strict=True))
+
+    def test_normal_cdf_on_a_dense_grid(self):
+        # within 2^-52 of the math.erf formula over [-40, 40], on both sides of
+        # Cephes' branch points x = a/√2 = ±1 and ±8, at ±0 and the smallest
+        # subnormal; it saturates at ±40 and ±1e300, and never warns
+        edges = [math.nextafter(e, side) for b in (math.sqrt(2.0), 8.0 * math.sqrt(2.0))
+                 for e in (b, -b) for side in (-math.inf, e, math.inf)]
+        a = np.concatenate([np.linspace(-40.0, 40.0, 100_001), edges,
+                            [0.0, -0.0, 5e-324, -5e-324, -1e300, 1e300]])
+        with np.errstate(all="raise"):
+            phi = encoder._normal_cdf(a)
+        assert np.abs(phi - _gelu_forward_oracle(a)[1]).max() <= 2.0 ** -52
+        assert phi[[0, 100_000, -2, -1]].tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert phi[-6:-2].tolist() == [0.5] * 4
 
     @pytest.mark.parametrize("variant", [ABSOLUTE, DISENTANGLED])
     def test_encoder_matches_oracle_ops(self, monkeypatch, variant):
